@@ -8,9 +8,9 @@
 namespace massbft {
 
 DigestCertifier::DigestCertifier(uint16_t gid, NodeId self, int group_size,
-                                 Callbacks callbacks)
+                                 uint16_t leader, Callbacks callbacks)
     : gid_(gid), self_(self), n_(group_size), f_((group_size - 1) / 3),
-      cb_(std::move(callbacks)) {
+      leader_(leader), cb_(std::move(callbacks)) {
   MASSBFT_CHECK(self.group == gid);
   (void)n_;
 }
@@ -29,7 +29,6 @@ void DigestCertifier::Start(const DecisionId& decision) {
   Pending& p = pending_[decision];
   if (p.votes.contains(self_.index)) return;  // Already started.
   p.decision = decision;
-  p.initiator = self_;
 
   Digest digest = DecisionDigest(decision);
   Bytes payload(digest.begin(), digest.end());
@@ -53,13 +52,13 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   if (from.group != gid_) return;
   switch (static_cast<MessageType>(message->type())) {
     case MessageType::kCertifyRequest: {
+      if (from.index != leader_) return;  // Only the leader certifies.
       const auto& req = static_cast<const CertifyRequestMsg&>(*message);
       Digest digest = DecisionDigest(req.decision());
       Bytes payload(digest.begin(), digest.end());
       if (!cb_.verify(from, payload, req.sig())) return;
       Pending& p = pending_[req.decision()];
       p.decision = req.decision();
-      p.initiator = from;
       TryVote(p);
       break;
     }
@@ -99,8 +98,8 @@ void DigestCertifier::TryVote(Pending& p) {
   Digest digest = DecisionDigest(p.decision);
   Bytes payload(digest.begin(), digest.end());
   Signature sig = cb_.sign(payload);
-  if (p.initiator == self_) return;  // Leader's own share already recorded.
-  cb_.send_to(p.initiator, std::make_shared<CertifyVoteMsg>(p.decision, sig));
+  cb_.send_to(NodeId{gid_, leader_},
+              std::make_shared<CertifyVoteMsg>(p.decision, sig));
 }
 
 void DigestCertifier::RecheckPending() {

@@ -21,7 +21,9 @@ namespace massbft {
 /// 2f+1 signatures into a Certificate. Used for the Raft `accept` receipt
 /// (a follower only signs once it has the actual entry — this is what makes
 /// Lemma V.1's atomicity argument go through) and for the Raft `commit`
-/// decision.
+/// decision. Followers answer the group leader only: a certification any
+/// member could start would let one Byzantine follower collect a commit
+/// certificate for any decision.
 class DigestCertifier {
  public:
   /// Decision kinds (DecisionId::kind).
@@ -43,7 +45,9 @@ class DigestCertifier {
     std::function<void(const DecisionId&, Certificate)> on_certified;
   };
 
-  DigestCertifier(uint16_t gid, NodeId self, int group_size,
+  /// `leader` is the index of the group member whose requests followers
+  /// vote on.
+  DigestCertifier(uint16_t gid, NodeId self, int group_size, uint16_t leader,
                   Callbacks callbacks);
 
   /// The digest all parties sign for a decision (also what remote groups
@@ -64,7 +68,6 @@ class DigestCertifier {
  private:
   struct Pending {
     DecisionId decision;
-    NodeId initiator;  // Where follower votes are sent.
     bool voted = false;
     bool certified = false;
     std::map<uint16_t, Signature> votes;  // Leader-side shares.
@@ -76,6 +79,7 @@ class DigestCertifier {
   NodeId self_;
   int n_;
   int f_;
+  uint16_t leader_;
   Callbacks cb_;
   std::map<DecisionId, Pending> pending_;
 };

@@ -53,22 +53,32 @@ uint64_t PbftEngine::Propose(EntryPtr entry) {
   MASSBFT_CHECK(IsLeader());
   uint64_t seq = next_seq_++;
   Instance& inst = GetInstance(seq);
-  inst.entry = entry;
-  inst.digest = entry->digest();
-  inst.digest_known = true;
-  if (cb_.now) inst.started_at = cb_.now();
   inst.validated = true;  // The leader built the batch; it has verified
                           // client signatures on ingest.
-  Signature sig =
-      cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrePrepare));
-  auto msg = std::make_shared<PrePrepareMsg>(view_, seq, entry, sig);
-  cb_.broadcast(msg);
-  // The leader's pre-prepare stands in for its prepare vote; record it so
-  // quorum counting is uniform.
-  inst.prepares[self_.index] =
-      cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare));
+  Signature sig = cb_.sign(
+      VotePayload(view_, seq, entry->digest(), MessageType::kPrePrepare));
+  cb_.broadcast(std::make_shared<PrePrepareMsg>(view_, seq, entry, sig));
+  AdoptProposal(seq, std::move(entry), sig);
   MaybePrepare(seq);
   return seq;
+}
+
+void PbftEngine::AdoptProposal(uint64_t seq, EntryPtr entry,
+                               const Signature& pre_prepare_sig) {
+  Instance& inst = GetInstance(seq);
+  inst.entry = std::move(entry);
+  inst.digest = inst.entry->digest();
+  inst.digest_known = true;
+  if (cb_.now) inst.started_at = cb_.now();
+  // The pre-prepare stands in for the leader's prepare vote (classic PBFT
+  // counts it toward the 2f+1 prepare quorum).
+  inst.prepares.emplace(static_cast<uint16_t>(leader_index()),
+                        pre_prepare_sig);
+  // Votes that raced ahead of the pre-prepare now learn which digest
+  // counts.
+  std::map<std::pair<MessageType, uint16_t>, VotePtr> early;
+  early.swap(inst.early_votes);
+  for (const auto& [key, vote] : early) OnVote(NodeId{gid_, key.second}, vote);
 }
 
 void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
@@ -79,7 +89,7 @@ void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
       break;
     case MessageType::kPrepare:
     case MessageType::kCommit:
-      OnVote(from, static_cast<const PbftVoteMsg&>(*message));
+      OnVote(from, std::static_pointer_cast<const PbftVoteMsg>(message));
       break;
     case MessageType::kViewChange:
       OnViewChangeVote(from, static_cast<const ViewChangeMsg&>(*message));
@@ -101,26 +111,19 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
   Instance& inst = GetInstance(msg.seq());
   if (inst.digest_known) return;  // Duplicate (or equivocation; first wins —
                                   // equivocation cannot gather two quorums).
-  const Digest& digest = msg.entry()->digest();
   if (!cb_.verify(from,
-                  VotePayload(msg.view(), msg.seq(), digest,
+                  VotePayload(msg.view(), msg.seq(), msg.entry()->digest(),
                               MessageType::kPrePrepare),
                   msg.sig()))
     return;
 
-  inst.entry = msg.entry();
-  inst.digest = digest;
-  inst.digest_known = true;
-  if (cb_.now) inst.started_at = cb_.now();
-  // The pre-prepare stands in for the leader's prepare vote (classic PBFT
-  // counts it toward the 2f+1 prepare quorum).
-  inst.prepares.emplace(from.index, msg.sig());
-  ArmViewChangeTimer(msg.seq());
+  uint64_t seq = msg.seq();
+  AdoptProposal(seq, msg.entry(), msg.sig());
+  ArmViewChangeTimer(seq);
 
   // Validate the batch (per-transaction signature verification — the
   // dominant CPU cost of local consensus per the paper's Fig 11), then
   // vote prepare.
-  uint64_t seq = msg.seq();
   cb_.validate_entry(msg.entry(), [this, seq](bool valid) {
     if (!valid) return;  // Faulty leader; the view-change timer handles it.
     Instance& inst = GetInstance(seq);
@@ -135,21 +138,35 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
   });
 }
 
-void PbftEngine::OnVote(NodeId from, const PbftVoteMsg& msg) {
-  if (msg.view() != view_) return;
-  Instance& inst = GetInstance(msg.seq());
-  bool is_prepare = msg.message_type() == MessageType::kPrepare;
-  if (!cb_.verify(from,
-                  VotePayload(msg.view(), msg.seq(), msg.digest(),
-                              msg.message_type()),
-                  msg.sig()))
+void PbftEngine::OnVote(NodeId from, const VotePtr& msg) {
+  if (msg->view() != view_) return;
+  Instance& inst = GetInstance(msg->seq());
+  if (!inst.digest_known) {
+    // Which digest counts is unknown until the pre-prepare: hold the vote,
+    // unchecked, until then (the first per signer and phase).
+    inst.early_votes.try_emplace({msg->message_type(), from.index}, msg);
     return;
-  if (inst.digest_known && msg.digest() != inst.digest) return;
+  }
+  // Only votes for the pre-prepared digest count, and the comparison is
+  // cheaper than the signature check.
+  if (msg->digest() != inst.digest) return;
+  auto& votes =
+      msg->message_type() == MessageType::kPrepare ? inst.prepares
+                                                   : inst.commits;
+  // A check that cannot change the outcome is skipped: the signer has
+  // already voted, or the phase already has its quorum.
+  if (votes.contains(from.index) ||
+      static_cast<int>(votes.size()) >= quorum())
+    return;
+  if (!cb_.verify(from,
+                  VotePayload(msg->view(), msg->seq(), msg->digest(),
+                              msg->message_type()),
+                  msg->sig()))
+    return;
 
-  auto& votes = is_prepare ? inst.prepares : inst.commits;
-  votes.emplace(from.index, msg.sig());
-  MaybePrepare(msg.seq());
-  MaybeCommit(msg.seq());
+  votes.emplace(from.index, msg->sig());
+  MaybePrepare(msg->seq());
+  MaybeCommit(msg->seq());
 }
 
 void PbftEngine::MaybePrepare(uint64_t seq) {
@@ -191,12 +208,6 @@ void PbftEngine::MaybeCommit(uint64_t seq) {
     if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
   }
   cb_.on_committed(inst.entry, std::move(cert));
-}
-
-void PbftEngine::BroadcastVote(MessageType phase, uint64_t seq,
-                               const Digest& digest) {
-  Signature sig = cb_.sign(VotePayload(view_, seq, digest, phase));
-  cb_.broadcast(std::make_shared<PbftVoteMsg>(phase, view_, seq, digest, sig));
 }
 
 void PbftEngine::ArmViewChangeTimer(uint64_t seq) {

@@ -93,6 +93,8 @@ class PbftEngine {
   uint64_t committed_count() const { return committed_count_; }
 
  private:
+  using VotePtr = std::shared_ptr<const PbftVoteMsg>;
+
   struct Instance {
     EntryPtr entry;
     Digest digest{};
@@ -101,9 +103,12 @@ class PbftEngine {
     bool prepared = false;
     bool committed = false;
     bool commit_broadcast = false;
-    // Votes keyed by node index.
+    // Verified votes for `digest`, keyed by node index.
     std::map<uint16_t, Signature> prepares;
     std::map<uint16_t, Signature> commits;
+    // Unverified votes that arrived before the pre-prepare, keyed by
+    // (phase, signer index); replayed by AdoptProposal.
+    std::map<std::pair<MessageType, uint16_t>, VotePtr> early_votes;
     bool timer_armed = false;
     // Observability timestamps (set only when Callbacks::now is wired).
     SimTime started_at = -1;
@@ -114,11 +119,15 @@ class PbftEngine {
                     MessageType phase) const;
   Instance& GetInstance(uint64_t seq) { return instances_[seq]; }
 
+  /// Fixes instance `seq` to the leader's proposal: its entry and digest,
+  /// the pre-prepare signature as the leader's prepare vote, and the votes
+  /// that arrived before it, now checked against the digest.
+  void AdoptProposal(uint64_t seq, EntryPtr entry,
+                     const Signature& pre_prepare_sig);
   void OnPrePrepare(NodeId from, const PrePrepareMsg& msg);
-  void OnVote(NodeId from, const PbftVoteMsg& msg);
+  void OnVote(NodeId from, const VotePtr& msg);
   void MaybePrepare(uint64_t seq);
   void MaybeCommit(uint64_t seq);
-  void BroadcastVote(MessageType phase, uint64_t seq, const Digest& digest);
   void ArmViewChangeTimer(uint64_t seq);
   void OnViewChangeVote(NodeId from, const ViewChangeMsg& msg);
   void EnterView(uint64_t new_view);

@@ -94,7 +94,8 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     done(std::move(cert));
   };
   certifier_ = std::make_unique<DigestCertifier>(
-      id.group, id, group_size(id.group), std::move(cert_cb));
+      id.group, id, group_size(id.group), LeaderOf(id.group).index,
+      std::move(cert_cb));
 
   if (config_.use_global_raft && IsGroupLeader()) SetupRaft();
   SetupOrdering();
@@ -132,9 +133,18 @@ bool GroupNode::VerifyGroupCert(const Certificate& cert,
                                 const Digest& digest) {
   if (cert.digest != digest) return false;
   if (cert.gid >= num_groups()) return false;
+  const ProvenCert key{cert.gid, digest};
+  if (proven_certs_.contains(key)) return true;
   int quorum = 2 * group_f(cert.gid) + 1;
   cpu().ChargeVerify(static_cast<int>(cert.NumSignatures()));
-  return cert.Verify(*ctx_->registry, quorum);
+  if (!cert.Verify(*ctx_->registry, quorum)) return false;
+  proven_certs_.insert(key);
+  proven_order_.push_back(key);
+  if (proven_order_.size() > kProvenCertCapacity) {
+    proven_certs_.erase(proven_order_.front());
+    proven_order_.pop_front();
+  }
+  return true;
 }
 
 void GroupNode::Start() {

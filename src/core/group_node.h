@@ -187,6 +187,11 @@ class GroupNode : public Actor {
   Signature SignPayload(const Bytes& payload);
   [[nodiscard]] bool VerifyNodeSig(NodeId node, const Bytes& payload,
                                    const Signature& sig);
+  /// True when group cert.gid is known to have certified `digest`: `cert`
+  /// proves it, or an earlier certificate this node checked already did.
+  /// So each (gid, digest) pair is checked once per node; a remote leader
+  /// meets an entry's certificate in the Raft propose and again in the
+  /// rebuild.
   [[nodiscard]] bool VerifyGroupCert(const Certificate& cert,
                                      const Digest& digest);
 
@@ -269,6 +274,16 @@ class GroupNode : public Actor {
   obs::Counter* conflict_abort_counter_;
   obs::Counter* logic_abort_counter_;
   obs::Counter* coded_bytes_counter_;
+
+  /// (gid, digest) pairs this node has proven certified, for
+  /// VerifyGroupCert: successes only, the oldest forgotten past
+  /// kProvenCertCapacity. Per node on purpose: nodes may share one
+  /// KeyRegistry (an in-process cluster), and no node may skip a check
+  /// that only another node made.
+  using ProvenCert = std::pair<uint16_t, Digest>;
+  static constexpr size_t kProvenCertCapacity = 1024;
+  std::set<ProvenCert> proven_certs_;
+  std::deque<ProvenCert> proven_order_;
 
   std::unique_ptr<PbftEngine> pbft_;
   std::unique_ptr<DigestCertifier> certifier_;

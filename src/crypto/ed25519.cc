@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <utility>
 
 #include "crypto/sha512.h"
@@ -300,20 +302,27 @@ constexpr u64 kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
                         0,    0,    0,    0,    0,    0,    0,    0,
                         0,    0,    0,    0,    0,    0,    0,    0x10};
 
-/// Window widths of the verification recoding (DESIGN.md §17): B's table
-/// is static, so it affords 2^6 odd multiples; A and each R_i build theirs
+/// Window widths of the verification recoding (DESIGN.md §17). The tables
+/// of B and 2^128 B are static and those of -A and -2^128 A are built once
+/// per key, so they afford 2^6 odd multiples each; each R_i builds its own
 /// per check, where 2^3 entries is the cheapest total.
-constexpr int kBaseWindow = 8;
+constexpr int kTableWindow = 8;
 constexpr int kPointWindow = 5;
-constexpr int kBaseOddMultiples = 1 << (kBaseWindow - 2);
+constexpr int kTableOddMultiples = 1 << (kTableWindow - 2);
 constexpr int kPointOddMultiples = 1 << (kPointWindow - 2);
+
+/// Verification splits every scalar k < 2^256 into k_lo + 2^128 k_hi, so
+/// the shared doubling chain covers 128 bits, not 253. A width-w NAF of a
+/// value below 2^128 has at most 129 digits.
+constexpr int kHalfBytes = 16;
+constexpr int kHalfDigits = 8 * kHalfBytes + 1;
 
 // -------------------------------------------------------------- Points
 // Twisted-Edwards coordinates (ref10 layout): P2 is projective (X:Y:Z),
 // enough for doubling; P3 adds T = XY/Z, which addition needs; P1P1 is
 // the intermediate "completed" form both operations produce; Cached is a
 // precomputed addend (Y+X : Y-X : Z : 2dT) and Precomp its affine (Z = 1)
-// form for the static base-point tables.
+// form for the tables built once: the base point's and each key's.
 
 struct P2 {
   Fe x, y, z;
@@ -408,7 +417,7 @@ inline void P3Sub(P1P1* r, const P3& p, const Cached& q) {
 }
 
 /// r = p + q for an affine addend (Z2 = 1 saves one multiplication).
-inline void P3MAdd(P1P1* r, const P3& p, const Precomp& q) {
+inline void P3Add(P1P1* r, const P3& p, const Precomp& q) {
   Fe a, b, cc, dd, t0;
   FeAdd(&t0, p.y, p.x);
   FeMul(&a, t0, q.y_plus_x);
@@ -423,7 +432,7 @@ inline void P3MAdd(P1P1* r, const P3& p, const Precomp& q) {
 }
 
 /// r = p - q for an affine addend.
-inline void P3MSub(P1P1* r, const P3& p, const Precomp& q) {
+inline void P3Sub(P1P1* r, const P3& p, const Precomp& q) {
   Fe a, b, cc, dd, t0;
   FeAdd(&t0, p.y, p.x);
   FeMul(&a, t0, q.y_minus_x);
@@ -533,39 +542,78 @@ void P3ToCached(Cached* r, const P3& p) {
   FeMul(&r->t2d, p.t, GetCurve().d2);
 }
 
-/// Affine form; one inversion, so only for tables built once.
-void P3ToPrecomp(Precomp* r, const P3& p) {
-  Fe zinv, x, y;
-  FeInvert(&zinv, p.z);
-  FeMul(&x, p.x, zinv);
-  FeMul(&y, p.y, zinv);
-  FeAdd(&r->y_plus_x, y, x);
-  FeSub(&r->y_minus_x, y, x);
-  FeMul(&r->xy2d, x, y);
-  FeMul(&r->xy2d, r->xy2d, GetCurve().d2);
+/// Affine forms of n points, for tables built once: Montgomery's trick
+/// inverts every Z through one field inversion of their product, so a
+/// table costs one inversion instead of one per entry.
+void ToPrecompBatch(Precomp* out, const P3* points, size_t n) {
+  std::vector<Fe> prefix(n);  // prefix[i] = z_0 z_1 ... z_{i-1}
+  Fe acc = kFeOne;
+  for (size_t i = 0; i < n; ++i) {
+    prefix[i] = acc;
+    FeMul(&acc, acc, points[i].z);
+  }
+  Fe inv;
+  FeInvert(&inv, acc);  // 1 / (z_0 ... z_{n-1}); no Z of a curve point is 0.
+  for (size_t i = n; i-- > 0;) {
+    Fe zinv, x, y;
+    FeMul(&zinv, inv, prefix[i]);   // 1 / z_i
+    FeMul(&inv, inv, points[i].z);  // 1 / (z_0 ... z_{i-1})
+    FeMul(&x, points[i].x, zinv);
+    FeMul(&y, points[i].y, zinv);
+    FeAdd(&out[i].y_plus_x, y, x);
+    FeSub(&out[i].y_minus_x, y, x);
+    FeMul(&out[i].xy2d, x, y);
+    FeMul(&out[i].xy2d, out[i].xy2d, GetCurve().d2);
+  }
 }
 
-/// P, 3P, 5P, ..., (2n-1)P in cached form: the wNAF digit d selects
-/// table[|d| / 2].
-void OddMultiples(Cached* table, int n, const P3& p) {
+/// P, 3P, 5P, ..., (2n-1)P: the wNAF digit d selects out[|d| / 2].
+void OddMultiples(P3* out, int n, const P3& p) {
   P1P1 t;
-  P3 p2, q;
+  P3 p2;
   P3Dbl(&t, p);
   P1P1ToP3(&p2, t);
-  P3ToCached(&table[0], p);
+  Cached step;
+  P3ToCached(&step, p2);
+  out[0] = p;
   for (int i = 1; i < n; ++i) {
-    P3Add(&t, p2, table[i - 1]);
-    P1P1ToP3(&q, t);
-    P3ToCached(&table[i], q);
+    P3Add(&t, out[i - 1], step);
+    P1P1ToP3(&out[i], t);
   }
+}
+
+/// h = [2^128] p: the high-half companion of a split-scalar table.
+void TimesTwoPow128(P3* h, const P3& p) {
+  P2 q{p.x, p.y, p.z};
+  P1P1 t;
+  for (int i = 0; i < 127; ++i) {
+    P2Dbl(&t, q);
+    P1P1ToP2(&q, t);
+  }
+  P2Dbl(&t, q);
+  P1P1ToP3(h, t);
+}
+
+/// odd[0, kTableOddMultiples) = the odd multiples of p and
+/// odd[kTableOddMultiples, 2 kTableOddMultiples) = those of 2^128 p, in
+/// affine form (one inversion for both halves).
+void SplitScalarTable(Precomp* odd, const P3& p) {
+  P3 p_hi;
+  TimesTwoPow128(&p_hi, p);
+  std::vector<P3> multiples(2 * kTableOddMultiples);
+  OddMultiples(multiples.data(), kTableOddMultiples, p);
+  OddMultiples(multiples.data() + kTableOddMultiples, kTableOddMultiples,
+               p_hi);
+  ToPrecompBatch(odd, multiples.data(), multiples.size());
 }
 
 /// Base-point tables, built once per process on first use.
 ///   comb[j][k] = (k+1) * 256^j * B: signing's fixed-base comb.
-///   odd[i]     = (2i+1) * B: verification's width-kBaseWindow wNAF table.
+///   odd        = odd multiples of B, then of 2^128 B: verification's
+///                width-kTableWindow tables (SplitScalarTable).
 struct BaseTables {
   Precomp comb[32][8];
-  Precomp odd[kBaseOddMultiples];
+  Precomp odd[2 * kTableOddMultiples];
 };
 
 const BaseTables& GetBaseTables() {
@@ -575,6 +623,8 @@ const BaseTables& GetBaseTables() {
     bool ok = P3Decompress(&base, kBaseBytes);
     (void)ok;  // The encoding is a compile-time constant; always valid.
 
+    std::vector<P3> comb;  // Row-major: comb[8 j + k].
+    comb.reserve(32 * 8);
     P1P1 t;
     P3 row = base;  // 256^j * B
     for (int j = 0; j < 32; ++j) {
@@ -582,7 +632,7 @@ const BaseTables& GetBaseTables() {
       P3ToCached(&step, row);
       P3 multiple = row;
       for (int k = 0; k < 8; ++k) {
-        P3ToPrecomp(&tab.comb[j][k], multiple);
+        comb.push_back(multiple);
         P3Add(&t, multiple, step);
         P1P1ToP3(&multiple, t);
       }
@@ -591,18 +641,12 @@ const BaseTables& GetBaseTables() {
         P1P1ToP3(&row, t);
       }
     }
+    std::vector<Precomp> affine(comb.size());
+    ToPrecompBatch(affine.data(), comb.data(), comb.size());
+    for (int j = 0; j < 32; ++j)
+      for (int k = 0; k < 8; ++k) tab.comb[j][k] = affine[8 * j + k];
 
-    P3 two_b;
-    P3Dbl(&t, base);
-    P1P1ToP3(&two_b, t);
-    Cached step;
-    P3ToCached(&step, two_b);
-    P3 multiple = base;
-    for (int i = 0; i < kBaseOddMultiples; ++i) {
-      P3ToPrecomp(&tab.odd[i], multiple);
-      P3Add(&t, multiple, step);
-      P1P1ToP3(&multiple, t);
-    }
+    SplitScalarTable(tab.odd, base);
     return tab;
   }();
   return tables;
@@ -728,7 +772,7 @@ void ScalarMulBase(P3* h, const uint8_t a[32]) {
   P3Identity(h);
   for (int i = 1; i < 64; i += 2) {
     SelectComb(&t, tab, i / 2, e[i]);
-    P3MAdd(&r, *h, t);
+    P3Add(&r, *h, t);
     P1P1ToP3(h, r);
   }
   P2 s;
@@ -742,31 +786,35 @@ void ScalarMulBase(P3* h, const uint8_t a[32]) {
   P1P1ToP3(h, r);
   for (int i = 0; i < 64; i += 2) {
     SelectComb(&t, tab, i / 2, e[i]);
-    P3MAdd(&r, *h, t);
+    P3Add(&r, *h, t);
     P1P1ToP3(h, r);
   }
 }
 
 // ------------------------------------------ wNAF verification (variable time)
 // Every input to verification is public, so the multi-scalar product
-// [b]B + sum_k [x_k]P_k uses signed sliding windows: each scalar becomes
-// digits that are zero or odd with |d| < 2^(w-1), at most one nonzero per
-// w positions, and one shared chain of doublings adds table[|d| / 2] (or
-// subtracts it) wherever a digit is nonzero.
+// sum_k [x_k]P_k uses signed sliding windows: each scalar becomes digits
+// that are zero or odd with |d| < 2^(w-1), at most one nonzero per w
+// positions, and one shared chain of doublings adds table[|d| / 2] (or
+// subtracts it) wherever a digit is nonzero. Scalars wider than 128 bits
+// are split in halves, [k]P = [k_lo]P + [k_hi](2^128 P), over tables of P
+// and 2^128 P, so the chain is never longer than kHalfDigits.
 
-/// Width-w NAF of a 32-byte little-endian scalar < 2^255. Returns one past
-/// the highest nonzero digit (0 for a zero scalar).
-int ComputeNaf(int8_t naf[256], const uint8_t s[32], int w) {
-  u64 x[5] = {0, 0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i)
+using HalfNaf = std::array<int8_t, kHalfDigits>;
+
+/// Width-w NAF of the kHalfBytes-byte little-endian value at `half`.
+/// Returns one past the highest nonzero digit (0 for zero).
+int ComputeNaf(HalfNaf* naf, const uint8_t* half, int w) {
+  u64 x[3] = {0, 0, 0};  // x[2] stays 0: windows read past the top word.
+  for (int i = 0; i < 2; ++i)
     for (int j = 0; j < 8; ++j)
-      x[i] |= static_cast<u64>(s[8 * i + j]) << (8 * j);
-  std::memset(naf, 0, 256);
+      x[i] |= static_cast<u64>(half[8 * i + j]) << (8 * j);
+  naf->fill(0);
   const u64 width = u64{1} << w;
   const u64 window_mask = width - 1;
   u64 carry = 0;
   int top = 0;
-  for (int pos = 0; pos < 256;) {
+  for (int pos = 0; pos < kHalfDigits;) {
     const int idx = pos / 64, bit = pos % 64;
     u64 bits = x[idx] >> bit;
     if (bit + w > 64) bits |= x[idx + 1] << (64 - bit);
@@ -777,11 +825,11 @@ int ComputeNaf(int8_t naf[256], const uint8_t s[32], int w) {
     }
     if (window < width / 2) {
       carry = 0;
-      naf[pos] = static_cast<int8_t>(window);
+      (*naf)[pos] = static_cast<int8_t>(window);
     } else {
       carry = 1;
-      naf[pos] = static_cast<int8_t>(static_cast<int>(window) -
-                                     static_cast<int>(width));
+      (*naf)[pos] = static_cast<int8_t>(static_cast<int>(window) -
+                                        static_cast<int>(width));
     }
     top = pos + 1;
     pos += w;
@@ -789,39 +837,48 @@ int ComputeNaf(int8_t naf[256], const uint8_t s[32], int w) {
   return top;
 }
 
-/// One variable-base term: its width-kPointWindow digits and its table of
-/// odd multiples.
-struct NafTerm {
+/// Width-w NAFs of the low and high 128-bit halves of a 32-byte scalar.
+/// Returns one past the highest nonzero digit of either.
+int SplitNaf(HalfNaf* lo, HalfNaf* hi, const uint8_t scalar[32], int w) {
+  return std::max(ComputeNaf(lo, scalar, w),
+                  ComputeNaf(hi, scalar + kHalfBytes, w));
+}
+
+/// One term of a multi-scalar product: the digits of a scalar below 2^128
+/// and the odd multiples of its point, affine (Precomp: static and per-key
+/// tables) or projective (Cached: tables built per check).
+template <typename Entry>
+struct Term {
   const int8_t* naf;
-  const Cached* table;
+  const Entry* odd;
 };
 
-/// out = [b]B + sum_k [x_k]P_k where `b_naf` holds b's width-kBaseWindow
-/// digits and `top` is one past the highest nonzero digit of any scalar.
-void StrausVartime(P2* out, const int8_t* b_naf, const NafTerm* terms,
-                   size_t n, int top) {
-  const Precomp* odd_b = GetBaseTables().odd;
+/// Adds [d] of the term's point to t (d odd, or 0 for nothing).
+template <typename Entry>
+inline void AddDigit(P1P1* t, P3* extended, int8_t d, const Entry* odd) {
+  if (d == 0) return;
+  P1P1ToP3(extended, *t);
+  if (d > 0) {
+    P3Add(t, *extended, odd[d / 2]);
+  } else {
+    P3Sub(t, *extended, odd[-d / 2]);
+  }
+}
+
+/// out = the sum of every term's [scalar]point, sharing one chain of `top`
+/// doublings, where `top` is one past the highest nonzero digit of any
+/// term.
+void MultiScalarVartime(P2* out, std::span<const Term<Precomp>> affine,
+                        std::span<const Term<Cached>> projective, int top) {
   P2Identity(out);
   P1P1 t;
-  P3 u;
+  P3 extended;
   for (int i = top - 1; i >= 0; --i) {
     P2Dbl(&t, *out);
-    if (const int8_t d = b_naf[i]; d > 0) {
-      P1P1ToP3(&u, t);
-      P3MAdd(&t, u, odd_b[d / 2]);
-    } else if (d < 0) {
-      P1P1ToP3(&u, t);
-      P3MSub(&t, u, odd_b[-d / 2]);
-    }
-    for (size_t k = 0; k < n; ++k) {
-      if (const int8_t d = terms[k].naf[i]; d > 0) {
-        P1P1ToP3(&u, t);
-        P3Add(&t, u, terms[k].table[d / 2]);
-      } else if (d < 0) {
-        P1P1ToP3(&u, t);
-        P3Sub(&t, u, terms[k].table[-d / 2]);
-      }
-    }
+    for (const Term<Precomp>& term : affine)
+      AddDigit(&t, &extended, term.naf[i], term.odd);
+    for (const Term<Cached>& term : projective)
+      AddDigit(&t, &extended, term.naf[i], term.odd);
     P1P1ToP2(out, t);
   }
 }
@@ -848,16 +905,13 @@ void ExpandSecret(uint8_t a[32], uint8_t prefix[32], const SecretKey& secret) {
   a[31] |= 64;
 }
 
-static_assert(sizeof(P3) == sizeof(std::declval<PreparedKey&>().neg_a()),
-              "PreparedKey stores exactly one extended point");
-
-P3 NegA(const PreparedKey& key) {
-  P3 p;
-  std::memcpy(&p, key.neg_a().data(), sizeof(p));
-  return p;
-}
-
 }  // namespace
+
+/// Odd multiples of -A, then of -2^128 A (SplitScalarTable): the per-key
+/// half of every check, built once by PrepareKey.
+struct KeyTables {
+  Precomp odd[2 * kTableOddMultiples];
+};
 
 PublicKey DerivePublicKey(const SecretKey& secret) {
   uint8_t a[32], prefix[32];
@@ -899,10 +953,9 @@ std::optional<PreparedKey> PrepareKey(const PublicKey& public_key) {
   if (!P3Decompress(&a_point, public_key.data())) return std::nullopt;
   P3 neg_a;
   P3Neg(&neg_a, a_point);
-  PreparedKey key;
-  key.encoded_ = public_key;
-  std::memcpy(key.neg_a_.data(), &neg_a, sizeof(neg_a));
-  return key;
+  auto tables = std::make_shared<KeyTables>();
+  SplitScalarTable(tables->odd, neg_a);
+  return PreparedKey(public_key, std::move(tables));
 }
 
 bool Verify(const PreparedKey& key, const uint8_t* data, size_t len,
@@ -912,14 +965,18 @@ bool Verify(const PreparedKey& key, const uint8_t* data, size_t len,
   ChallengeScalar(h, sig.data(), key.encoded(), data, len);
 
   // R' = [s]B - [h]A must re-encode to the signature's R bytes.
-  int8_t s_naf[256], h_naf[256];
-  const int top = std::max(ComputeNaf(s_naf, sig.data() + 32, kBaseWindow),
-                           ComputeNaf(h_naf, h, kPointWindow));
-  Cached neg_a_table[kPointOddMultiples];
-  OddMultiples(neg_a_table, kPointOddMultiples, NegA(key));
-  const NafTerm term{h_naf, neg_a_table};
+  const Precomp* base = GetBaseTables().odd;
+  const Precomp* neg_a = key.tables().odd;
+  HalfNaf s_lo, s_hi, h_lo, h_hi;
+  const int top =
+      std::max(SplitNaf(&s_lo, &s_hi, sig.data() + 32, kTableWindow),
+               SplitNaf(&h_lo, &h_hi, h, kTableWindow));
+  const Term<Precomp> terms[] = {{s_lo.data(), base},
+                                 {s_hi.data(), base + kTableOddMultiples},
+                                 {h_lo.data(), neg_a},
+                                 {h_hi.data(), neg_a + kTableOddMultiples}};
   P2 r_check;
-  StrausVartime(&r_check, s_naf, &term, 1, top);
+  MultiScalarVartime(&r_check, terms, {}, top);
   uint8_t r_bytes[32];
   P2Compress(r_bytes, r_check);
   return std::memcmp(r_bytes, sig.data(), 32) == 0;
@@ -981,25 +1038,33 @@ bool VerifyBatch(const std::vector<BatchItem>& items, const uint8_t* data,
              b_scalar);                                    // += z_i s_i
   }
 
-  // [sum z_i s_i]B - sum [z_i]R_i - sum [z_i h_i]A_i == identity.
-  int8_t b_naf[256];
-  int top = ComputeNaf(b_naf, b_scalar, kBaseWindow);
-  std::vector<std::array<int8_t, 256>> nafs(2 * n);
-  std::vector<std::array<Cached, kPointOddMultiples>> tables(2 * n);
-  std::vector<NafTerm> terms(2 * n);
+  // [sum z_i s_i]B - sum [z_i]R_i - sum [z_i h_i]A_i == identity. The
+  // z_i are already below 2^128; the other scalars are split in halves.
+  const Precomp* base = GetBaseTables().odd;
+  HalfNaf b_lo, b_hi;
+  int top = SplitNaf(&b_lo, &b_hi, b_scalar, kTableWindow);
+  std::vector<Term<Precomp>> affine = {
+      {b_lo.data(), base}, {b_hi.data(), base + kTableOddMultiples}};
+  affine.reserve(2 + 2 * n);
+  std::vector<Term<Cached>> projective(n);
+  std::vector<HalfNaf> zh_lo(n), zh_hi(n), z_naf(n);
+  std::vector<std::array<Cached, kPointOddMultiples>> r_tables(n);
   for (size_t i = 0; i < n; ++i) {
-    top = std::max(top, ComputeNaf(nafs[2 * i].data(), z[i].data(),
-                                   kPointWindow));
-    OddMultiples(tables[2 * i].data(), kPointOddMultiples, neg_r[i]);
-    top = std::max(top, ComputeNaf(nafs[2 * i + 1].data(), zh[i].data(),
-                                   kPointWindow));
-    OddMultiples(tables[2 * i + 1].data(), kPointOddMultiples,
-                 NegA(*items[i].key));
+    top = std::max(top,
+                   SplitNaf(&zh_lo[i], &zh_hi[i], zh[i].data(), kTableWindow));
+    const Precomp* neg_a = items[i].key->tables().odd;
+    affine.push_back({zh_lo[i].data(), neg_a});
+    affine.push_back({zh_hi[i].data(), neg_a + kTableOddMultiples});
+
+    top = std::max(top, ComputeNaf(&z_naf[i], z[i].data(), kPointWindow));
+    P3 multiples[kPointOddMultiples];
+    OddMultiples(multiples, kPointOddMultiples, neg_r[i]);
+    for (int k = 0; k < kPointOddMultiples; ++k)
+      P3ToCached(&r_tables[i][k], multiples[k]);
+    projective[i] = {z_naf[i].data(), r_tables[i].data()};
   }
-  for (size_t k = 0; k < 2 * n; ++k)
-    terms[k] = {nafs[k].data(), tables[k].data()};
   P2 result;
-  StrausVartime(&result, b_naf, terms.data(), terms.size(), top);
+  MultiScalarVartime(&result, affine, projective, top);
   // The identity is (0 : Z : Z); Z never vanishes for curve points.
   return FeIsZero(result.x) && FeEqual(result.y, result.z);
 }

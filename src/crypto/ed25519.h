@@ -4,7 +4,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -38,29 +40,35 @@ using Sig = std::array<uint8_t, 64>;
 
 class PreparedKey;
 
-/// Decompresses `public_key`; nullopt for an encoding that is not a curve
-/// point under the strictness rules above.
+/// Decompresses `public_key` and builds its verification tables; nullopt
+/// for an encoding that is not a curve point under the strictness rules
+/// above.
 [[nodiscard]] std::optional<PreparedKey> PrepareKey(
     const PublicKey& public_key);
 
-/// A public key decompressed once, for repeated verification: the square
-/// root that decompression costs is paid by PrepareKey instead of by every
-/// check. PrepareKey is the only way to obtain one, so every PreparedKey
-/// holds a curve point that passed the strictness checks. Immutable, so
-/// concurrent verifiers may share it.
+/// A key's verification tables: affine odd multiples of -A and of
+/// -2^128 A (DESIGN.md §17). Defined in ed25519.cc.
+struct KeyTables;
+
+/// A public key prepared once, for repeated verification: the square root
+/// of decompression and the tables every check of this signer reads are
+/// paid by PrepareKey instead of by every check. PrepareKey is the only way
+/// to obtain one, so every PreparedKey holds tables of a curve point that
+/// passed the strictness checks. Immutable; copies share the tables, and
+/// concurrent verifiers may share them.
 class PreparedKey {
  public:
   const PublicKey& encoded() const { return encoded_; }
-  /// -A in extended coordinates, in the implementation's internal limb
-  /// layout.
-  const std::array<uint64_t, 20>& neg_a() const { return neg_a_; }
+  [[nodiscard]] const KeyTables& tables() const { return *tables_; }
 
  private:
   friend std::optional<PreparedKey> PrepareKey(const PublicKey& public_key);
-  PreparedKey() = default;
+  PreparedKey(const PublicKey& encoded,
+              std::shared_ptr<const KeyTables> tables)
+      : encoded_(encoded), tables_(std::move(tables)) {}
 
-  PublicKey encoded_{};
-  std::array<uint64_t, 20> neg_a_{};
+  PublicKey encoded_;
+  std::shared_ptr<const KeyTables> tables_;
 };
 
 /// Derives the public key for a secret seed (RFC 8032 §5.1.5).
@@ -92,8 +100,8 @@ struct BatchItem {
 ///
 ///     [sum_i z_i s_i] B  -  sum_i [z_i] R_i  -  sum_i [z_i h_i] A_i  ==  O
 ///
-/// with one interleaved multi-scalar multiplication, sharing the ~253
-/// doublings across all 2n+1 terms (the speedup over n scalar Verify
+/// with one interleaved multi-scalar multiplication, sharing one chain of
+/// ~128 doublings across all terms (the speedup over n scalar Verify
 /// calls; see DESIGN.md §17). The 128-bit coefficients z_i are derived by
 /// hashing the batch contents — deterministic by design (rule D1: no
 /// ambient randomness in src/), which is sound against forgers who cannot

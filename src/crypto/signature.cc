@@ -157,9 +157,9 @@ void KeyRegistry::RegisterNode(NodeId node) {
     MutexLock lock(&keys_mu_);
     if (keys_.contains(packed)) return;
   }
-  // Derivation (for ed25519: a base-point scalar multiplication and the
-  // key's one decompression) runs outside the lock; a benign double-derive
-  // races to the same value.
+  // Derivation (for ed25519: a base-point scalar multiplication, the key's
+  // one decompression and its tables) runs outside the lock; a benign
+  // double-derive races to the same value.
   KeyPair kp = scheme_->DeriveKeyPair(node);
   MutexLock lock(&keys_mu_);
   keys_.try_emplace(packed, std::move(kp));

@@ -60,9 +60,9 @@ enum class CryptoScheme {
 
 /// One node's key material. `secret` is backend-defined (HMAC key or
 /// ed25519 seed); `prepared` is empty for HMAC (verification is symmetric)
-/// and, for ed25519, the public key, decompressed once at derivation so no
-/// check pays for it again (DESIGN.md §17). Never modified after
-/// derivation.
+/// and, for ed25519, the public key with its verification tables, built
+/// once at derivation so no check pays for them again (DESIGN.md §17).
+/// Never modified after derivation.
 struct KeyPair {
   Bytes secret;
   std::optional<ed25519::PreparedKey> prepared;

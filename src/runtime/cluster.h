@@ -115,6 +115,9 @@ class RealCluster {
   const std::vector<std::unique_ptr<NodeRuntime>>& runtimes() const {
     return runtimes_;
   }
+  /// The key directory every node signs and verifies through (valid after
+  /// Setup()).
+  [[nodiscard]] const KeyRegistry& registry() const { return *registry_; }
 
   /// Merges every node's trace recorder into one Chrome trace file (see
   /// obs::ClusterTraceMerger). Requires tracing to have been enabled; most

@@ -645,6 +645,45 @@ constexpr GoldenRow kGoldenRows[] = {
      "0200000000000000000000000000000000000000000000000000000000000000"
      "8b5864c3c38f1d2b6bb4c456f5e15fb738bf01679c388e1ecd5b4ea64f155708",
      false, false},
+    // Split-scalar edges: verification splits s and h into 128-bit halves.
+    // h is a hash output, so no row can give it a zero half; the identity
+    // key makes the equation hold for a chosen s with R = [s]B.
+    // s = 2^128 (zero low half), A = identity, R = [s]B
+    {"0100000000000000000000000000000000000000000000000000000000000000",
+     "golden: split s",
+     "6ba6f54b11bdba5b9ec4a4511ebed0903a9cc226b61ef1957dc86d52e6992c5f"
+     "0000000000000000000000000000000001000000000000000000000000000000",
+     true, true},
+    // s = 2^128 - 1 (zero high half; the low digits carry into bit 128)
+    {"0100000000000000000000000000000000000000000000000000000000000000",
+     "golden: split s",
+     "1976d48fb7b8714d07d10b29782a359ed9734d39eae7308c28c4931a626b5676"
+     "ffffffffffffffffffffffffffffffff00000000000000000000000000000000",
+     true, true},
+    // s = 2^252, i.e. L - 1 with a zero low half
+    {"0100000000000000000000000000000000000000000000000000000000000000",
+     "golden: split s",
+     "b8421c03ad2c038eacd7982913c60229b5d4e7cfcc8b83ec35c79c74b7ad855f"
+     "0000000000000000000000000000000000000000000000000000000000000010",
+     true, true},
+    // s = L - 1 with a zero high half
+    {"0100000000000000000000000000000000000000000000000000000000000000",
+     "golden: split s",
+     "cc73613dc224a0c2fcb136cbe694934e953dc024d6055de036478538ba520a4d"
+     "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000000",
+     true, true},
+    // valid R on a real key, s with its low half zeroed
+    {"ccbc3da2c4267cc8553be0c7b5790cc75a121297528462c3d2cc679d16eb8684",
+     "golden: valid",
+     "468a57cdf4b53a37db9d112619d1841ddc88855c9148047626f6a62d078cf552"
+     "0000000000000000000000000000000038bf01679c388e1ecd5b4ea64f155708",
+     false, false},
+    // valid R on a real key, s with its high half zeroed
+    {"ccbc3da2c4267cc8553be0c7b5790cc75a121297528462c3d2cc679d16eb8684",
+     "golden: valid",
+     "468a57cdf4b53a37db9d112619d1841ddc88855c9148047626f6a62d078cf552"
+     "8b5864c3c38f1d2b6bb4c456f5e15fb700000000000000000000000000000000",
+     false, false},
 };
 
 TEST(Ed25519Test, GoldenVerdicts) {

@@ -37,6 +37,7 @@ class GroupBus {
       if (i != from) Send(from, i, msg);
   }
   void Send(int from, int to, MessagePtr msg) {
+    sent.push_back({from, msg});
     if (dropped_.count(from) > 0 || dropped_.count(to) > 0) return;
     if (dropped_links_.count({from, to}) > 0) return;
     queue_.push_back({from, to, std::move(msg)});
@@ -71,6 +72,8 @@ class GroupBus {
   }
 
   KeyRegistry registry;
+  /// Every message handed to Send, with its sender, dropped or not.
+  std::vector<std::pair<int, MessagePtr>> sent;
 
  private:
   struct Queued {
@@ -97,11 +100,13 @@ struct PbftNode {
     cb.send_to = [bus, index](NodeId dst, MessagePtr m) {
       bus->Send(index, dst.index, std::move(m));
     };
-    cb.sign = [bus, self](const Bytes& payload) {
+    cb.sign = [this, bus, self](const Bytes& payload) {
+      ++signs;
       return bus->registry.Sign(self, payload);
     };
-    cb.verify = [bus](NodeId node, const Bytes& payload,
-                      const Signature& sig) {
+    cb.verify = [this, bus](NodeId node, const Bytes& payload,
+                            const Signature& sig) {
+      ++verifies;
       return bus->registry.Verify(node, payload, sig);
     };
     cb.validate_entry = [this, instant_validation](
@@ -125,6 +130,8 @@ struct PbftNode {
   std::unique_ptr<PbftEngine> engine;
   std::vector<std::pair<EntryPtr, Certificate>> committed;
   std::vector<std::function<void(bool)>> pending_validations;
+  int signs = 0;
+  int verifies = 0;
 };
 
 EntryPtr MakeEntry(uint64_t seq, int payload = 100) {
@@ -226,6 +233,54 @@ TEST_F(PbftFixture, BadSignatureVotesIgnored) {
   EXPECT_TRUE(nodes_[0]->committed.empty());
 }
 
+TEST_F(PbftFixture, ChecksOnlyTheVotesAQuorumNeeds) {
+  // All correct, n = 4, q = 3. Each node checks q - 1 votes per phase and
+  // counts its own as the q-th; a follower's first prepare-phase check is
+  // the pre-prepare, which is the leader's prepare vote. Votes arriving
+  // after a phase has its quorum are not checked. The leader signs once
+  // for pre-prepare and prepare together, then once to commit.
+  Init(4);
+  nodes_[0]->engine->Propose(MakeEntry(0));
+  bus_->Deliver();
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u);
+    EXPECT_EQ(nodes_[i]->verifies, 2 * (3 - 1));
+    EXPECT_EQ(nodes_[i]->signs, 2);
+  }
+}
+
+TEST_F(PbftFixture, VotesBeforeThePrePrepareCountOnlyForItsDigest) {
+  // Nodes 2 and 3 prepare D' and their validly signed prepares reach
+  // node 1 before any pre-prepare; then node 1 gets a pre-prepare for D
+  // in the same slot. Those prepares are for another digest, so node 1
+  // holds only the leader's vote and its own: no prepared state, and no
+  // commit vote for D.
+  Init(4);
+  bus_->DropLink(0, 1);
+  bus_->DropLink(2, 3);  // Keep 2 and 3 short of a quorum for D'.
+  bus_->DropLink(3, 2);
+  EntryPtr d_prime = MakeEntry(0, 100);
+  nodes_[0]->engine->Propose(d_prime);
+  bus_->Deliver();
+
+  // The same slot's pre-prepare for D, signed by the leader, reaches only
+  // node 1 (an equivocating leader).
+  GroupBus other(4);
+  PbftNode equivocator(&other, 0, 4);
+  EntryPtr d = MakeEntry(0, 200);
+  ASSERT_NE(d->digest(), d_prime->digest());
+  equivocator.engine->Propose(d);
+  ASSERT_EQ(other.sent.size(), 3u);
+  nodes_[1]->engine->OnMessage(NodeId{0, 0}, other.sent[0].second);
+  bus_->Deliver();
+
+  for (const auto& [from, msg] : bus_->sent)
+    EXPECT_FALSE(from == 1 && msg->type() ==
+                                  static_cast<int>(MessageType::kCommit));
+  EXPECT_TRUE(nodes_[1]->committed.empty());
+}
+
 TEST_F(PbftFixture, ViewChangeElectsNextLeaderAndReproposes) {
   Init(4);
   for (auto& node : nodes_)
@@ -300,7 +355,8 @@ struct CertifierNode {
     cb.on_certified = [this](const DecisionId& decision, Certificate cert) {
       certified.push_back({decision, std::move(cert)});
     };
-    certifier = std::make_unique<DigestCertifier>(0, self, n, std::move(cb));
+    certifier = std::make_unique<DigestCertifier>(0, self, n, /*leader=*/0,
+                                                  std::move(cb));
   }
 
   std::unique_ptr<DigestCertifier> certifier;
@@ -374,6 +430,19 @@ TEST_F(CertifierFixture, ToleratesFSilentNodes) {
   nodes_[0]->certifier->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
+}
+
+TEST_F(CertifierFixture, FollowerInitiatedRequestGathersNoVotes) {
+  // A Byzantine follower starting a certification (e.g. a commit decision
+  // for any (gid, seq)) must not collect a certificate: followers answer
+  // only their leader.
+  Init(4);
+  nodes_[2]->certifier->Start(Decision());
+  bus_->Deliver();
+  EXPECT_TRUE(nodes_[2]->certified.empty());
+  for (const auto& [from, msg] : bus_->sent)
+    EXPECT_NE(msg->type(), static_cast<int>(MessageType::kCertifyVote))
+        << "node " << from << " voted";
 }
 
 TEST_F(CertifierFixture, DuplicateStartIdempotent) {

@@ -55,6 +55,41 @@ TEST(RealClusterTest, InProcClusterCommitsAndAgrees) {
   EXPECT_GT(result->total_lan_bytes, 0u);
 }
 
+TEST(RealClusterTest, EachNodeChecksAnEntryCertificateOnce) {
+  // Certificate batch checks per entry of a 3x4 cluster: the entry
+  // certificate, by both remote leaders in the Raft propose (2) and by all
+  // 8 remote nodes in the rebuild, where the two leaders reuse their
+  // propose check (6); both remote groups' accept certificates, each by
+  // the two leaders other than its sender's (4); and the commit
+  // certificate, by both remote leaders (2). 14 in all, where checking
+  // every certificate it meets would cost a node 16.
+  RealClusterConfig config = SmallConfig();
+  config.topology = TopologyConfig::Nationwide(/*num_groups=*/3,
+                                               /*nodes_per_group=*/4);
+  RealCluster cluster(config);
+  ASSERT_TRUE(cluster.Setup().ok());
+  auto result = cluster.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Each group leader counts the entries it batched, and every globally
+  // committed entry once.
+  uint64_t batched = 0, leader_commits = 0;
+  for (const auto& rt : cluster.runtimes()) {
+    if (rt->id().index != 0) continue;
+    obs::MetricsRegistry& registry = rt->telemetry().registry();
+    batched += registry.GetCounter("node/entries_batched")->value();
+    leader_commits += registry.GetCounter("raft/commits")->value();
+  }
+  const double committed = static_cast<double>(leader_commits) / 3;
+  ASSERT_GT(committed, 20);
+  const double checks =
+      static_cast<double>(cluster.registry().verify_stats().batch_calls);
+  // Entries still in flight when the run stops have made only some of
+  // their checks, so the exact 14 per entry shows as two bounds: at most
+  // 14 per batched entry, and close to 14 per committed one.
+  EXPECT_LE(checks, 14.0 * static_cast<double>(batched));
+  EXPECT_GE(checks, 13.0 * committed);
+}
+
 TEST(RealClusterTest, TcpClusterCommitsAndAgrees) {
   RealClusterConfig config = SmallConfig();
   config.use_tcp = true;
