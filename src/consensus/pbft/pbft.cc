@@ -16,7 +16,6 @@ PbftEngine::PbftEngine(uint16_t gid, NodeId self, int group_size,
     obs::MetricsRegistry& registry = cb_.telemetry->registry();
     prepare_hist_ = registry.GetHistogram("pbft/prepare_ms");
     commit_hist_ = registry.GetHistogram("pbft/commit_ms");
-    view_change_counter_ = registry.GetCounter("pbft/view_changes");
   }
 }
 
@@ -91,14 +90,6 @@ void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
     case MessageType::kCommit:
       OnVote(from, std::static_pointer_cast<const PbftVoteMsg>(message));
       break;
-    case MessageType::kViewChange:
-      OnViewChangeVote(from, static_cast<const ViewChangeMsg&>(*message));
-      break;
-    case MessageType::kNewView: {
-      const auto& nv = static_cast<const ViewChangeMsg&>(*message);
-      if (nv.new_view() > view_) EnterView(nv.new_view());
-      break;
-    }
     default:
       MASSBFT_LOG(kWarn) << "pbft: unexpected message type "
                          << message->type();
@@ -119,13 +110,12 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
 
   uint64_t seq = msg.seq();
   AdoptProposal(seq, msg.entry(), msg.sig());
-  ArmViewChangeTimer(seq);
 
   // Validate the batch (per-transaction signature verification — the
   // dominant CPU cost of local consensus per the paper's Fig 11), then
   // vote prepare.
   cb_.validate_entry(msg.entry(), [this, seq](bool valid) {
-    if (!valid) return;  // Faulty leader; the view-change timer handles it.
+    if (!valid) return;  // Faulty leader: the instance never prepares.
     Instance& inst = GetInstance(seq);
     inst.validated = true;
     Signature own =
@@ -208,65 +198,6 @@ void PbftEngine::MaybeCommit(uint64_t seq) {
     if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
   }
   cb_.on_committed(inst.entry, std::move(cert));
-}
-
-void PbftEngine::ArmViewChangeTimer(uint64_t seq) {
-  if (view_change_timeout_ <= 0) return;
-  Instance& inst = GetInstance(seq);
-  if (inst.timer_armed) return;
-  inst.timer_armed = true;
-  uint64_t armed_view = view_;
-  cb_.after(view_change_timeout_, [this, seq, armed_view]() {
-    const Instance& inst = GetInstance(seq);
-    if (inst.committed || view_ != armed_view) return;
-    // Leader stalled: vote to move to the next view.
-    uint64_t proposed = view_ + 1;
-    view_change_votes_[proposed].insert(self_.index);
-    cb_.broadcast(std::make_shared<ViewChangeMsg>(MessageType::kViewChange,
-                                                  proposed, next_seq_,
-                                                  /*proof_bytes=*/
-                                                  64 * (2 * f_ + 1)));
-    if (static_cast<int>(view_change_votes_[proposed].size()) >= quorum())
-      EnterView(proposed);
-  });
-}
-
-void PbftEngine::OnViewChangeVote(NodeId from, const ViewChangeMsg& msg) {
-  if (msg.new_view() <= view_) return;
-  auto& votes = view_change_votes_[msg.new_view()];
-  votes.insert(from.index);
-  // Echo once so votes accumulate even at nodes whose timers have not
-  // fired (standard view-change amplification at f+1).
-  if (!votes.contains(self_.index) &&
-      static_cast<int>(votes.size()) >= f_ + 1) {
-    votes.insert(self_.index);
-    cb_.broadcast(std::make_shared<ViewChangeMsg>(
-        MessageType::kViewChange, msg.new_view(), next_seq_,
-        64 * (2 * f_ + 1)));
-  }
-  if (static_cast<int>(votes.size()) >= quorum()) EnterView(msg.new_view());
-}
-
-void PbftEngine::EnterView(uint64_t new_view) {
-  if (new_view <= view_) return;
-  view_ = new_view;
-  view_change_votes_.clear();
-  if (view_change_counter_ != nullptr) view_change_counter_->Add();
-
-  // Collect uncommitted proposals; the new leader re-proposes them.
-  std::vector<EntryPtr> unfinished;
-  for (auto& [seq, inst] : instances_) {
-    if (!inst.committed && inst.entry != nullptr)
-      unfinished.push_back(inst.entry);
-    if (!inst.committed) inst = Instance{};  // Reset in-flight state.
-  }
-
-  if (IsLeader()) {
-    cb_.broadcast(std::make_shared<ViewChangeMsg>(
-        MessageType::kNewView, view_, next_seq_, 64 * (2 * f_ + 1)));
-    for (const EntryPtr& entry : unfinished) Propose(entry);
-  }
-  if (cb_.on_view_change) cb_.on_view_change(view_, leader());
 }
 
 }  // namespace massbft

@@ -5,8 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
-#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/sha256.h"
@@ -30,17 +28,15 @@ namespace massbft {
 /// signatures — the artifact that protects the entry during global
 /// replication.
 ///
-/// View changes: followers arm a timer per in-flight proposal; if the
-/// leader stalls, 2f+1 VIEW-CHANGE votes move the group to view v+1 with
-/// leader node (v+1) mod n, which re-proposes all uncommitted entries it
-/// has seen.
+/// There is no view change: the view stays 0, so node 0 leads for good,
+/// and messages from any other view are dropped. A crashed group leader
+/// halts its group; the other groups then treat the whole group as
+/// crashed (heartbeat timeout, Raft-instance takeover, paper §V-C).
 class PbftEngine {
  public:
   struct Callbacks {
     /// LAN broadcast to every other node of the group.
     std::function<void(MessagePtr)> broadcast;
-    /// LAN unicast within the group.
-    std::function<void(NodeId, MessagePtr)> send_to;
     /// Sign `data` with this node's key, charging CPU.
     std::function<Signature(const Bytes&)> sign;
     /// Verify a group member's signature, charging CPU.
@@ -49,12 +45,8 @@ class PbftEngine {
     /// signature verification — the paper's dominant local-consensus cost)
     /// and invoke `done(valid)` when the simulated work completes.
     std::function<void(EntryPtr, std::function<void(bool)>)> validate_entry;
-    /// One-shot timer.
-    std::function<void(SimTime, std::function<void()>)> after;
     /// Fired exactly once per committed entry, on every correct node.
     std::function<void(EntryPtr, Certificate)> on_committed;
-    /// Fired when this node enters a new view (after NEW-VIEW).
-    std::function<void(uint64_t new_view, NodeId new_leader)> on_view_change;
     /// Current sim time (optional; enables the per-instance phase
     /// observability below).
     std::function<SimTime()> now;
@@ -67,10 +59,6 @@ class PbftEngine {
   };
 
   PbftEngine(uint16_t gid, NodeId self, int group_size, Callbacks callbacks);
-
-  /// Disables the follower view-change timers (benchmarks with a correct
-  /// leader avoid pointless timer events).
-  void set_view_change_timeout(SimTime t) { view_change_timeout_ = t; }
 
   uint64_t view() const { return view_; }
   int leader_index() const { return static_cast<int>(view_ % n_); }
@@ -85,8 +73,7 @@ class PbftEngine {
   /// Returns the assigned sequence number.
   uint64_t Propose(EntryPtr entry);
 
-  /// Delivery entry point for kPrePrepare/kPrepare/kCommit/kViewChange/
-  /// kNewView messages.
+  /// Delivery entry point for kPrePrepare/kPrepare/kCommit messages.
   void OnMessage(NodeId from, const MessagePtr& message);
 
   /// Number of instances that have committed on this node.
@@ -109,7 +96,6 @@ class PbftEngine {
     // Unverified votes that arrived before the pre-prepare, keyed by
     // (phase, signer index); replayed by AdoptProposal.
     std::map<std::pair<MessageType, uint16_t>, VotePtr> early_votes;
-    bool timer_armed = false;
     // Observability timestamps (set only when Callbacks::now is wired).
     SimTime started_at = -1;
     SimTime prepared_at = -1;
@@ -128,9 +114,6 @@ class PbftEngine {
   void OnVote(NodeId from, const VotePtr& msg);
   void MaybePrepare(uint64_t seq);
   void MaybeCommit(uint64_t seq);
-  void ArmViewChangeTimer(uint64_t seq);
-  void OnViewChangeVote(NodeId from, const ViewChangeMsg& msg);
-  void EnterView(uint64_t new_view);
   /// Records one PBFT sub-phase into the registry histogram and (when
   /// tracing) the trace. No-op unless observability is wired.
   void ObservePhase(const char* name, obs::Histogram* hist, SimTime start,
@@ -142,18 +125,14 @@ class PbftEngine {
   int f_;
   Callbacks cb_;
 
-  uint64_t view_ = 0;
+  const uint64_t view_ = 0;  // No view change: always 0.
   uint64_t next_seq_ = 0;
   uint64_t committed_count_ = 0;
-  SimTime view_change_timeout_ = 0;  // 0 = disabled.
   std::map<uint64_t, Instance> instances_;
-  // View-change votes for each proposed new view.
-  std::map<uint64_t, std::set<uint16_t>> view_change_votes_;
 
   // Pre-resolved observability handles (null when not wired).
   obs::Histogram* prepare_hist_ = nullptr;
   obs::Histogram* commit_hist_ = nullptr;
-  obs::Counter* view_change_counter_ = nullptr;
 };
 
 }  // namespace massbft

@@ -1,86 +1,14 @@
 #include "core/experiment.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
-#include "obs/json_writer.h"
 
 namespace massbft {
-
-std::string ExperimentResult::Summary() const {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "%.1f ktps, latency mean %.1f ms (p50 %.1f, p99 %.1f), "
-                "batch %.0f, conflict aborts %llu, aborted txns %llu",
-                throughput_tps / 1000.0, mean_latency_ms, p50_latency_ms,
-                p99_latency_ms, avg_batch_size,
-                static_cast<unsigned long long>(conflict_aborts),
-                static_cast<unsigned long long>(aborted_txns));
-  return buf;
-}
-
-std::string ExperimentResult::ToJson() const {
-  std::ostringstream out;
-  obs::JsonWriter w(out);
-  w.BeginObject();
-  w.Member("mode", mode);
-  w.Member("crypto_mode", crypto_mode);
-  w.Member("verify_batch_ratio", verify_batch_ratio);
-  w.Member("throughput_tps", throughput_tps);
-  w.Member("mean_latency_ms", mean_latency_ms);
-  w.Member("p50_latency_ms", p50_latency_ms);
-  w.Member("p99_latency_ms", p99_latency_ms);
-  w.Member("committed_txns", committed_txns);
-  w.Member("aborted_txns", aborted_txns);
-  w.Member("conflict_aborts", conflict_aborts);
-  w.Member("avg_batch_size", avg_batch_size);
-  w.Member("total_wan_bytes", total_wan_bytes);
-  w.Member("total_lan_bytes", total_lan_bytes);
-  w.Member("entries_proposed", entries_proposed);
-  w.Member("wan_bytes_per_entry", wan_bytes_per_entry);
-  w.Member("sim_events", sim_events);
-  w.Member("wall_ms", wall_ms);
-  w.Member("events_per_sec", events_per_sec);
-  w.Member("sim_time_ratio", sim_time_ratio);
-  w.Member("net_send_errors", net_send_errors);
-  w.Member("net_decode_errors", net_decode_errors);
-  w.Member("net_reconnects", net_reconnects);
-  w.Member("net_dropped_backpressure", net_dropped_backpressure);
-  w.Member("net_send_syscalls", net_send_syscalls);
-  w.Member("net_recv_syscalls", net_recv_syscalls);
-  w.Member("faults_injected", faults_injected);
-  w.Member("nodes_killed", nodes_killed);
-  w.Key("phases");
-  w.BeginObject();
-  w.Member("batching_ms", phases.batching_ms);
-  w.Member("local_ms", phases.local_ms);
-  w.Member("encode_ms", phases.encode_ms);
-  w.Member("global_ms", phases.global_ms);
-  w.Member("rebuild_ms", phases.rebuild_ms);
-  w.Member("exec_ms", phases.exec_ms);
-  w.Member("entries", phases.entries);
-  w.Member("rebuilds", phases.rebuilds);
-  w.Member("txns", phases.txns);
-  w.Member("conflict_aborts", phases.conflict_aborts);
-  w.Member("batch_size_sum", phases.batch_size_sum);
-  w.EndObject();
-  w.Key("timeline");
-  w.BeginArray();
-  for (const MetricsCollector::TimelinePoint& point : timeline) {
-    w.BeginObject();
-    w.Member("time_s", point.time_s);
-    w.Member("tps", point.tps);
-    w.Member("mean_latency_ms", point.mean_latency_ms);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return out.str();
-}
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
 
@@ -111,7 +39,6 @@ Status Experiment::Setup() {
   ctx_->registry = registry_.get();
   ctx_->topology = topology_.get();
   ctx_->workload = workload_.get();
-  ctx_->metrics = metrics_.get();
   ctx_->on_txn_committed = [this](const Transaction& txn, SimTime t) {
     OnTxnCommitted(txn, t);
   };
@@ -160,15 +87,8 @@ Status Experiment::Setup() {
 
   // Closed-loop clients, staggered over the first batch interval.
   Rng seed_rng(config_.seed);
-  for (int g = 0; g < topology_->num_groups(); ++g) {
-    for (int c = 0; c < config_.clients_per_group; ++c) {
-      Client client;
-      client.id = static_cast<uint32_t>((g << 20) | c);
-      client.group = g;
-      client.rng = seed_rng.Fork();
-      clients_.push_back(std::move(client));
-    }
-  }
+  clients_ = ClientPool(topology_->num_groups(), config_.clients_per_group,
+                        seed_rng);
   for (size_t i = 0; i < clients_.size(); ++i) {
     SimTime stagger = static_cast<SimTime>(
         seed_rng.NextBelow(static_cast<uint64_t>(config_.protocol
@@ -189,54 +109,43 @@ Status Experiment::Setup() {
           if (n->id().group == g) n->Recover();
         // The region's clients reconnect and resume their closed loops.
         for (size_t i = 0; i < clients_.size(); ++i)
-          if (clients_[i].group == g) SubmitNext(i);
+          if (clients_.group(i) == g) SubmitNext(i);
       });
     }
   }
   return Status::OK();
 }
 
-void Experiment::SubmitNext(size_t client_index) {
-  Client& client = clients_[client_index];
-  GroupNode* leader = node(NodeId{static_cast<uint16_t>(client.group), 0});
+void Experiment::SubmitNext(size_t client) {
+  const NodeId leader_id{static_cast<uint16_t>(clients_.group(client)), 0};
+  GroupNode* leader = node(leader_id);
   if (leader == nullptr || leader->crashed()) return;  // Group down.
 
   SimTime submit_time = sim_->Now();
   if (ctx_->telemetry->tracing()) {
     ctx_->telemetry->trace().RecordInstant(
-        obs::Telemetry::ClientTrack(client.group), "client", "submit",
+        obs::Telemetry::ClientTrack(leader_id.group), "client", "submit",
         submit_time,
-        obs::TraceArgs{{{"client", static_cast<double>(client.id)}}});
+        obs::TraceArgs{{{"client", static_cast<double>(clients_.id(client))}}});
   }
   // Client -> leader half round trip. The transaction is materialized at
   // delivery: the capture stays a 24-byte POD (inline in the event heap),
   // and since each closed-loop client draws from its own forked rng, the
   // payload bytes are identical either way.
-  sim_->Schedule(config_.client_rtt / 2, [this, client_index, submit_time] {
-    Client& c = clients_[client_index];
-    GroupNode* l = node(NodeId{static_cast<uint16_t>(c.group), 0});
+  sim_->Schedule(config_.client_rtt / 2, [this, client, submit_time] {
+    GroupNode* l =
+        node(NodeId{static_cast<uint16_t>(clients_.group(client)), 0});
     if (l == nullptr || l->crashed()) return;
-    Transaction txn;
-    txn.client = c.id;
-    txn.id = (static_cast<uint64_t>(c.id) << 32) | c.next_txn++;
-    txn.submit_time = submit_time;
-    txn.payload = workload_->NextPayload(c.rng);
-    l->SubmitClientTxn(txn);
+    l->SubmitClientTxn(clients_.Next(client, *workload_, submit_time));
   });
 }
 
 void Experiment::OnTxnCommitted(const Transaction& txn, SimTime commit_time) {
   metrics_->RecordCommit(txn.submit_time, commit_time + config_.client_rtt / 2);
-  size_t client_index = 0;
-  uint32_t group = txn.client >> 20;
-  uint32_t index = txn.client & 0xFFFFF;
-  client_index = static_cast<size_t>(group) *
-                     static_cast<size_t>(config_.clients_per_group) +
-                 index;
-  if (client_index >= clients_.size()) return;
-  sim_->ScheduleAt(commit_time + config_.client_rtt, [this, client_index] {
-    SubmitNext(client_index);
-  });
+  std::optional<size_t> client = clients_.ClientOf(txn);
+  if (!client.has_value()) return;
+  sim_->ScheduleAt(commit_time + config_.client_rtt,
+                   [this, c = *client] { SubmitNext(c); });
 }
 
 ExperimentResult Experiment::Run() {
@@ -270,49 +179,9 @@ ExperimentResult Experiment::Run() {
                                              (bps * run_seconds));
   }
 
-  // The Fig 11 phase breakdown, derived from the spans the nodes recorded
-  // into the registry (batching per transaction; the others per entry).
-  PhaseStats phases;
-  phases.batching_ms = telemetry.phase(obs::Phase::kBatching).sum();
-  phases.local_ms = telemetry.phase(obs::Phase::kLocalConsensus).sum();
-  phases.encode_ms = telemetry.phase(obs::Phase::kEncode).sum();
-  phases.global_ms = telemetry.phase(obs::Phase::kGlobalReplication).sum();
-  phases.rebuild_ms = telemetry.phase(obs::Phase::kRebuild).sum();
-  phases.exec_ms = telemetry.phase(obs::Phase::kExecution).sum();
-  phases.rebuilds = telemetry.phase(obs::Phase::kRebuild).count();
-  phases.batch_size_sum =
-      static_cast<double>(telemetry.phase(obs::Phase::kBatching).count());
-  obs::MetricsRegistry& registry = telemetry.registry();
-  phases.entries = registry.GetCounter("node/entries_batched")->value();
-  phases.txns = registry.GetCounter("exec/txns_executed")->value();
-  phases.conflict_aborts =
-      registry.GetCounter("exec/conflict_aborts")->value();
-
-  ExperimentResult result;
-  result.crypto_mode = registry_->scheme_name();
-  result.verify_batch_ratio = registry_->verify_batch_ratio();
-  result.throughput_tps = metrics_->ThroughputTps();
-  result.mean_latency_ms = metrics_->MeanLatencyMs();
-  result.p50_latency_ms = metrics_->P50LatencyMs();
-  result.p99_latency_ms = metrics_->P99LatencyMs();
-  result.committed_txns = metrics_->committed();
-  result.aborted_txns = metrics_->aborted();
-  result.phases = phases;
-  result.conflict_aborts = phases.conflict_aborts;
-  result.entries_proposed = phases.entries;
-  result.avg_batch_size =
-      result.entries_proposed == 0
-          ? 0
-          : phases.batch_size_sum /
-                static_cast<double>(result.entries_proposed);
-  result.total_wan_bytes = network_->TotalWanBytesSent();
-  result.total_lan_bytes = network_->TotalLanBytesSent();
-  result.wan_bytes_per_entry =
-      result.entries_proposed == 0
-          ? 0
-          : static_cast<double>(result.total_wan_bytes) /
-                static_cast<double>(result.entries_proposed);
-  result.timeline = metrics_->Timeline();
+  ExperimentResult result =
+      BuildResult(*metrics_, {ctx_->telemetry}, *registry_,
+                  network_->TotalWanBytesSent(), network_->TotalLanBytesSent());
   result.sim_events = sim_->events_processed();
   result.wall_ms = wall_ms;
   if (wall_ms > 0) {
@@ -325,28 +194,14 @@ ExperimentResult Experiment::Run() {
 }
 
 int64_t Experiment::CheckAgreement() const {
-  // Compare the executed (gid, seq) sequences of all correct executing
-  // nodes; they must be prefixes of one another (Theorem V.6 agreement).
-  const std::vector<std::pair<uint16_t, uint64_t>>* longest = nullptr;
+  std::vector<std::pair<NodeId, const ExecutionLog*>> logs;
   for (const auto& n : nodes_) {
     if (n->crashed() || n->rejoined()) continue;
     if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
-    if (longest == nullptr ||
-        n->execution_log().size() > longest->size())
-      longest = &n->execution_log();
+    logs.emplace_back(n->id(), &n->execution_log());
   }
-  if (longest == nullptr) return 0;
-  int64_t min_len = static_cast<int64_t>(longest->size());
-  for (const auto& n : nodes_) {
-    if (n->crashed() || n->rejoined()) continue;
-    if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
-    const auto& log = n->execution_log();
-    min_len = std::min<int64_t>(min_len, static_cast<int64_t>(log.size()));
-    for (size_t i = 0; i < log.size(); ++i) {
-      if (log[i] != (*longest)[i]) return -1;
-    }
-  }
-  return min_len;
+  Result<size_t> common = CheckExecutionPrefixes(logs);
+  return common.ok() ? static_cast<int64_t>(*common) : -1;
 }
 
 }  // namespace massbft

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
+#include "core/cluster_run.h"
 #include "core/config.h"
 #include "core/group_node.h"
 #include "obs/telemetry.h"
@@ -57,65 +57,6 @@ struct ExperimentConfig {
   bool enable_tracing = false;
 };
 
-/// Aggregated outcome of a run.
-struct ExperimentResult {
-  /// "sim" for discrete-event runs, "real" when produced by the threaded
-  /// runtime over an actual transport (runtime/RealCluster).
-  std::string mode = "sim";
-  /// Signature backend the run used (CryptoSchemeName: "hmac-sim" or
-  /// "ed25519").
-  std::string crypto_mode = "hmac-sim";
-  /// Fraction of signature checks that rode the batched certificate path
-  /// (KeyRegistry::verify_batch_ratio).
-  double verify_batch_ratio = 0;
-  double throughput_tps = 0;
-  double mean_latency_ms = 0;
-  double p50_latency_ms = 0;
-  double p99_latency_ms = 0;
-  uint64_t committed_txns = 0;
-  /// Permanently-aborted (business-abort) transactions: they completed
-  /// deterministically with no effects and were not retried.
-  uint64_t aborted_txns = 0;
-  uint64_t conflict_aborts = 0;
-  double avg_batch_size = 0;
-  /// Encoded bytes actually put on (simulated or real) links. In sim mode
-  /// these are the same encoder-derived sizes the transport would send.
-  uint64_t total_wan_bytes = 0;
-  uint64_t total_lan_bytes = 0;
-  uint64_t entries_proposed = 0;
-  /// WAN bytes per proposed entry (replication efficiency, Fig 10).
-  double wan_bytes_per_entry = 0;
-  PhaseStats phases;
-  std::vector<MetricsCollector::TimelinePoint> timeline;
-  uint64_t sim_events = 0;
-  /// Host wall-clock cost of the Run() event loop (not simulated time).
-  double wall_ms = 0;
-  /// Simulator events retired per wall-clock second (event-loop speed).
-  double events_per_sec = 0;
-  /// Simulated seconds per wall-clock second (>1 = faster than real time).
-  double sim_time_ratio = 0;
-
-  // ---- Transport health (real mode; all zero in sim mode). Aggregated
-  // across every node's transport after the run.
-  uint64_t net_send_errors = 0;
-  uint64_t net_decode_errors = 0;
-  uint64_t net_reconnects = 0;
-  uint64_t net_dropped_backpressure = 0;
-  /// Kernel round-trips the batched wire path actually paid (DESIGN.md
-  /// §15): far below the frame count when sendmsg coalescing is working.
-  uint64_t net_send_syscalls = 0;
-  uint64_t net_recv_syscalls = 0;
-  /// Frames dropped/duplicated/corrupted/delayed by the fault-injection
-  /// layer (real mode with a FaultSpec; see net/fault_transport.h).
-  uint64_t faults_injected = 0;
-  /// Nodes crash-stopped by the run's fault schedule.
-  int nodes_killed = 0;
-
-  std::string Summary() const;
-  /// Machine-readable dump of every field above (one JSON object).
-  std::string ToJson() const;
-};
-
 /// Builds and drives one simulated cluster. Usage:
 ///   Experiment exp(config);
 ///   MASSBFT_RETURN_IF_ERROR(exp.Setup());
@@ -148,21 +89,14 @@ class Experiment {
     return nodes_;
   }
   /// Verifies all continuously-correct executing nodes executed identical
-  /// prefixes. Returns the length of the common prefix; -1 on divergence.
-  /// Crashed and rejoined nodes are excluded: a rejoining replica is a
-  /// catching-up learner whose authoritative state would come from a
-  /// snapshot in production (see GroupNode::rejoined()).
+  /// prefixes (CheckExecutionPrefixes). Returns the length of the common
+  /// prefix; -1 on divergence. Crashed and rejoined nodes are excluded: a
+  /// rejoining replica is a catching-up learner whose authoritative state
+  /// would come from a snapshot in production (see GroupNode::rejoined()).
   int64_t CheckAgreement() const;
 
  private:
-  struct Client {
-    uint32_t id;
-    int group;
-    uint64_t next_txn = 0;
-    Rng rng;
-  };
-
-  void SubmitNext(size_t client_index);
+  void SubmitNext(size_t client);
   void OnTxnCommitted(const Transaction& txn, SimTime commit_time);
 
   ExperimentConfig config_;
@@ -174,7 +108,7 @@ class Experiment {
   std::unique_ptr<MetricsCollector> metrics_;
   std::unique_ptr<ClusterContext> ctx_;
   std::vector<std::unique_ptr<GroupNode>> nodes_;
-  std::vector<Client> clients_;
+  ClientPool clients_;
   bool setup_done_ = false;
 };
 

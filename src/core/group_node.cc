@@ -49,7 +49,6 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
   pbft_cb.telemetry = tel_;
   pbft_cb.trace_track = trace_track_;
   pbft_cb.broadcast = [this](MessagePtr m) { BroadcastLan(m); };
-  pbft_cb.send_to = [this](NodeId dst, MessagePtr m) { SendLan(dst, m); };
   pbft_cb.sign = [this](const Bytes& payload) { return SignPayload(payload); };
   pbft_cb.verify = [this](NodeId node, const Bytes& payload,
                           const Signature& sig) {
@@ -58,9 +57,6 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
   pbft_cb.validate_entry = [this](EntryPtr entry,
                                   std::function<void(bool)> done) {
     ValidateEntryAsync(std::move(entry), std::move(done));
-  };
-  pbft_cb.after = [this](SimTime delay, std::function<void()> fn) {
-    After(delay, std::move(fn));
   };
   pbft_cb.on_committed = [this](EntryPtr entry, Certificate cert) {
     OnLocalCommitted(std::move(entry), std::move(cert));
@@ -933,8 +929,6 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
       // Business aborts complete deterministically and are never retried
       // (Aria): they are the run's permanently-aborted transactions.
       logic_abort_counter_->Add(result.logic_aborts);
-      if (ctx_->metrics != nullptr)
-        ctx_->metrics->RecordAbort(result.logic_aborts);
     }
     if (rec.global_committed_at >= 0)
       tel_->RecordPhaseSpan(obs::Phase::kExecution, trace_track_,
@@ -986,8 +980,6 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
     case MessageType::kPrePrepare:
     case MessageType::kPrepare:
     case MessageType::kCommit:
-    case MessageType::kViewChange:
-    case MessageType::kNewView:
       pbft_->OnMessage(from, message);
       break;
     case MessageType::kCertifyRequest:
@@ -1163,18 +1155,6 @@ void GroupNode::OnGroupRejoined(uint16_t gid) {
   dead_groups_.erase(gid);
   if (raft_ != nullptr && raft_->HasTakenOver(gid))
     raft_->ReleaseInstance(gid);  // Hand the instance back (Section V-C).
-}
-
-GroupNode::RecordView GroupNode::InspectRecord(uint16_t gid,
-                                               uint64_t seq) const {
-  RecordView view;
-  auto it = entries_.find(Key{gid, seq});
-  if (it == entries_.end()) return view;
-  view.exists = true;
-  view.payload_available = it->second.payload_available;
-  view.globally_committed = it->second.globally_committed;
-  view.executed = it->second.executed;
-  return view;
 }
 
 }  // namespace massbft

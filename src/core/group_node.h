@@ -26,37 +26,16 @@
 #include "replication/rebuilder.h"
 #include "replication/transfer_plan.h"
 #include "sim/actor.h"
-#include "sim/metrics.h"
 #include "sim/topology.h"
 #include "workload/workload.h"
 
 namespace massbft {
-
-/// Per-phase latency accumulators for the Fig 11 breakdown, summed over
-/// entries at the proposing group's leader (plus encode/rebuild CPU spans
-/// measured where they happen). Derived from the obs registry's phase
-/// histograms and counters after a run (Experiment::Run()); nodes record
-/// through ClusterContext::telemetry, not into this struct.
-struct PhaseStats {
-  double batching_ms = 0;     // Txn submit -> batch formed.
-  double local_ms = 0;        // Batch formed -> local PBFT committed.
-  double encode_ms = 0;       // RS encode + Merkle build CPU span.
-  double global_ms = 0;       // Local commit -> global commit (+ VTS).
-  double rebuild_ms = 0;      // Chunk arrival -> entry rebuilt (receivers).
-  double exec_ms = 0;         // Global commit -> executed.
-  uint64_t entries = 0;
-  uint64_t rebuilds = 0;
-  uint64_t txns = 0;
-  uint64_t conflict_aborts = 0;
-  double batch_size_sum = 0;
-};
 
 /// State shared by every node of one simulated cluster.
 struct ClusterContext {
   KeyRegistry* registry = nullptr;
   const Topology* topology = nullptr;
   Workload* workload = nullptr;
-  MetricsCollector* metrics = nullptr;
   /// Cluster-wide observability: metrics registry + trace recorder. The
   /// default storage keeps directly-constructed nodes (tests) working;
   /// Experiment points every layer at the same instance.
@@ -133,23 +112,10 @@ class GroupNode : public Actor {
   uint64_t executed_txns() const { return executed_txns_; }
   const KvStore& store() const { return store_; }
   uint64_t own_clock() const { return own_clock_; }
-  size_t pending_txn_count() const { return pending_txns_.size(); }
 
   /// Force this node to execute entries even if it is not a group leader
   /// (agreement tests compare all nodes' execution logs).
   void set_always_execute(bool v) { always_execute_ = v; }
-
-  /// Ordering-engine introspection (tests/diagnostics; null unless the
-  /// protocol uses VTS ordering).
-  const VtsOrderingEngine* vts_engine() const { return vts_ordering_.get(); }
-  /// Entry-record introspection for diagnostics.
-  struct RecordView {
-    bool exists = false;
-    bool payload_available = false;
-    bool globally_committed = false;
-    bool executed = false;
-  };
-  RecordView InspectRecord(uint16_t gid, uint64_t seq) const;
 
  private:
   using Key = std::pair<uint16_t, uint64_t>;

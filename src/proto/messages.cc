@@ -118,20 +118,12 @@ Result<RelayEvent> RelayEvent::DecodeFrom(BinaryReader* r) {
 
 const char* MessageTypeName(MessageType type) {
   switch (type) {
-    case MessageType::kClientRequest:
-      return "client_request";
-    case MessageType::kClientReply:
-      return "client_reply";
     case MessageType::kPrePrepare:
       return "pre_prepare";
     case MessageType::kPrepare:
       return "prepare";
     case MessageType::kCommit:
       return "commit";
-    case MessageType::kViewChange:
-      return "view_change";
-    case MessageType::kNewView:
-      return "new_view";
     case MessageType::kCertifyRequest:
       return "certify_request";
     case MessageType::kCertifyVote:
@@ -170,15 +162,6 @@ const char* MessageTypeName(MessageType type) {
 
 // --------------------------------------------------------------- Encoders
 
-void ClientRequestMsg::EncodeBodyTo(BinaryWriter* w) const {
-  txn_.EncodeTo(w);
-}
-
-void ClientReplyMsg::EncodeBodyTo(BinaryWriter* w) const {
-  w->PutU64(txn_id_);
-  w->PutU8(committed_ ? 1 : 0);
-}
-
 void PrePrepareMsg::EncodeBodyTo(BinaryWriter* w) const {
   w->PutU64(view_);
   w->PutU64(seq_);
@@ -191,16 +174,6 @@ void PbftVoteMsg::EncodeBodyTo(BinaryWriter* w) const {
   w->PutU64(seq_);
   PutDigest(w, digest_);
   PutSignature(w, sig_);
-}
-
-void ViewChangeMsg::EncodeBodyTo(BinaryWriter* w) const {
-  w->PutU64(new_view_);
-  w->PutU64(last_seq_);
-  // The prepared-certificate proof set is summarized as an opaque blob of
-  // the modeled size (documented substitution, DESIGN.md §12): the wire
-  // carries `proof_bytes_` zeros so real frames cost what the model charges.
-  w->PutVarint(proof_bytes_);
-  for (size_t i = 0; i < proof_bytes_; ++i) w->PutU8(0);
 }
 
 void CertifyRequestMsg::EncodeBodyTo(BinaryWriter* w) const {
@@ -302,21 +275,6 @@ namespace {
 
 using MsgResult = Result<std::unique_ptr<ProtocolMessage>>;
 
-MsgResult DecodeClientRequest(BinaryReader* r) {
-  MASSBFT_ASSIGN_OR_RETURN(Transaction txn, Transaction::DecodeFrom(r));
-  return std::unique_ptr<ProtocolMessage>(
-      std::make_unique<ClientRequestMsg>(std::move(txn)));
-}
-
-MsgResult DecodeClientReply(BinaryReader* r) {
-  uint64_t txn_id = 0;
-  uint8_t committed = 0;
-  MASSBFT_RETURN_IF_ERROR(r->GetU64(&txn_id));
-  MASSBFT_RETURN_IF_ERROR(r->GetU8(&committed));
-  return std::unique_ptr<ProtocolMessage>(
-      std::make_unique<ClientReplyMsg>(txn_id, committed != 0));
-}
-
 MsgResult DecodePrePrepare(BinaryReader* r) {
   uint64_t view = 0;
   uint64_t seq = 0;
@@ -340,17 +298,6 @@ MsgResult DecodePbftVote(MessageType type, BinaryReader* r) {
   MASSBFT_RETURN_IF_ERROR(GetSignature(r, &sig));
   return std::unique_ptr<ProtocolMessage>(
       std::make_unique<PbftVoteMsg>(type, view, seq, digest, sig));
-}
-
-MsgResult DecodeViewChange(MessageType type, BinaryReader* r) {
-  uint64_t new_view = 0;
-  uint64_t last_seq = 0;
-  Bytes proof;
-  MASSBFT_RETURN_IF_ERROR(r->GetU64(&new_view));
-  MASSBFT_RETURN_IF_ERROR(r->GetU64(&last_seq));
-  MASSBFT_RETURN_IF_ERROR(r->GetBytes(&proof));
-  return std::unique_ptr<ProtocolMessage>(std::make_unique<ViewChangeMsg>(
-      type, new_view, last_seq, proof.size()));
 }
 
 MsgResult DecodeCertify(MessageType type, BinaryReader* r) {
@@ -533,18 +480,11 @@ MsgResult DecodeLeaderForward(BinaryReader* r) {
 
 MsgResult DecodeBodySwitch(MessageType type, BinaryReader* r) {
   switch (type) {
-    case MessageType::kClientRequest:
-      return DecodeClientRequest(r);
-    case MessageType::kClientReply:
-      return DecodeClientReply(r);
     case MessageType::kPrePrepare:
       return DecodePrePrepare(r);
     case MessageType::kPrepare:
     case MessageType::kCommit:
       return DecodePbftVote(type, r);
-    case MessageType::kViewChange:
-    case MessageType::kNewView:
-      return DecodeViewChange(type, r);
     case MessageType::kCertifyRequest:
     case MessageType::kCertifyVote:
       return DecodeCertify(type, r);

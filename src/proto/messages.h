@@ -20,14 +20,10 @@ namespace massbft {
 
 /// Wire message kinds. Values are stable (serialized as one byte).
 enum class MessageType : uint8_t {
-  kClientRequest = 1,
-  kClientReply = 2,
   // Local PBFT (intra-group).
   kPrePrepare = 10,
   kPrepare = 11,
   kCommit = 12,
-  kViewChange = 13,
-  kNewView = 14,
   kCertifyRequest = 15,  // Skip-prepare decision certification (Ziziphus).
   kCertifyVote = 16,
   // Global replication payloads.
@@ -135,36 +131,6 @@ class ProtocolMessage : public SimMessage {
 [[nodiscard]] Result<std::unique_ptr<ProtocolMessage>> DecodeMessageBody(
     MessageType type, BinaryReader* r);
 
-// ------------------------------------------------------------------ Client
-
-/// One client transaction submitted to its nearest group leader.
-class ClientRequestMsg : public ProtocolMessage {
- public:
-  explicit ClientRequestMsg(Transaction txn)
-      : ProtocolMessage(MessageType::kClientRequest), txn_(std::move(txn)) {}
-  const Transaction& txn() const { return txn_; }
-  void EncodeBodyTo(BinaryWriter* w) const override;
-
- private:
-  Transaction txn_;
-};
-
-/// Commit notification back to the client (small).
-class ClientReplyMsg : public ProtocolMessage {
- public:
-  ClientReplyMsg(uint64_t txn_id, bool committed)
-      : ProtocolMessage(MessageType::kClientReply),
-        txn_id_(txn_id),
-        committed_(committed) {}
-  uint64_t txn_id() const { return txn_id_; }
-  bool committed() const { return committed_; }
-  void EncodeBodyTo(BinaryWriter* w) const override;
-
- private:
-  uint64_t txn_id_;
-  bool committed_;
-};
-
 // ------------------------------------------------------------------ PBFT
 
 /// PBFT pre-prepare: the group leader's proposal carrying the full entry.
@@ -215,29 +181,6 @@ class PbftVoteMsg : public ProtocolMessage {
   uint64_t seq_;
   Digest digest_;
   Signature sig_;
-};
-
-/// PBFT view change / new view. The proof payload (prepared-certificate
-/// set) is summarized as an opaque zero blob of the modeled size; the
-/// fields that drive the protocol (new view, last sequence) are carried
-/// for real.
-class ViewChangeMsg : public ProtocolMessage {
- public:
-  ViewChangeMsg(MessageType type, uint64_t new_view, uint64_t last_seq,
-                size_t proof_bytes)
-      : ProtocolMessage(type),
-        new_view_(new_view),
-        last_seq_(last_seq),
-        proof_bytes_(proof_bytes) {}
-  uint64_t new_view() const { return new_view_; }
-  uint64_t last_seq() const { return last_seq_; }
-  size_t proof_bytes() const { return proof_bytes_; }
-  void EncodeBodyTo(BinaryWriter* w) const override;
-
- private:
-  uint64_t new_view_;
-  uint64_t last_seq_;
-  size_t proof_bytes_;
 };
 
 /// Identifies a group-level decision being certified by skip-prepare

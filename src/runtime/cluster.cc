@@ -1,7 +1,9 @@
 #include "runtime/cluster.h"
 
 #include <algorithm>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,18 +13,12 @@
 #include "obs/prometheus.h"
 #include "obs/trace_clock.h"
 #include "obs/trace_merge.h"
-#include "sim/metrics.h"  // InterpolatedPercentile
 
 namespace massbft {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
@@ -37,10 +33,6 @@ RealCluster::~RealCluster() {
   // Join the stats-server thread first: its handlers Call into runtimes,
   // so no handler may be in flight while the runtimes are torn down.
   stats_server_.Stop();
-  // Relaxed: the join below is the ordering edge; the flag only asks the
-  // sampler thread to wind down.
-  sampling_.store(false, std::memory_order_relaxed);
-  if (sampler_.joinable()) sampler_.join();
   MutexLock lock(&introspection_mu_);
   for (auto& rt : runtimes_) rt->Stop();
 }
@@ -96,7 +88,7 @@ Status RealCluster::Setup() {
     rt->node().set_always_execute(true);
     rt->set_on_txn_committed(
         [this](const Transaction& txn, SimTime) { OnTxnCommitted(txn); });
-    if (config_.enable_tracing || !config_.trace_path.empty()) {
+    if (!config_.trace_path.empty()) {
       // Tracing must be switched on before any node thread exists (the
       // enabled flag is not flippable under concurrent recording).
       rt->telemetry().set_tracing(true);
@@ -109,19 +101,13 @@ Status RealCluster::Setup() {
   if (config_.stats_port >= 0) MASSBFT_RETURN_IF_ERROR(StartStatsServer());
 
   Rng seed_rng(config_.seed);
-  client_workloads_.resize(config_.topology.group_sizes.size());
-  latencies_.resize(config_.topology.group_sizes.size());
-  for (int g = 0; g < topology_->num_groups(); ++g) {
-    client_workloads_[g] =
-        MakeWorkload(config_.workload, config_.workload_scale);
-    for (int c = 0; c < config_.clients_per_group; ++c) {
-      Client client;
-      client.id = (static_cast<uint32_t>(g) << 20) | static_cast<uint32_t>(c);
-      client.group = g;
-      client.rng = seed_rng.Fork();
-      clients_.push_back(std::move(client));
-    }
-  }
+  clients_ = ClientPool(topology_->num_groups(), config_.clients_per_group,
+                        seed_rng);
+  submitted_at_.resize(clients_.size());
+  commits_.resize(static_cast<size_t>(topology_->num_groups()));
+  for (int g = 0; g < topology_->num_groups(); ++g)
+    client_workloads_.push_back(
+        MakeWorkload(config_.workload, config_.workload_scale));
 
   setup_done_ = true;
   return Status::OK();
@@ -133,40 +119,34 @@ NodeRuntime* RealCluster::runtime(NodeId id) {
   return nullptr;
 }
 
-void RealCluster::SubmitNext(size_t client_index) {
-  Client& client = clients_[client_index];
-  NodeRuntime* leader =
-      runtime(NodeId{static_cast<uint16_t>(client.group), 0});
+SimTime RealCluster::SinceStart() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                              run_start_)
+      .count();
+}
+
+void RealCluster::SubmitNext(size_t client) {
+  const int group = clients_.group(client);
+  NodeRuntime* leader = runtime(NodeId{static_cast<uint16_t>(group), 0});
   if (leader == nullptr) return;
   // The transaction is materialized on the leader's event-loop thread:
-  // each group's payload generator and its clients' rngs are only ever
-  // touched there (single-writer; see client_workloads_).
-  leader->Post([this, leader, client_index] {
-    Client& c = clients_[client_index];
-    Transaction txn;
-    txn.id = c.next_txn++;
-    txn.client = c.id;
-    txn.submit_time = leader->Elapsed();
-    txn.payload = client_workloads_[c.group]->NextPayload(c.rng);
-    c.submitted_at = Clock::now();
-    leader->node().SubmitClientTxn(std::move(txn));
+  // each group's payload generator and its clients' pool entries are only
+  // ever touched there (single-writer; see client_workloads_).
+  leader->Post([this, leader, client, group] {
+    submitted_at_[client] = SinceStart();
+    leader->node().SubmitClientTxn(clients_.Next(
+        client, *client_workloads_[static_cast<size_t>(group)],
+        leader->Elapsed()));
   });
 }
 
 void RealCluster::OnTxnCommitted(const Transaction& txn) {
-  uint32_t group = txn.client >> 20;
-  uint32_t index = txn.client & 0xFFFFF;
-  size_t client_index =
-      static_cast<size_t>(group) *
-          static_cast<size_t>(config_.clients_per_group) +
-      index;
-  if (client_index >= clients_.size()) return;
-  const double latency_ms = MsSince(clients_[client_index].submitted_at);
+  std::optional<size_t> client = clients_.ClientOf(txn);
+  if (!client.has_value()) return;
+  commits_[static_cast<size_t>(clients_.group(*client))].emplace_back(
+      submitted_at_[*client], SinceStart());
   committed_.fetch_add(1, std::memory_order_relaxed);
-  latency_sum_us_.fetch_add(static_cast<uint64_t>(latency_ms * 1000.0),
-                            std::memory_order_relaxed);
-  latencies_[group].push_back(latency_ms);
-  if (issuing_.load(std::memory_order_relaxed)) SubmitNext(client_index);
+  if (issuing_.load(std::memory_order_relaxed)) SubmitNext(*client);
 }
 
 Status RealCluster::KillNode(NodeId id) {
@@ -196,7 +176,6 @@ Status RealCluster::KillNode(NodeId id) {
   });
   rt->Stop();
   killed_.push_back(id);
-  ++nodes_killed_;
   return Status::OK();
 }
 
@@ -231,11 +210,10 @@ bool RealCluster::EligibleForAgreement(NodeRuntime& rt) {
 }
 
 Status RealCluster::IssueWindow() {
-  const auto start = Clock::now();
   auto sleep_until_offset = [&](double offset_s) {
     std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(offset_s)));
+        run_start_ + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(offset_s)));
   };
   const bool crashes =
       config_.crash_nodes_per_group > 0 && config_.crash_at_s > 0;
@@ -285,20 +263,15 @@ bool RealCluster::DrainUntilStable() {
   bool had_stable_round = false;
   while (Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    bool all_equal = true;
-    bool have_first = false;
-    uint64_t first = 0;
+    std::vector<uint64_t> fingerprints;
     for (auto& rt : runtimes_) {
       if (!EligibleForAgreement(*rt)) continue;
-      uint64_t fp = rt->Call(
-          [](GroupNode& n) { return n.store().StateFingerprint(); });
-      if (!have_first) {
-        first = fp;
-        have_first = true;
-      } else {
-        all_equal = all_equal && fp == first;
-      }
+      fingerprints.push_back(
+          rt->Call([](GroupNode& n) { return n.store().StateFingerprint(); }));
     }
+    const bool all_equal =
+        std::adjacent_find(fingerprints.begin(), fingerprints.end(),
+                           std::not_equal_to<>()) == fingerprints.end();
     // Relaxed: a monotone progress probe — a stale read only costs one
     // extra settle round.
     uint64_t committed = committed_.load(std::memory_order_relaxed);
@@ -358,7 +331,7 @@ std::string RealCluster::HealthJson() {
   w.Member("committed_txns", committed_.load(std::memory_order_relaxed));
   {
     MutexLock lock(&introspection_mu_);
-    w.Member("nodes_killed", nodes_killed_);
+    w.Member("nodes_killed", static_cast<uint64_t>(killed_.size()));
   }
   uint64_t faults = 0;
   for (const FaultInjectingTransport* injector : fault_transports_)
@@ -407,36 +380,6 @@ void RealCluster::DumpFlightRecorders(const char* why) {
     rt->telemetry().flight().Dump(std::cerr, "node " + NodeName(rt->id()));
 }
 
-void RealCluster::SamplerLoop(Clock::time_point start) {
-  const double interval_s =
-      config_.sample_interval_s > 0 ? config_.sample_interval_s : 0.5;
-  uint64_t prev_committed = 0;
-  uint64_t prev_latency_us = 0;
-  for (int tick = 1; sampling_.load(std::memory_order_relaxed); ++tick) {
-    const auto bucket_end =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(interval_s * tick));
-    while (sampling_.load(std::memory_order_relaxed) &&
-           Clock::now() < bucket_end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!sampling_.load(std::memory_order_relaxed)) return;
-    const uint64_t committed = committed_.load(std::memory_order_relaxed);
-    const uint64_t latency_us = latency_sum_us_.load(std::memory_order_relaxed);
-    const uint64_t delta = committed - prev_committed;
-    MetricsCollector::TimelinePoint point;
-    point.time_s = interval_s * tick;
-    point.tps = static_cast<double>(delta) / interval_s;
-    point.mean_latency_ms =
-        delta == 0 ? 0
-                   : static_cast<double>(latency_us - prev_latency_us) /
-                         1000.0 / static_cast<double>(delta);
-    timeline_.push_back(point);
-    prev_committed = committed;
-    prev_latency_us = latency_us;
-  }
-}
-
 Status RealCluster::WriteMergedTrace(const std::string& path) const {
   obs::ClusterTraceMerger merger;
   merger.set_unix_anchor_ns(obs::TraceClock::UnixAnchorNs());
@@ -449,25 +392,13 @@ Status RealCluster::WriteMergedTrace(const std::string& path) const {
 
 Result<ExperimentResult> RealCluster::Run() {
   if (!setup_done_) return Status::FailedPrecondition("Setup() not called");
-  const auto wall_start = Clock::now();
+  run_start_ = Clock::now();
 
   for (auto& rt : runtimes_) MASSBFT_RETURN_IF_ERROR(rt->Start());
 
-  // Timeline sampler: one thread turning the shared commit counters into
-  // per-bucket throughput/latency points (ExperimentResult::timeline).
-  // Relaxed: std::thread creation below happens-before the sampler's
-  // first load of the flag.
-  sampling_.store(true, std::memory_order_relaxed);
-  sampler_ = std::thread([this, wall_start] { SamplerLoop(wall_start); });
-  // Stops the sampler and (on the failure paths) preserves the evidence:
-  // flight recorders to stderr, merged trace to the configured path.
-  auto finish_sampling = [this] {
-    // Relaxed: the join provides the ordering edge (see ~RealCluster).
-    sampling_.store(false, std::memory_order_relaxed);
-    if (sampler_.joinable()) sampler_.join();
-  };
+  // The failure paths preserve the evidence: flight recorders to stderr,
+  // merged trace to the configured path.
   auto fail = [&](const char* why, Status status) -> Status {
-    finish_sampling();
     DumpFlightRecorders(why);
     if (!config_.trace_path.empty()) (void)WriteMergedTrace(config_.trace_path);
     MutexLock lock(&introspection_mu_);
@@ -484,8 +415,7 @@ Result<ExperimentResult> RealCluster::Run() {
   // its configured offsets.
   MASSBFT_RETURN_IF_ERROR(IssueWindow());
   issuing_.store(false, std::memory_order_relaxed);
-  const double issue_window_s =
-      std::chrono::duration<double>(Clock::now() - wall_start).count();
+  const SimTime issue_window = SinceStart();
 
   // Let in-flight entries commit and execute everywhere. The VTS liveness
   // tick keeps advancing the global order even with no new client load.
@@ -494,27 +424,17 @@ Result<ExperimentResult> RealCluster::Run() {
                 Status::Internal("cluster did not reach a stable agreed "
                                  "state within the drain timeout"));
   }
-  finish_sampling();
 
-  // Collect per-node state through each node's own event loop, then stop.
   // Killed and rejoined nodes sit out the agreement check (same rule as
-  // Experiment::CheckAgreement).
-  std::vector<NodeId> agreed;
-  std::vector<uint64_t> fingerprints;
-  std::vector<std::vector<std::pair<uint16_t, uint64_t>>> logs;
-  for (auto& rt : runtimes_) {
-    if (!EligibleForAgreement(*rt)) continue;
-    agreed.push_back(rt->id());
-    fingerprints.push_back(
-        rt->Call([](GroupNode& n) { return n.store().StateFingerprint(); }));
-    logs.push_back(rt->Call([](GroupNode& n) { return n.execution_log(); }));
-  }
+  // Experiment::CheckAgreement); the others are read once stopped.
+  std::vector<NodeRuntime*> agreed;
+  for (auto& rt : runtimes_)
+    if (EligibleForAgreement(*rt)) agreed.push_back(rt.get());
   {
     MutexLock lock(&introspection_mu_);
     for (auto& rt : runtimes_) rt->Stop();
   }
-
-  if (fingerprints.empty())
+  if (agreed.empty())
     return fail("no surviving node",
                 Status::Internal("no continuously-correct node survived to "
                                  "the agreement check"));
@@ -522,45 +442,36 @@ Result<ExperimentResult> RealCluster::Run() {
   // Agreement: identical fingerprints, and identical execution order over
   // the common prefix (lengths differ only by the still-moving empty-entry
   // tail; see DrainUntilStable).
-  for (size_t i = 1; i < fingerprints.size(); ++i) {
-    if (fingerprints[i] != fingerprints[0])
+  const uint64_t fingerprint = agreed[0]->node().store().StateFingerprint();
+  std::vector<std::pair<NodeId, const ExecutionLog*>> logs;
+  for (NodeRuntime* rt : agreed) {
+    if (rt->node().store().StateFingerprint() != fingerprint)
       return fail("fingerprint divergence",
                   Status::Internal("state fingerprint divergence at node " +
-                                   NodeName(agreed[i])));
-    size_t limit = std::min(logs[i].size(), logs[0].size());
-    for (size_t k = 0; k < limit; ++k) {
-      if (logs[i][k] != logs[0][k])
-        return fail("execution order divergence",
-                    Status::Internal("execution order divergence at node " +
-                                     NodeName(agreed[i]) + " position " +
-                                     std::to_string(k)));
-    }
+                                   NodeName(rt->id())));
+    logs.emplace_back(rt->id(), &rt->node().execution_log());
   }
+  Status order = CheckExecutionPrefixes(logs).status();
+  if (!order.ok()) return fail("execution order divergence", order);
 
-  ExperimentResult result;
-  result.mode = "real";
-  result.crypto_mode = registry_->scheme_name();
-  result.verify_batch_ratio = registry_->verify_batch_ratio();
-  // Relaxed: every runtime has been stopped (threads joined), so all
-  // commit increments already happened-before this read.
-  result.committed_txns = committed_.load(std::memory_order_relaxed);
-  result.throughput_tps =
-      static_cast<double>(result.committed_txns) / issue_window_s;
-  std::vector<double> all_latencies;
-  for (const auto& group_samples : latencies_)
-    all_latencies.insert(all_latencies.end(), group_samples.begin(),
-                         group_samples.end());
-  std::sort(all_latencies.begin(), all_latencies.end());
-  if (!all_latencies.empty()) {
-    double sum = 0;
-    for (double v : all_latencies) sum += v;
-    result.mean_latency_ms = sum / static_cast<double>(all_latencies.size());
-    result.p50_latency_ms = InterpolatedPercentile(all_latencies, 0.5);
-    result.p99_latency_ms = InterpolatedPercentile(all_latencies, 0.99);
-  }
+  // Every runtime has been stopped (threads joined), so the per-group
+  // commit samples and every node's registry are safe to read here.
+  MetricsCollector commits(/*warmup=*/0, /*horizon=*/issue_window);
+  for (const auto& group : commits_)
+    for (const auto& [submit, commit] : group)
+      commits.RecordCommit(submit, commit);
+  std::vector<obs::Telemetry*> telemetry;
+  uint64_t wan_bytes = 0;
+  uint64_t lan_bytes = 0;
   for (auto& rt : runtimes_) {
-    result.total_wan_bytes += rt->network().wan_bytes_sent();
-    result.total_lan_bytes += rt->network().lan_bytes_sent();
+    telemetry.push_back(&rt->telemetry());
+    wan_bytes += rt->network().wan_bytes_sent();
+    lan_bytes += rt->network().lan_bytes_sent();
+  }
+  ExperimentResult result =
+      BuildResult(commits, telemetry, *registry_, wan_bytes, lan_bytes);
+  result.mode = "real";
+  for (auto& rt : runtimes_) {
     // Transport counters survive Stop(); aggregate cluster-wide.
     const Transport::Stats stats = rt->transport().stats();
     result.net_send_errors += stats.send_errors;
@@ -574,15 +485,9 @@ Result<ExperimentResult> RealCluster::Run() {
     result.faults_injected += injector->fault_stats().total();
   {
     MutexLock lock(&introspection_mu_);
-    result.nodes_killed = nodes_killed_;
+    result.nodes_killed = static_cast<int>(killed_.size());
   }
-  if (!logs.empty()) result.entries_proposed = logs[0].size();
-  result.timeline = timeline_;
-  result.wall_ms = MsSince(wall_start);
-  if (result.entries_proposed > 0)
-    result.wan_bytes_per_entry =
-        static_cast<double>(result.total_wan_bytes) /
-        static_cast<double>(result.entries_proposed);
+  result.wall_ms = static_cast<double>(SinceStart()) / 1e6;
   if (!config_.trace_path.empty())
     MASSBFT_RETURN_IF_ERROR(WriteMergedTrace(config_.trace_path));
   return result;

@@ -5,13 +5,12 @@
 #include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/lock_rank.h"
 #include "common/result.h"
-#include "common/rng.h"
-#include "core/experiment.h"
+#include "core/cluster_run.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
@@ -63,24 +62,21 @@ struct RealClusterConfig {
   // ---- Observability (DESIGN.md §14).
   /// Record per-node protocol traces and write the merged cluster-wide
   /// Chrome trace (one process per node, cross-node flow arrows) here
-  /// after the run. Empty = no trace. Setting it implies enable_tracing.
+  /// after the run. Empty = no trace.
   std::string trace_path;
-  /// Record traces without necessarily exporting them (tests inspect the
-  /// recorders directly; Run() only writes a file when trace_path is set).
-  bool enable_tracing = false;
   /// Live introspection: -1 = no stats server; otherwise a localhost HTTP
   /// server on this port (0 = ephemeral, see stats_port()) serving
   /// /metrics (Prometheus text) and /health (cluster JSON) from Setup()
   /// until destruction.
   int stats_port = -1;
-  /// Timeline bucket width for ExperimentResult::timeline in real mode.
-  double sample_interval_s = 0.5;
 };
 
 /// Builds one NodeRuntime per node, drives closed-loop clients against the
 /// group leaders for the configured duration, then drains until every node
 /// has executed the same entries and checks that all state fingerprints
-/// agree. Usage mirrors Experiment:
+/// agree. Results are measured over the issue window (commits and their
+/// latency, wall clock since Run() started) and built by the same code as
+/// Experiment's (core/cluster_run.h). Usage mirrors Experiment:
 ///   RealCluster cluster(config);
 ///   MASSBFT_RETURN_IF_ERROR(cluster.Setup());
 ///   auto result = cluster.Run();   // Result<ExperimentResult>, mode "real"
@@ -120,8 +116,8 @@ class RealCluster {
   [[nodiscard]] const KeyRegistry& registry() const { return *registry_; }
 
   /// Merges every node's trace recorder into one Chrome trace file (see
-  /// obs::ClusterTraceMerger). Requires tracing to have been enabled; most
-  /// callers just set RealClusterConfig::trace_path and let Run() do it.
+  /// obs::ClusterTraceMerger). Setting RealClusterConfig::trace_path turns
+  /// tracing on, and Run() then calls this itself.
   [[nodiscard]] Status WriteMergedTrace(const std::string& path) const;
 
   /// Bound port of the stats server (valid after Setup() when
@@ -129,18 +125,12 @@ class RealCluster {
   uint16_t stats_port() const { return stats_server_.port(); }
 
  private:
-  struct Client {
-    uint32_t id = 0;
-    int group = 0;
-    uint64_t next_txn = 0;
-    Rng rng;
-    std::chrono::steady_clock::time_point submitted_at;
-  };
-
   NodeRuntime* runtime(NodeId id);
-  /// Posts the next transaction of client `client_index` to its group
-  /// leader's event loop.
-  void SubmitNext(size_t client_index);
+  /// Wall-clock nanoseconds since Run() started.
+  SimTime SinceStart() const;
+  /// Posts the next transaction of `client` to its group leader's event
+  /// loop.
+  void SubmitNext(size_t client);
   /// Fired on the origin-group leader's event-loop thread.
   void OnTxnCommitted(const Transaction& txn);
   /// True when `rt` should participate in agreement checks: running and
@@ -152,7 +142,7 @@ class RealCluster {
   /// timeout.
   bool DrainUntilStable();
   /// Executes the configured crash/restart schedule while sleeping out the
-  /// transaction-issuing window.
+  /// transaction-issuing window (offsets from Run()'s start).
   [[nodiscard]] Status IssueWindow();
   /// Starts the localhost stats server and registers /metrics + /health.
   [[nodiscard]] Status StartStatsServer();
@@ -165,9 +155,6 @@ class RealCluster {
   /// failure / drain timeout so the last events before the failure are in
   /// the log).
   void DumpFlightRecorders(const char* why);
-  /// Periodic sampler body: fills timeline_ every sample_interval_s from
-  /// the shared commit counters until sampling_ clears.
-  void SamplerLoop(std::chrono::steady_clock::time_point start);
 
   RealClusterConfig config_;
   std::unique_ptr<Topology> topology_;
@@ -175,23 +162,23 @@ class RealCluster {
   InProcHub hub_;
   std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
 
-  /// Per-group payload generators: group g's instance is only touched from
-  /// g's leader event-loop thread (all of g's clients submit there).
+  /// Per-group payload generators: group g's instance, and the pool
+  /// entries of g's clients, are only touched from g's leader event-loop
+  /// thread (all of g's clients submit there).
   std::vector<std::unique_ptr<Workload>> client_workloads_;
-  std::vector<Client> clients_;
-  /// Per-group latency samples (ms), same single-writer discipline.
-  std::vector<std::vector<double>> latencies_;
+  ClientPool clients_;
+  /// Origin of SinceStart(); set by Run() before any node thread starts.
+  std::chrono::steady_clock::time_point run_start_;
+  /// Per client: when its outstanding transaction was submitted.
+  std::vector<SimTime> submitted_at_;
+  /// Per group: (submit, commit) of every commit, same single-writer
+  /// discipline. Run() reads them after the runtimes' threads are joined.
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> commits_;
 
-  /// All cross-thread counters below use relaxed ordering: they are
-  /// independent monotone tallies read for progress probes and reporting,
-  /// and every read that must be exact happens after a thread join that
-  /// already provides the synchronizes-with edge.
+  /// The cross-thread flags below use relaxed ordering: an issuing switch
+  /// and a monotone tally read for progress probes and /health.
   std::atomic<bool> issuing_{false};
   std::atomic<uint64_t> committed_{0};
-  /// Sum of commit latencies in microseconds (with committed_, lets the
-  /// sampler derive per-bucket mean latency without touching the
-  /// single-writer latencies_ vectors).
-  std::atomic<uint64_t> latency_sum_us_{0};
   bool setup_done_ = false;
 
   /// Serializes node lifecycle transitions (KillNode/RestartNode/final
@@ -203,18 +190,11 @@ class RealCluster {
                                 LockRank::kClusterIntrospection};
   obs::StatsServer stats_server_;
 
-  /// Timeline sampler (real-mode ExperimentResult::timeline). The sampler
-  /// thread is the only writer; Run() reads after joining it.
-  std::atomic<bool> sampling_{false};
-  std::thread sampler_;
-  std::vector<MetricsCollector::TimelinePoint> timeline_;
-
   /// Non-owning views of the per-node injectors (owned by the runtimes'
   /// transport chain); empty when net_faults.any() is false.
   std::vector<FaultInjectingTransport*> fault_transports_;
   /// Nodes crash-stopped by KillNode (in kill order).
   std::vector<NodeId> killed_ MASSBFT_GUARDED_BY(introspection_mu_);
-  int nodes_killed_ MASSBFT_GUARDED_BY(introspection_mu_) = 0;
 };
 
 }  // namespace massbft

@@ -52,7 +52,7 @@ class LatencyStats {
   void EnsureSorted() const;
 };
 
-/// Per-experiment throughput/latency collector. Protocol nodes report each
+/// Per-run throughput/latency collector. The cluster driver reports each
 /// committed transaction with its submit time; the collector provides
 ///   * overall throughput over a measurement window (warmup excluded),
 ///   * mean/percentile commit latency,
@@ -66,11 +66,8 @@ class MetricsCollector {
       : warmup_(warmup), horizon_(horizon), bucket_(timeline_bucket) {}
 
   void RecordCommit(SimTime submit_time, SimTime commit_time, int txns = 1);
-  /// Records a transaction aborted permanently (after retry budget).
-  void RecordAbort(int txns = 1) { aborted_ += txns; }
 
   uint64_t committed() const { return committed_; }
-  uint64_t aborted() const { return aborted_; }
 
   /// Committed transactions per second within [warmup, horizon].
   double ThroughputTps() const;
@@ -91,7 +88,6 @@ class MetricsCollector {
   SimTime horizon_;
   SimTime bucket_;
   uint64_t committed_ = 0;
-  uint64_t aborted_ = 0;
   LatencyStats latency_;
   struct Bucket {
     uint64_t txns = 0;

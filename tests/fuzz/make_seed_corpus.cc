@@ -89,8 +89,6 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
     seeds.emplace_back(name, EncodeFrame(msg, src, ts));
   };
 
-  add("client_request", ClientRequestMsg(RandTxn(rng)));
-  add("client_reply", ClientReplyMsg(42, true));
   add("pre_prepare", PrePrepareMsg(1, 9, RandEntry(rng), RandSig(rng)));
   add("prepare", PbftVoteMsg(MessageType::kPrepare, 1, 9, RandDigest(rng),
                              RandSig(rng)));

@@ -128,11 +128,6 @@ std::vector<Chunk> RandChunks(Rng& rng) {
 std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
   using T = MessageType;
   switch (type) {
-    case T::kClientRequest:
-      return std::make_unique<ClientRequestMsg>(RandTxn(rng));
-    case T::kClientReply:
-      return std::make_unique<ClientReplyMsg>(rng.NextU64(),
-                                              rng.NextBelow(2) == 0);
     case T::kPrePrepare:
       return std::make_unique<PrePrepareMsg>(rng.NextU64(), rng.NextU64(),
                                              RandEntry(rng), RandSig(rng));
@@ -140,11 +135,6 @@ std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
     case T::kCommit:
       return std::make_unique<PbftVoteMsg>(type, rng.NextU64(), rng.NextU64(),
                                            RandDigest(rng), RandSig(rng));
-    case T::kViewChange:
-    case T::kNewView:
-      return std::make_unique<ViewChangeMsg>(type, rng.NextU64(),
-                                             rng.NextU64(),
-                                             rng.NextBelow(300));
     case T::kCertifyRequest:
       return std::make_unique<CertifyRequestMsg>(RandDecision(rng),
                                                  RandSig(rng));
@@ -215,10 +205,8 @@ std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
 }
 
 constexpr MessageType kAllTypes[] = {
-    MessageType::kClientRequest, MessageType::kClientReply,
     MessageType::kPrePrepare,    MessageType::kPrepare,
-    MessageType::kCommit,        MessageType::kViewChange,
-    MessageType::kNewView,       MessageType::kCertifyRequest,
+    MessageType::kCommit,        MessageType::kCertifyRequest,
     MessageType::kCertifyVote,   MessageType::kEntryTransfer,
     MessageType::kChunkBatch,    MessageType::kRaftPropose,
     MessageType::kRaftAccept,    MessageType::kRaftCommit,
@@ -310,7 +298,7 @@ TEST(WireRoundTripTest, FieldLevelSpotChecks) {
 // ------------------------------------------------------------ Malformed
 
 Bytes SampleFrame() {
-  ClientReplyMsg msg(12345, true);
+  GroupHeartbeatMsg msg(1, 12345);
   return EncodeFrame(msg, NodeId{0, 1});
 }
 
@@ -344,7 +332,7 @@ TEST(WireTraceContextTest, EntryCarryingFrameRoundTripsContext) {
 }
 
 TEST(WireTraceContextTest, NonCarryingFrameHasNoContext) {
-  ClientReplyMsg msg(7, true);
+  GroupHeartbeatMsg msg(0, 7);
   auto frame = DecodeFrame(EncodeFrame(msg, NodeId{0, 1}));
   ASSERT_TRUE(frame.ok());
   EXPECT_FALSE(frame->has_trace);

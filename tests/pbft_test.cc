@@ -42,11 +42,7 @@ class GroupBus {
     if (dropped_links_.count({from, to}) > 0) return;
     queue_.push_back({from, to, std::move(msg)});
   }
-  void ScheduleTimer(int64_t delay, std::function<void()> fn) {
-    timers_.push_back({now_ + delay, std::move(fn)});
-  }
-
-  /// Drains the message queue (not timers).
+  /// Drains the message queue.
   void Deliver() {
     while (!queue_.empty()) {
       auto [from, to, msg] = std::move(queue_.front());
@@ -54,21 +50,6 @@ class GroupBus {
       if (dropped_.count(to) > 0) continue;
       handlers_[to](NodeId{0, static_cast<uint16_t>(from)}, msg);
     }
-  }
-
-  /// Advances virtual time, firing due timers, then drains messages.
-  void AdvanceTime(int64_t delta) {
-    now_ += delta;
-    auto due = std::move(timers_);
-    timers_.clear();
-    for (auto& [at, fn] : due) {
-      if (at <= now_) {
-        fn();
-      } else {
-        timers_.push_back({at, std::move(fn)});
-      }
-    }
-    Deliver();
   }
 
   KeyRegistry registry;
@@ -86,8 +67,6 @@ class GroupBus {
   std::set<int> dropped_;
   std::set<std::pair<int, int>> dropped_links_;
   std::deque<Queued> queue_;
-  std::vector<std::pair<int64_t, std::function<void()>>> timers_;
-  int64_t now_ = 0;
 };
 
 struct PbftNode {
@@ -96,9 +75,6 @@ struct PbftNode {
     PbftEngine::Callbacks cb;
     cb.broadcast = [bus, index](MessagePtr m) {
       bus->Broadcast(index, std::move(m));
-    };
-    cb.send_to = [bus, index](NodeId dst, MessagePtr m) {
-      bus->Send(index, dst.index, std::move(m));
     };
     cb.sign = [this, bus, self](const Bytes& payload) {
       ++signs;
@@ -117,9 +93,6 @@ struct PbftNode {
         pending_validations.push_back(std::move(done));
       }
       (void)entry;
-    };
-    cb.after = [bus](SimTime delay, std::function<void()> fn) {
-      bus->ScheduleTimer(delay, std::move(fn));
     };
     cb.on_committed = [this](EntryPtr entry, Certificate cert) {
       committed.push_back({entry, cert});
@@ -279,33 +252,6 @@ TEST_F(PbftFixture, VotesBeforeThePrePrepareCountOnlyForItsDigest) {
     EXPECT_FALSE(from == 1 && msg->type() ==
                                   static_cast<int>(MessageType::kCommit));
   EXPECT_TRUE(nodes_[1]->committed.empty());
-}
-
-TEST_F(PbftFixture, ViewChangeElectsNextLeaderAndReproposes) {
-  Init(4);
-  for (auto& node : nodes_)
-    node->engine->set_view_change_timeout(100);
-  // Partially-connected faulty leader: its pre-prepare reaches nodes 1 and
-  // 2 but not 3, and the leader then contributes nothing further. Nodes
-  // 1+2 reach the 2f+1 prepare quorum (pre-prepare counts as the leader's
-  // vote) but the commit quorum stalls at 2 of 3 — the classic stuck
-  // instance that view change must resolve.
-  bus_->DropLink(0, 3);
-  nodes_[0]->engine->Propose(MakeEntry(0));
-  bus_->Drop(0);  // Leader contributes nothing beyond the pre-prepare.
-  bus_->Deliver();
-  EXPECT_TRUE(nodes_[1]->committed.empty());
-
-  bus_->AdvanceTime(150);  // Followers' timers fire; view-change votes flow.
-  bus_->AdvanceTime(150);  // Echo amplification + NEW-VIEW + re-propose.
-  bus_->AdvanceTime(150);
-  EXPECT_GE(nodes_[1]->engine->view(), 1u);
-  EXPECT_EQ(nodes_[1]->engine->leader_index(),
-            static_cast<int>(nodes_[1]->engine->view() % 4));
-  // The new leader re-proposed the unfinished entry; correct nodes commit.
-  EXPECT_GE(nodes_[1]->committed.size(), 1u);
-  EXPECT_GE(nodes_[2]->committed.size(), 1u);
-  EXPECT_GE(nodes_[3]->committed.size(), 1u);
 }
 
 TEST_F(PbftFixture, ValidationGateBlocksPrepare) {

@@ -210,9 +210,9 @@ size_t EncodedSize(const ProtocolMessage& msg) {
 }
 
 TEST(MessageSizeTest, EnvelopeAddedToEveryMessage) {
-  ClientReplyMsg reply(1, true);
-  EXPECT_EQ(reply.ByteSize(), kFrameOverheadBytes + 9);
-  EXPECT_EQ(reply.ByteSize(), EncodedSize(reply));
+  CatchUpDoneMsg done;  // Empty body: the envelope alone.
+  EXPECT_EQ(done.ByteSize(), kFrameOverheadBytes);
+  EXPECT_EQ(done.ByteSize(), EncodedSize(done));
   GroupHeartbeatMsg hb(1, 100);
   EXPECT_EQ(hb.ByteSize(), kFrameOverheadBytes + 10);
   EXPECT_EQ(hb.ByteSize(), EncodedSize(hb));

@@ -53,6 +53,11 @@ TEST(RealClusterTest, InProcClusterCommitsAndAgrees) {
   // Real encoded bytes crossed the transport in both tiers.
   EXPECT_GT(result->total_wan_bytes, 0u);
   EXPECT_GT(result->total_lan_bytes, 0u);
+  // The simulator's breakdown, read from every node's telemetry.
+  EXPECT_GT(result->phases.local_ms, 0.0);
+  EXPECT_GT(result->phases.entries, 0u);
+  EXPECT_GT(result->avg_batch_size, 0.0);
+  EXPECT_EQ(result->entries_proposed, result->phases.entries);
 }
 
 TEST(RealClusterTest, EachNodeChecksAnEntryCertificateOnce) {
@@ -239,7 +244,6 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   // a populated real-mode timeline.
   RealClusterConfig config = SmallConfig();
   config.duration_seconds = 1.5;
-  config.sample_interval_s = 0.25;
   config.stats_port = 0;  // Ephemeral.
   config.trace_path = testing::TempDir() + "/runtime_obs_trace.json";
   config.net_faults.seed = config.seed;
@@ -278,8 +282,8 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(health.find("\"reconnects\""), std::string::npos);
 
-  // The periodic sampler filled the real-mode timeline, and some bucket
-  // saw commits.
+  // The commit samples filled the real-mode timeline, and some bucket saw
+  // commits.
   ASSERT_FALSE(result->timeline.empty());
   double peak_tps = 0;
   for (const auto& point : result->timeline)

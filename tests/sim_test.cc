@@ -391,12 +391,6 @@ TEST(MetricsTest, TimelineBucketsByCommitTime) {
   EXPECT_DOUBLE_EQ(timeline[2].tps, 20.0);
 }
 
-TEST(MetricsTest, AbortsCounted) {
-  MetricsCollector metrics(0, kSecond);
-  metrics.RecordAbort(3);
-  EXPECT_EQ(metrics.aborted(), 3u);
-}
-
 // Regression: Record() after a percentile read must invalidate the sorted
 // cache, or later percentiles are computed over a stale ordering.
 TEST(MetricsTest, PercentilesCorrectAfterInterleavedRecords) {
