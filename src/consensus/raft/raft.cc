@@ -18,8 +18,7 @@ RaftCoordinator::RaftCoordinator(int num_groups, int my_group,
 }
 
 void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
-                              const Certificate& cert, uint16_t origin_gid,
-                              uint64_t origin_seq) {
+                              const Certificate& cert) {
   Instance& inst = instances_[gid];
   InstanceEntry& e = inst.log[seq];
   e.digest = digest;
@@ -27,9 +26,10 @@ void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
   if (cb_.now && e.proposed_at < 0) e.proposed_at = cb_.now();
   e.accept_groups.insert(static_cast<uint16_t>(my_group_));
 
+  // Receivers map a Steward global sequence back to its entry by digest,
+  // so the message's origin fields stay zero.
   auto msg = std::make_shared<RaftProposeMsg>(
-      gid, seq, digest, cert, std::vector<TimestampElement>{}, origin_gid,
-      origin_seq);
+      gid, seq, digest, cert, std::vector<TimestampElement>{});
   for (int g = 0; g < num_groups_; ++g) {
     if (g == my_group_) continue;
     cb_.send_to_group(g, msg);

@@ -71,12 +71,8 @@ class RaftCoordinator {
 
   /// Proposer (leader of my_group): starts consensus on a locally-certified
   /// entry. The caller has already launched payload replication.
-  /// `origin_gid`/`origin_seq` annotate funneled entries in single-master
-  /// (Steward) mode so receivers can map the global sequence back to the
-  /// origin entry.
   void Propose(uint16_t gid, uint64_t seq, const Digest& digest,
-               const Certificate& cert, uint16_t origin_gid = 0,
-               uint64_t origin_seq = 0);
+               const Certificate& cert);
 
   /// Follower-group leader: a propose control message arrived.
   void OnProposeControl(const RaftProposeMsg& msg);

@@ -22,93 +22,27 @@ const char* ProtocolKindName(ProtocolKind kind) {
   return "unknown";
 }
 
-ProtocolConfig ProtocolConfig::MassBft() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kMassBft;
-  cfg.replication = ReplicationMode::kEncodedBijective;
-  cfg.ordering = OrderingMode::kAsyncVts;
-  cfg.use_global_raft = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::Baseline() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kBaseline;
-  cfg.replication = ReplicationMode::kLeaderOneWay;
-  cfg.ordering = OrderingMode::kRoundSync;
-  cfg.use_global_raft = true;
-  cfg.propose_empty = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::GeoBft() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kGeoBft;
-  cfg.replication = ReplicationMode::kLeaderOneWay;
-  cfg.ordering = OrderingMode::kRoundSync;
-  cfg.use_global_raft = false;
-  cfg.propose_empty = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::Steward() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kSteward;
-  cfg.replication = ReplicationMode::kLeaderOneWay;
-  cfg.ordering = OrderingMode::kFifo;
-  cfg.use_global_raft = true;
-  cfg.single_master = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::Iss() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kIss;
-  cfg.replication = ReplicationMode::kLeaderOneWay;
-  cfg.ordering = OrderingMode::kEpoch;
-  cfg.use_global_raft = true;
-  cfg.propose_empty = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::Br() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kBr;
-  cfg.replication = ReplicationMode::kBijective;
-  cfg.ordering = OrderingMode::kRoundSync;
-  cfg.use_global_raft = true;
-  cfg.propose_empty = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::Ebr() {
-  ProtocolConfig cfg;
-  cfg.kind = ProtocolKind::kEbr;
-  cfg.replication = ReplicationMode::kEncodedBijective;
-  cfg.ordering = OrderingMode::kRoundSync;
-  cfg.use_global_raft = true;
-  cfg.propose_empty = true;
-  return cfg;
-}
-
-ProtocolConfig ProtocolConfig::ForKind(ProtocolKind kind) {
+ProtocolShape ShapeOf(ProtocolKind kind) {
+  using R = ReplicationMode;
+  using G = GlobalConsensus;
+  using O = OrderingMode;
   switch (kind) {
     case ProtocolKind::kMassBft:
-      return MassBft();
+      return {R::kEncodedBijective, G::kRaft, O::kAsyncVts};
     case ProtocolKind::kBaseline:
-      return Baseline();
+      return {R::kLeaderOneWay, G::kRaft, O::kRoundSync};
     case ProtocolKind::kGeoBft:
-      return GeoBft();
+      return {R::kLeaderOneWay, G::kNone, O::kRoundSync};
     case ProtocolKind::kSteward:
-      return Steward();
+      return {R::kLeaderOneWay, G::kSingleMaster, O::kFifo};
     case ProtocolKind::kIss:
-      return Iss();
+      return {R::kLeaderOneWay, G::kRaft, O::kEpoch};
     case ProtocolKind::kBr:
-      return Br();
+      return {R::kBijective, G::kRaft, O::kRoundSync};
     case ProtocolKind::kEbr:
-      return Ebr();
+      return {R::kEncodedBijective, G::kRaft, O::kRoundSync};
   }
-  return MassBft();
+  return ShapeOf(ProtocolKind::kMassBft);
 }
 
 }  // namespace massbft

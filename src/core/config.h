@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "ordering/ordering_engine.h"
 #include "sim/actor.h"
 #include "sim/time.h"
 
@@ -29,32 +30,34 @@ enum class ReplicationMode {
   kEncodedBijective,   // Erasure-coded chunks per Algorithm 1 (Fig 5b).
 };
 
-/// How committed entries are globally ordered for execution.
-enum class OrderingMode {
-  kRoundSync,  // One entry per group per round, ordered by gid.
-  kAsyncVts,   // MassBFT Algorithm 2.
-  kFifo,       // Single global log (Steward).
-  kEpoch,      // ISS epoch buckets.
+/// How groups agree on an entry before it may execute.
+enum class GlobalConsensus {
+  kNone,          // A certified entry is final on receipt (GeoBFT).
+  kRaft,          // Each group leads its own global Raft instance.
+  kSingleMaster,  // All entries funnel through group 0's instance (Steward).
 };
 
-/// Full protocol parameterization. The factory functions mirror the paper's
-/// competitor configurations (Section VI, "Competitors").
+/// What sets the evaluated systems apart: one row of paper Table II.
+struct ProtocolShape {
+  ReplicationMode replication;
+  GlobalConsensus global;
+  OrderingMode ordering;
+};
+
+/// The Table II row of `kind`.
+ProtocolShape ShapeOf(ProtocolKind kind);
+
+/// Full protocol parameterization: the protocol, whose shape is
+/// ShapeOf(kind), plus its tunables. The factory functions mirror the
+/// paper's competitor configurations (Section VI, "Competitors").
 struct ProtocolConfig {
   ProtocolKind kind = ProtocolKind::kMassBft;
-  ReplicationMode replication = ReplicationMode::kEncodedBijective;
-  OrderingMode ordering = OrderingMode::kAsyncVts;
-  /// Global Raft accept/commit phases (off for GeoBFT).
-  bool use_global_raft = true;
-  /// All entries proposed through group 0's instance (Steward).
-  bool single_master = false;
 
   /// Batching (paper: fixed 20 ms timeout for all competitors).
   SimTime batch_timeout = 20 * kMillisecond;
   int max_batch_size = 500;
   /// Outstanding (proposed, not globally committed) entries per group.
   int pipeline_depth = 32;
-  /// Propose empty entries on timeout (required for round/epoch liveness).
-  bool propose_empty = false;
 
   /// ISS epoch length (paper: 0.1 s nationwide, 0.5 s worldwide).
   SimTime epoch_length = 100 * kMillisecond;
@@ -65,14 +68,18 @@ struct ProtocolConfig {
 
   CpuModel cpu;
 
-  static ProtocolConfig MassBft();
-  static ProtocolConfig Baseline();
-  static ProtocolConfig GeoBft();
-  static ProtocolConfig Steward();
-  static ProtocolConfig Iss();
-  static ProtocolConfig Br();   // Bijective replication ablation.
-  static ProtocolConfig Ebr();  // Encoded bijective ablation (no async).
-  static ProtocolConfig ForKind(ProtocolKind kind);
+  static ProtocolConfig ForKind(ProtocolKind kind) {
+    ProtocolConfig cfg;
+    cfg.kind = kind;
+    return cfg;
+  }
+  static ProtocolConfig MassBft() { return ForKind(ProtocolKind::kMassBft); }
+  static ProtocolConfig Baseline() { return ForKind(ProtocolKind::kBaseline); }
+  static ProtocolConfig GeoBft() { return ForKind(ProtocolKind::kGeoBft); }
+  static ProtocolConfig Steward() { return ForKind(ProtocolKind::kSteward); }
+  static ProtocolConfig Iss() { return ForKind(ProtocolKind::kIss); }
+  static ProtocolConfig Br() { return ForKind(ProtocolKind::kBr); }
+  static ProtocolConfig Ebr() { return ForKind(ProtocolKind::kEbr); }
 };
 
 }  // namespace massbft

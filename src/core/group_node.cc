@@ -26,6 +26,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
                      FaultConfig fault)
     : Actor(sim, network, id, config.cpu),
       config_(config),
+      shape_(ShapeOf(config.kind)),
       ctx_(ctx),
       fault_(fault),
       tel_(ctx->telemetry),
@@ -79,7 +80,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     // this is what makes Lemma V.1's atomicity argument hold. (Steward's
     // funneled entries are keyed by global sequence; availability is then
     // enforced at the leader that initiates certification.)
-    if (config_.single_master) return true;
+    if (single_master()) return true;
     return HasPayload(Key{decision.target_gid, decision.target_seq});
   };
   cert_cb.on_certified = [this](const DecisionId& decision, Certificate cert) {
@@ -93,8 +94,22 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
       id.group, id, group_size(id.group), LeaderOf(id.group).index,
       std::move(cert_cb));
 
-  if (config_.use_global_raft && IsGroupLeader()) SetupRaft();
-  SetupOrdering();
+  if (shape_.global != GlobalConsensus::kNone && IsGroupLeader()) SetupRaft();
+
+  // ---- Ordering. Leader-only telemetry: the engine runs on every node,
+  // but cluster-wide counters should count each decision once per group.
+  OrderingEngine::Callbacks order_cb;
+  order_cb.can_execute = [this](uint16_t gid, uint64_t seq) {
+    return CanExecute(gid, seq);
+  };
+  order_cb.execute = [this](uint16_t gid, uint64_t seq) {
+    ExecuteEntry(gid, seq);
+  };
+  if (IsGroupLeader()) order_cb.telemetry = tel_;
+  order_cb.trace_track = trace_track_;
+  order_cb.now = [this] { return Now(); };
+  ordering_ = MakeOrderingEngine(shape_.ordering, num_groups(),
+                                 std::move(order_cb));
 
   // ---- Execution.
   ctx_->workload->InstallInitialState(&store_);
@@ -148,7 +163,7 @@ void GroupNode::Start() {
   uint64_t epoch = timer_epoch_;
   if (IsGroupLeader()) {
     After(config_.batch_timeout, [this, epoch] { OnBatchTimer(epoch); });
-    if (config_.ordering == OrderingMode::kEpoch) {
+    if (shape_.ordering == OrderingMode::kEpoch) {
       epoch_first_seq_ = next_local_seq_;
       After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
     }
@@ -190,11 +205,15 @@ void GroupNode::TryFormBatch(bool timer_fired) {
     // timestamps — idle leaders propose empty entries to keep clocks (and
     // the Algorithm 2 inference bounds) moving.
     bool liveness_tick = timer_fired && pending_txns_.empty() &&
-                         config_.ordering == OrderingMode::kAsyncVts &&
+                         shape_.ordering == OrderingMode::kAsyncVts &&
                          HasStaleUnexecuted();
+    // Rounds and epochs need every group's entry to advance, so idle
+    // leaders propose empty ones.
+    bool propose_empty = shape_.ordering == OrderingMode::kRoundSync ||
+                         shape_.ordering == OrderingMode::kEpoch;
     bool timeout_batch =
         timer_fired &&
-        (!pending_txns_.empty() || config_.propose_empty || liveness_tick);
+        (!pending_txns_.empty() || propose_empty || liveness_tick);
     if (!full && !timeout_batch) break;
     timer_fired = false;  // At most one timeout-triggered batch per tick.
 
@@ -259,10 +278,11 @@ void GroupNode::ValidateEntryAsync(EntryPtr entry,
 void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
   Key key{entry->gid(), entry->seq()};
   EntryRecord& rec = GetRecord(key);
-  if (rec.payload_available) return;  // View-change duplicate.
+  // Already stored: Steward's master sends a group's own entry back to
+  // that group, and the copy can beat a follower's local commit.
+  if (rec.payload_available) return;
   rec.entry = entry;
   rec.cert = cert;
-  rec.has_cert = true;
   rec.payload_available = true;
   rec.local_committed_at = Now();
   if (rec.created_at >= 0)
@@ -271,18 +291,17 @@ void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
 
   // Every correct node participates in sending (bijective/encoded modes
   // use followers; one-way modes no-op on followers).
-  if (config_.single_master && my_group() != 0) {
+  if (single_master() && my_group() != 0) {
     if (IsGroupLeader()) ForwardToGlobalMaster(entry, cert);
   } else {
     ReplicateToGroups(entry, cert);
-    if (IsGroupLeader() && config_.use_global_raft && raft_ != nullptr) {
-      if (config_.single_master) {
+    if (raft_ != nullptr) {
+      if (single_master()) {
         // Master funnels its own entries through the global instance too.
         uint64_t gseq = next_global_seq_++;
         global_seq_digest_[gseq] = entry->digest();
         digest_index_[entry->digest()] = key;
-        raft_->Propose(0, gseq, entry->digest(), cert, entry->gid(),
-                       entry->seq());
+        raft_->Propose(0, gseq, entry->digest(), cert);
       } else {
         raft_->Propose(entry->gid(), entry->seq(), entry->digest(), cert);
       }
@@ -297,7 +316,7 @@ void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
 
 void GroupNode::ReplicateToGroups(const EntryPtr& entry,
                                   const Certificate& cert) {
-  switch (config_.replication) {
+  switch (shape_.replication) {
     case ReplicationMode::kLeaderOneWay:
       if (IsGroupLeader()) SendLeaderOneWay(entry, cert);
       break;
@@ -343,23 +362,16 @@ void GroupNode::SendBijective(const EntryPtr& entry, const Certificate& cert) {
 
 std::shared_ptr<const EncodedEntry> GroupNode::GetEncoded(
     const EntryPtr& entry, const TransferPlan& plan, bool tampered) {
-  if (tampered) {
-    auto key = std::make_pair(entry->digest(), plan.n_total());
-    auto it = ctx_->tampered_cache.find(key);
-    if (it != ctx_->tampered_cache.end()) return it->second;
-    auto encoded = EncodeBytesForPlan(TamperedBytes(entry->Encoded()), plan);
-    MASSBFT_CHECK(encoded.ok());
-    auto ptr = std::make_shared<const EncodedEntry>(std::move(*encoded));
-    ctx_->tampered_cache[key] = ptr;
-    return ptr;
-  }
+  auto& cache = tampered ? ctx_->tampered_cache : ctx_->encode_cache;
   auto key = std::make_pair(entry->digest(), plan.n_total());
-  auto it = ctx_->encode_cache.find(key);
-  if (it != ctx_->encode_cache.end()) return it->second;
-  auto encoded = EncodeEntryForPlan(*entry, plan);
+  auto it = cache.find(key);
+  if (it != cache.end()) return it->second;
+  auto encoded =
+      tampered ? EncodeBytesForPlan(TamperedBytes(entry->Encoded()), plan)
+               : EncodeEntryForPlan(*entry, plan);
   MASSBFT_CHECK(encoded.ok());
   auto ptr = std::make_shared<const EncodedEntry>(std::move(*encoded));
-  ctx_->encode_cache[key] = ptr;
+  cache[key] = ptr;
   return ptr;
 }
 
@@ -423,10 +435,11 @@ void GroupNode::OnEntryTransfer(NodeId from, const EntryTransferMsg& msg) {
     StorePayload(key, msg.entry(), msg.cert());
   }
   // A WAN receiver forwards the entry to its whole group over LAN (paper
-  // Section II-A "Global Replication").
+  // Section II-A "Global Replication"): the copy it holds and verified, not
+  // the sender's, which went unchecked if the payload was already here.
   if (from.group != my_group() && !rec.lan_forwarded) {
     rec.lan_forwarded = true;
-    BroadcastLan(std::make_shared<EntryTransferMsg>(msg.entry(), msg.cert()));
+    BroadcastLan(std::make_shared<EntryTransferMsg>(rec.entry, rec.cert));
   }
 }
 
@@ -457,31 +470,26 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
       cpu().ChargeHash(chunk.data.size() + 32 * chunk.proof.path.size());
       // Deterministic-decode cache: if some node already rebuilt and
       // validated this root, adopt the entry (CPU charged all the same).
+      EntryPtr rebuilt;
       auto cached = ctx_->rebuild_cache.find(msg.merkle_root());
       if (cached != ctx_->rebuild_cache.end()) {
-        cpu().ChargeEc(msg.entry_size());
-        cpu().ChargeHash(msg.entry_size());
-        if (IsGroupLeader())
-          tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
-                                rec.first_chunk_at, Now(), key.first,
-                                key.second);
-        StorePayload(key, cached->second, msg.cert());
-        break;
+        rebuilt = cached->second;
+      } else if (rec.rebuilder->AddChunk(msg.merkle_root(), chunk.chunk_id,
+                                         chunk.data, chunk.proof,
+                                         msg.cert()) ==
+                 EntryRebuilder::AddResult::kRebuilt) {
+        rebuilt = rec.rebuilder->entry();
+        ctx_->rebuild_cache[msg.merkle_root()] = rebuilt;
       }
-      auto result = rec.rebuilder->AddChunk(msg.merkle_root(), chunk.chunk_id,
-                                            chunk.data, chunk.proof,
-                                            msg.cert());
-      if (result == EntryRebuilder::AddResult::kRebuilt) {
-        cpu().ChargeEc(msg.entry_size());
-        cpu().ChargeHash(msg.entry_size());
-        ctx_->rebuild_cache[msg.merkle_root()] = rec.rebuilder->entry();
-        if (IsGroupLeader())
-          tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
-                                rec.first_chunk_at, Now(), key.first,
-                                key.second);
-        StorePayload(key, rec.rebuilder->entry(), msg.cert());
-        break;
-      }
+      if (rebuilt == nullptr) continue;
+      cpu().ChargeEc(msg.entry_size());
+      cpu().ChargeHash(msg.entry_size());
+      if (IsGroupLeader())
+        tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
+                              rec.first_chunk_at, Now(), key.first,
+                              key.second);
+      StorePayload(key, std::move(rebuilt), msg.cert());
+      break;
     }
   }
 
@@ -524,7 +532,6 @@ void GroupNode::StorePayload(const Key& key, EntryPtr entry,
   if (rec.payload_available) return;
   rec.entry = std::move(entry);
   rec.cert = cert;
-  rec.has_cert = true;
   rec.payload_available = true;
   rec.rebuilder.reset();
   MarkPayloadAvailable(key);
@@ -532,7 +539,7 @@ void GroupNode::StorePayload(const Key& key, EntryPtr entry,
 
 void GroupNode::MarkPayloadAvailable(const Key& key) {
   EntryRecord& rec = GetRecord(key);
-  if (!config_.use_global_raft && !rec.globally_committed) {
+  if (shape_.global == GlobalConsensus::kNone && !rec.globally_committed) {
     rec.globally_committed = true;  // GeoBFT: receipt is final.
     rec.global_committed_at = Now();
     if (IsGroupLeader() && key.first == my_group()) {
@@ -540,12 +547,11 @@ void GroupNode::MarkPayloadAvailable(const Key& key) {
       TryFormBatch(false);
     }
   }
-  if (config_.single_master && rec.entry != nullptr)
-    digest_index_[rec.entry->digest()] = key;
+  if (single_master()) digest_index_[rec.entry->digest()] = key;
   if (raft_ != nullptr) raft_->NotifyEntryAvailable(key.first, key.second);
   certifier_->RecheckPending();
-  if (config_.single_master) MaybeTranslateGlobalCommits();
-  PokeOrdering();
+  if (single_master()) MaybeTranslateGlobalCommits();
+  ordering_->Poke();
 }
 
 bool GroupNode::HasPayload(const Key& key) const {
@@ -570,7 +576,7 @@ void GroupNode::SetupRaft() {
     return VerifyGroupCert(cert, digest);
   };
   cb.has_entry = [this](uint16_t gid, uint64_t seq) {
-    if (config_.single_master && gid == 0) {
+    if (single_master() && gid == 0) {
       auto it = global_seq_digest_.find(seq);
       if (it == global_seq_digest_.end()) return false;
       auto origin = digest_index_.find(it->second);
@@ -578,9 +584,7 @@ void GroupNode::SetupRaft() {
     }
     return HasPayload(Key{gid, seq});
   };
-  cb.assign_ts = [this](uint16_t gid, uint64_t seq) {
-    return AssignTs(gid, seq);
-  };
+  cb.assign_ts = [this](uint16_t, uint64_t) { return own_clock_; };
   cb.on_committed = [this](uint16_t gid, uint64_t seq) {
     OnRaftCommitted(gid, seq);
   };
@@ -593,12 +597,6 @@ void GroupNode::SetupRaft() {
   cb.trace_track = trace_track_;
   raft_ = std::make_unique<RaftCoordinator>(num_groups(), my_group(),
                                             std::move(cb));
-}
-
-uint64_t GroupNode::AssignTs(uint16_t gid, uint64_t seq) {
-  (void)gid;
-  (void)seq;
-  return own_clock_;
 }
 
 void GroupNode::RelayToGroup(RelayEvent event, bool replay) {
@@ -620,7 +618,7 @@ void GroupNode::FinishSync() {
   std::vector<RelayEvent> buffered;
   buffered.swap(sync_buffer_);
   for (const RelayEvent& event : buffered) RelayToGroup(event);
-  PokeOrdering();
+  ordering_->Poke();
 }
 
 void GroupNode::ApplyRelayEvent(const RelayEvent& event) {
@@ -641,28 +639,25 @@ void GroupNode::ApplyRelayEvent(const RelayEvent& event) {
           TryFormBatch(false);
         }
       }
-      if (config_.ordering == OrderingMode::kFifo)
-        fifo_queue_.push_back(key);
+      ordering_->OnCommitted(event.gid, event.seq);
       // Keep the raft coordinator's contiguous-delivery cursor in sync
       // when commits arrive via catch-up replay instead of raft messages.
-      if (raft_ != nullptr && !config_.single_master)
+      if (raft_ != nullptr && !single_master())
         raft_->NoteCommitted(event.gid, event.seq);
     }
-    PokeOrdering();
+    ordering_->Poke();
   } else if (event.type == RelayEvent::kTimestamp) {
     auto& seen = max_ts_seen_[event.assigner];
     seen = std::max(seen, event.ts);
     recorded_vts_[Key{event.gid, event.seq}][event.assigner] = event.ts;
-    if (vts_ordering_ != nullptr)
-      vts_ordering_->OnTimestamp(event.assigner, event.gid, event.seq,
-                                 event.ts);
-    PokeOrdering();
+    ordering_->OnTimestamp(event.assigner, event.gid, event.seq, event.ts);
+    ordering_->Poke();
   }
 }
 
 void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
   // Leader-side commit delivery, in per-instance order.
-  if (config_.single_master && gid == 0) {
+  if (single_master() && gid == 0) {
     // Translate global sequences to origin entries strictly in order (the
     // payload for a committed global sequence may still be in flight).
     pending_global_commits_.push_back(seq);
@@ -683,8 +678,7 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
   // (only once the freeze round agreed on the value; earlier commits are
   // covered by EmitTakeoverTimestamps via unexecuted_committed_).
   for (uint16_t dead : dead_groups_) {
-    if (raft_ != nullptr && raft_->HasTakenOver(dead) &&
-        frozen_clock_.contains(dead)) {
+    if (raft_->HasTakenOver(dead) && frozen_clock_.contains(dead)) {
       uint64_t frozen = frozen_clock_[dead];
       std::vector<TimestampElement> elements{
           TimestampElement{dead, key.first, key.second, frozen}};
@@ -700,7 +694,7 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
 
 void GroupNode::OnAcceptObserved(uint16_t gid, uint64_t seq,
                                  uint16_t from_group, uint64_t ts) {
-  if (config_.ordering == OrderingMode::kAsyncVts)
+  if (shape_.ordering == OrderingMode::kAsyncVts)
     RelayToGroup(RelayEvent{RelayEvent::kTimestamp, gid, seq, from_group, ts});
 }
 
@@ -712,7 +706,7 @@ void GroupNode::ForwardToGlobalMaster(const EntryPtr& entry,
 }
 
 void GroupNode::OnLeaderForward(const LeaderForwardMsg& msg) {
-  if (!IsGlobalMaster() || !IsGroupLeader()) return;
+  if (!single_master() || my_group() != 0 || raft_ == nullptr) return;
   Key key{msg.entry()->gid(), msg.entry()->seq()};
   if (HasPayload(key)) return;  // Duplicate.
   cpu().ChargeHash(msg.entry()->ByteSize());
@@ -726,8 +720,7 @@ void GroupNode::OnLeaderForward(const LeaderForwardMsg& msg) {
   uint64_t gseq = next_global_seq_++;
   global_seq_digest_[gseq] = msg.entry()->digest();
   digest_index_[msg.entry()->digest()] = key;
-  if (raft_ != nullptr)
-    raft_->Propose(0, gseq, msg.entry()->digest(), msg.cert());
+  raft_->Propose(0, gseq, msg.entry()->digest(), msg.cert());
 }
 
 void GroupNode::MaybeTranslateGlobalCommits() {
@@ -755,11 +748,9 @@ void GroupNode::OnEpochTimer(uint64_t epoch) {
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), marker);
   BroadcastLan(marker);
-  if (epoch_ordering_ != nullptr) {
-    epoch_ordering_->OnEpochSealed(static_cast<uint16_t>(my_group()),
-                                   current_epoch_, epoch_first_seq_, count);
-    PokeOrdering();
-  }
+  ordering_->OnEpochSealed(static_cast<uint16_t>(my_group()), current_epoch_,
+                           count);
+  ordering_->Poke();
   ++current_epoch_;
   epoch_first_seq_ = next_local_seq_;
   After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
@@ -769,12 +760,8 @@ void GroupNode::OnEpochMarker(NodeId from, const EpochMarkerMsg& msg) {
   if (from.group != my_group() && IsGroupLeader())
     BroadcastLan(std::make_shared<EpochMarkerMsg>(msg.gid(), msg.epoch(),
                                                   msg.count()));
-  if (epoch_ordering_ != nullptr) {
-    uint64_t first = epoch_next_first_[msg.gid()];
-    epoch_ordering_->OnEpochSealed(msg.gid(), msg.epoch(), first, msg.count());
-    epoch_next_first_[msg.gid()] = first + msg.count();
-    PokeOrdering();
-  }
+  ordering_->OnEpochSealed(msg.gid(), msg.epoch(), msg.count());
+  ordering_->Poke();
 }
 
 // -------------------------------------------------- MassBFT fault handling
@@ -864,36 +851,6 @@ void GroupNode::OnTimestampAssign(const TimestampAssignMsg& msg) {
 
 // -------------------------------------------------- Ordering & execution
 
-void GroupNode::SetupOrdering() {
-  auto can_execute = [this](uint16_t gid, uint64_t seq) {
-    return CanExecute(gid, seq);
-  };
-  auto execute = [this](uint16_t gid, uint64_t seq) {
-    ExecuteEntry(gid, seq);
-  };
-  switch (config_.ordering) {
-    case OrderingMode::kAsyncVts:
-      vts_ordering_ = std::make_unique<VtsOrderingEngine>(
-          num_groups(), VtsOrderingEngine::Callbacks{can_execute, execute});
-      // Leader-only: the engine runs on every node, but cluster-wide
-      // counters should count each decision once per group.
-      if (IsGroupLeader())
-        vts_ordering_->set_telemetry(tel_, trace_track_,
-                                     [this] { return Now(); });
-      break;
-    case OrderingMode::kRoundSync:
-      round_ordering_ = std::make_unique<RoundOrderingEngine>(
-          num_groups(), RoundOrderingEngine::Callbacks{can_execute, execute});
-      break;
-    case OrderingMode::kEpoch:
-      epoch_ordering_ = std::make_unique<EpochOrderingEngine>(
-          num_groups(), EpochOrderingEngine::Callbacks{can_execute, execute});
-      break;
-    case OrderingMode::kFifo:
-      break;  // fifo_queue_ driven in PokeOrdering.
-  }
-}
-
 bool GroupNode::CanExecute(uint16_t gid, uint64_t seq) const {
   auto it = entries_.find(Key{gid, seq});
   if (it == entries_.end()) return false;
@@ -950,28 +907,6 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   }
 }
 
-void GroupNode::PokeOrdering() {
-  if (vts_ordering_ != nullptr) vts_ordering_->Poke();
-  if (round_ordering_ != nullptr) round_ordering_->Poke();
-  if (epoch_ordering_ != nullptr) epoch_ordering_->Poke();
-  if (config_.ordering == OrderingMode::kFifo) {
-    while (!fifo_queue_.empty()) {
-      Key key = fifo_queue_.front();
-      if (!CanExecute(key.first, key.second)) {
-        // Skip already-executed duplicates; block on genuinely pending.
-        auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.executed) {
-          fifo_queue_.pop_front();
-          continue;
-        }
-        break;
-      }
-      fifo_queue_.pop_front();
-      ExecuteEntry(key.first, key.second);
-    }
-  }
-}
-
 // --------------------------------------------------------------- Dispatch
 
 void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
@@ -994,9 +929,8 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       break;
     case MessageType::kRaftPropose: {
       const auto& propose = static_cast<const RaftProposeMsg&>(*message);
-      if (config_.single_master && propose.gid() == 0) {
+      if (single_master() && propose.gid() == 0)
         global_seq_digest_[propose.seq()] = propose.digest();
-      }
       if (raft_ != nullptr) raft_->OnProposeControl(propose);
       break;
     }
@@ -1102,8 +1036,7 @@ void GroupNode::Recover() {
   if (raft_ != nullptr) {
     for (const auto& [key, rec] : entries_) {
       if (key.first != my_group()) continue;
-      if (!rec.payload_available || !rec.has_cert || rec.globally_committed)
-        continue;
+      if (!rec.payload_available || rec.globally_committed) continue;
       SendLeaderOneWay(rec.entry, rec.cert);
       raft_->Propose(key.first, key.second, rec.entry->digest(), rec.cert);
     }
@@ -1124,7 +1057,7 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg) {
     // Ship every payload we hold past the frontier — entries whose chunks
     // were dropped while the requester was down may not be globally
     // committed yet at snapshot time.
-    if (rec.payload_available && rec.has_cert)
+    if (rec.payload_available)
       SendWan(from, std::make_shared<EntryTransferMsg>(rec.entry, rec.cert));
     if (!rec.globally_committed) continue;
     commits.push_back(

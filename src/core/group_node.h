@@ -18,8 +18,7 @@
 #include "db/aria.h"
 #include "db/kv_store.h"
 #include "obs/telemetry.h"
-#include "ordering/round_ordering.h"
-#include "ordering/vts_ordering.h"
+#include "ordering/ordering_engine.h"
 #include "proto/entry.h"
 #include "proto/messages.h"
 #include "replication/encoder.h"
@@ -62,9 +61,10 @@ struct ClusterContext {
 
 /// One replica node. A single class implements every evaluated protocol
 /// (MassBFT, Baseline, GeoBFT, Steward, ISS and the BR/EBR ablations),
-/// selected by ProtocolConfig — the protocols share batching, local PBFT,
-/// the entry store and execution, and differ only in the replication
-/// strategy, global consensus usage and ordering mode (paper Table II).
+/// selected by ProtocolConfig::kind — the protocols share batching, local
+/// PBFT, the entry store and execution, and differ only in their Table II
+/// row (ShapeOf): the replication send path, global consensus usage and
+/// the ordering engine.
 class GroupNode : public Actor {
  public:
   struct FaultConfig {
@@ -123,8 +123,7 @@ class GroupNode : public Actor {
   struct EntryRecord {
     EntryPtr entry;
     Certificate cert;
-    bool has_cert = false;
-    bool payload_available = false;  // Entry bytes present and validated.
+    bool payload_available = false;  // Entry and its certificate validated.
     bool globally_committed = false;
     bool executed = false;
     bool lan_forwarded = false;
@@ -144,8 +143,8 @@ class GroupNode : public Actor {
   NodeId LeaderOf(int g) const {
     return NodeId{static_cast<uint16_t>(g), 0};
   }
-  bool IsGlobalMaster() const {
-    return config_.single_master && my_group() == 0;
+  bool single_master() const {
+    return shape_.global == GlobalConsensus::kSingleMaster;
   }
   void BroadcastLan(const MessagePtr& msg);
 
@@ -199,7 +198,6 @@ class GroupNode : public Actor {
   void OnRaftCommitted(uint16_t gid, uint64_t seq);
   void OnAcceptObserved(uint16_t gid, uint64_t seq, uint16_t from_group,
                         uint64_t ts);
-  uint64_t AssignTs(uint16_t gid, uint64_t seq);
 
   // ---- Steward single-master flow.
   void ForwardToGlobalMaster(const EntryPtr& entry, const Certificate& cert);
@@ -221,14 +219,13 @@ class GroupNode : public Actor {
   void FinishFreezeRound(uint16_t dead_gid);
 
   // ---- Ordering & execution.
-  void SetupOrdering();
   bool CanExecute(uint16_t gid, uint64_t seq) const;
   void ExecuteEntry(uint16_t gid, uint64_t seq);
-  void PokeOrdering();
   bool IsExecutor() const { return always_execute_ || IsGroupLeader(); }
 
   // ---- Members.
   ProtocolConfig config_;
+  const ProtocolShape shape_;  // ShapeOf(config_.kind).
   ClusterContext* ctx_;
   FaultConfig fault_;
 
@@ -264,13 +261,8 @@ class GroupNode : public Actor {
   std::map<Key, EntryRecord> entries_;
   std::set<Digest> executed_digests_;
 
-  // Ordering engines (one active per config).
-  std::unique_ptr<VtsOrderingEngine> vts_ordering_;
-  std::unique_ptr<RoundOrderingEngine> round_ordering_;
-  std::unique_ptr<EpochOrderingEngine> epoch_ordering_;
-  // Steward FIFO: committed origin keys executed in arrival order, plus
-  // the global-seq -> digest -> origin-key translation tables.
-  std::deque<Key> fifo_queue_;
+  std::unique_ptr<OrderingEngine> ordering_;
+  // Steward: the global-seq -> digest -> origin-key translation tables.
   std::deque<uint64_t> pending_global_commits_;
   std::map<uint64_t, Digest> global_seq_digest_;
   std::map<Digest, Key> digest_index_;
@@ -313,7 +305,6 @@ class GroupNode : public Actor {
   // ISS epoch bookkeeping.
   uint64_t current_epoch_ = 0;
   uint64_t epoch_first_seq_ = 0;
-  std::map<uint16_t, uint64_t> epoch_next_first_;
 };
 
 }  // namespace massbft

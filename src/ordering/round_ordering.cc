@@ -1,78 +1,45 @@
 #include "ordering/round_ordering.h"
 
-#include <utility>
-
 namespace massbft {
 
-RoundOrderingEngine::RoundOrderingEngine(int num_groups, Callbacks callbacks)
-    : num_groups_(num_groups), cb_(std::move(callbacks)) {}
-
-void RoundOrderingEngine::Poke() {
-  if (in_loop_) return;
-  in_loop_ = true;
+void RoundOrderingEngine::RunExecutionLoop() {
   while (true) {
-    // The round may proceed only when every participating group's round-r
-    // entry is executable.
-    bool complete = true;
-    for (int g = 0; g < num_groups_ && complete; ++g) {
-      if (excluded_.contains(static_cast<uint16_t>(g))) continue;
-      if (!cb_.can_execute(static_cast<uint16_t>(g), round_)) complete = false;
-    }
-    if (!complete) break;
-    for (int g = 0; g < num_groups_; ++g) {
-      if (excluded_.contains(static_cast<uint16_t>(g))) continue;
-      cb_.execute(static_cast<uint16_t>(g), round_);
-      ++executed_count_;
-    }
+    // The round may proceed only when every group's round-r entry is
+    // executable.
+    for (int g = 0; g < num_groups_; ++g)
+      if (!CanExecute(static_cast<uint16_t>(g), round_)) return;
+    for (int g = 0; g < num_groups_; ++g)
+      Execute(static_cast<uint16_t>(g), round_);
     ++round_;
   }
-  in_loop_ = false;
 }
-
-void RoundOrderingEngine::ExcludeGroup(uint16_t gid) {
-  excluded_.insert(gid);
-  Poke();
-}
-
-EpochOrderingEngine::EpochOrderingEngine(int num_groups, Callbacks callbacks)
-    : num_groups_(num_groups), cb_(std::move(callbacks)) {}
 
 void EpochOrderingEngine::OnEpochSealed(uint16_t gid, uint64_t epoch,
-                                        uint64_t first_seq, uint64_t count) {
-  plans_[epoch].per_group[gid] = {first_seq, count};
-  Poke();
+                                        uint64_t count) {
+  if (gid >= num_groups_) return;
+  plans_[epoch][gid] = {next_first_[gid], count};
+  next_first_[gid] += count;
 }
 
-void EpochOrderingEngine::Poke() {
-  if (in_loop_) return;
-  in_loop_ = true;
+void EpochOrderingEngine::RunExecutionLoop() {
   while (true) {
     auto it = plans_.find(epoch_);
-    if (it == plans_.end()) break;
-    EpochPlan& plan = it->second;
-    if (static_cast<int>(plan.per_group.size()) < num_groups_) break;
+    if (it == plans_.end()) return;
+    const auto& per_group = it->second;
+    if (static_cast<int>(per_group.size()) < num_groups_) return;
 
     // All groups sealed this epoch; every declared entry must be
     // executable before the barrier opens.
-    bool ready = true;
-    for (const auto& [gid, range] : plan.per_group) {
-      for (uint64_t s = range.first; s < range.first + range.second && ready;
-           ++s)
-        if (!cb_.can_execute(gid, s)) ready = false;
-      if (!ready) break;
-    }
-    if (!ready) break;
+    for (const auto& [gid, range] : per_group)
+      for (uint64_t s = range.first; s < range.first + range.second; ++s)
+        if (!CanExecute(gid, s)) return;
 
-    for (const auto& [gid, range] : plan.per_group) {
-      for (uint64_t s = range.first; s < range.first + range.second; ++s) {
-        cb_.execute(gid, s);
-        ++executed_count_;
-      }
-    }
+    for (const auto& [gid, range] : per_group)
+      for (uint64_t s = range.first; s < range.first + range.second; ++s)
+        Execute(gid, s);
     plans_.erase(it);
     ++epoch_;
   }
-  in_loop_ = false;
 }
 
 }  // namespace massbft

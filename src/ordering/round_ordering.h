@@ -2,47 +2,30 @@
 #define MASSBFT_ORDERING_ROUND_ORDERING_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
+
+#include "ordering/ordering_engine.h"
 
 namespace massbft {
 
 /// Round-based synchronous ordering (the scheme GeoBFT / Baseline / ISS use,
 /// paper Section II-A): in round r every group contributes exactly its
 /// entry with local sequence r; the round executes — in group-id order —
-/// only once every (non-excluded) group's round-r entry is executable.
+/// only once every group's round-r entry is executable.
 /// This is precisely the mechanism that chains fast groups to slow ones
 /// (paper Fig 2), which MassBFT's VTS ordering removes.
-class RoundOrderingEngine {
+class RoundOrderingEngine : public OrderingEngine {
  public:
-  struct Callbacks {
-    /// May e_{gid,seq} execute now (committed + payload present)?
-    std::function<bool(uint16_t gid, uint64_t seq)> can_execute;
-    std::function<void(uint16_t gid, uint64_t seq)> execute;
-  };
-
-  RoundOrderingEngine(int num_groups, Callbacks callbacks);
-
-  /// Re-evaluates round completion (call when commit/payload state
-  /// advances).
-  void Poke();
-
-  /// Removes a group from future rounds (e.g. after it provably crashed).
-  /// Rounds already blocked on it unblock.
-  void ExcludeGroup(uint16_t gid);
+  using OrderingEngine::OrderingEngine;
 
   uint64_t current_round() const { return round_; }
-  uint64_t executed_count() const { return executed_count_; }
 
  private:
-  int num_groups_;
-  Callbacks cb_;
+  void RunExecutionLoop() override;
+
   uint64_t round_ = 0;
-  uint64_t executed_count_ = 0;
-  std::set<uint16_t> excluded_;
-  bool in_loop_ = false;
 };
 
 /// Epoch-bucketed ordering (ISS): entries are grouped into epochs by their
@@ -51,35 +34,26 @@ class RoundOrderingEngine {
 /// epoch, entries run in (gid, seq) order. Frequent epoch boundaries act as
 /// global synchronization barriers — the latency effect the paper reports
 /// for ISS.
-class EpochOrderingEngine {
+class EpochOrderingEngine : public OrderingEngine {
  public:
-  struct Callbacks {
-    std::function<bool(uint16_t gid, uint64_t seq)> can_execute;
-    std::function<void(uint16_t gid, uint64_t seq)> execute;
-  };
+  EpochOrderingEngine(int num_groups, Callbacks callbacks)
+      : OrderingEngine(num_groups, std::move(callbacks)),
+        next_first_(num_groups, 0) {}
 
-  EpochOrderingEngine(int num_groups, Callbacks callbacks);
-
-  /// Group `gid` sealed `epoch` with entries [first_seq, first_seq+count).
-  void OnEpochSealed(uint16_t gid, uint64_t epoch, uint64_t first_seq,
-                     uint64_t count);
-
-  void Poke();
+  /// A group seals its epochs in order, so its epoch starts where the
+  /// previous one's `count` entries ended.
+  void OnEpochSealed(uint16_t gid, uint64_t epoch, uint64_t count) override;
 
   uint64_t current_epoch() const { return epoch_; }
-  uint64_t executed_count() const { return executed_count_; }
 
  private:
-  struct EpochPlan {
-    std::map<uint16_t, std::pair<uint64_t, uint64_t>> per_group;  // first,count
-  };
+  void RunExecutionLoop() override;
 
-  int num_groups_;
-  Callbacks cb_;
+  /// Per epoch, each sealed group's entries [first, first + count).
+  std::map<uint64_t, std::map<uint16_t, std::pair<uint64_t, uint64_t>>>
+      plans_;
+  std::vector<uint64_t> next_first_;  // Per group.
   uint64_t epoch_ = 0;
-  uint64_t executed_count_ = 0;
-  std::map<uint64_t, EpochPlan> plans_;
-  bool in_loop_ = false;
 };
 
 }  // namespace massbft

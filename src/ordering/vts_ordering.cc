@@ -3,32 +3,17 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
-
 namespace massbft {
 
 VtsOrderingEngine::VtsOrderingEngine(int num_groups, Callbacks callbacks)
-    : num_groups_(num_groups), cb_(std::move(callbacks)),
+    : OrderingEngine(num_groups, std::move(callbacks)),
       heads_(num_groups, 0) {
   // Materialize initial heads e_{g,0}: the own element is deterministic
   // (overlapped assignment, vts[g] = seq), others start as lower bound 0.
   for (int g = 0; g < num_groups_; ++g)
     GetEntry(static_cast<uint16_t>(g), 0);
-}
-
-void VtsOrderingEngine::set_telemetry(obs::Telemetry* telemetry,
-                                      uint32_t trace_track,
-                                      std::function<SimTime()> now) {
-  telemetry_ = telemetry;
-  trace_track_ = trace_track;
-  now_ = std::move(now);
-  if (telemetry_ == nullptr) {
-    ts_counter_ = nullptr;
-    exec_counter_ = nullptr;
-    inferred_exec_counter_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& registry = telemetry_->registry();
+  if (cb_.telemetry == nullptr) return;
+  obs::MetricsRegistry& registry = cb_.telemetry->registry();
   ts_counter_ = registry.GetCounter("vts/timestamps_received");
   exec_counter_ = registry.GetCounter("vts/executions");
   inferred_exec_counter_ = registry.GetCounter("vts/inferred_executions");
@@ -68,8 +53,6 @@ void VtsOrderingEngine::OnTimestamp(uint16_t assigner, uint16_t target_gid,
     if (!head.set[assigner])
       head.vts[assigner] = std::max(head.vts[assigner], ts);
   }
-
-  RunExecutionLoop();
 }
 
 bool VtsOrderingEngine::Prec(const EntryState& e1, uint16_t g1,
@@ -108,13 +91,11 @@ int VtsOrderingEngine::GlobalMinimum() const {
 }
 
 void VtsOrderingEngine::RunExecutionLoop() {
-  if (in_loop_) return;  // Execute() callbacks may re-enter via Poke().
-  in_loop_ = true;
   while (true) {
     int g = num_groups_ == 1 ? 0 : GlobalMinimum();
-    if (g < 0) break;
+    if (g < 0) return;
     uint64_t seq = heads_[g];
-    if (!cb_.can_execute(static_cast<uint16_t>(g), seq)) break;
+    if (!CanExecute(static_cast<uint16_t>(g), seq)) return;
 
     // Algorithm 2 lines 9-15: execute, promote the successor to head and
     // seed its unset elements from the predecessor's (valid lower bounds).
@@ -126,17 +107,16 @@ void VtsOrderingEngine::RunExecutionLoop() {
       bool fully_set =
           std::all_of(pre.set.begin(), pre.set.end(), [](bool b) { return b; });
       if (!fully_set) inferred_exec_counter_->Add();
-      obs::TraceRecorder& trace = telemetry_->trace();
-      if (trace.enabled() && now_) {
+      obs::TraceRecorder& trace = cb_.telemetry->trace();
+      if (trace.enabled() && cb_.now) {
         trace.RecordInstant(
-            trace_track_, "vts", "vts_execute", now_(),
+            cb_.trace_track, "vts", "vts_execute", cb_.now(),
             obs::TraceArgs{{{"gid", static_cast<double>(g)},
                             {"seq", static_cast<double>(seq)},
                             {"inferred", fully_set ? 0.0 : 1.0}}});
       }
     }
-    cb_.execute(static_cast<uint16_t>(g), seq);
-    ++executed_count_;
+    Execute(static_cast<uint16_t>(g), seq);
     entries_.erase(Key{static_cast<uint16_t>(g), seq});
     heads_[g] = seq + 1;
     EntryState& nxt = GetEntry(static_cast<uint16_t>(g), seq + 1);
@@ -144,9 +124,6 @@ void VtsOrderingEngine::RunExecutionLoop() {
       if (!nxt.set[j]) nxt.vts[j] = std::max(nxt.vts[j], pre.vts[j]);
     }
   }
-  in_loop_ = false;
 }
-
-void VtsOrderingEngine::Poke() { RunExecutionLoop(); }
 
 }  // namespace massbft

@@ -2,12 +2,11 @@
 #define MASSBFT_ORDERING_VTS_ORDERING_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
-#include "obs/telemetry.h"
-#include "sim/time.h"
+#include "ordering/ordering_engine.h"
 
 namespace massbft {
 
@@ -26,36 +25,12 @@ namespace massbft {
 /// The engine is a pure, deterministic state machine: feed it the same
 /// events in any order consistent with per-group monotonicity and every
 /// node executes the identical sequence (Theorem V.6, agreement).
-class VtsOrderingEngine {
+class VtsOrderingEngine : public OrderingEngine {
  public:
-  struct Callbacks {
-    /// May e_{gid,seq} execute now? (Globally committed and payload
-    /// present on this node.) The engine never executes a head for which
-    /// this returns false; callers re-Poke() when state advances.
-    std::function<bool(uint16_t gid, uint64_t seq)> can_execute;
-    /// Executes e_{gid,seq}. Called in the global deterministic order.
-    std::function<void(uint16_t gid, uint64_t seq)> execute;
-  };
-
   VtsOrderingEngine(int num_groups, Callbacks callbacks);
 
-  /// Wires observability (optional). Counters "vts/timestamps_received",
-  /// "vts/executions" and "vts/inferred_executions" (heads executed before
-  /// their VTS was fully stamped — the paper's asynchronous fast path)
-  /// land in the registry; when tracing and `now` is set, each execution
-  /// emits an instant event on `trace_track`.
-  void set_telemetry(obs::Telemetry* telemetry, uint32_t trace_track,
-                     std::function<SimTime()> now);
-
-  /// Group `assigner` stamped e_{target_gid,target_seq} with clock value
-  /// `ts` (from an accept receipt or a TimestampAssign takeover message).
   void OnTimestamp(uint16_t assigner, uint16_t target_gid,
-                   uint64_t target_seq, uint64_t ts);
-
-  /// Re-runs the execution loop (call when commit/payload state advances).
-  void Poke();
-
-  uint64_t executed_count() const { return executed_count_; }
+                   uint64_t target_seq, uint64_t ts) override;
 
  private:
   struct EntryState {
@@ -70,21 +45,14 @@ class VtsOrderingEngine {
             uint16_t g2) const;
   /// Index of the global-minimum head, or -1 if undecidable.
   int GlobalMinimum() const;
-  void RunExecutionLoop();
+  void RunExecutionLoop() override;
 
-  int num_groups_;
-  Callbacks cb_;
   /// heads_[g] = seq of the next unexecuted entry from group g.
   std::vector<uint64_t> heads_;
   /// States of heads and of future entries with early timestamps.
   std::map<Key, EntryState> entries_;
-  uint64_t executed_count_ = 0;
-  bool in_loop_ = false;
 
   // Pre-resolved observability handles (null when not wired).
-  obs::Telemetry* telemetry_ = nullptr;
-  uint32_t trace_track_ = 0;
-  std::function<SimTime()> now_;
   obs::Counter* ts_counter_ = nullptr;
   obs::Counter* exec_counter_ = nullptr;
   obs::Counter* inferred_exec_counter_ = nullptr;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "ordering/ordering_engine.h"
 #include "ordering/round_ordering.h"
 #include "ordering/vts_ordering.h"
 
@@ -14,27 +17,50 @@ namespace {
 
 using Executed = std::vector<std::pair<uint16_t, uint64_t>>;
 
-/// Test double wiring an ordering engine to an availability set.
-struct VtsHarness {
-  explicit VtsHarness(int num_groups)
-      : engine(num_groups,
-               VtsOrderingEngine::Callbacks{
-                   [this](uint16_t g, uint64_t s) {
-                     return available.count({g, s}) > 0;
-                   },
-                   [this](uint16_t g, uint64_t s) {
-                     executed.push_back({g, s});
-                   }}) {}
+/// Test double wiring an ordering engine to an availability set: an entry
+/// may execute once it is in `available`. Each hook is followed by a
+/// Poke(), as GroupNode does.
+template <typename Engine>
+struct Harness {
+  explicit Harness(int num_groups) : engine(num_groups, Wire()) {}
+
+  OrderingEngine::Callbacks Wire() {
+    OrderingEngine::Callbacks cb;
+    cb.can_execute = [this](uint16_t g, uint64_t s) {
+      return available.contains({g, s});
+    };
+    cb.execute = [this](uint16_t g, uint64_t s) {
+      executed.push_back({g, s});
+    };
+    return cb;
+  }
 
   void MakeAvailable(uint16_t g, uint64_t s) {
     available.insert({g, s});
     engine.Poke();
   }
+  void Commit(uint16_t g, uint64_t s) {
+    engine.OnCommitted(g, s);
+    engine.Poke();
+  }
+  void Stamp(uint16_t assigner, uint16_t g, uint64_t s, uint64_t ts) {
+    engine.OnTimestamp(assigner, g, s, ts);
+    engine.Poke();
+  }
+  void Seal(uint16_t g, uint64_t epoch, uint64_t count) {
+    engine.OnEpochSealed(g, epoch, count);
+    engine.Poke();
+  }
 
   std::set<std::pair<uint16_t, uint64_t>> available;
   Executed executed;
-  VtsOrderingEngine engine;
+  Engine engine;
 };
+
+using VtsHarness = Harness<VtsOrderingEngine>;
+using RoundHarness = Harness<RoundOrderingEngine>;
+using EpochHarness = Harness<EpochOrderingEngine>;
+using FifoHarness = Harness<FifoOrderingEngine>;
 
 TEST(VtsOrderingTest, SingleGroupExecutesInSequence) {
   VtsHarness h(1);
@@ -57,7 +83,7 @@ TEST(VtsOrderingTest, WaitsForTimestampsBeforeExecuting) {
   // comparison gives false both ways until group 0's clock advances —
   // except the identical-vts tie-break needs set bits. Stamp and check the
   // engine does NOT prematurely execute.
-  h.engine.OnTimestamp(1, 0, 0, 0);
+  h.Stamp(1, 0, 0, 0);
   // (0,0): vts = <0(set), 0(set)>. Virtual (1,0): vts = <0(inferred),
   // 0(set)>. Prec((0,0),(1,0)): j=0: e1 set, 0 == 0 but e2.set[0] false ->
   // return false. Correctly blocked.
@@ -65,7 +91,7 @@ TEST(VtsOrderingTest, WaitsForTimestampsBeforeExecuting) {
   // Group 0 stamps an entry of group 1 with ts=1 (its clock advanced past
   // 0): all heads' unset element-0 lower bounds rise to 1, so now
   // (0,0).vts[0]=0 < (1,0).vts[0]>=1 -> (0,0) precedes everything.
-  h.engine.OnTimestamp(0, 1, 0, 1);
+  h.Stamp(0, 1, 0, 1);
   EXPECT_EQ(h.executed, (Executed{{0, 0}}));
 }
 
@@ -80,9 +106,9 @@ TEST(VtsOrderingTest, FastGroupNotBlockedBySlowGroup) {
   // clock advances via commits; group 1's head (1,0) element-0 bound rises
   // as group 0's entries are stamped by group 0 itself... Feed ts events:
   for (uint64_t s = 0; s < 4; ++s) {
-    h.engine.OnTimestamp(1, 0, s, s);      // Slow group's assignments.
-    h.engine.OnTimestamp(0, 0, s, s + 1);  // Own-group observation: raises
-                                           // head(1,0).vts[0] bound.
+    h.Stamp(1, 0, s, s);      // Slow group's assignments.
+    h.Stamp(0, 0, s, s + 1);  // Own-group observation: raises
+                              // head(1,0).vts[0] bound.
   }
   // All four fast-group entries executed; none of the slow group's.
   EXPECT_EQ(h.executed.size(), 4u);
@@ -92,8 +118,8 @@ TEST(VtsOrderingTest, FastGroupNotBlockedBySlowGroup) {
 TEST(VtsOrderingTest, ExecutionBlockedUntilPayloadAvailable) {
   VtsHarness h(2);
   // Make ordering decidable but payload unavailable.
-  h.engine.OnTimestamp(1, 0, 0, 0);
-  h.engine.OnTimestamp(0, 1, 0, 5);
+  h.Stamp(1, 0, 0, 0);
+  h.Stamp(0, 1, 0, 5);
   EXPECT_TRUE(h.executed.empty());
   h.MakeAvailable(0, 0);
   EXPECT_EQ(h.executed, (Executed{{0, 0}}));
@@ -109,7 +135,7 @@ TEST(VtsOrderingTest, TieBrokenBySeqThenGid) {
     for (int assigner = 0; assigner < 3; ++assigner)
       for (int target = 0; target < 3; ++target)
         if (assigner != target)
-          h.engine.OnTimestamp(assigner, target, seq, seq);
+          h.Stamp(assigner, target, seq, seq);
   for (uint64_t seq : {0, 1}) {
     h.MakeAvailable(0, seq);
     h.MakeAvailable(1, seq);
@@ -137,8 +163,8 @@ TEST(VtsOrderingTest, MonotonicPerGroup) {
   // Random but per-assigner-monotone stamping.
   uint64_t clk0 = 0, clk1 = 0;
   for (uint64_t s = 0; s < 20; ++s) {
-    h.engine.OnTimestamp(0, 1, s, ++clk0);
-    h.engine.OnTimestamp(1, 0, s, ++clk1);
+    h.Stamp(0, 1, s, ++clk0);
+    h.Stamp(1, 0, s, ++clk1);
   }
   std::map<uint16_t, uint64_t> next;
   for (auto& [g, s] : h.executed) {
@@ -204,7 +230,7 @@ TEST_P(VtsAgreementTest, PermutedDeliveryYieldsSameOrder) {
       int a = static_cast<int>(perm.NextBelow(kGroups));
       if (idx[a] >= queues[a].size()) continue;
       const Event& e = queues[a][idx[a]++];
-      h.engine.OnTimestamp(e.assigner, e.target, e.seq, e.ts);
+      h.Stamp(e.assigner, e.target, e.seq, e.ts);
       --remaining;
     }
     h.engine.Poke();
@@ -223,25 +249,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VtsAgreementTest,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 99, 12345));
 
 // --------------------------------------------------------- Round ordering
-
-struct RoundHarness {
-  explicit RoundHarness(int num_groups)
-      : engine(num_groups,
-               RoundOrderingEngine::Callbacks{
-                   [this](uint16_t g, uint64_t s) {
-                     return available.count({g, s}) > 0;
-                   },
-                   [this](uint16_t g, uint64_t s) {
-                     executed.push_back({g, s});
-                   }}) {}
-  void MakeAvailable(uint16_t g, uint64_t s) {
-    available.insert({g, s});
-    engine.Poke();
-  }
-  std::set<std::pair<uint16_t, uint64_t>> available;
-  Executed executed;
-  RoundOrderingEngine engine;
-};
 
 TEST(RoundOrderingTest, RoundWaitsForAllGroups) {
   RoundHarness h(3);
@@ -269,15 +276,6 @@ TEST(RoundOrderingTest, GidOrderWithinRound) {
   EXPECT_EQ(h.executed, (Executed{{0, 0}, {1, 0}, {2, 0}}));
 }
 
-TEST(RoundOrderingTest, ExcludedGroupUnblocksRounds) {
-  RoundHarness h(3);
-  h.MakeAvailable(0, 0);
-  h.MakeAvailable(2, 0);
-  EXPECT_TRUE(h.executed.empty());
-  h.engine.ExcludeGroup(1);
-  EXPECT_EQ(h.executed, (Executed{{0, 0}, {2, 0}}));
-}
-
 TEST(RoundOrderingTest, MultipleRoundsExecuteInOrder) {
   RoundHarness h(2);
   for (uint64_t s = 0; s < 3; ++s) {
@@ -291,41 +289,22 @@ TEST(RoundOrderingTest, MultipleRoundsExecuteInOrder) {
 
 // --------------------------------------------------------- Epoch ordering
 
-struct EpochHarness {
-  explicit EpochHarness(int num_groups)
-      : engine(num_groups,
-               EpochOrderingEngine::Callbacks{
-                   [this](uint16_t g, uint64_t s) {
-                     return available.count({g, s}) > 0;
-                   },
-                   [this](uint16_t g, uint64_t s) {
-                     executed.push_back({g, s});
-                   }}) {}
-  void MakeAvailable(uint16_t g, uint64_t s) {
-    available.insert({g, s});
-    engine.Poke();
-  }
-  std::set<std::pair<uint16_t, uint64_t>> available;
-  Executed executed;
-  EpochOrderingEngine engine;
-};
-
 TEST(EpochOrderingTest, EpochWaitsForAllMarkers) {
   EpochHarness h(2);
   h.MakeAvailable(0, 0);
   h.MakeAvailable(0, 1);
   h.MakeAvailable(1, 0);
-  h.engine.OnEpochSealed(0, 0, 0, 2);
+  h.Seal(0, 0, 2);
   EXPECT_TRUE(h.executed.empty());  // Group 1's marker missing.
-  h.engine.OnEpochSealed(1, 0, 0, 1);
+  h.Seal(1, 0, 1);
   EXPECT_EQ(h.executed, (Executed{{0, 0}, {0, 1}, {1, 0}}));
   EXPECT_EQ(h.engine.current_epoch(), 1u);
 }
 
 TEST(EpochOrderingTest, EmptyEpochsAdvance) {
   EpochHarness h(2);
-  h.engine.OnEpochSealed(0, 0, 0, 0);
-  h.engine.OnEpochSealed(1, 0, 0, 0);
+  h.Seal(0, 0, 0);
+  h.Seal(1, 0, 0);
   EXPECT_EQ(h.engine.current_epoch(), 1u);
   EXPECT_TRUE(h.executed.empty());
 }
@@ -333,8 +312,8 @@ TEST(EpochOrderingTest, EmptyEpochsAdvance) {
 TEST(EpochOrderingTest, EpochBlockedOnUnavailableEntry) {
   EpochHarness h(2);
   h.MakeAvailable(0, 0);
-  h.engine.OnEpochSealed(0, 0, 0, 1);
-  h.engine.OnEpochSealed(1, 0, 0, 1);
+  h.Seal(0, 0, 1);
+  h.Seal(1, 0, 1);
   EXPECT_TRUE(h.executed.empty());  // (1,0) not yet replicated.
   h.MakeAvailable(1, 0);
   EXPECT_EQ(h.executed.size(), 2u);
@@ -343,11 +322,85 @@ TEST(EpochOrderingTest, EpochBlockedOnUnavailableEntry) {
 TEST(EpochOrderingTest, ConsecutiveEpochsCarrySequenceRanges) {
   EpochHarness h(1);
   for (uint64_t s = 0; s < 5; ++s) h.MakeAvailable(0, s);
-  h.engine.OnEpochSealed(0, 0, 0, 2);
+  h.Seal(0, 0, 2);
   EXPECT_EQ(h.executed.size(), 2u);
-  h.engine.OnEpochSealed(0, 1, 2, 3);
+  h.Seal(0, 1, 3);
   EXPECT_EQ(h.executed.size(), 5u);
   EXPECT_EQ(h.executed.back(), (std::pair<uint16_t, uint64_t>{0, 4}));
+}
+
+TEST(EpochOrderingTest, EachGroupEpochStartsWhereItsLastEnded) {
+  // Groups contribute different counts; each group's ranges follow on
+  // from its own earlier epochs.
+  EpochHarness h(2);
+  for (uint64_t s = 0; s < 3; ++s) {
+    h.MakeAvailable(0, s);
+    h.MakeAvailable(1, s);
+  }
+  h.Seal(0, 0, 2);
+  h.Seal(1, 0, 1);
+  h.Seal(1, 1, 2);
+  h.Seal(0, 1, 1);
+  EXPECT_EQ(h.executed,
+            (Executed{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {1, 2}}));
+}
+
+// ---------------------------------------------------------- FIFO ordering
+
+TEST(FifoOrderingTest, ExecutesInCommitOrder) {
+  FifoHarness h(3);
+  for (auto [g, s] : Executed{{0, 0}, {1, 0}, {2, 0}, {1, 1}})
+    h.MakeAvailable(g, s);
+  for (auto [g, s] : Executed{{1, 0}, {2, 0}, {0, 0}, {1, 1}})
+    h.Commit(g, s);
+  EXPECT_EQ(h.executed, (Executed{{1, 0}, {2, 0}, {0, 0}, {1, 1}}));
+  EXPECT_EQ(h.engine.executed_count(), 4u);
+}
+
+TEST(FifoOrderingTest, MissingPayloadHoldsBackLaterEntries) {
+  FifoHarness h(2);
+  h.Commit(1, 0);
+  h.Commit(0, 0);
+  h.MakeAvailable(0, 0);
+  EXPECT_TRUE(h.executed.empty());  // (1,0) committed first, not here.
+  h.MakeAvailable(1, 0);
+  EXPECT_EQ(h.executed, (Executed{{1, 0}, {0, 0}}));
+}
+
+TEST(FifoOrderingTest, NothingRunsBeforeItCommits) {
+  FifoHarness h(1);
+  h.MakeAvailable(0, 0);
+  h.MakeAvailable(0, 1);
+  EXPECT_TRUE(h.executed.empty());
+  h.Commit(0, 1);
+  EXPECT_EQ(h.executed, (Executed{{0, 1}}));
+  h.Commit(0, 0);
+  EXPECT_EQ(h.executed, (Executed{{0, 1}, {0, 0}}));
+}
+
+// ------------------------------------------------------ Shared interface
+
+TEST(OrderingEngineTest, PokeFromExecuteDoesNotNest) {
+  // An execute callback that commits and pokes again (GroupNode's
+  // execution can free a pipeline slot and so commit more) must not start
+  // the next entry before it returns.
+  std::vector<std::string> events;
+  std::unique_ptr<OrderingEngine> engine;
+  OrderingEngine::Callbacks cb;
+  cb.can_execute = [](uint16_t, uint64_t) { return true; };
+  cb.execute = [&](uint16_t, uint64_t s) {
+    events.push_back("begin " + std::to_string(s));
+    if (s == 0) {
+      engine->OnCommitted(0, 1);
+      engine->Poke();
+    }
+    events.push_back("end " + std::to_string(s));
+  };
+  engine = MakeOrderingEngine(OrderingMode::kFifo, 1, std::move(cb));
+  engine->OnCommitted(0, 0);
+  engine->Poke();
+  EXPECT_EQ(events, (std::vector<std::string>{"begin 0", "end 0", "begin 1",
+                                              "end 1"}));
 }
 
 }  // namespace
