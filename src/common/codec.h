@@ -107,16 +107,22 @@ class BinaryReader {
     return Status::OK();
   }
 
+  /// Accepts only what PutVarint writes: the minimal encoding (no 0x80
+  /// padding before a final zero byte) of a value that fits in 64 bits.
+  /// So one value has exactly one encoding.
   Status GetVarint(uint64_t* out) {
     uint64_t v = 0;
-    int shift = 0;
-    while (true) {
+    for (int shift = 0;; shift += 7) {
       if (pos_ >= len_) return Status::Corruption("truncated varint");
-      if (shift >= 64) return Status::Corruption("varint too long");
-      uint8_t byte = data_[pos_++];
+      const uint8_t byte = data_[pos_++];
+      if (shift == 63 && byte > 1)
+        return Status::Corruption("varint exceeds 64 bits");
       v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
+      if ((byte & 0x80) == 0) {
+        if (byte == 0 && shift > 0)
+          return Status::Corruption("non-minimal varint");
+        break;
+      }
     }
     *out = v;
     return Status::OK();

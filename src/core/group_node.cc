@@ -943,21 +943,28 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
         raft_->OnCommit(static_cast<const RaftCommitMsg&>(*message));
       break;
     case MessageType::kTimestampAssign:
-      OnTimestampAssign(static_cast<const TimestampAssignMsg&>(*message));
+      // Stamps travel leader to leader (takeover stamps, catch-up replay);
+      // a leader then relays them to its group.
+      if (IsGroupLeader() && IsPeerGroupLeader(from))
+        OnTimestampAssign(static_cast<const TimestampAssignMsg&>(*message));
       break;
     case MessageType::kGroupHeartbeat: {
+      // A heartbeat speaks for its sender's group only.
       const auto& hb = static_cast<const GroupHeartbeatMsg&>(*message);
-      last_heartbeat_[hb.gid()] = Now();
-      if (dead_groups_.contains(hb.gid())) OnGroupRejoined(hb.gid());
+      if (hb.gid() != from.group) break;
+      last_heartbeat_[from.group] = Now();
+      if (dead_groups_.contains(from.group)) OnGroupRejoined(from.group);
       break;
     }
     case MessageType::kGroupRelay: {
       const auto& relay = static_cast<const GroupRelayMsg&>(*message);
-      if (from.group != my_group() && IsGroupLeader()) {
-        // Catch-up replay from a peer group: forward to our own group.
+      if (IsGroupLeader()) {
+        // Catch-up replay from a peer group's leader: forward to our own
+        // group.
+        if (!IsPeerGroupLeader(from)) break;
         for (const RelayEvent& event : relay.events())
           RelayToGroup(event, relay.replay());
-      } else {
+      } else if (from == LeaderOf(my_group())) {
         for (const RelayEvent& event : relay.events()) ApplyRelayEvent(event);
       }
       break;

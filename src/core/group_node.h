@@ -143,6 +143,10 @@ class GroupNode : public Actor {
   NodeId LeaderOf(int g) const {
     return NodeId{static_cast<uint16_t>(g), 0};
   }
+  /// True when `node` leads a group other than this node's.
+  bool IsPeerGroupLeader(NodeId node) const {
+    return node.group != my_group() && node == LeaderOf(node.group);
+  }
   bool single_master() const {
     return shape_.global == GlobalConsensus::kSingleMaster;
   }

@@ -396,6 +396,7 @@ MsgResult DecodeTimestampAssign(BinaryReader* r) {
   uint8_t replay = 0;
   uint64_t count = 0;
   MASSBFT_RETURN_IF_ERROR(r->GetU8(&replay));
+  if (replay > 1) return Status::Corruption("bool out of range");
   MASSBFT_RETURN_IF_ERROR(r->GetVarint(&count));
   MASSBFT_RETURN_IF_ERROR(CheckCount(count, *r));
   std::vector<TimestampElement> elements;
@@ -413,6 +414,7 @@ MsgResult DecodeGroupRelay(BinaryReader* r) {
   uint8_t replay = 0;
   uint64_t count = 0;
   MASSBFT_RETURN_IF_ERROR(r->GetU8(&replay));
+  if (replay > 1) return Status::Corruption("bool out of range");
   MASSBFT_RETURN_IF_ERROR(r->GetVarint(&count));
   MASSBFT_RETURN_IF_ERROR(CheckCount(count, *r));
   std::vector<RelayEvent> events;

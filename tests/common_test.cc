@@ -180,6 +180,23 @@ TEST(CodecTest, MalformedVarintIsCorruption) {
   EXPECT_TRUE(r.GetVarint(&v).IsCorruption());
 }
 
+TEST(CodecTest, NonCanonicalVarintIsCorruption) {
+  // One value, one encoding: padding with 0x80 continuation bytes, or
+  // bits past the 64th in the tenth byte, is rejected.
+  uint64_t v = 0;
+  for (const Bytes& evil : {Bytes{0x81, 0x00}, Bytes{0x80, 0x00},
+                            Bytes{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                  0xFF, 0xFF, 0x02}}) {
+    BinaryReader r(evil);
+    EXPECT_TRUE(r.GetVarint(&v).IsCorruption()) << ToHex(evil);
+  }
+  const Bytes max = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                     0x01};
+  BinaryReader r(max);
+  ASSERT_TRUE(r.GetVarint(&v).ok());
+  EXPECT_EQ(v, ~0ULL);
+}
+
 // ---------------------------------------------------------------- Hex
 
 TEST(BytesTest, ToHex) {

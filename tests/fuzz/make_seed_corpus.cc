@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "net/crc32.h"
 #include "net/wire.h"
 #include "proto/messages.h"
 
@@ -89,15 +90,35 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
     seeds.emplace_back(name, EncodeFrame(msg, src, ts));
   };
 
-  add("pre_prepare", PrePrepareMsg(1, 9, RandEntry(rng), RandSig(rng)));
-  add("prepare", PbftVoteMsg(MessageType::kPrepare, 1, 9, RandDigest(rng),
-                             RandSig(rng)));
-  add("entry_transfer", EntryTransferMsg(RandEntry(rng), RandCert(rng)));
-  add("chunk_batch", ChunkBatchMsg(1, 7, RandDigest(rng), RandCert(rng),
-                                   RandChunks(rng), 4096));
-  add("raft_propose",
-      RaftProposeMsg(1, 99, RandDigest(rng), RandCert(rng),
-                     {TimestampElement{1, 2, 3, 4}}, 2, 55));
+  // Each rng draw is its own statement, in the order the seeds were first
+  // drawn: inside one argument list the order is unspecified.
+  {
+    Signature sig = RandSig(rng);
+    EntryPtr entry = RandEntry(rng);
+    add("pre_prepare", PrePrepareMsg(1, 9, entry, sig));
+  }
+  {
+    Signature sig = RandSig(rng);
+    Digest digest = RandDigest(rng);
+    add("prepare", PbftVoteMsg(MessageType::kPrepare, 1, 9, digest, sig));
+  }
+  {
+    Certificate cert = RandCert(rng);
+    EntryPtr entry = RandEntry(rng);
+    add("entry_transfer", EntryTransferMsg(entry, cert));
+  }
+  {
+    std::vector<Chunk> chunks = RandChunks(rng);
+    Certificate cert = RandCert(rng);
+    Digest root = RandDigest(rng);
+    add("chunk_batch", ChunkBatchMsg(1, 7, root, cert, chunks, 4096));
+  }
+  {
+    Certificate cert = RandCert(rng);
+    Digest digest = RandDigest(rng);
+    add("raft_propose", RaftProposeMsg(1, 99, digest, cert,
+                                       {TimestampElement{1, 2, 3, 4}}, 2, 55));
+  }
   add("heartbeat", GroupHeartbeatMsg(3, 12));
   add("catch_up_done", CatchUpDoneMsg());
   // v3 compact-cert stress: a sparse participation bitmap (high signer
@@ -110,6 +131,25 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
   add("entry_transfer_wide_cert",
       EntryTransferMsg(RandEntry(rng), wide));
   return seeds;
+}
+
+/// `msg`'s frame (a type without a trace context) around a body the
+/// encoder never writes, with the length and CRC fixed up so the bytes
+/// reach the body decoder.
+Bytes Reframe(const ProtocolMessage& msg, const Bytes& body) {
+  Bytes wire = EncodeFrame(msg, NodeId{1, 2}, 0);
+  wire.resize(kFrameHeaderBytes);
+  wire.insert(wire.end(), body.begin(), body.end());
+  auto put_u32 = [&wire](size_t offset, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i)
+      wire[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  };
+  put_u32(kFrameHeaderBytes - 8, static_cast<uint32_t>(body.size()));
+  Crc32 crc;
+  crc.Update(wire.data() + 4, kFrameHeaderBytes - 8);
+  crc.Update(wire.data() + kFrameHeaderBytes, body.size());
+  put_u32(kFrameHeaderBytes - 4, crc.Finish());
+  return wire;
 }
 
 void WriteSeed(const std::filesystem::path& dir, const std::string& name,
@@ -151,6 +191,19 @@ int main(int argc, char** argv) {
     bad_magic[0] ^= 0xFF;
     WriteSeed(decode_dir, "bad_magic", bad_magic.data(), bad_magic.size());
     WriteSeed(decode_dir, "header_only", wire.data(), kFrameHeaderBytes);
+  }
+
+  // Non-canonical bodies with valid CRCs: a bool flag of 2, and a count of
+  // 1 written as the two-byte varint 0x81 0x00. Both must be rejected,
+  // or they would decode and re-encode to different bytes.
+  {
+    const Bytes replay_two =
+        Reframe(TimestampAssignMsg({}, false), Bytes{2, 0});
+    WriteSeed(decode_dir, "bool_flag_two", replay_two.data(),
+              replay_two.size());
+    const Bytes padded = Reframe(CatchUpRequestMsg({}),
+                                 Bytes{0x81, 0x00, 3, 0, 5, 0, 0, 0, 0, 0, 0, 0});
+    WriteSeed(decode_dir, "varint_non_minimal", padded.data(), padded.size());
   }
 
   // Streams for the reassembler: all seed frames back to back, and the

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,9 @@
 
 #include "common/cpu.h"
 #include "common/rng.h"
+#include "consensus/pbft/certifier.h"
+#include "consensus/pbft/pbft.h"
+#include "crypto/sha256.h"
 #include "net/buffer_pool.h"
 #include "net/crc32.h"
 #include "net/rx_ring.h"
@@ -216,6 +220,190 @@ constexpr MessageType kAllTypes[] = {
     MessageType::kFreezeQuery,   MessageType::kFreezeReport,
     MessageType::kCatchUpDone,
 };
+
+// ------------------------------------------------------------ Golden
+
+template <typename Array>
+Array Filled(uint8_t first) {
+  Array a{};
+  for (size_t i = 0; i < a.size(); ++i)
+    a[i] = static_cast<uint8_t>(first + i);
+  return a;
+}
+
+EntryPtr GoldenEntry() {
+  return std::make_shared<const Entry>(
+      1, 5,
+      std::vector<Transaction>{Transaction{11, 22, 33, Bytes{1, 2, 3}},
+                               Transaction{44, 55, 66, Bytes{}}});
+}
+
+Certificate GoldenCert() {
+  Certificate cert;
+  cert.gid = 1;
+  cert.digest = Filled<Digest>(0x40);
+  cert.AddSignature(0, Filled<Signature>(0x10));
+  cert.AddSignature(2, Filled<Signature>(0x80));
+  return cert;
+}
+
+/// One instance of `type` built from literal field values only: no rng,
+/// so no dependence on the unspecified order of argument evaluation.
+std::unique_ptr<ProtocolMessage> GoldenMessage(MessageType type) {
+  using T = MessageType;
+  const DecisionId decision{1, 2, 3, 44, 55};
+  const std::vector<TimestampElement> elements{{1, 2, 3, 4}, {5, 6, 7, 8}};
+  switch (type) {
+    case T::kPrePrepare:
+      return std::make_unique<PrePrepareMsg>(1, 9, GoldenEntry(),
+                                             Filled<Signature>(0x01));
+    case T::kPrepare:
+    case T::kCommit:
+      return std::make_unique<PbftVoteMsg>(type, 1, 9, Filled<Digest>(0x11),
+                                           Filled<Signature>(0x22));
+    case T::kCertifyRequest:
+      return std::make_unique<CertifyRequestMsg>(decision,
+                                                 Filled<Signature>(0x33));
+    case T::kCertifyVote:
+      return std::make_unique<CertifyVoteMsg>(decision,
+                                              Filled<Signature>(0x44));
+    case T::kEntryTransfer:
+      return std::make_unique<EntryTransferMsg>(GoldenEntry(), GoldenCert());
+    case T::kChunkBatch: {
+      Chunk chunk{3, Bytes{9, 8, 7, 6},
+                  MerkleProof{3, 4, {Filled<Digest>(0x50),
+                                     Filled<Digest>(0x60)}}};
+      return std::make_unique<ChunkBatchMsg>(1, 7, Filled<Digest>(0x70),
+                                             GoldenCert(),
+                                             std::vector<Chunk>{chunk}, 4096);
+    }
+    case T::kRaftPropose:
+      return std::make_unique<RaftProposeMsg>(1, 99, Filled<Digest>(0x90),
+                                              GoldenCert(), elements, 2, 55);
+    case T::kRaftAccept:
+      return std::make_unique<RaftAcceptMsg>(1, 3, 2, GoldenCert(), 17);
+    case T::kRaftCommit:
+      return std::make_unique<RaftCommitMsg>(1, 3, GoldenCert());
+    case T::kTimestampAssign:
+      return std::make_unique<TimestampAssignMsg>(elements, true);
+    case T::kGroupHeartbeat:
+      return std::make_unique<GroupHeartbeatMsg>(3, 12);
+    case T::kGroupRelay:
+      return std::make_unique<GroupRelayMsg>(
+          std::vector<RelayEvent>{{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}, false);
+    case T::kEpochMarker:
+      return std::make_unique<EpochMarkerMsg>(2, 5, 300);
+    case T::kLeaderForward:
+      return std::make_unique<LeaderForwardMsg>(GoldenEntry(), GoldenCert());
+    case T::kCatchUpRequest:
+      return std::make_unique<CatchUpRequestMsg>(
+          std::vector<std::pair<uint16_t, uint64_t>>{{0, 5}, {1, 200}});
+    case T::kFreezeQuery:
+      return std::make_unique<FreezeMsg>(type, 2, 0);
+    case T::kFreezeReport:
+      return std::make_unique<FreezeMsg>(type, 2, 41);
+    case T::kCatchUpDone:
+      return std::make_unique<CatchUpDoneMsg>();
+  }
+  return nullptr;
+}
+
+/// SHA-256 of each type's GoldenMessage frame, sent by (1,2) at origin time
+/// 777. A changed hash is a changed wire format: every peer, the golden
+/// runs and the figures' byte counts move with it.
+constexpr std::pair<MessageType, const char*> kGoldenFrameHashes[] = {
+    {MessageType::kPrePrepare, 
+     "df5a2ece16ff41d3466ff05ac2557961d8e6c86daea3466ab0f6fd891de5d427"},
+    {MessageType::kPrepare, 
+     "bde27550bba03383abf16d9d1ed91b4c3ac4e3e418b0fbd32e3ca8d9cd6e29d6"},
+    {MessageType::kCommit, 
+     "74058153a29a924e3c3690d91ae576c8b414933926fd30784acd8336c336f551"},
+    {MessageType::kCertifyRequest, 
+     "e8a5ecf150770b889d9e536778e250174b9be944cb7c5ba0ceeb2f9c44637a34"},
+    {MessageType::kCertifyVote, 
+     "becf29be1ae8f19574b389514a4f6d8d2548bbf8f9a1b135e6c28df6b7c6b7fe"},
+    {MessageType::kEntryTransfer, 
+     "877e990040bcbe63ad50b4175fc963a4cbfd0d1ab7ccb1bf345509ec743c4b0d"},
+    {MessageType::kChunkBatch, 
+     "f1a304d964ce3ec4473d3a91581575301f370074365664b99f4c85dfaedfde72"},
+    {MessageType::kRaftPropose, 
+     "d0c4adce65e54574a6e1b38c674b8c9194a39c41165e77c739e09d9f4e4f8699"},
+    {MessageType::kRaftAccept, 
+     "9ad6d50fe2fee9bdea497e5aee0a748e7b326973afc718edac9f19b9993502ca"},
+    {MessageType::kRaftCommit, 
+     "f8a4fef6e6005d27d68d54e25f739b5a4bce107fec520f677dace7036d86b2f1"},
+    {MessageType::kTimestampAssign, 
+     "53c5dd361bdc26d2fd4fcd05d12ba6391c4dfb54ec0ab8ad49f8c3f1d0f15b04"},
+    {MessageType::kGroupHeartbeat, 
+     "98449f37166b543df0176eedbdc494cea35e7cb2b396347bb28fc983baf22b2a"},
+    {MessageType::kGroupRelay, 
+     "5a70866752b000918dd67743e63eb4559561f4ab3ef8d0002d0d59b9e924aba6"},
+    {MessageType::kEpochMarker, 
+     "13f44e77417b0dabe4a7e54d44dfa1c153b9906b863144466a1d56d4f42e7f93"},
+    {MessageType::kLeaderForward, 
+     "9cd8c6892ab89c4369299e1d2717dd08436c1e065a3661cbd384c3253d233c57"},
+    {MessageType::kCatchUpRequest, 
+     "b46c9778da6c054855e3a1d43d8214e32cd3ef24a85042de339e649da126f097"},
+    {MessageType::kFreezeQuery, 
+     "c8db44afebf1bcf2a61717f71c8080412c4096520c05baf957d042fbffea254f"},
+    {MessageType::kFreezeReport, 
+     "088f5e5083c2240f9f165fe52ab20bc8ea00d99c79c9f7bcd1b66858a8c2673a"},
+    {MessageType::kCatchUpDone, 
+     "e6207152aadd389e1dc99cd7da1115552ffde1c66515fd190ca5dbb22d0b5872"},
+};
+
+TEST(WireGoldenTest, EveryTypeEncodesToRecordedBytes) {
+  ASSERT_EQ(std::size(kGoldenFrameHashes), std::size(kAllTypes));
+  for (const auto& [type, hash] : kGoldenFrameHashes) {
+    auto msg = GoldenMessage(type);
+    ASSERT_NE(msg, nullptr);
+    const Bytes wire = EncodeFrame(*msg, NodeId{1, 2}, 777);
+    EXPECT_EQ(DigestToHex(Sha256::Hash(wire)), hash)
+        << MessageTypeName(type);
+  }
+}
+
+/// The exact bytes PbftEngine hands its sign callback: a one-node group's
+/// leader signs its pre-prepare and then its commit; a follower of a
+/// four-node group signs its prepare. Plus the digest a DecisionId
+/// certificate signs. A change here invalidates every signature peers hold.
+TEST(WireGoldenTest, SignedBytesAreRecorded) {
+  std::vector<Bytes> signed_bytes;
+  auto callbacks = [&signed_bytes] {
+    PbftEngine::Callbacks cb;
+    cb.broadcast = [](MessagePtr) {};
+    cb.sign = [&signed_bytes](const Bytes& payload) {
+      signed_bytes.push_back(payload);
+      return Signature{};
+    };
+    cb.verify = [](NodeId, const Bytes&, const Signature&) { return true; };
+    cb.validate_entry = [](EntryPtr, std::function<void(bool)> done) {
+      done(true);
+    };
+    cb.on_committed = [](EntryPtr, Certificate) {};
+    return cb;
+  };
+  PbftEngine leader(1, NodeId{1, 0}, 1, callbacks());
+  leader.Propose(GoldenEntry());
+  PbftEngine follower(1, NodeId{1, 1}, 4, callbacks());
+  follower.OnMessage(NodeId{1, 0}, std::make_shared<PrePrepareMsg>(
+                                       0, 9, GoldenEntry(), Signature{}));
+  ASSERT_EQ(signed_bytes.size(), 3u);
+  // Pre-prepare: phase, gid, view, seq, entry digest.
+  EXPECT_EQ(ToHex(signed_bytes[0]),
+            "0a" "0100" "0000000000000000" "0000000000000000"
+            "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
+  // Commit: the bare entry digest (the certificate's signed value).
+  EXPECT_EQ(ToHex(signed_bytes[1]),
+            "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
+  // Prepare for seq 9.
+  EXPECT_EQ(ToHex(signed_bytes[2]),
+            "0b" "0100" "0000000000000000" "0900000000000000"
+            "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
+  EXPECT_EQ(
+      DigestToHex(DigestCertifier::DecisionDigest(DecisionId{1, 2, 3, 44, 55})),
+      "1516b59cc02459be0c726e336f3d4ce0a31ce205a3ded11f3bcce1f2396088f7");
+}
 
 // ------------------------------------------------------------ Roundtrip
 
@@ -426,23 +614,59 @@ TEST(WireMalformedTest, OversizedBodyLengthIsRejected) {
   EXPECT_FALSE(DecodeFrame(wire).ok());
 }
 
-TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
-  // A GroupRelay body claiming 2^28 events in a 12-byte frame must fail
-  // the plausibility check, not attempt a giant allocation.
-  BinaryWriter body;
-  body.PutVarint(1u << 28);
-  GroupRelayMsg sample({}, false);
-  Bytes wire = EncodeFrame(sample, NodeId{0, 0});
+/// `msg`'s frame (a type without a trace context) with its body replaced
+/// by `body` and the length and CRC fixed up, so the bytes reach the body
+/// decoder.
+Bytes Reframe(const ProtocolMessage& msg, const Bytes& body) {
+  Bytes wire = EncodeFrame(msg, NodeId{0, 0});
   wire.resize(kFrameHeaderBytes);
-  wire.insert(wire.end(), body.buffer().begin(), body.buffer().end());
-  uint32_t body_len = static_cast<uint32_t>(body.size());
+  wire.insert(wire.end(), body.begin(), body.end());
+  const uint32_t body_len = static_cast<uint32_t>(body.size());
   for (int i = 0; i < 4; ++i)
     wire[11 + static_cast<size_t>(i)] =
         static_cast<uint8_t>(body_len >> (8 * i));
   FixCrc(wire);
-  auto frame = DecodeFrame(wire);
+  return wire;
+}
+
+TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
+  // A GroupRelay body claiming 2^28 events in a 5-byte body must fail
+  // the plausibility check, not attempt a giant allocation.
+  BinaryWriter body;
+  body.PutU8(0);  // replay
+  body.PutVarint(1u << 28);
+  auto frame = DecodeFrame(Reframe(GroupRelayMsg({}, false), body.buffer()));
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsCorruption());
+}
+
+/// Accepted frames are canonical: one message has one encoding. A `replay`
+/// flag of 2 would decode as true and re-encode as 1.
+TEST(WireMalformedTest, BoolOtherThanZeroOrOneIsRejected) {
+  const Bytes two = {2, 0};  // replay = 2, no elements.
+  const Bytes one = {1, 0};
+  for (const Bytes& wire : {Reframe(TimestampAssignMsg({}, false), two),
+                            Reframe(GroupRelayMsg({}, false), two)}) {
+    auto frame = DecodeFrame(wire);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_TRUE(frame.status().IsCorruption());
+  }
+  EXPECT_TRUE(DecodeFrame(Reframe(TimestampAssignMsg({}, false), one)).ok());
+}
+
+/// A count of 1 written as 0x81 0x00 names the same value as 0x01: the
+/// decoder takes only the minimal form.
+TEST(WireMalformedTest, NonMinimalVarintIsRejected) {
+  const Bytes pair = {3, 0, 5, 0, 0, 0, 0, 0, 0, 0};  // gid 3, next 5.
+  Bytes padded = {0x81, 0x00};
+  padded.insert(padded.end(), pair.begin(), pair.end());
+  Bytes minimal = {0x01};
+  minimal.insert(minimal.end(), pair.begin(), pair.end());
+  const CatchUpRequestMsg sample({});
+  auto frame = DecodeFrame(Reframe(sample, padded));
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsCorruption());
+  EXPECT_TRUE(DecodeFrame(Reframe(sample, minimal)).ok());
 }
 
 /// Fuzz-ish: random corruption of one byte anywhere in the frame must
