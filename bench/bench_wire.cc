@@ -104,7 +104,8 @@ struct CountingSink {
 std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
   std::vector<std::unique_ptr<ProtocolMessage>> cycle;
   if (!mixed) {
-    cycle.push_back(std::make_unique<GroupHeartbeatMsg>(1, 42));
+    cycle.push_back(std::make_unique<Message<GroupHeartbeat>>(
+        MessageType::kGroupHeartbeat, GroupHeartbeat{1, 42}));
     return cycle;
   }
   Rng rng(20250808);
@@ -117,15 +118,17 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
   // running cluster's frame mix by count, heavily skewed to small frames
   // while the bytes are dominated by the large ones.
   for (int i = 0; i < 8; ++i)
-    cycle.push_back(std::make_unique<GroupHeartbeatMsg>(
-        static_cast<uint16_t>(i), static_cast<uint64_t>(i)));
+    cycle.push_back(std::make_unique<Message<GroupHeartbeat>>(
+        MessageType::kGroupHeartbeat,
+        GroupHeartbeat{static_cast<uint16_t>(i), static_cast<uint64_t>(i)}));
   for (int i = 0; i < 4; ++i) {
     Digest digest{};
     Signature sig{};
     for (auto& b : digest) b = static_cast<uint8_t>(rng.NextU64());
     for (auto& b : sig) b = static_cast<uint8_t>(rng.NextU64());
-    cycle.push_back(std::make_unique<PbftVoteMsg>(
-        MessageType::kPrepare, 1, static_cast<uint64_t>(i), digest, sig));
+    cycle.push_back(std::make_unique<Message<PbftVote>>(
+        MessageType::kPrepare,
+        PbftVote{1, static_cast<uint64_t>(i), digest, sig}));
   }
   for (int i = 0; i < 2; ++i) {
     std::vector<Transaction> txns(4);
@@ -136,7 +139,8 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
     }
     auto entry = std::make_shared<const Entry>(1, static_cast<uint64_t>(i),
                                                std::move(txns));
-    cycle.push_back(std::make_unique<EntryTransferMsg>(entry, Certificate{}));
+    cycle.push_back(std::make_unique<Message<CertifiedEntry>>(
+        MessageType::kEntryTransfer, CertifiedEntry{entry, Certificate{}}));
   }
   {
     Digest root{};
@@ -147,8 +151,9 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
       chunks[i].proof.index = i;
       chunks[i].proof.leaf_count = 4;
     }
-    cycle.push_back(std::make_unique<ChunkBatchMsg>(
-        1, 7, root, Certificate{}, std::move(chunks), 32768));
+    cycle.push_back(std::make_unique<Message<ChunkBatch>>(
+        MessageType::kChunkBatch,
+        ChunkBatch{1, 7, root, 32768, Certificate{}, std::move(chunks)}));
   }
   return cycle;
 }

@@ -10,8 +10,7 @@
 
 namespace massbft {
 
-/// Encoded size of `v` as an unsigned LEB128 varint (1-10 bytes). Lets
-/// ByteSize() helpers stay exact without running an encoder.
+/// Encoded size of `v` as an unsigned LEB128 varint (1-10 bytes).
 constexpr size_t VarintSize(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -85,6 +84,24 @@ class BinaryWriter {
   }
 
   Bytes buf_;
+};
+
+/// Counts the bytes a BinaryWriter would append, writing nothing: running
+/// an encoder against this sink gives the encoding's exact size.
+class ByteCounter {
+ public:
+  void PutU8(uint8_t) { n_ += 1; }
+  void PutU16(uint16_t) { n_ += 2; }
+  void PutU32(uint32_t) { n_ += 4; }
+  void PutU64(uint64_t) { n_ += 8; }
+  void PutVarint(uint64_t v) { n_ += VarintSize(v); }
+  void PutBytes(const Bytes& b) { n_ += VarintSize(b.size()) + b.size(); }
+  void PutRaw(const uint8_t*, size_t len) { n_ += len; }
+
+  size_t size() const { return n_; }
+
+ private:
+  size_t n_ = 0;
 };
 
 /// Bounds-checked little-endian decoder over a borrowed buffer. Every getter

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/codec.h"
 #include "common/logging.h"
 
 namespace massbft {
@@ -16,13 +15,7 @@ DigestCertifier::DigestCertifier(uint16_t gid, NodeId self, int group_size,
 }
 
 Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
-  BinaryWriter w(32);
-  w.PutU8(decision.kind);
-  w.PutU16(decision.voter_gid);
-  w.PutU16(decision.target_gid);
-  w.PutU64(decision.target_seq);
-  w.PutU64(decision.ts);
-  return Sha256::Hash(w.buffer());
+  return Sha256::Hash(field::ToBytes(decision));
 }
 
 void DigestCertifier::Start(const DecisionId& decision) {
@@ -35,7 +28,8 @@ void DigestCertifier::Start(const DecisionId& decision) {
   Signature own = cb_.sign(payload);
   p.votes[self_.index] = own;
   p.voted = true;
-  cb_.broadcast(std::make_shared<CertifyRequestMsg>(decision, own));
+  cb_.broadcast(
+      NewMessage(MessageType::kCertifyRequest, SignedDecision{decision, own}));
 
   // Degenerate single-node group: the leader's own share is the quorum.
   if (!p.certified && static_cast<int>(p.votes.size()) >= quorum()) {
@@ -53,25 +47,25 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   switch (static_cast<MessageType>(message->type())) {
     case MessageType::kCertifyRequest: {
       if (from.index != leader_) return;  // Only the leader certifies.
-      const auto& req = static_cast<const CertifyRequestMsg&>(*message);
-      Digest digest = DecisionDigest(req.decision());
+      const auto& req = BodyOf<SignedDecision>(*message);
+      Digest digest = DecisionDigest(req.decision);
       Bytes payload(digest.begin(), digest.end());
-      if (!cb_.verify(from, payload, req.sig())) return;
-      Pending& p = pending_[req.decision()];
-      p.decision = req.decision();
+      if (!cb_.verify(from, payload, req.sig)) return;
+      Pending& p = pending_[req.decision];
+      p.decision = req.decision;
       TryVote(p);
       break;
     }
     case MessageType::kCertifyVote: {
-      const auto& vote = static_cast<const CertifyVoteMsg&>(*message);
-      auto it = pending_.find(vote.decision());
+      const auto& vote = BodyOf<SignedDecision>(*message);
+      auto it = pending_.find(vote.decision);
       if (it == pending_.end()) return;  // We never started this decision.
       Pending& p = it->second;
       if (p.certified) return;
-      Digest digest = DecisionDigest(vote.decision());
+      Digest digest = DecisionDigest(vote.decision);
       Bytes payload(digest.begin(), digest.end());
-      if (!cb_.verify(from, payload, vote.sig())) return;
-      p.votes.emplace(from.index, vote.sig());
+      if (!cb_.verify(from, payload, vote.sig)) return;
+      p.votes.emplace(from.index, vote.sig);
       if (static_cast<int>(p.votes.size()) >= quorum()) {
         p.certified = true;
         Certificate cert;
@@ -99,7 +93,8 @@ void DigestCertifier::TryVote(Pending& p) {
   Bytes payload(digest.begin(), digest.end());
   Signature sig = cb_.sign(payload);
   cb_.send_to(NodeId{gid_, leader_},
-              std::make_shared<CertifyVoteMsg>(p.decision, sig));
+              NewMessage(MessageType::kCertifyVote,
+                         SignedDecision{p.decision, sig}));
 }
 
 void DigestCertifier::RecheckPending() {

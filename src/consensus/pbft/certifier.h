@@ -50,8 +50,9 @@ class DigestCertifier {
   DigestCertifier(uint16_t gid, NodeId self, int group_size, uint16_t leader,
                   Callbacks callbacks);
 
-  /// The digest all parties sign for a decision (also what remote groups
-  /// verify a resulting Certificate against).
+  /// The digest all parties sign for a decision, the SHA-256 of its
+  /// encoding (also what remote groups verify a resulting Certificate
+  /// against).
   static Digest DecisionDigest(const DecisionId& decision);
 
   /// Leader: starts certification of `decision`.

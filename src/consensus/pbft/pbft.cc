@@ -1,11 +1,25 @@
 #include "consensus/pbft/pbft.h"
 
+#include <tuple>
 #include <utility>
 
-#include "common/codec.h"
 #include "common/logging.h"
 
 namespace massbft {
+
+namespace {
+
+/// What a pre-prepare or prepare signature covers.
+struct VoteStatement {
+  uint8_t phase = 0;  // MessageType.
+  uint16_t gid = 0;
+  uint64_t view = 0;
+  uint64_t seq = 0;
+  Digest digest{};
+  auto Fields() { return std::tie(phase, gid, view, seq, digest); }
+};
+
+}  // namespace
 
 PbftEngine::PbftEngine(uint16_t gid, NodeId self, int group_size,
                        Callbacks callbacks)
@@ -39,13 +53,8 @@ Bytes PbftEngine::VotePayload(uint64_t view, uint64_t seq,
   // already binds the entry identity (gid, seq, transactions).
   if (phase == MessageType::kCommit)
     return Bytes(digest.begin(), digest.end());
-  BinaryWriter w(64);
-  w.PutU8(static_cast<uint8_t>(phase));
-  w.PutU16(gid_);
-  w.PutU64(view);
-  w.PutU64(seq);
-  w.PutRaw(digest.data(), digest.size());
-  return w.Release();
+  return field::ToBytes(
+      VoteStatement{static_cast<uint8_t>(phase), gid_, view, seq, digest});
 }
 
 uint64_t PbftEngine::Propose(EntryPtr entry) {
@@ -56,7 +65,8 @@ uint64_t PbftEngine::Propose(EntryPtr entry) {
                           // client signatures on ingest.
   Signature sig = cb_.sign(
       VotePayload(view_, seq, entry->digest(), MessageType::kPrePrepare));
-  cb_.broadcast(std::make_shared<PrePrepareMsg>(view_, seq, entry, sig));
+  cb_.broadcast(
+      NewMessage(MessageType::kPrePrepare, PrePrepare{view_, seq, entry, sig}));
   AdoptProposal(seq, std::move(entry), sig);
   MaybePrepare(seq);
   return seq;
@@ -75,20 +85,22 @@ void PbftEngine::AdoptProposal(uint64_t seq, EntryPtr entry,
                         pre_prepare_sig);
   // Votes that raced ahead of the pre-prepare now learn which digest
   // counts.
-  std::map<std::pair<MessageType, uint16_t>, VotePtr> early;
+  std::map<std::pair<MessageType, uint16_t>, PbftVote> early;
   early.swap(inst.early_votes);
-  for (const auto& [key, vote] : early) OnVote(NodeId{gid_, key.second}, vote);
+  for (const auto& [key, vote] : early)
+    OnVote(NodeId{gid_, key.second}, key.first, vote);
 }
 
 void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
   if (from.group != gid_) return;  // Local consensus is intra-group only.
-  switch (static_cast<MessageType>(message->type())) {
+  const auto type = static_cast<MessageType>(message->type());
+  switch (type) {
     case MessageType::kPrePrepare:
-      OnPrePrepare(from, static_cast<const PrePrepareMsg&>(*message));
+      OnPrePrepare(from, BodyOf<PrePrepare>(*message));
       break;
     case MessageType::kPrepare:
     case MessageType::kCommit:
-      OnVote(from, std::static_pointer_cast<const PbftVoteMsg>(message));
+      OnVote(from, type, BodyOf<PbftVote>(*message));
       break;
     default:
       MASSBFT_LOG(kWarn) << "pbft: unexpected message type "
@@ -96,67 +108,64 @@ void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
   }
 }
 
-void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
-  if (msg.view() != view_) return;
+void PbftEngine::OnPrePrepare(NodeId from, const PrePrepare& msg) {
+  if (msg.view != view_) return;
   if (from.index != leader_index()) return;  // Only the leader proposes.
-  Instance& inst = GetInstance(msg.seq());
+  Instance& inst = GetInstance(msg.seq);
   if (inst.digest_known) return;  // Duplicate (or equivocation; first wins —
                                   // equivocation cannot gather two quorums).
   if (!cb_.verify(from,
-                  VotePayload(msg.view(), msg.seq(), msg.entry()->digest(),
+                  VotePayload(msg.view, msg.seq, msg.entry->digest(),
                               MessageType::kPrePrepare),
-                  msg.sig()))
+                  msg.sig))
     return;
 
-  uint64_t seq = msg.seq();
-  AdoptProposal(seq, msg.entry(), msg.sig());
+  uint64_t seq = msg.seq;
+  AdoptProposal(seq, msg.entry, msg.sig);
 
   // Validate the batch (per-transaction signature verification — the
   // dominant CPU cost of local consensus per the paper's Fig 11), then
   // vote prepare.
-  cb_.validate_entry(msg.entry(), [this, seq](bool valid) {
+  cb_.validate_entry(msg.entry, [this, seq](bool valid) {
     if (!valid) return;  // Faulty leader: the instance never prepares.
     Instance& inst = GetInstance(seq);
     inst.validated = true;
     Signature own =
         cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare));
     inst.prepares[self_.index] = own;
-    cb_.broadcast(std::make_shared<PbftVoteMsg>(MessageType::kPrepare, view_,
-                                                seq, inst.digest, own));
+    cb_.broadcast(NewMessage(MessageType::kPrepare,
+                             PbftVote{view_, seq, inst.digest, own}));
     MaybePrepare(seq);
     MaybeCommit(seq);
   });
 }
 
-void PbftEngine::OnVote(NodeId from, const VotePtr& msg) {
-  if (msg->view() != view_) return;
-  Instance& inst = GetInstance(msg->seq());
+void PbftEngine::OnVote(NodeId from, MessageType phase, const PbftVote& vote) {
+  if (vote.view != view_) return;
+  Instance& inst = GetInstance(vote.seq);
   if (!inst.digest_known) {
     // Which digest counts is unknown until the pre-prepare: hold the vote,
     // unchecked, until then (the first per signer and phase).
-    inst.early_votes.try_emplace({msg->message_type(), from.index}, msg);
+    inst.early_votes.try_emplace({phase, from.index}, vote);
     return;
   }
   // Only votes for the pre-prepared digest count, and the comparison is
   // cheaper than the signature check.
-  if (msg->digest() != inst.digest) return;
+  if (vote.digest != inst.digest) return;
   auto& votes =
-      msg->message_type() == MessageType::kPrepare ? inst.prepares
-                                                   : inst.commits;
+      phase == MessageType::kPrepare ? inst.prepares : inst.commits;
   // A check that cannot change the outcome is skipped: the signer has
   // already voted, or the phase already has its quorum.
   if (votes.contains(from.index) ||
       static_cast<int>(votes.size()) >= quorum())
     return;
-  if (!cb_.verify(from,
-                  VotePayload(msg->view(), msg->seq(), msg->digest(),
-                              msg->message_type()),
-                  msg->sig()))
+  if (!cb_.verify(from, VotePayload(vote.view, vote.seq, vote.digest, phase),
+                  vote.sig))
     return;
 
-  votes.emplace(from.index, msg->sig());
-  MaybePrepare(msg->seq());
-  MaybeCommit(msg->seq());
+  votes.emplace(from.index, vote.sig);
+  MaybePrepare(vote.seq);
+  MaybeCommit(vote.seq);
 }
 
 void PbftEngine::MaybePrepare(uint64_t seq) {
@@ -175,8 +184,8 @@ void PbftEngine::MaybePrepare(uint64_t seq) {
   Signature own =
       cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kCommit));
   inst.commits[self_.index] = own;
-  cb_.broadcast(std::make_shared<PbftVoteMsg>(MessageType::kCommit, view_, seq,
-                                              inst.digest, own));
+  cb_.broadcast(NewMessage(MessageType::kCommit,
+                           PbftVote{view_, seq, inst.digest, own}));
   MaybeCommit(seq);
 }
 

@@ -80,8 +80,6 @@ class PbftEngine {
   uint64_t committed_count() const { return committed_count_; }
 
  private:
-  using VotePtr = std::shared_ptr<const PbftVoteMsg>;
-
   struct Instance {
     EntryPtr entry;
     Digest digest{};
@@ -95,7 +93,7 @@ class PbftEngine {
     std::map<uint16_t, Signature> commits;
     // Unverified votes that arrived before the pre-prepare, keyed by
     // (phase, signer index); replayed by AdoptProposal.
-    std::map<std::pair<MessageType, uint16_t>, VotePtr> early_votes;
+    std::map<std::pair<MessageType, uint16_t>, PbftVote> early_votes;
     // Observability timestamps (set only when Callbacks::now is wired).
     SimTime started_at = -1;
     SimTime prepared_at = -1;
@@ -110,8 +108,8 @@ class PbftEngine {
   /// that arrived before it, now checked against the digest.
   void AdoptProposal(uint64_t seq, EntryPtr entry,
                      const Signature& pre_prepare_sig);
-  void OnPrePrepare(NodeId from, const PrePrepareMsg& msg);
-  void OnVote(NodeId from, const VotePtr& msg);
+  void OnPrePrepare(NodeId from, const PrePrepare& msg);
+  void OnVote(NodeId from, MessageType phase, const PbftVote& vote);
   void MaybePrepare(uint64_t seq);
   void MaybeCommit(uint64_t seq);
   /// Records one PBFT sub-phase into the registry histogram and (when

@@ -28,8 +28,9 @@ void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
 
   // Receivers map a Steward global sequence back to its entry by digest,
   // so the message's origin fields stay zero.
-  auto msg = std::make_shared<RaftProposeMsg>(
-      gid, seq, digest, cert, std::vector<TimestampElement>{});
+  auto msg = NewMessage(MessageType::kRaftPropose,
+                        RaftPropose{gid, seq, digest, cert, /*origin_gid=*/0,
+                                    /*origin_seq=*/0, /*piggyback=*/{}});
   for (int g = 0; g < num_groups_; ++g) {
     if (g == my_group_) continue;
     cb_.send_to_group(g, msg);
@@ -41,8 +42,8 @@ void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
     DecisionId decision{DigestCertifier::kCommitDecision,
                         static_cast<uint16_t>(my_group_), gid, seq, 0};
     cb_.certify(decision, [this, gid, seq](Certificate commit_cert) {
-      auto commit = std::make_shared<RaftCommitMsg>(gid, seq,
-                                                    std::move(commit_cert));
+      auto commit = NewMessage(MessageType::kRaftCommit,
+                               RaftCommit{gid, seq, std::move(commit_cert)});
       for (int g = 0; g < num_groups_; ++g)
         if (g != my_group_) cb_.send_to_group(g, commit);
       MarkCommitted(gid, seq);
@@ -50,25 +51,25 @@ void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
   }
 }
 
-void RaftCoordinator::OnProposeControl(const RaftProposeMsg& msg) {
-  if (static_cast<int>(msg.gid()) == my_group_) return;  // Own instance.
-  Instance& inst = instances_[msg.gid()];
-  InstanceEntry& e = inst.log[msg.seq()];
+void RaftCoordinator::OnProposeControl(const RaftPropose& msg) {
+  if (static_cast<int>(msg.gid) == my_group_) return;  // Own instance.
+  Instance& inst = instances_[msg.gid];
+  InstanceEntry& e = inst.log[msg.seq];
   if (e.proposed) {
     // Duplicate — typically a recovered proposer filling a hole in its
     // instance. Resend our accept receipt so it can reach quorum.
     if (e.cached_accept != nullptr)
-      cb_.send_to_group(msg.gid(), e.cached_accept);
+      cb_.send_to_group(msg.gid, e.cached_accept);
     return;
   }
-  if (!cb_.verify_group_cert(msg.cert(), msg.digest())) {
+  if (!cb_.verify_group_cert(msg.cert, msg.digest)) {
     MASSBFT_LOG(kWarn) << "raft: propose with invalid certificate from group "
-                       << msg.gid();
+                       << msg.gid;
     return;
   }
-  e.digest = msg.digest();
+  e.digest = msg.digest;
   e.proposed = true;
-  MaybeStartAccept(msg.gid(), msg.seq());
+  MaybeStartAccept(msg.gid, msg.seq);
 }
 
 void RaftCoordinator::NotifyEntryAvailable(uint16_t gid, uint64_t seq) {
@@ -100,8 +101,10 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
     // Track our own accept so a later takeover of this instance can count
     // quorums without replaying history.
     e.accept_groups.insert(static_cast<uint16_t>(my_group_));
-    auto accept = std::make_shared<RaftAcceptMsg>(
-        gid, seq, static_cast<uint16_t>(my_group_), std::move(cert), ts);
+    auto accept = NewMessage(
+        MessageType::kRaftAccept,
+        RaftAccept{gid, seq, static_cast<uint16_t>(my_group_), ts,
+                   std::move(cert)});
     e.cached_accept = accept;
     // To the proposer, and broadcast to all other groups so slow receivers
     // learn replication progress without waiting for payloads (paper
@@ -113,24 +116,24 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
   });
 }
 
-void RaftCoordinator::OnAccept(const RaftAcceptMsg& msg) {
-  DecisionId decision{DigestCertifier::kAccept, msg.from_group(), msg.gid(),
-                      msg.seq(), msg.ts()};
+void RaftCoordinator::OnAccept(const RaftAccept& msg) {
+  DecisionId decision{DigestCertifier::kAccept, msg.from_group, msg.gid,
+                      msg.seq, msg.ts};
   Digest digest = DigestCertifier::DecisionDigest(decision);
-  if (!cb_.verify_group_cert(msg.cert(), digest)) {
+  if (!cb_.verify_group_cert(msg.cert, digest)) {
     MASSBFT_LOG(kWarn) << "raft: accept with invalid certificate";
     return;
   }
-  cb_.on_accept_observed(msg.gid(), msg.seq(), msg.from_group(), msg.ts());
+  cb_.on_accept_observed(msg.gid, msg.seq, msg.from_group, msg.ts);
 
   // Record the accept for the instance regardless of role: takeover
   // leaders need the quorum history (Section V-C, "Crashed Groups").
-  Instance& inst = instances_[msg.gid()];
-  InstanceEntry& e = inst.log[msg.seq()];
-  e.accept_groups.insert(msg.from_group());
+  Instance& inst = instances_[msg.gid];
+  InstanceEntry& e = inst.log[msg.seq];
+  e.accept_groups.insert(msg.from_group);
 
-  if (static_cast<int>(msg.gid()) == my_group_ || HasTakenOver(msg.gid()))
-    MaybeStartCommit(msg.gid(), msg.seq());
+  if (static_cast<int>(msg.gid) == my_group_ || HasTakenOver(msg.gid))
+    MaybeStartCommit(msg.gid, msg.seq);
 }
 
 void RaftCoordinator::MaybeStartCommit(uint16_t gid, uint64_t seq) {
@@ -146,23 +149,23 @@ void RaftCoordinator::MaybeStartCommit(uint16_t gid, uint64_t seq) {
   DecisionId commit_decision{DigestCertifier::kCommitDecision,
                              static_cast<uint16_t>(my_group_), gid, seq, 0};
   cb_.certify(commit_decision, [this, gid, seq](Certificate commit_cert) {
-    auto commit = std::make_shared<RaftCommitMsg>(gid, seq,
-                                                  std::move(commit_cert));
+    auto commit = NewMessage(MessageType::kRaftCommit,
+                             RaftCommit{gid, seq, std::move(commit_cert)});
     for (int g = 0; g < num_groups_; ++g)
       if (g != my_group_) cb_.send_to_group(g, commit);
     MarkCommitted(gid, seq);
   });
 }
 
-void RaftCoordinator::OnCommit(const RaftCommitMsg& msg) {
+void RaftCoordinator::OnCommit(const RaftCommit& msg) {
   // The commit certificate is issued by the proposer group (or its
   // takeover group); the decision binds (gid, seq).
   bool valid = false;
   for (int voter = 0; voter < num_groups_ && !valid; ++voter) {
     DecisionId decision{DigestCertifier::kCommitDecision,
-                        static_cast<uint16_t>(voter), msg.gid(), msg.seq(), 0};
-    if (msg.cert().gid == voter &&
-        cb_.verify_group_cert(msg.cert(),
+                        static_cast<uint16_t>(voter), msg.gid, msg.seq, 0};
+    if (msg.cert.gid == voter &&
+        cb_.verify_group_cert(msg.cert,
                               DigestCertifier::DecisionDigest(decision)))
       valid = true;
   }
@@ -170,7 +173,7 @@ void RaftCoordinator::OnCommit(const RaftCommitMsg& msg) {
     MASSBFT_LOG(kWarn) << "raft: commit with invalid certificate";
     return;
   }
-  MarkCommitted(msg.gid(), msg.seq());
+  MarkCommitted(msg.gid, msg.seq);
 }
 
 void RaftCoordinator::MarkCommitted(uint16_t gid, uint64_t seq) {

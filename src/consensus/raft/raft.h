@@ -23,7 +23,7 @@ namespace massbft {
 /// only drives the small control messages and quorum logic.
 ///
 /// One RaftCoordinator runs on each group's *leader node*. Followers learn
-/// outcomes via GroupRelayMsg over LAN (handled by the owning node).
+/// outcomes via kGroupRelay messages over LAN (handled by the owning node).
 ///
 /// Accept receipts are protected by skip-prepare local certification
 /// (DigestCertifier) before leaving the group, so Byzantine leaders cannot
@@ -75,17 +75,17 @@ class RaftCoordinator {
                const Certificate& cert);
 
   /// Follower-group leader: a propose control message arrived.
-  void OnProposeControl(const RaftProposeMsg& msg);
+  void OnProposeControl(const RaftPropose& msg);
 
   /// The payload of e_{gid,seq} became available on this node (rebuilt or
   /// received); accept certification may proceed.
   void NotifyEntryAvailable(uint16_t gid, uint64_t seq);
 
   /// An accept receipt arrived (addressed to us as proposer, or broadcast).
-  void OnAccept(const RaftAcceptMsg& msg);
+  void OnAccept(const RaftAccept& msg);
 
   /// A commit announcement arrived from a proposer group.
-  void OnCommit(const RaftCommitMsg& msg);
+  void OnCommit(const RaftCommit& msg);
 
   /// Externally-learned commit (catch-up replay after recovery): marks the
   /// entry committed and advances the contiguous-delivery cursor without

@@ -331,7 +331,8 @@ void GroupNode::ReplicateToGroups(const EntryPtr& entry,
 
 void GroupNode::SendLeaderOneWay(const EntryPtr& entry,
                                  const Certificate& cert) {
-  auto msg = std::make_shared<EntryTransferMsg>(entry, cert);
+  auto msg =
+      NewMessage(MessageType::kEntryTransfer, CertifiedEntry{entry, cert});
   for (int g = 0; g < num_groups(); ++g) {
     if (g == my_group()) continue;
     // GeoBFT's optimization, applied to all one-way protocols (paper
@@ -345,7 +346,8 @@ void GroupNode::SendLeaderOneWay(const EntryPtr& entry,
 }
 
 void GroupNode::SendBijective(const EntryPtr& entry, const Certificate& cert) {
-  auto msg = std::make_shared<EntryTransferMsg>(entry, cert);
+  auto msg =
+      NewMessage(MessageType::kEntryTransfer, CertifiedEntry{entry, cert});
   int n1 = group_size(my_group());
   int f1 = group_f(my_group());
   for (int g = 0; g < num_groups(); ++g) {
@@ -408,9 +410,10 @@ void GroupNode::SendEncoded(const EntryPtr& entry, const Certificate& cert) {
     uint16_t gid = entry->gid();
     uint64_t seq = entry->seq();
     for (auto& [receiver, chunks] : by_receiver) {
-      auto msg = std::make_shared<ChunkBatchMsg>(
-          gid, seq, encoded->merkle_root, cert, std::move(chunks),
-          entry->ByteSize());
+      auto msg = NewMessage(
+          MessageType::kChunkBatch,
+          ChunkBatch{gid, seq, encoded->merkle_root, entry->ByteSize(), cert,
+                     std::move(chunks)});
       NodeId dst{static_cast<uint16_t>(g), static_cast<uint16_t>(receiver)};
       // Transmit once the encode CPU completes.
       sim()->ScheduleAt(done_at, [this, dst, msg] {
@@ -422,34 +425,35 @@ void GroupNode::SendEncoded(const EntryPtr& entry, const Certificate& cert) {
 
 // -------------------------------------------------- Replication: receive
 
-void GroupNode::OnEntryTransfer(NodeId from, const EntryTransferMsg& msg) {
-  Key key{msg.entry()->gid(), msg.entry()->seq()};
+void GroupNode::OnEntryTransfer(NodeId from, const CertifiedEntry& msg) {
+  Key key{msg.entry->gid(), msg.entry->seq()};
   EntryRecord& rec = GetRecord(key);
   bool was_available = rec.payload_available;
   if (!was_available) {
-    cpu().ChargeHash(msg.entry()->ByteSize());  // Recompute entry digest.
-    if (!VerifyGroupCert(msg.cert(), msg.entry()->digest())) {
+    cpu().ChargeHash(msg.entry->ByteSize());  // Recompute entry digest.
+    if (!VerifyGroupCert(msg.cert, msg.entry->digest())) {
       MASSBFT_LOG(kWarn) << "entry transfer with bad certificate dropped";
       return;
     }
-    StorePayload(key, msg.entry(), msg.cert());
+    StorePayload(key, msg.entry, msg.cert);
   }
   // A WAN receiver forwards the entry to its whole group over LAN (paper
   // Section II-A "Global Replication"): the copy it holds and verified, not
   // the sender's, which went unchecked if the payload was already here.
   if (from.group != my_group() && !rec.lan_forwarded) {
     rec.lan_forwarded = true;
-    BroadcastLan(std::make_shared<EntryTransferMsg>(rec.entry, rec.cert));
+    BroadcastLan(NewMessage(MessageType::kEntryTransfer,
+                            CertifiedEntry{rec.entry, rec.cert}));
   }
 }
 
-void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
-  Key key{msg.gid(), msg.seq()};
+void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
+  Key key{msg.gid, msg.seq};
   EntryRecord& rec = GetRecord(key);
   bool from_wan = from.group != my_group();
 
   if (rec.rebuilder == nullptr && !rec.payload_available) {
-    auto plan = TransferPlan::Create(group_size(msg.gid()),
+    auto plan = TransferPlan::Create(group_size(msg.gid),
                                      group_size(my_group()));
     if (!plan.ok()) return;
     EntryRebuilder::Config cfg;
@@ -466,29 +470,28 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
 
   // Feed chunks (Merkle proof verification cost per chunk).
   if (rec.rebuilder != nullptr && !rec.payload_available) {
-    for (const Chunk& chunk : msg.chunks()) {
+    for (const Chunk& chunk : msg.chunks) {
       cpu().ChargeHash(chunk.data.size() + 32 * chunk.proof.path.size());
       // Deterministic-decode cache: if some node already rebuilt and
       // validated this root, adopt the entry (CPU charged all the same).
       EntryPtr rebuilt;
-      auto cached = ctx_->rebuild_cache.find(msg.merkle_root());
+      auto cached = ctx_->rebuild_cache.find(msg.merkle_root);
       if (cached != ctx_->rebuild_cache.end()) {
         rebuilt = cached->second;
-      } else if (rec.rebuilder->AddChunk(msg.merkle_root(), chunk.chunk_id,
-                                         chunk.data, chunk.proof,
-                                         msg.cert()) ==
+      } else if (rec.rebuilder->AddChunk(msg.merkle_root, chunk.chunk_id,
+                                         chunk.data, chunk.proof, msg.cert) ==
                  EntryRebuilder::AddResult::kRebuilt) {
         rebuilt = rec.rebuilder->entry();
-        ctx_->rebuild_cache[msg.merkle_root()] = rebuilt;
+        ctx_->rebuild_cache[msg.merkle_root] = rebuilt;
       }
       if (rebuilt == nullptr) continue;
-      cpu().ChargeEc(msg.entry_size());
-      cpu().ChargeHash(msg.entry_size());
+      cpu().ChargeEc(msg.entry_size);
+      cpu().ChargeHash(msg.entry_size);
       if (IsGroupLeader())
         tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
                               rec.first_chunk_at, Now(), key.first,
                               key.second);
-      StorePayload(key, std::move(rebuilt), msg.cert());
+      StorePayload(key, std::move(rebuilt), msg.cert);
       break;
     }
   }
@@ -499,30 +502,31 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
   if (from_wan && !rec.chunks_shared) {
     rec.chunks_shared = true;
     bool byz = fault_.byzantine && Now() >= fault_.byzantine_from;
-    std::vector<Chunk> to_share = msg.chunks();
-    Digest share_root = msg.merkle_root();
+    std::vector<Chunk> to_share = msg.chunks;
+    Digest share_root = msg.merkle_root;
     if (byz) {
       // A Byzantine receiver substitutes the colluded tampered encoding's
       // chunks for its assigned chunk ids (Fig 15); the tampered chunks
       // carry the tampered Merkle root, so honest receivers bucket them
       // separately from the correct ones.
-      auto plan = TransferPlan::Create(group_size(msg.gid()),
+      auto plan = TransferPlan::Create(group_size(msg.gid),
                                        group_size(my_group()));
       if (plan.ok()) {
         auto it = ctx_->tampered_cache.find(
-            std::make_pair(msg.cert().digest, plan->n_total()));
+            std::make_pair(msg.cert.digest, plan->n_total()));
         if (it != ctx_->tampered_cache.end()) {
           const auto& encoded = it->second;
           to_share.clear();
-          for (const Chunk& c : msg.chunks())
+          for (const Chunk& c : msg.chunks)
             to_share.push_back(encoded->chunks[c.chunk_id]);
           share_root = encoded->merkle_root;
         }
       }
     }
-    BroadcastLan(std::make_shared<ChunkBatchMsg>(
-        msg.gid(), msg.seq(), share_root, msg.cert(), std::move(to_share),
-        msg.entry_size()));
+    BroadcastLan(NewMessage(MessageType::kChunkBatch,
+                            ChunkBatch{msg.gid, msg.seq, share_root,
+                                       msg.entry_size, msg.cert,
+                                       std::move(to_share)}));
   }
 }
 
@@ -608,8 +612,8 @@ void GroupNode::RelayToGroup(RelayEvent event, bool replay) {
     return;
   }
   ApplyRelayEvent(event);
-  BroadcastLan(
-      std::make_shared<GroupRelayMsg>(std::vector<RelayEvent>{event}));
+  BroadcastLan(NewMessage(MessageType::kGroupRelay,
+                          GroupRelay{.replay = false, .events = {event}}));
 }
 
 void GroupNode::FinishSync() {
@@ -680,9 +684,11 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
   for (uint16_t dead : dead_groups_) {
     if (raft_->HasTakenOver(dead) && frozen_clock_.contains(dead)) {
       uint64_t frozen = frozen_clock_[dead];
-      std::vector<TimestampElement> elements{
-          TimestampElement{dead, key.first, key.second, frozen}};
-      auto msg = std::make_shared<TimestampAssignMsg>(elements);
+      auto msg = NewMessage(
+          MessageType::kTimestampAssign,
+          TimestampAssign{.replay = false,
+                          .elements = {TimestampElement{dead, key.first,
+                                                        key.second, frozen}}});
       for (int g = 0; g < num_groups(); ++g)
         if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
           SendWan(LeaderOf(g), msg);
@@ -702,25 +708,26 @@ void GroupNode::OnAcceptObserved(uint16_t gid, uint64_t seq,
 
 void GroupNode::ForwardToGlobalMaster(const EntryPtr& entry,
                                       const Certificate& cert) {
-  SendWan(LeaderOf(0), std::make_shared<LeaderForwardMsg>(entry, cert));
+  SendWan(LeaderOf(0),
+          NewMessage(MessageType::kLeaderForward, CertifiedEntry{entry, cert}));
 }
 
-void GroupNode::OnLeaderForward(const LeaderForwardMsg& msg) {
+void GroupNode::OnLeaderForward(const CertifiedEntry& msg) {
   if (!single_master() || my_group() != 0 || raft_ == nullptr) return;
-  Key key{msg.entry()->gid(), msg.entry()->seq()};
+  Key key{msg.entry->gid(), msg.entry->seq()};
   if (HasPayload(key)) return;  // Duplicate.
-  cpu().ChargeHash(msg.entry()->ByteSize());
-  if (!VerifyGroupCert(msg.cert(), msg.entry()->digest())) return;
-  StorePayload(key, msg.entry(), msg.cert());
+  cpu().ChargeHash(msg.entry->ByteSize());
+  if (!VerifyGroupCert(msg.cert, msg.entry->digest())) return;
+  StorePayload(key, msg.entry, msg.cert);
   // Distribute the payload to every other group (one-way from the master)
   // and within the master's own group.
-  SendLeaderOneWay(msg.entry(), msg.cert());
-  BroadcastLan(std::make_shared<EntryTransferMsg>(msg.entry(), msg.cert()));
+  SendLeaderOneWay(msg.entry, msg.cert);
+  BroadcastLan(NewMessage(MessageType::kEntryTransfer, msg));
 
   uint64_t gseq = next_global_seq_++;
-  global_seq_digest_[gseq] = msg.entry()->digest();
-  digest_index_[msg.entry()->digest()] = key;
-  raft_->Propose(0, gseq, msg.entry()->digest(), msg.cert());
+  global_seq_digest_[gseq] = msg.entry->digest();
+  digest_index_[msg.entry->digest()] = key;
+  raft_->Propose(0, gseq, msg.entry->digest(), msg.cert);
 }
 
 void GroupNode::MaybeTranslateGlobalCommits() {
@@ -743,8 +750,9 @@ void GroupNode::OnEpochTimer(uint64_t epoch) {
   if (epoch != timer_epoch_) return;
   // Seal the finished epoch and announce its entry range.
   uint64_t count = next_local_seq_ - epoch_first_seq_;
-  auto marker = std::make_shared<EpochMarkerMsg>(
-      static_cast<uint16_t>(my_group()), current_epoch_, count);
+  auto marker = NewMessage(
+      MessageType::kEpochMarker,
+      EpochMarker{static_cast<uint16_t>(my_group()), current_epoch_, count});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), marker);
   BroadcastLan(marker);
@@ -756,11 +764,10 @@ void GroupNode::OnEpochTimer(uint64_t epoch) {
   After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
 }
 
-void GroupNode::OnEpochMarker(NodeId from, const EpochMarkerMsg& msg) {
+void GroupNode::OnEpochMarker(NodeId from, const EpochMarker& msg) {
   if (from.group != my_group() && IsGroupLeader())
-    BroadcastLan(std::make_shared<EpochMarkerMsg>(msg.gid(), msg.epoch(),
-                                                  msg.count()));
-  ordering_->OnEpochSealed(msg.gid(), msg.epoch(), msg.count());
+    BroadcastLan(NewMessage(MessageType::kEpochMarker, msg));
+  ordering_->OnEpochSealed(msg.gid, msg.epoch, msg.count);
   ordering_->Poke();
 }
 
@@ -768,8 +775,9 @@ void GroupNode::OnEpochMarker(NodeId from, const EpochMarkerMsg& msg) {
 
 void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   if (epoch != timer_epoch_) return;
-  auto hb = std::make_shared<GroupHeartbeatMsg>(
-      static_cast<uint16_t>(my_group()), next_local_seq_);
+  auto hb = NewMessage(
+      MessageType::kGroupHeartbeat,
+      GroupHeartbeat{static_cast<uint16_t>(my_group()), next_local_seq_});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
   CheckGroupLiveness();
@@ -810,8 +818,8 @@ void GroupNode::StartTakeover(uint16_t dead_gid) {
     uint16_t gid = static_cast<uint16_t>(g);
     if (g == my_group() || dead_groups_.contains(gid)) continue;
     round.expected.insert(gid);
-    SendWan(LeaderOf(g), std::make_shared<FreezeMsg>(MessageType::kFreezeQuery,
-                                                     dead_gid, 0));
+    SendWan(LeaderOf(g),
+            NewMessage(MessageType::kFreezeQuery, Freeze{dead_gid, 0}));
   }
   round.max_seen = max_ts_seen_[dead_gid];
   if (round.expected.empty()) FinishFreezeRound(dead_gid);
@@ -833,7 +841,8 @@ void GroupNode::EmitTakeoverTimestamps(uint16_t dead_gid) {
         TimestampElement{dead_gid, key.first, key.second, frozen});
   }
   if (elements.empty()) return;
-  auto msg = std::make_shared<TimestampAssignMsg>(elements);
+  auto msg = NewMessage(MessageType::kTimestampAssign,
+                        TimestampAssign{.replay = false, .elements = elements});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
       SendWan(LeaderOf(g), msg);
@@ -842,11 +851,11 @@ void GroupNode::EmitTakeoverTimestamps(uint16_t dead_gid) {
                             e.target_seq, e.assigner_gid, e.ts});
 }
 
-void GroupNode::OnTimestampAssign(const TimestampAssignMsg& msg) {
-  for (const TimestampElement& e : msg.elements())
+void GroupNode::OnTimestampAssign(const TimestampAssign& msg) {
+  for (const TimestampElement& e : msg.elements)
     RelayToGroup(RelayEvent{RelayEvent::kTimestamp, e.target_gid,
                             e.target_seq, e.assigner_gid, e.ts},
-                 msg.replay());
+                 msg.replay);
 }
 
 // -------------------------------------------------- Ordering & execution
@@ -911,6 +920,7 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
 
 void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
   if (crashed()) return;
+  const SimMessage& msg = *message;
   switch (static_cast<MessageType>(message->type())) {
     case MessageType::kPrePrepare:
     case MessageType::kPrepare:
@@ -922,80 +932,75 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       certifier_->OnMessage(from, message);
       break;
     case MessageType::kEntryTransfer:
-      OnEntryTransfer(from, static_cast<const EntryTransferMsg&>(*message));
+      OnEntryTransfer(from, BodyOf<CertifiedEntry>(msg));
       break;
     case MessageType::kChunkBatch:
-      OnChunkBatch(from, static_cast<const ChunkBatchMsg&>(*message));
+      OnChunkBatch(from, BodyOf<ChunkBatch>(msg));
       break;
     case MessageType::kRaftPropose: {
-      const auto& propose = static_cast<const RaftProposeMsg&>(*message);
-      if (single_master() && propose.gid() == 0)
-        global_seq_digest_[propose.seq()] = propose.digest();
+      const auto& propose = BodyOf<RaftPropose>(msg);
+      if (single_master() && propose.gid == 0)
+        global_seq_digest_[propose.seq] = propose.digest;
       if (raft_ != nullptr) raft_->OnProposeControl(propose);
       break;
     }
     case MessageType::kRaftAccept:
-      if (raft_ != nullptr)
-        raft_->OnAccept(static_cast<const RaftAcceptMsg&>(*message));
+      if (raft_ != nullptr) raft_->OnAccept(BodyOf<RaftAccept>(msg));
       break;
     case MessageType::kRaftCommit:
-      if (raft_ != nullptr)
-        raft_->OnCommit(static_cast<const RaftCommitMsg&>(*message));
+      if (raft_ != nullptr) raft_->OnCommit(BodyOf<RaftCommit>(msg));
       break;
     case MessageType::kTimestampAssign:
       // Stamps travel leader to leader (takeover stamps, catch-up replay);
       // a leader then relays them to its group.
       if (IsGroupLeader() && IsPeerGroupLeader(from))
-        OnTimestampAssign(static_cast<const TimestampAssignMsg&>(*message));
+        OnTimestampAssign(BodyOf<TimestampAssign>(msg));
       break;
-    case MessageType::kGroupHeartbeat: {
+    case MessageType::kGroupHeartbeat:
       // A heartbeat speaks for its sender's group only.
-      const auto& hb = static_cast<const GroupHeartbeatMsg&>(*message);
-      if (hb.gid() != from.group) break;
+      if (BodyOf<GroupHeartbeat>(msg).gid != from.group) break;
       last_heartbeat_[from.group] = Now();
       if (dead_groups_.contains(from.group)) OnGroupRejoined(from.group);
       break;
-    }
     case MessageType::kGroupRelay: {
-      const auto& relay = static_cast<const GroupRelayMsg&>(*message);
+      const auto& relay = BodyOf<GroupRelay>(msg);
       if (IsGroupLeader()) {
         // Catch-up replay from a peer group's leader: forward to our own
         // group.
         if (!IsPeerGroupLeader(from)) break;
-        for (const RelayEvent& event : relay.events())
-          RelayToGroup(event, relay.replay());
+        for (const RelayEvent& event : relay.events)
+          RelayToGroup(event, relay.replay);
       } else if (from == LeaderOf(my_group())) {
-        for (const RelayEvent& event : relay.events()) ApplyRelayEvent(event);
+        for (const RelayEvent& event : relay.events) ApplyRelayEvent(event);
       }
       break;
     }
     case MessageType::kEpochMarker:
-      OnEpochMarker(from, static_cast<const EpochMarkerMsg&>(*message));
+      OnEpochMarker(from, BodyOf<EpochMarker>(msg));
       break;
     case MessageType::kLeaderForward:
-      OnLeaderForward(static_cast<const LeaderForwardMsg&>(*message));
+      OnLeaderForward(BodyOf<CertifiedEntry>(msg));
       break;
     case MessageType::kCatchUpRequest:
-      OnCatchUpRequest(from, static_cast<const CatchUpRequestMsg&>(*message));
+      OnCatchUpRequest(from, BodyOf<CatchUpRequest>(msg));
       break;
     case MessageType::kFreezeQuery: {
-      const auto& query = static_cast<const FreezeMsg&>(*message);
-      SendWan(from, std::make_shared<FreezeMsg>(
-                        MessageType::kFreezeReport, query.dead_gid(),
-                        max_ts_seen_[query.dead_gid()]));
+      const uint16_t dead_gid = BodyOf<Freeze>(msg).dead_gid;
+      SendWan(from, NewMessage(MessageType::kFreezeReport,
+                               Freeze{dead_gid, max_ts_seen_[dead_gid]}));
       break;
     }
     case MessageType::kCatchUpDone:
       FinishSync();
       break;
     case MessageType::kFreezeReport: {
-      const auto& report = static_cast<const FreezeMsg&>(*message);
-      auto it = freeze_rounds_.find(report.dead_gid());
+      const auto& report = BodyOf<Freeze>(msg);
+      auto it = freeze_rounds_.find(report.dead_gid);
       if (it == freeze_rounds_.end()) break;
       FreezeRound& round = it->second;
-      round.max_seen = std::max(round.max_seen, report.max_seen());
+      round.max_seen = std::max(round.max_seen, report.max_seen);
       round.expected.erase(from.group);
-      if (round.expected.empty()) FinishFreezeRound(report.dead_gid());
+      if (round.expected.empty()) FinishFreezeRound(report.dead_gid);
       break;
     }
     default:
@@ -1022,13 +1027,15 @@ void GroupNode::Recover() {
   // deduplicated by the entry store. (Paper Section V-C: the recovered
   // group resumes serving requests; the takeover group hands the Raft
   // instance back once our heartbeats reappear.)
-  std::vector<std::pair<uint16_t, uint64_t>> frontier;
+  CatchUpRequest frontier;
   for (int g = 0; g < num_groups(); ++g) {
     uint16_t gid = static_cast<uint16_t>(g);
     auto it = executed_next_.find(gid);
-    frontier.push_back({gid, it != executed_next_.end() ? it->second : 0});
+    frontier.executed_next.push_back(
+        {gid, it != executed_next_.end() ? it->second : 0});
   }
-  auto request = std::make_shared<CatchUpRequestMsg>(std::move(frontier));
+  auto request =
+      NewMessage(MessageType::kCatchUpRequest, std::move(frontier));
   // One helper suffices (and keeps the replay off every uplink); pick the
   // lowest-id other group, which is also the takeover group by convention.
   for (int g = 0; g < num_groups(); ++g) {
@@ -1050,11 +1057,11 @@ void GroupNode::Recover() {
   }
 }
 
-void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg) {
+void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequest& msg) {
   if (!IsGroupLeader()) return;
   // Requested frontiers, defaulting to 0.
   std::map<uint16_t, uint64_t> frontier;
-  for (const auto& [gid, next] : msg.executed_next())
+  for (const auto& [gid, next] : msg.executed_next)
     frontier[gid] = std::max(frontier[gid], next);
 
   std::vector<RelayEvent> commits;
@@ -1065,7 +1072,8 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg) {
     // were dropped while the requester was down may not be globally
     // committed yet at snapshot time.
     if (rec.payload_available)
-      SendWan(from, std::make_shared<EntryTransferMsg>(rec.entry, rec.cert));
+      SendWan(from, NewMessage(MessageType::kEntryTransfer,
+                               CertifiedEntry{rec.entry, rec.cert}));
     if (!rec.globally_committed) continue;
     commits.push_back(
         RelayEvent{RelayEvent::kCommitted, key.first, key.second, 0, 0});
@@ -1083,12 +1091,14 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg) {
                      return a.ts < b.ts;
                    });
   if (!commits.empty())
-    SendWan(from, std::make_shared<GroupRelayMsg>(std::move(commits),
-                                                  /*replay=*/true));
+    SendWan(from, NewMessage(MessageType::kGroupRelay,
+                             GroupRelay{.replay = true,
+                                        .events = std::move(commits)}));
   if (!elements.empty())
-    SendWan(from, std::make_shared<TimestampAssignMsg>(std::move(elements),
-                                                       /*replay=*/true));
-  SendWan(from, std::make_shared<CatchUpDoneMsg>());
+    SendWan(from, NewMessage(MessageType::kTimestampAssign,
+                             TimestampAssign{.replay = true,
+                                             .elements = std::move(elements)}));
+  SendWan(from, NewMessage(MessageType::kCatchUpDone, CatchUpDone{}));
 }
 
 void GroupNode::OnGroupRejoined(uint16_t gid) {

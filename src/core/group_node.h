@@ -187,8 +187,8 @@ class GroupNode : public Actor {
                                                  bool tampered);
 
   // ---- Replication (receive side).
-  void OnEntryTransfer(NodeId from, const EntryTransferMsg& msg);
-  void OnChunkBatch(NodeId from, const ChunkBatchMsg& msg);
+  void OnEntryTransfer(NodeId from, const CertifiedEntry& msg);
+  void OnChunkBatch(NodeId from, const ChunkBatch& msg);
   void StorePayload(const Key& key, EntryPtr entry, const Certificate& cert);
   void MarkPayloadAvailable(const Key& key);
   EntryRecord& GetRecord(const Key& key) { return entries_[key]; }
@@ -205,20 +205,20 @@ class GroupNode : public Actor {
 
   // ---- Steward single-master flow.
   void ForwardToGlobalMaster(const EntryPtr& entry, const Certificate& cert);
-  void OnLeaderForward(const LeaderForwardMsg& msg);
+  void OnLeaderForward(const CertifiedEntry& msg);
   void MaybeTranslateGlobalCommits();
 
   // ---- ISS epochs.
   void OnEpochTimer(uint64_t epoch);
-  void OnEpochMarker(NodeId from, const EpochMarkerMsg& msg);
+  void OnEpochMarker(NodeId from, const EpochMarker& msg);
 
   // ---- MassBFT fault handling.
   void OnHeartbeatTimer(uint64_t epoch);
   void CheckGroupLiveness();
   void StartTakeover(uint16_t dead_gid);
   void EmitTakeoverTimestamps(uint16_t dead_gid);
-  void OnTimestampAssign(const TimestampAssignMsg& msg);
-  void OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg);
+  void OnTimestampAssign(const TimestampAssign& msg);
+  void OnCatchUpRequest(NodeId from, const CatchUpRequest& msg);
   void OnGroupRejoined(uint16_t gid);
   void FinishFreezeRound(uint16_t dead_gid);
 

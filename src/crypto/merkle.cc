@@ -2,13 +2,6 @@
 
 namespace massbft {
 
-void MerkleProof::EncodeTo(BinaryWriter* w) const {
-  w->PutU32(index);
-  w->PutU32(leaf_count);
-  w->PutU16(static_cast<uint16_t>(path.size()));
-  for (const Digest& d : path) w->PutRaw(d.data(), d.size());
-}
-
 Result<MerkleProof> MerkleProof::DecodeFrom(BinaryReader* r) {
   MerkleProof proof;
   MASSBFT_RETURN_IF_ERROR(r->GetU32(&proof.index));

@@ -21,12 +21,15 @@ struct MerkleProof {
   std::vector<Digest> path;
 
   /// Wire codec: u32 index, u32 leaf_count, u16 path length, raw digests.
-  void EncodeTo(BinaryWriter* w) const;
+  /// `w` is a BinaryWriter, or a ByteCounter to size the encoding.
+  template <class Writer>
+  void EncodeTo(Writer* w) const {
+    w->PutU32(index);
+    w->PutU32(leaf_count);
+    w->PutU16(static_cast<uint16_t>(path.size()));
+    for (const Digest& d : path) w->PutRaw(d.data(), d.size());
+  }
   [[nodiscard]] static Result<MerkleProof> DecodeFrom(BinaryReader* r);
-
-  /// Encoded wire size in bytes (matches EncodeTo; charged against
-  /// simulated links).
-  size_t ByteSize() const { return 4 + 4 + 2 + path.size() * sizeof(Digest); }
 };
 
 /// Binary Merkle tree over a list of data blocks (erasure-coded chunks in

@@ -17,10 +17,8 @@ constexpr size_t kCrcHeaderSpan = kFrameHeaderBytes - 4 - 4;
 }  // namespace
 
 Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src) {
-  return EncodeFrame(msg, src,
-                     CarriesTraceContext(msg.message_type())
-                         ? obs::TraceClock::NowNs()
-                         : 0);
+  return EncodeFrame(
+      msg, src, msg.info().carries_trace ? obs::TraceClock::NowNs() : 0);
 }
 
 Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src,
@@ -31,11 +29,8 @@ Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src,
 }
 
 void EncodeFrameInto(const ProtocolMessage& msg, NodeId src, Bytes* out) {
-  EncodeFrameInto(msg, src,
-                  CarriesTraceContext(msg.message_type())
-                      ? obs::TraceClock::NowNs()
-                      : 0,
-                  out);
+  EncodeFrameInto(
+      msg, src, msg.info().carries_trace ? obs::TraceClock::NowNs() : 0, out);
 }
 
 void EncodeFrameInto(const ProtocolMessage& msg, NodeId src,
@@ -139,10 +134,12 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t len) {
   if (crc.Finish() != claimed_crc)
     return Status::Corruption("frame CRC mismatch");
 
+  const MessageTypeInfo* info = FindMessageType(static_cast<MessageType>(type));
+  if (info == nullptr) return Status::Corruption("unknown message type");
   // The trace flag is a function of the message type, not a choice: a
   // mismatch means a corrupted or hand-rolled frame whose size accounting
   // would diverge from the simulator's.
-  if (has_trace != CarriesTraceContext(static_cast<MessageType>(type)))
+  if (has_trace != info->carries_trace)
     return Status::Corruption("trace context flag mismatches message type");
 
   Frame frame;
@@ -156,9 +153,8 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t len) {
   }
 
   BinaryReader body(data + kFrameHeaderBytes + trace_len, body_len);
-  MASSBFT_ASSIGN_OR_RETURN(
-      std::unique_ptr<ProtocolMessage> msg,
-      DecodeMessageBody(static_cast<MessageType>(type), &body));
+  MASSBFT_ASSIGN_OR_RETURN(std::unique_ptr<ProtocolMessage> msg,
+                           DecodeMessageBody(info->type, &body));
   frame.src = NodeId::FromPacked(src_packed);
   frame.msg = std::move(msg);
   return frame;

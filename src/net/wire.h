@@ -27,9 +27,9 @@ namespace massbft {
 ///
 /// The magic is excluded from the CRC so a resynchronizing reader can
 /// cheaply test candidate offsets; everything else is covered. The trace
-/// context flag is forced by the message type (CarriesTraceContext), never
-/// by configuration, so frame sizes match the simulator's ByteSize()
-/// accounting exactly whether or not tracing is on.
+/// context flag is forced by the message type (its registry row's
+/// carries_trace), never by configuration, so frame sizes match the
+/// simulator's ByteSize() accounting exactly whether or not tracing is on.
 
 /// On-wire bytes 'M' 'B' 'F' 'T' read as a little-endian u32.
 constexpr uint32_t kWireMagic = 0x5446424Du;
@@ -63,7 +63,7 @@ static_assert(kTraceContextBytes == 2 + 8 + 4 + 8,
 
 /// A decoded frame: who sent it, the reconstructed message, and the trace
 /// context when the message type carries one (has_trace mirrors
-/// CarriesTraceContext(msg->message_type()); DecodeFrame enforces it).
+/// msg->info().carries_trace; DecodeFrame enforces it).
 struct Frame {
   NodeId src;
   std::unique_ptr<ProtocolMessage> msg;

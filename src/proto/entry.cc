@@ -90,14 +90,6 @@ std::vector<uint16_t> Certificate::Signers() const {
   return out;
 }
 
-void Certificate::EncodeTo(BinaryWriter* w) const {
-  w->PutU16(gid);
-  w->PutRaw(digest.data(), digest.size());
-  w->PutU16(static_cast<uint16_t>(bitmap_.size()));
-  w->PutRaw(bitmap_.data(), bitmap_.size());
-  for (const Signature& sig : sigs_) w->PutRaw(sig.data(), sig.size());
-}
-
 Result<Certificate> Certificate::DecodeFrom(BinaryReader* r) {
   Certificate cert;
   MASSBFT_RETURN_IF_ERROR(r->GetU16(&cert.gid));

@@ -27,9 +27,6 @@ struct Transaction {
 
   void EncodeTo(BinaryWriter* w) const;
   [[nodiscard]] static Result<Transaction> DecodeFrom(BinaryReader* r);
-  size_t ByteSize() const {
-    return 8 + 4 + 8 + VarintSize(payload.size()) + payload.size();
-  }
 
   friend bool operator==(const Transaction&, const Transaction&) = default;
 };
@@ -111,13 +108,17 @@ class Certificate {
   /// Signatures in ascending signer-index order, parallel to Signers().
   const std::vector<Signature>& Signatures() const { return sigs_; }
 
-  void EncodeTo(BinaryWriter* w) const;
-  [[nodiscard]] static Result<Certificate> DecodeFrom(BinaryReader* r);
-  /// Derived, not hardcoded: header + bitmap + packed signature array.
-  size_t ByteSize() const {
-    return 2 + digest.size() + 2 + bitmap_.size() +
-           sigs_.size() * sizeof(Signature);
+  /// Canonical encoding: gid, digest, u16 bitmap length, bitmap, then the
+  /// signatures. `w` is a BinaryWriter, or a ByteCounter to size it.
+  template <class Writer>
+  void EncodeTo(Writer* w) const {
+    w->PutU16(gid);
+    w->PutRaw(digest.data(), digest.size());
+    w->PutU16(static_cast<uint16_t>(bitmap_.size()));
+    w->PutRaw(bitmap_.data(), bitmap_.size());
+    for (const Signature& sig : sigs_) w->PutRaw(sig.data(), sig.size());
   }
+  [[nodiscard]] static Result<Certificate> DecodeFrom(BinaryReader* r);
 
   /// True if the certificate carries at least `quorum` valid signatures
   /// over `digest`. The hot path batch-verifies all signatures in one

@@ -35,7 +35,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!frame.ok()) return 0;  // Rejected input: the common, boring case.
 
   if (frame->msg == nullptr) std::abort();
-  if (frame->has_trace != CarriesTraceContext(frame->msg->message_type())) {
+  if (frame->has_trace != frame->msg->info().carries_trace) {
     std::abort();
   }
 

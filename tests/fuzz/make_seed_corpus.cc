@@ -86,8 +86,9 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
   const NodeId src{1, 2};
   const uint64_t ts = 777;  // Fixed: regeneration must be byte-stable.
   std::vector<std::pair<std::string, Bytes>> seeds;
-  auto add = [&](const char* name, const ProtocolMessage& msg) {
-    seeds.emplace_back(name, EncodeFrame(msg, src, ts));
+  auto add = [&](const char* name, MessageType type, auto body) {
+    seeds.emplace_back(name, EncodeFrame(Message(type, std::move(body)), src,
+                                         ts));
   };
 
   // Each rng draw is its own statement, in the order the seeds were first
@@ -95,32 +96,34 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
   {
     Signature sig = RandSig(rng);
     EntryPtr entry = RandEntry(rng);
-    add("pre_prepare", PrePrepareMsg(1, 9, entry, sig));
+    add("pre_prepare", MessageType::kPrePrepare, PrePrepare{1, 9, entry, sig});
   }
   {
     Signature sig = RandSig(rng);
     Digest digest = RandDigest(rng);
-    add("prepare", PbftVoteMsg(MessageType::kPrepare, 1, 9, digest, sig));
+    add("prepare", MessageType::kPrepare, PbftVote{1, 9, digest, sig});
   }
   {
     Certificate cert = RandCert(rng);
     EntryPtr entry = RandEntry(rng);
-    add("entry_transfer", EntryTransferMsg(entry, cert));
+    add("entry_transfer", MessageType::kEntryTransfer,
+        CertifiedEntry{entry, cert});
   }
   {
     std::vector<Chunk> chunks = RandChunks(rng);
     Certificate cert = RandCert(rng);
     Digest root = RandDigest(rng);
-    add("chunk_batch", ChunkBatchMsg(1, 7, root, cert, chunks, 4096));
+    add("chunk_batch", MessageType::kChunkBatch,
+        ChunkBatch{1, 7, root, 4096, cert, chunks});
   }
   {
     Certificate cert = RandCert(rng);
     Digest digest = RandDigest(rng);
-    add("raft_propose", RaftProposeMsg(1, 99, digest, cert,
-                                       {TimestampElement{1, 2, 3, 4}}, 2, 55));
+    add("raft_propose", MessageType::kRaftPropose,
+        RaftPropose{1, 99, digest, cert, 2, 55, {{1, 2, 3, 4}}});
   }
-  add("heartbeat", GroupHeartbeatMsg(3, 12));
-  add("catch_up_done", CatchUpDoneMsg());
+  add("heartbeat", MessageType::kGroupHeartbeat, GroupHeartbeat{3, 12});
+  add("catch_up_done", MessageType::kCatchUpDone, CatchUpDone{});
   // v3 compact-cert stress: a sparse participation bitmap (high signer
   // index) exercises the multi-byte bitmap decode path.
   Certificate wide;
@@ -128,8 +131,8 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
   wide.digest = RandDigest(rng);
   wide.AddSignature(0, RandSig(rng));
   wide.AddSignature(77, RandSig(rng));
-  add("entry_transfer_wide_cert",
-      EntryTransferMsg(RandEntry(rng), wide));
+  add("entry_transfer_wide_cert", MessageType::kEntryTransfer,
+      CertifiedEntry{RandEntry(rng), wide});
   return seeds;
 }
 
@@ -198,11 +201,13 @@ int main(int argc, char** argv) {
   // or they would decode and re-encode to different bytes.
   {
     const Bytes replay_two =
-        Reframe(TimestampAssignMsg({}, false), Bytes{2, 0});
+        Reframe(Message(MessageType::kTimestampAssign, TimestampAssign{}),
+                Bytes{2, 0});
     WriteSeed(decode_dir, "bool_flag_two", replay_two.data(),
               replay_two.size());
-    const Bytes padded = Reframe(CatchUpRequestMsg({}),
-                                 Bytes{0x81, 0x00, 3, 0, 5, 0, 0, 0, 0, 0, 0, 0});
+    const Bytes padded =
+        Reframe(Message(MessageType::kCatchUpRequest, CatchUpRequest{}),
+                Bytes{0x81, 0x00, 3, 0, 5, 0, 0, 0, 0, 0, 0, 0});
     WriteSeed(decode_dir, "varint_non_minimal", padded.data(), padded.size());
   }
 

@@ -76,8 +76,9 @@ TEST(GroupNodeTest, WanCopyOfHeldEntryForwardsTheVerifiedOne) {
   Bytes payload(cert.digest.begin(), cert.digest.end());
   for (uint16_t i = 0; i < 3; ++i)
     cert.AddSignature(i, h.registry.Sign(NodeId{0, i}, payload));
-  h.node->HandleMessage(NodeId{1, 1},
-                        std::make_shared<EntryTransferMsg>(entry, cert));
+  h.node->HandleMessage(
+      NodeId{1, 1},
+      NewMessage(MessageType::kEntryTransfer, CertifiedEntry{entry, cert}));
 
   // Then a 100 KB forgery of (0,0) with an empty certificate, from (0,3).
   auto forged = std::make_shared<const Entry>(
@@ -86,16 +87,16 @@ TEST(GroupNodeTest, WanCopyOfHeldEntryForwardsTheVerifiedOne) {
   Certificate empty;
   empty.gid = 0;
   empty.digest = forged->digest();
-  h.node->HandleMessage(NodeId{0, 3},
-                        std::make_shared<EntryTransferMsg>(forged, empty));
+  h.node->HandleMessage(
+      NodeId{0, 3},
+      NewMessage(MessageType::kEntryTransfer, CertifiedEntry{forged, empty}));
   h.sim.RunAll();
 
   int forged_copies = 0;
   int held_copies = 0;
   for (const auto& [dst, m] : h.sent) {
     if (m->type() != static_cast<int>(MessageType::kEntryTransfer)) continue;
-    const Digest& digest =
-        static_cast<const EntryTransferMsg&>(*m).entry()->digest();
+    const Digest& digest = BodyOf<CertifiedEntry>(*m).entry->digest();
     forged_copies += digest == forged->digest() ? 1 : 0;
     held_copies += digest == entry->digest() ? 1 : 0;
   }
@@ -108,15 +109,14 @@ TEST(GroupNodeTest, LeaderTakesTimestampsOnlyFromPeerLeaders) {
   // that took it would relay it to its group, and the first stamp seen
   // for an element wins.
   NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
-  const std::vector<TimestampElement> stamp{{0, 2, 0, 999}};
-  h.node->HandleMessage(NodeId{2, 3},
-                        std::make_shared<TimestampAssignMsg>(stamp));
+  auto stamp = NewMessage(MessageType::kTimestampAssign,
+                          TimestampAssign{false, {{0, 2, 0, 999}}});
+  h.node->HandleMessage(NodeId{2, 3}, stamp);
   h.sim.RunAll();
   EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
 
   // The same stamp from group 2's leader reaches all 3 group members.
-  h.node->HandleMessage(NodeId{2, 0},
-                        std::make_shared<TimestampAssignMsg>(stamp));
+  h.node->HandleMessage(NodeId{2, 0}, stamp);
   h.sim.RunAll();
   EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 3);
 }
@@ -124,11 +124,13 @@ TEST(GroupNodeTest, LeaderTakesTimestampsOnlyFromPeerLeaders) {
 TEST(GroupNodeTest, FollowerAppliesRelaysOnlyFromItsLeader) {
   // (2,3) tells follower (1,1) that its own group's entry (1,0) committed.
   NodeHarness h(3, 4, NodeId{1, 1}, ProtocolConfig::MassBft());
-  const std::vector<RelayEvent> commit{{RelayEvent::kCommitted, 1, 0, 0, 0}};
-  h.node->HandleMessage(NodeId{2, 3}, std::make_shared<GroupRelayMsg>(commit));
+  auto commit = NewMessage(
+      MessageType::kGroupRelay,
+      GroupRelay{false, {{RelayEvent::kCommitted, 1, 0, 0, 0}}});
+  h.node->HandleMessage(NodeId{2, 3}, commit);
   EXPECT_EQ(h.node->own_clock(), 0u);
 
-  h.node->HandleMessage(NodeId{1, 0}, std::make_shared<GroupRelayMsg>(commit));
+  h.node->HandleMessage(NodeId{1, 0}, commit);
   EXPECT_EQ(h.node->own_clock(), 1u);
 }
 
@@ -141,10 +143,12 @@ TEST(GroupNodeTest, HeartbeatCountsOnlyForItsSendersGroup) {
   h.node->Start();
   for (SimTime t = 0; t < 4 * kSecond; t += 100 * kMillisecond) {
     h.sim.ScheduleAt(t, [&h] {
-      h.node->HandleMessage(NodeId{1, 0},
-                            std::make_shared<GroupHeartbeatMsg>(1, 0));
-      h.node->HandleMessage(NodeId{1, 1},
-                            std::make_shared<GroupHeartbeatMsg>(2, 0));
+      h.node->HandleMessage(
+          NodeId{1, 0},
+          NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{1, 0}));
+      h.node->HandleMessage(
+          NodeId{1, 1},
+          NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{2, 0}));
     });
   }
   h.sim.RunUntil(4 * kSecond);

@@ -135,11 +135,15 @@ TEST(MerkleTest, ProofByteSizeTracksPathLength) {
   ASSERT_TRUE(tree.ok());
   auto proof = tree->Prove(0);
   ASSERT_TRUE(proof.ok());
-  // ByteSize() must match the wire encoding exactly.
+  // Index, leaf count, path length, then one digest per level; counting
+  // the encoding without writing it gives the same size.
   BinaryWriter w;
   proof->EncodeTo(&w);
-  EXPECT_EQ(proof->ByteSize(), w.size());
-  EXPECT_EQ(proof->ByteSize(), 4 + 4 + 2 + proof->path.size() * 32);
+  ByteCounter counter;
+  proof->EncodeTo(&counter);
+  EXPECT_EQ(proof->path.size(), 5u);
+  EXPECT_EQ(w.size(), 4 + 4 + 2 + proof->path.size() * 32);
+  EXPECT_EQ(counter.size(), w.size());
 }
 
 TEST(MerkleTest, ProofEncodeDecodeRoundTrip) {

@@ -128,98 +128,79 @@ std::vector<Chunk> RandChunks(Rng& rng) {
   return chunks;
 }
 
-/// A randomized instance of every wire message kind.
+template <class Body>
+std::unique_ptr<ProtocolMessage> Make(MessageType type, Body body) {
+  return std::make_unique<Message<Body>>(type, std::move(body));
+}
+
+Message<GroupHeartbeat> Heartbeat(uint16_t gid, uint64_t last_seq) {
+  return {MessageType::kGroupHeartbeat, {gid, last_seq}};
+}
+
+/// A randomized instance of every registered message type; null for a
+/// type it does not know, which fails the round-trip test.
 std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
   using T = MessageType;
+  auto gid = [&rng] { return static_cast<uint16_t>(rng.NextBelow(8)); };
   switch (type) {
     case T::kPrePrepare:
-      return std::make_unique<PrePrepareMsg>(rng.NextU64(), rng.NextU64(),
-                                             RandEntry(rng), RandSig(rng));
+      return Make(type, PrePrepare{rng.NextU64(), rng.NextU64(),
+                                   RandEntry(rng), RandSig(rng)});
     case T::kPrepare:
     case T::kCommit:
-      return std::make_unique<PbftVoteMsg>(type, rng.NextU64(), rng.NextU64(),
-                                           RandDigest(rng), RandSig(rng));
+      return Make(type, PbftVote{rng.NextU64(), rng.NextU64(),
+                                 RandDigest(rng), RandSig(rng)});
     case T::kCertifyRequest:
-      return std::make_unique<CertifyRequestMsg>(RandDecision(rng),
-                                                 RandSig(rng));
     case T::kCertifyVote:
-      return std::make_unique<CertifyVoteMsg>(RandDecision(rng),
-                                              RandSig(rng));
+      return Make(type, SignedDecision{RandDecision(rng), RandSig(rng)});
     case T::kEntryTransfer:
-      return std::make_unique<EntryTransferMsg>(RandEntry(rng),
-                                                RandCert(rng));
+    case T::kLeaderForward:
+      return Make(type, CertifiedEntry{RandEntry(rng), RandCert(rng)});
     case T::kChunkBatch:
-      return std::make_unique<ChunkBatchMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-          RandDigest(rng), RandCert(rng), RandChunks(rng),
-          rng.NextBelow(1u << 20));
+      return Make(type, ChunkBatch{gid(), rng.NextU64(), RandDigest(rng),
+                                   rng.NextBelow(1u << 20), RandCert(rng),
+                                   RandChunks(rng)});
     case T::kRaftPropose:
-      return std::make_unique<RaftProposeMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-          RandDigest(rng), RandCert(rng), RandElements(rng),
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64());
+      return Make(type, RaftPropose{gid(), rng.NextU64(), RandDigest(rng),
+                                    RandCert(rng), gid(), rng.NextU64(),
+                                    RandElements(rng)});
     case T::kRaftAccept:
-      return std::make_unique<RaftAcceptMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-          static_cast<uint16_t>(rng.NextBelow(8)), RandCert(rng),
-          rng.NextU64());
+      return Make(type, RaftAccept{gid(), rng.NextU64(), gid(),
+                                   rng.NextU64(), RandCert(rng)});
     case T::kRaftCommit:
-      return std::make_unique<RaftCommitMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-          RandCert(rng));
+      return Make(type, RaftCommit{gid(), rng.NextU64(), RandCert(rng)});
     case T::kTimestampAssign:
-      return std::make_unique<TimestampAssignMsg>(RandElements(rng),
-                                                  rng.NextBelow(2) == 0);
+      return Make(type, TimestampAssign{rng.NextBelow(2) == 0,
+                                        RandElements(rng)});
     case T::kGroupHeartbeat:
-      return std::make_unique<GroupHeartbeatMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64());
+      return Make(type, GroupHeartbeat{gid(), rng.NextU64()});
     case T::kGroupRelay: {
-      std::vector<RelayEvent> events;
+      GroupRelay relay{rng.NextBelow(2) == 0, {}};
       size_t n = 1 + rng.NextBelow(4);
       for (size_t i = 0; i < n; ++i)
-        events.push_back(RelayEvent{
-            static_cast<uint8_t>(1 + rng.NextBelow(2)),
-            static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-            static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64()});
-      return std::make_unique<GroupRelayMsg>(std::move(events),
-                                             rng.NextBelow(2) == 0);
+        relay.events.push_back(
+            RelayEvent{static_cast<uint8_t>(1 + rng.NextBelow(2)), gid(),
+                       rng.NextU64(), gid(), rng.NextU64()});
+      return Make(type, std::move(relay));
     }
     case T::kEpochMarker:
-      return std::make_unique<EpochMarkerMsg>(
-          static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64(),
-          rng.NextU64());
-    case T::kLeaderForward:
-      return std::make_unique<LeaderForwardMsg>(RandEntry(rng),
-                                                RandCert(rng));
+      return Make(type, EpochMarker{gid(), rng.NextU64(), rng.NextU64()});
     case T::kCatchUpRequest: {
-      std::vector<std::pair<uint16_t, uint64_t>> next;
+      CatchUpRequest request;
       size_t n = 1 + rng.NextBelow(4);
       for (size_t i = 0; i < n; ++i)
-        next.emplace_back(static_cast<uint16_t>(i), rng.NextU64());
-      return std::make_unique<CatchUpRequestMsg>(std::move(next));
+        request.executed_next.push_back(
+            {static_cast<uint16_t>(i), rng.NextU64()});
+      return Make(type, std::move(request));
     }
     case T::kFreezeQuery:
     case T::kFreezeReport:
-      return std::make_unique<FreezeMsg>(
-          type, static_cast<uint16_t>(rng.NextBelow(8)), rng.NextU64());
+      return Make(type, Freeze{gid(), rng.NextU64()});
     case T::kCatchUpDone:
-      return std::make_unique<CatchUpDoneMsg>();
+      return Make(type, CatchUpDone{});
   }
   return nullptr;
 }
-
-constexpr MessageType kAllTypes[] = {
-    MessageType::kPrePrepare,    MessageType::kPrepare,
-    MessageType::kCommit,        MessageType::kCertifyRequest,
-    MessageType::kCertifyVote,   MessageType::kEntryTransfer,
-    MessageType::kChunkBatch,    MessageType::kRaftPropose,
-    MessageType::kRaftAccept,    MessageType::kRaftCommit,
-    MessageType::kTimestampAssign, MessageType::kGroupHeartbeat,
-    MessageType::kGroupRelay,    MessageType::kEpochMarker,
-    MessageType::kLeaderForward, MessageType::kCatchUpRequest,
-    MessageType::kFreezeQuery,   MessageType::kFreezeReport,
-    MessageType::kCatchUpDone,
-};
 
 // ------------------------------------------------------------ Golden
 
@@ -248,62 +229,56 @@ Certificate GoldenCert() {
 }
 
 /// One instance of `type` built from literal field values only: no rng,
-/// so no dependence on the unspecified order of argument evaluation.
+/// so no dependence on the order in which arguments are evaluated.
 std::unique_ptr<ProtocolMessage> GoldenMessage(MessageType type) {
   using T = MessageType;
   const DecisionId decision{1, 2, 3, 44, 55};
   const std::vector<TimestampElement> elements{{1, 2, 3, 4}, {5, 6, 7, 8}};
   switch (type) {
     case T::kPrePrepare:
-      return std::make_unique<PrePrepareMsg>(1, 9, GoldenEntry(),
-                                             Filled<Signature>(0x01));
+      return Make(type,
+                  PrePrepare{1, 9, GoldenEntry(), Filled<Signature>(0x01)});
     case T::kPrepare:
     case T::kCommit:
-      return std::make_unique<PbftVoteMsg>(type, 1, 9, Filled<Digest>(0x11),
-                                           Filled<Signature>(0x22));
+      return Make(type, PbftVote{1, 9, Filled<Digest>(0x11),
+                                 Filled<Signature>(0x22)});
     case T::kCertifyRequest:
-      return std::make_unique<CertifyRequestMsg>(decision,
-                                                 Filled<Signature>(0x33));
+      return Make(type, SignedDecision{decision, Filled<Signature>(0x33)});
     case T::kCertifyVote:
-      return std::make_unique<CertifyVoteMsg>(decision,
-                                              Filled<Signature>(0x44));
+      return Make(type, SignedDecision{decision, Filled<Signature>(0x44)});
     case T::kEntryTransfer:
-      return std::make_unique<EntryTransferMsg>(GoldenEntry(), GoldenCert());
+    case T::kLeaderForward:
+      return Make(type, CertifiedEntry{GoldenEntry(), GoldenCert()});
     case T::kChunkBatch: {
       Chunk chunk{3, Bytes{9, 8, 7, 6},
                   MerkleProof{3, 4, {Filled<Digest>(0x50),
                                      Filled<Digest>(0x60)}}};
-      return std::make_unique<ChunkBatchMsg>(1, 7, Filled<Digest>(0x70),
-                                             GoldenCert(),
-                                             std::vector<Chunk>{chunk}, 4096);
+      return Make(type, ChunkBatch{1, 7, Filled<Digest>(0x70), 4096,
+                                   GoldenCert(), {chunk}});
     }
     case T::kRaftPropose:
-      return std::make_unique<RaftProposeMsg>(1, 99, Filled<Digest>(0x90),
-                                              GoldenCert(), elements, 2, 55);
+      return Make(type, RaftPropose{1, 99, Filled<Digest>(0x90), GoldenCert(),
+                                    2, 55, elements});
     case T::kRaftAccept:
-      return std::make_unique<RaftAcceptMsg>(1, 3, 2, GoldenCert(), 17);
+      return Make(type, RaftAccept{1, 3, 2, 17, GoldenCert()});
     case T::kRaftCommit:
-      return std::make_unique<RaftCommitMsg>(1, 3, GoldenCert());
+      return Make(type, RaftCommit{1, 3, GoldenCert()});
     case T::kTimestampAssign:
-      return std::make_unique<TimestampAssignMsg>(elements, true);
+      return Make(type, TimestampAssign{true, elements});
     case T::kGroupHeartbeat:
-      return std::make_unique<GroupHeartbeatMsg>(3, 12);
+      return Make(type, GroupHeartbeat{3, 12});
     case T::kGroupRelay:
-      return std::make_unique<GroupRelayMsg>(
-          std::vector<RelayEvent>{{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}, false);
+      return Make(type, GroupRelay{false, {{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}});
     case T::kEpochMarker:
-      return std::make_unique<EpochMarkerMsg>(2, 5, 300);
-    case T::kLeaderForward:
-      return std::make_unique<LeaderForwardMsg>(GoldenEntry(), GoldenCert());
+      return Make(type, EpochMarker{2, 5, 300});
     case T::kCatchUpRequest:
-      return std::make_unique<CatchUpRequestMsg>(
-          std::vector<std::pair<uint16_t, uint64_t>>{{0, 5}, {1, 200}});
+      return Make(type, CatchUpRequest{{{0, 5}, {1, 200}}});
     case T::kFreezeQuery:
-      return std::make_unique<FreezeMsg>(type, 2, 0);
+      return Make(type, Freeze{2, 0});
     case T::kFreezeReport:
-      return std::make_unique<FreezeMsg>(type, 2, 41);
+      return Make(type, Freeze{2, 41});
     case T::kCatchUpDone:
-      return std::make_unique<CatchUpDoneMsg>();
+      return Make(type, CatchUpDone{});
   }
   return nullptr;
 }
@@ -312,54 +287,54 @@ std::unique_ptr<ProtocolMessage> GoldenMessage(MessageType type) {
 /// 777. A changed hash is a changed wire format: every peer, the golden
 /// runs and the figures' byte counts move with it.
 constexpr std::pair<MessageType, const char*> kGoldenFrameHashes[] = {
-    {MessageType::kPrePrepare, 
+    {MessageType::kPrePrepare,
      "df5a2ece16ff41d3466ff05ac2557961d8e6c86daea3466ab0f6fd891de5d427"},
-    {MessageType::kPrepare, 
+    {MessageType::kPrepare,
      "bde27550bba03383abf16d9d1ed91b4c3ac4e3e418b0fbd32e3ca8d9cd6e29d6"},
-    {MessageType::kCommit, 
+    {MessageType::kCommit,
      "74058153a29a924e3c3690d91ae576c8b414933926fd30784acd8336c336f551"},
-    {MessageType::kCertifyRequest, 
+    {MessageType::kCertifyRequest,
      "e8a5ecf150770b889d9e536778e250174b9be944cb7c5ba0ceeb2f9c44637a34"},
-    {MessageType::kCertifyVote, 
+    {MessageType::kCertifyVote,
      "becf29be1ae8f19574b389514a4f6d8d2548bbf8f9a1b135e6c28df6b7c6b7fe"},
-    {MessageType::kEntryTransfer, 
+    {MessageType::kEntryTransfer,
      "877e990040bcbe63ad50b4175fc963a4cbfd0d1ab7ccb1bf345509ec743c4b0d"},
-    {MessageType::kChunkBatch, 
+    {MessageType::kChunkBatch,
      "f1a304d964ce3ec4473d3a91581575301f370074365664b99f4c85dfaedfde72"},
-    {MessageType::kRaftPropose, 
+    {MessageType::kRaftPropose,
      "d0c4adce65e54574a6e1b38c674b8c9194a39c41165e77c739e09d9f4e4f8699"},
-    {MessageType::kRaftAccept, 
+    {MessageType::kRaftAccept,
      "9ad6d50fe2fee9bdea497e5aee0a748e7b326973afc718edac9f19b9993502ca"},
-    {MessageType::kRaftCommit, 
+    {MessageType::kRaftCommit,
      "f8a4fef6e6005d27d68d54e25f739b5a4bce107fec520f677dace7036d86b2f1"},
-    {MessageType::kTimestampAssign, 
+    {MessageType::kTimestampAssign,
      "53c5dd361bdc26d2fd4fcd05d12ba6391c4dfb54ec0ab8ad49f8c3f1d0f15b04"},
-    {MessageType::kGroupHeartbeat, 
+    {MessageType::kGroupHeartbeat,
      "98449f37166b543df0176eedbdc494cea35e7cb2b396347bb28fc983baf22b2a"},
-    {MessageType::kGroupRelay, 
+    {MessageType::kGroupRelay,
      "5a70866752b000918dd67743e63eb4559561f4ab3ef8d0002d0d59b9e924aba6"},
-    {MessageType::kEpochMarker, 
+    {MessageType::kEpochMarker,
      "13f44e77417b0dabe4a7e54d44dfa1c153b9906b863144466a1d56d4f42e7f93"},
-    {MessageType::kLeaderForward, 
+    {MessageType::kLeaderForward,
      "9cd8c6892ab89c4369299e1d2717dd08436c1e065a3661cbd384c3253d233c57"},
-    {MessageType::kCatchUpRequest, 
+    {MessageType::kCatchUpRequest,
      "b46c9778da6c054855e3a1d43d8214e32cd3ef24a85042de339e649da126f097"},
-    {MessageType::kFreezeQuery, 
+    {MessageType::kFreezeQuery,
      "c8db44afebf1bcf2a61717f71c8080412c4096520c05baf957d042fbffea254f"},
-    {MessageType::kFreezeReport, 
+    {MessageType::kFreezeReport,
      "088f5e5083c2240f9f165fe52ab20bc8ea00d99c79c9f7bcd1b66858a8c2673a"},
-    {MessageType::kCatchUpDone, 
+    {MessageType::kCatchUpDone,
      "e6207152aadd389e1dc99cd7da1115552ffde1c66515fd190ca5dbb22d0b5872"},
 };
 
 TEST(WireGoldenTest, EveryTypeEncodesToRecordedBytes) {
-  ASSERT_EQ(std::size(kGoldenFrameHashes), std::size(kAllTypes));
+  ASSERT_EQ(std::size(kGoldenFrameHashes), MessageTypes().size());
   for (const auto& [type, hash] : kGoldenFrameHashes) {
     auto msg = GoldenMessage(type);
     ASSERT_NE(msg, nullptr);
     const Bytes wire = EncodeFrame(*msg, NodeId{1, 2}, 777);
     EXPECT_EQ(DigestToHex(Sha256::Hash(wire)), hash)
-        << MessageTypeName(type);
+        << FindMessageType(type)->name;
   }
 }
 
@@ -386,8 +361,9 @@ TEST(WireGoldenTest, SignedBytesAreRecorded) {
   PbftEngine leader(1, NodeId{1, 0}, 1, callbacks());
   leader.Propose(GoldenEntry());
   PbftEngine follower(1, NodeId{1, 1}, 4, callbacks());
-  follower.OnMessage(NodeId{1, 0}, std::make_shared<PrePrepareMsg>(
-                                       0, 9, GoldenEntry(), Signature{}));
+  follower.OnMessage(NodeId{1, 0},
+                     NewMessage(MessageType::kPrePrepare,
+                                PrePrepare{0, 9, GoldenEntry(), Signature{}}));
   ASSERT_EQ(signed_bytes.size(), 3u);
   // Pre-prepare: phase, gid, view, seq, entry digest.
   EXPECT_EQ(ToHex(signed_bytes[0]),
@@ -413,33 +389,31 @@ TEST(WireGoldenTest, SignedBytesAreRecorded) {
 TEST(WireRoundTripTest, EveryMessageTypeRoundTrips) {
   Rng rng(42);
   const NodeId src{3, 7};
-  for (MessageType type : kAllTypes) {
+  for (const MessageTypeInfo& info : MessageTypes()) {
+    const MessageType type = info.type;
     for (int iteration = 0; iteration < 8; ++iteration) {
       auto msg = MakeMessage(type, rng);
-      ASSERT_NE(msg, nullptr) << "no factory for type "
-                              << static_cast<int>(type);
+      ASSERT_NE(msg, nullptr) << "no factory for " << info.name;
       // Fixed origin timestamp so the re-encode comparison below is
       // byte-exact (the default overload stamps TraceClock::NowNs()).
       Bytes wire = EncodeFrame(*msg, src, 777);
-      EXPECT_EQ(wire.size(), msg->ByteSize())
-          << "type " << static_cast<int>(type);
+      EXPECT_EQ(wire.size(), msg->ByteSize()) << info.name;
 
       auto peeked = PeekFrameLength(wire.data(), wire.size());
       ASSERT_TRUE(peeked.ok());
       EXPECT_EQ(*peeked, wire.size());
 
       auto frame = DecodeFrame(wire);
-      ASSERT_TRUE(frame.ok()) << "type " << static_cast<int>(type) << ": "
-                              << frame.status().ToString();
+      ASSERT_TRUE(frame.ok())
+          << info.name << ": " << frame.status().ToString();
       EXPECT_EQ(frame->src, src);
       ASSERT_NE(frame->msg, nullptr);
       EXPECT_EQ(frame->msg->message_type(), type);
 
-      EXPECT_EQ(frame->has_trace, CarriesTraceContext(type));
+      EXPECT_EQ(frame->has_trace, info.carries_trace);
 
       Bytes rewire = EncodeFrame(*frame->msg, src, 777);
-      EXPECT_EQ(rewire, wire) << "re-encode divergence for type "
-                              << static_cast<int>(type);
+      EXPECT_EQ(rewire, wire) << "re-encode divergence for " << info.name;
     }
   }
 }
@@ -450,43 +424,47 @@ TEST(WireRoundTripTest, FieldLevelSpotChecks) {
   {
     auto entry = RandEntry(rng);
     auto cert = RandCert(rng);
-    EntryTransferMsg msg(entry, cert);
+    Message<CertifiedEntry> msg(MessageType::kEntryTransfer, {entry, cert});
     auto frame = DecodeFrame(EncodeFrame(msg, src));
     ASSERT_TRUE(frame.ok());
-    auto& decoded = static_cast<const EntryTransferMsg&>(*frame->msg);
-    EXPECT_EQ(decoded.entry()->digest(), entry->digest());
-    EXPECT_EQ(decoded.entry()->txns(), entry->txns());
-    EXPECT_EQ(decoded.cert(), cert);
+    const auto& decoded = BodyOf<CertifiedEntry>(*frame->msg);
+    EXPECT_EQ(decoded.entry->digest(), entry->digest());
+    EXPECT_EQ(decoded.entry->txns(), entry->txns());
+    EXPECT_EQ(decoded.cert, cert);
   }
   {
     auto elements = RandElements(rng);
-    RaftProposeMsg msg(4, 99, RandDigest(rng), RandCert(rng), elements, 2, 55);
+    Message<RaftPropose> msg(
+        MessageType::kRaftPropose,
+        {4, 99, RandDigest(rng), RandCert(rng), 2, 55, elements});
     auto frame = DecodeFrame(EncodeFrame(msg, src));
     ASSERT_TRUE(frame.ok());
-    auto& decoded = static_cast<const RaftProposeMsg&>(*frame->msg);
-    EXPECT_EQ(decoded.gid(), 4);
-    EXPECT_EQ(decoded.seq(), 99u);
-    EXPECT_EQ(decoded.piggyback(), elements);
-    EXPECT_EQ(decoded.origin_gid(), 2);
-    EXPECT_EQ(decoded.origin_seq(), 55u);
+    const auto& decoded = BodyOf<RaftPropose>(*frame->msg);
+    EXPECT_EQ(decoded.gid, 4);
+    EXPECT_EQ(decoded.seq, 99u);
+    EXPECT_EQ(decoded.piggyback, elements);
+    EXPECT_EQ(decoded.origin_gid, 2);
+    EXPECT_EQ(decoded.origin_seq, 55u);
   }
   {
     auto chunks = RandChunks(rng);
-    ChunkBatchMsg msg(1, 7, RandDigest(rng), RandCert(rng), chunks, 4096);
+    Message<ChunkBatch> msg(
+        MessageType::kChunkBatch,
+        {1, 7, RandDigest(rng), 4096, RandCert(rng), chunks});
     auto frame = DecodeFrame(EncodeFrame(msg, src));
     ASSERT_TRUE(frame.ok());
-    auto& decoded = static_cast<const ChunkBatchMsg&>(*frame->msg);
-    ASSERT_EQ(decoded.chunks().size(), chunks.size());
-    EXPECT_EQ(decoded.chunks()[0].data, chunks[0].data);
-    EXPECT_EQ(decoded.chunks()[0].proof.path, chunks[0].proof.path);
-    EXPECT_EQ(decoded.entry_size(), 4096u);
+    const auto& decoded = BodyOf<ChunkBatch>(*frame->msg);
+    ASSERT_EQ(decoded.chunks.size(), chunks.size());
+    EXPECT_EQ(decoded.chunks[0].data, chunks[0].data);
+    EXPECT_EQ(decoded.chunks[0].proof.path, chunks[0].proof.path);
+    EXPECT_EQ(decoded.entry_size, 4096u);
   }
 }
 
 // ------------------------------------------------------------ Malformed
 
 Bytes SampleFrame() {
-  GroupHeartbeatMsg msg(1, 12345);
+  auto msg = Heartbeat(1, 12345);
   return EncodeFrame(msg, NodeId{0, 1});
 }
 
@@ -508,7 +486,7 @@ void FixCrc(Bytes& wire) {
 TEST(WireTraceContextTest, EntryCarryingFrameRoundTripsContext) {
   auto entry = std::make_shared<const Entry>(3, 42, std::vector<Transaction>{});
   Certificate cert;
-  EntryTransferMsg msg(entry, cert);
+  Message<CertifiedEntry> msg(MessageType::kEntryTransfer, {entry, cert});
   const NodeId src{3, 5};
   auto frame = DecodeFrame(EncodeFrame(msg, src, 123456789));
   ASSERT_TRUE(frame.ok());
@@ -520,7 +498,7 @@ TEST(WireTraceContextTest, EntryCarryingFrameRoundTripsContext) {
 }
 
 TEST(WireTraceContextTest, NonCarryingFrameHasNoContext) {
-  GroupHeartbeatMsg msg(0, 7);
+  auto msg = Heartbeat(0, 7);
   auto frame = DecodeFrame(EncodeFrame(msg, NodeId{0, 1}));
   ASSERT_TRUE(frame.ok());
   EXPECT_FALSE(frame->has_trace);
@@ -530,7 +508,8 @@ TEST(WireTraceContextTest, DefaultEncodeStampsTraceClock) {
   // The convenience overload stamps TraceClock::NowNs(): two encodes of
   // the same message must carry non-decreasing origin timestamps.
   auto entry = std::make_shared<const Entry>(1, 9, std::vector<Transaction>{});
-  EntryTransferMsg msg(entry, Certificate{});
+  Message<CertifiedEntry> msg(MessageType::kEntryTransfer,
+                              {entry, Certificate{}});
   auto first = DecodeFrame(EncodeFrame(msg, NodeId{1, 0}));
   auto second = DecodeFrame(EncodeFrame(msg, NodeId{1, 0}));
   ASSERT_TRUE(first.ok());
@@ -542,7 +521,8 @@ TEST(WireTraceContextTest, FlagMismatchingTypeIsRejected) {
   // Strip the flag from an entry-carrying frame: decode must refuse, or
   // sim/real byte accounting could silently diverge.
   auto entry = std::make_shared<const Entry>(0, 1, std::vector<Transaction>{});
-  EntryTransferMsg msg(entry, Certificate{});
+  Message<CertifiedEntry> msg(MessageType::kEntryTransfer,
+                              {entry, Certificate{}});
   Bytes wire = EncodeFrame(msg, NodeId{0, 0}, 1);
   wire[6] = 0;  // flags byte
   // Splice out the 22-byte context so the frame is self-consistent again.
@@ -635,7 +615,8 @@ TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
   BinaryWriter body;
   body.PutU8(0);  // replay
   body.PutVarint(1u << 28);
-  auto frame = DecodeFrame(Reframe(GroupRelayMsg({}, false), body.buffer()));
+  auto frame = DecodeFrame(
+      Reframe(*Make(MessageType::kGroupRelay, GroupRelay{}), body.buffer()));
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsCorruption());
 }
@@ -645,13 +626,14 @@ TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
 TEST(WireMalformedTest, BoolOtherThanZeroOrOneIsRejected) {
   const Bytes two = {2, 0};  // replay = 2, no elements.
   const Bytes one = {1, 0};
-  for (const Bytes& wire : {Reframe(TimestampAssignMsg({}, false), two),
-                            Reframe(GroupRelayMsg({}, false), two)}) {
+  const auto assign = Make(MessageType::kTimestampAssign, TimestampAssign{});
+  const auto relay = Make(MessageType::kGroupRelay, GroupRelay{});
+  for (const Bytes& wire : {Reframe(*assign, two), Reframe(*relay, two)}) {
     auto frame = DecodeFrame(wire);
     ASSERT_FALSE(frame.ok());
     EXPECT_TRUE(frame.status().IsCorruption());
   }
-  EXPECT_TRUE(DecodeFrame(Reframe(TimestampAssignMsg({}, false), one)).ok());
+  EXPECT_TRUE(DecodeFrame(Reframe(*assign, one)).ok());
 }
 
 /// A count of 1 written as 0x81 0x00 names the same value as 0x01: the
@@ -662,18 +644,19 @@ TEST(WireMalformedTest, NonMinimalVarintIsRejected) {
   padded.insert(padded.end(), pair.begin(), pair.end());
   Bytes minimal = {0x01};
   minimal.insert(minimal.end(), pair.begin(), pair.end());
-  const CatchUpRequestMsg sample({});
-  auto frame = DecodeFrame(Reframe(sample, padded));
+  const auto sample = Make(MessageType::kCatchUpRequest, CatchUpRequest{});
+  auto frame = DecodeFrame(Reframe(*sample, padded));
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsCorruption());
-  EXPECT_TRUE(DecodeFrame(Reframe(sample, minimal)).ok());
+  EXPECT_TRUE(DecodeFrame(Reframe(*sample, minimal)).ok());
 }
 
 /// Fuzz-ish: random corruption of one byte anywhere in the frame must
 /// yield an error or a well-formed decode — never a crash.
 TEST(WireMalformedTest, SingleByteCorruptionNeverCrashes) {
   Rng rng(9);
-  for (MessageType type : kAllTypes) {
+  for (const MessageTypeInfo& info : MessageTypes()) {
+    const MessageType type = info.type;
     auto msg = MakeMessage(type, rng);
     Bytes wire = EncodeFrame(*msg, NodeId{1, 1});
     for (int trial = 0; trial < 32; ++trial) {
@@ -718,14 +701,13 @@ TEST(InProcTransportTest, DeliversThroughFullCodec) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(2, 77);
+  auto msg = Heartbeat(2, 77);
   ASSERT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   ASSERT_TRUE(sink_b.WaitForCount(1));
   EXPECT_EQ(sink_b.frames[0].src, (NodeId{0, 0}));
-  auto& decoded =
-      static_cast<const GroupHeartbeatMsg&>(*sink_b.frames[0].msg);
-  EXPECT_EQ(decoded.gid(), 2);
-  EXPECT_EQ(decoded.last_seq(), 77u);
+  const auto& decoded = BodyOf<GroupHeartbeat>(*sink_b.frames[0].msg);
+  EXPECT_EQ(decoded.gid, 2);
+  EXPECT_EQ(decoded.last_seq, 77u);
 
   EXPECT_EQ(a->stats().frames_sent, 1u);
   EXPECT_EQ(a->stats().bytes_sent, msg.ByteSize());
@@ -759,7 +741,7 @@ TEST(TcpTransportTest, LoopbackRoundTrip) {
   // Both directions, including a large frame spanning multiple reads.
   Rng rng(3);
   auto big = MakeMessage(MessageType::kEntryTransfer, rng);
-  GroupHeartbeatMsg small(1, 5);
+  auto small = Heartbeat(1, 5);
   ASSERT_TRUE(a.Send(NodeId{0, 1}, *big).ok());
   ASSERT_TRUE(a.Send(NodeId{0, 1}, small).ok());
   ASSERT_TRUE(b.Send(NodeId{0, 0}, small).ok());
@@ -783,7 +765,7 @@ TEST(TcpTransportTest, SendToUnmappedNodeFails) {
   TcpTransport a(NodeId{0, 0}, ports);
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
-  GroupHeartbeatMsg msg(0, 0);
+  auto msg = Heartbeat(0, 0);
   EXPECT_FALSE(a.Send(NodeId{5, 5}, msg).ok());
   EXPECT_EQ(a.stats().send_errors, 1u);
   a.Stop();
@@ -813,7 +795,7 @@ TEST(TcpTransportTest, SendToDeadPeerNeverBlocks) {
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   for (int i = 0; i < 50; ++i) {
     auto start = std::chrono::steady_clock::now();
     ASSERT_TRUE(a.Send(NodeId{0, 1}, msg).ok());
@@ -835,7 +817,7 @@ TEST(TcpTransportTest, BackpressureDropsWhenQueueFull) {
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   int dropped = 0;
   for (int i = 0; i < 20; ++i)
     if (!a.Send(NodeId{0, 1}, msg).ok()) ++dropped;
@@ -854,7 +836,7 @@ TEST(TcpTransportTest, ReconnectsAfterPeerRestart) {
   ASSERT_TRUE(a.Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b1.fn()).ok());
 
-  GroupHeartbeatMsg msg(7, 1);
+  auto msg = Heartbeat(7, 1);
   ASSERT_TRUE(a.Send(NodeId{0, 1}, msg).ok());
   ASSERT_TRUE(sink_b1.WaitForCount(1));
 
@@ -903,7 +885,7 @@ TEST(FaultTransportTest, DropRateOneDropsEverything) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   EXPECT_EQ(a->fault_stats().dropped, 10u);
   EXPECT_EQ(b->stats().frames_received, 0u);
@@ -922,7 +904,7 @@ TEST(FaultTransportTest, DuplicateRateOneDeliversTwice) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   EXPECT_EQ(a->fault_stats().duplicated, 5u);
   EXPECT_EQ(b->stats().frames_received, 10u);
@@ -940,7 +922,7 @@ TEST(FaultTransportTest, CorruptionIsCaughtByReceiverCrc) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   // Real mangled bytes went on the wire; the receiver's codec rejected
   // every frame (one flipped byte always breaks the CRC or the header).
@@ -964,7 +946,7 @@ TEST(FaultTransportTest, DelayedFramesArriveLater) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   // Sends return before delivery (they only scheduled the frames).
@@ -997,15 +979,15 @@ TEST(FaultTransportTest, DelayStallsTheLinkButNeverReordersIt) {
 
   constexpr uint64_t kFrames = 50;
   for (uint64_t i = 0; i < kFrames; ++i) {
-    GroupHeartbeatMsg msg(0, /*last_seq=*/i);
+    auto msg = Heartbeat(0, /*last_seq=*/i);
     EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   }
   ASSERT_TRUE(sink_b.WaitForCount(kFrames));
   EXPECT_GT(a->fault_stats().delayed, 0u);
   std::lock_guard<std::mutex> lock(sink_b.mu);
   for (uint64_t i = 0; i < kFrames; ++i) {
-    auto* hb = static_cast<GroupHeartbeatMsg*>(sink_b.frames[i].msg.get());
-    EXPECT_EQ(hb->last_seq(), i) << "frame overtook a delayed predecessor";
+    EXPECT_EQ(BodyOf<GroupHeartbeat>(*sink_b.frames[i].msg).last_seq, i)
+        << "frame overtook a delayed predecessor";
   }
   a->Stop();
   b->Stop();
@@ -1026,7 +1008,7 @@ TEST(FaultTransportTest, PartitionWindowCutsBothDirectionsThenHeals) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
   EXPECT_TRUE(a->Send(NodeId{1, 0}, msg).ok());
   EXPECT_TRUE(b->Send(NodeId{0, 0}, msg).ok());
   EXPECT_EQ(a->fault_stats().partition_dropped +
@@ -1051,7 +1033,7 @@ TEST(FaultTransportTest, SameSeedSameMessageSequenceSameFaults) {
   spec.drop_rate = 0.3;
   spec.duplicate_rate = 0.2;
   spec.corrupt_rate = 0.2;
-  GroupHeartbeatMsg msg(1, 1);
+  auto msg = Heartbeat(1, 1);
 
   auto run = [&] {
     InProcHub hub;
@@ -1142,7 +1124,8 @@ TEST(WireEncodeIntoTest, MatchesEncodeFrameForEveryType) {
   Rng rng(11);
   Bytes reused;  // Deliberately reused across types, like a pooled buffer.
   reused.assign(333, 0xEE);
-  for (MessageType type : kAllTypes) {
+  for (const MessageTypeInfo& info : MessageTypes()) {
+    const MessageType type = info.type;
     auto msg = MakeMessage(type, rng);
     const Bytes classic = EncodeFrame(*msg, NodeId{2, 4}, 1234567);
     EncodeFrameInto(*msg, NodeId{2, 4}, 1234567, &reused);
@@ -1159,7 +1142,8 @@ TEST(FrameReassemblerTest, OneByteTrickleReassemblesEveryType) {
   Rng rng(21);
   Bytes stream;
   std::vector<MessageType> order;
-  for (MessageType type : kAllTypes) {
+  for (const MessageTypeInfo& info : MessageTypes()) {
+    const MessageType type = info.type;
     auto msg = MakeMessage(type, rng);
     const Bytes wire = EncodeFrame(*msg, NodeId{1, 2});
     stream.insert(stream.end(), wire.begin(), wire.end());
@@ -1186,7 +1170,7 @@ TEST(FrameReassemblerTest, RandomFragmentationFuzz) {
     size_t expected = 0;
     for (int i = 0; i < 40; ++i) {
       auto msg = MakeMessage(
-          kAllTypes[rng.NextBelow(std::size(kAllTypes))], rng);
+          MessageTypes()[rng.NextBelow(MessageTypes().size())].type, rng);
       const Bytes wire = EncodeFrame(*msg, NodeId{0, 1});
       stream.insert(stream.end(), wire.begin(), wire.end());
       ++expected;
@@ -1212,7 +1196,7 @@ TEST(FrameReassemblerTest, RandomFragmentationFuzz) {
 /// before tearing the connection down.
 TEST(FrameReassemblerTest, CorruptionAfterGoodFramesKeepsThePrefix) {
   Rng rng(41);
-  GroupHeartbeatMsg msg(3, 9);
+  auto msg = Heartbeat(3, 9);
   Bytes stream;
   for (int i = 0; i < 2; ++i) {
     const Bytes wire = EncodeFrame(msg, NodeId{0, 0});
@@ -1295,7 +1279,7 @@ TEST(InProcTransportTest, SteadyStateSendsMakeZeroPoolAllocations) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  GroupHeartbeatMsg msg(1, 42);
+  auto msg = Heartbeat(1, 42);
   for (int i = 0; i < 16; ++i)  // Warm the pool.
     ASSERT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
 
@@ -1329,7 +1313,7 @@ TEST(TcpTransportTest, BatchedDeliveryPreservesPerPeerOrder) {
 
   constexpr uint64_t kCount = 3000;
   for (uint64_t i = 0; i < kCount; ++i) {
-    GroupHeartbeatMsg msg(1, i);
+    auto msg = Heartbeat(1, i);
     while (!a.Send(NodeId{0, 1}, msg).ok())  // Ride out backpressure.
       std::this_thread::yield();
   }
@@ -1337,9 +1321,8 @@ TEST(TcpTransportTest, BatchedDeliveryPreservesPerPeerOrder) {
 
   std::lock_guard<std::mutex> lock(sink_b.mu);
   for (uint64_t i = 0; i < kCount; ++i) {
-    const auto& beat =
-        static_cast<const GroupHeartbeatMsg&>(*sink_b.frames[i].msg);
-    ASSERT_EQ(beat.last_seq(), i) << "reordered or lost at " << i;
+    ASSERT_EQ(BodyOf<GroupHeartbeat>(*sink_b.frames[i].msg).last_seq, i)
+        << "reordered or lost at " << i;
   }
   // The whole flood must have moved in far fewer syscalls than frames on
   // both sides — the point of batching.
@@ -1376,9 +1359,10 @@ TEST(TcpTransportTest, PartialWriteResumeAcrossBatchBoundaries) {
   }
   constexpr int kRounds = 8;
   for (int i = 0; i < kRounds; ++i) {
-    ChunkBatchMsg big(1, static_cast<uint64_t>(i), RandDigest(rng),
-                      RandCert(rng), chunks, 0);
-    GroupHeartbeatMsg small(1, static_cast<uint64_t>(i));
+    Message<ChunkBatch> big(MessageType::kChunkBatch,
+                            {1, static_cast<uint64_t>(i), RandDigest(rng), 0,
+                             RandCert(rng), chunks});
+    auto small = Heartbeat(1, static_cast<uint64_t>(i));
     while (!a.Send(NodeId{0, 1}, big).ok()) std::this_thread::yield();
     while (!a.Send(NodeId{0, 1}, small).ok()) std::this_thread::yield();
   }

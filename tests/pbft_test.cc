@@ -187,7 +187,8 @@ TEST_F(PbftFixture, NonLeaderCannotPrePrepare) {
   // form because correct nodes reject non-leader pre-prepares.
   EntryPtr entry = MakeEntry(0);
   Signature sig = bus_->registry.Sign(NodeId{0, 2}, Bytes{1, 2, 3});
-  auto forged = std::make_shared<PrePrepareMsg>(0, 0, entry, sig);
+  auto forged =
+      NewMessage(MessageType::kPrePrepare, PrePrepare{0, 0, entry, sig});
   bus_->Broadcast(2, forged);
   bus_->Deliver();
   for (auto& node : nodes_) EXPECT_TRUE(node->committed.empty());
@@ -198,8 +199,8 @@ TEST_F(PbftFixture, BadSignatureVotesIgnored) {
   EntryPtr entry = MakeEntry(0);
   // Garbage commit votes should not help reach quorum.
   for (int from = 1; from < 4; ++from) {
-    auto vote = std::make_shared<PbftVoteMsg>(
-        MessageType::kCommit, 0, 0, entry->digest(), Signature{});
+    auto vote = NewMessage(MessageType::kCommit,
+                           PbftVote{0, 0, entry->digest(), Signature{}});
     bus_->Send(from, 0, vote);
   }
   bus_->Deliver();

@@ -163,7 +163,7 @@ TEST_F(CertificateTest, EncodeDecodeRoundTrip) {
   Certificate cert = MakeCert(digest_, 5);
   BinaryWriter w;
   cert.EncodeTo(&w);
-  EXPECT_EQ(w.size(), cert.ByteSize());
+  EXPECT_EQ(w.size(), field::Size(cert));
   BinaryReader r(w.buffer());
   auto decoded = Certificate::DecodeFrom(&r);
   ASSERT_TRUE(decoded.ok());
@@ -178,8 +178,10 @@ TEST_F(CertificateTest, CompactEncodingShrinksWireSize) {
   // 5 signers over a 7-node group: one bitmap byte + 5 * 64 sig bytes
   // versus the old 5 * (4 + 64) explicit pair list.
   Certificate cert = MakeCert(digest_, 5);
-  EXPECT_EQ(cert.ByteSize(), 2u + 32u + 2u + 1u + 5u * sizeof(Signature));
-  EXPECT_LT(cert.ByteSize(), 2u + 32u + 2u + 5u * (4u + 64u));
+  BinaryWriter w;
+  cert.EncodeTo(&w);
+  EXPECT_EQ(w.size(), 2u + 32u + 2u + 1u + 5u * sizeof(Signature));
+  EXPECT_LT(w.size(), 2u + 32u + 2u + 5u * (4u + 64u));
 }
 
 TEST_F(CertificateTest, NonCanonicalBitmapRejected) {
@@ -199,21 +201,25 @@ TEST_F(CertificateTest, NonCanonicalBitmapRejected) {
 // ---------------------------------------------------------- Message sizes
 
 // ByteSize() must equal frame overhead plus the real encoded body (plus
-// the wire trace context for entry-carrying types) — the encoder is the
-// single source of truth for link accounting.
+// the wire trace context for entry-carrying types): the body's field list
+// is the single source of truth for link accounting.
 size_t EncodedSize(const ProtocolMessage& msg) {
   BinaryWriter w;
   msg.EncodeBodyTo(&w);
   return kFrameOverheadBytes +
-         (CarriesTraceContext(msg.message_type()) ? kTraceContextBytes : 0) +
-         w.size();
+         (msg.info().carries_trace ? kTraceContextBytes : 0) + w.size();
 }
 
+// A certificate with `n` signers from one group: gid, digest, bitmap
+// length, one bitmap byte, the signatures.
+size_t CertBytes(size_t n) { return 2 + 32 + 2 + 1 + n * sizeof(Signature); }
+
 TEST(MessageSizeTest, EnvelopeAddedToEveryMessage) {
-  CatchUpDoneMsg done;  // Empty body: the envelope alone.
+  // Empty body: the envelope alone.
+  Message<CatchUpDone> done(MessageType::kCatchUpDone, {});
   EXPECT_EQ(done.ByteSize(), kFrameOverheadBytes);
   EXPECT_EQ(done.ByteSize(), EncodedSize(done));
-  GroupHeartbeatMsg hb(1, 100);
+  Message<GroupHeartbeat> hb(MessageType::kGroupHeartbeat, {1, 100});
   EXPECT_EQ(hb.ByteSize(), kFrameOverheadBytes + 10);
   EXPECT_EQ(hb.ByteSize(), EncodedSize(hb));
 }
@@ -223,12 +229,12 @@ TEST(MessageSizeTest, EntryTransferCarriesEntryAndCert) {
       0, 1, std::vector<Transaction>{MakeTxn(1, 201)});
   Certificate cert;
   for (uint16_t i = 0; i < 5; ++i) cert.AddSignature(i, Signature{});
-  EntryTransferMsg msg(entry, cert);
+  Message<CertifiedEntry> msg(MessageType::kEntryTransfer, {entry, cert});
   // The entry rides as a length-prefixed blob of its canonical encoding;
   // entry-carrying frames also attach the wire trace context.
   EXPECT_EQ(msg.ByteSize(), kFrameOverheadBytes + kTraceContextBytes +
                                 VarintSize(entry->ByteSize()) +
-                                entry->ByteSize() + cert.ByteSize());
+                                entry->ByteSize() + CertBytes(5));
   EXPECT_EQ(msg.ByteSize(), EncodedSize(msg));
 }
 
@@ -241,30 +247,34 @@ TEST(MessageSizeTest, ChunkBatchAccountsChunksProofsAndCert) {
   chunk.proof.path.resize(5);
   Certificate cert;
   for (uint16_t i = 0; i < 5; ++i) cert.AddSignature(i, Signature{});
-  ChunkBatchMsg msg(0, 1, Digest{}, cert, {chunk}, 13000);
+  Message<ChunkBatch> msg(MessageType::kChunkBatch,
+                          {0, 1, Digest{}, 13000, cert, {chunk}});
+  // Chunk: id, 2-byte varint length, data, then the proof's index, leaf
+  // count, path length and path.
+  const size_t chunk_bytes = 4 + 2 + 1000 + (4 + 4 + 2 + 5 * 32);
   size_t expected = kFrameOverheadBytes + kTraceContextBytes + 2 + 8 + 32 + 8 +
-                    cert.ByteSize() + /*chunk count varint*/ 1 +
-                    chunk.ByteSize();
-  EXPECT_EQ(chunk.ByteSize(), 4 + 2 + 1000 + chunk.proof.ByteSize());
+                    CertBytes(5) + /*chunk count varint*/ 1 + chunk_bytes;
   EXPECT_EQ(msg.ByteSize(), expected);
   EXPECT_EQ(msg.ByteSize(), EncodedSize(msg));
 }
 
 TEST(MessageSizeTest, SignatureWireSizeMatchesEd25519) {
   // The substituted scheme must not change message sizes (DESIGN.md §2).
-  PbftVoteMsg vote(MessageType::kPrepare, 0, 0, Digest{}, Signature{});
+  Message<PbftVote> vote(MessageType::kPrepare, {0, 0, Digest{}, Signature{}});
   EXPECT_EQ(vote.ByteSize(), kFrameOverheadBytes + 8 + 8 + 32 + 64);
   EXPECT_EQ(vote.ByteSize(), EncodedSize(vote));
 }
 
 TEST(MessageSizeTest, TimestampPiggybackCounted) {
   Certificate cert;
-  RaftProposeMsg bare(0, 1, Digest{}, cert, {});
-  RaftProposeMsg with_ts(0, 1, Digest{}, cert,
-                         {TimestampElement{0, 1, 2, 3},
-                          TimestampElement{1, 1, 2, 4}});
-  EXPECT_EQ(with_ts.ByteSize(),
-            bare.ByteSize() + 2 * TimestampElement::kByteSize);
+  Message<RaftPropose> bare(MessageType::kRaftPropose,
+                            {0, 1, Digest{}, cert, 0, 0, {}});
+  Message<RaftPropose> with_ts(
+      MessageType::kRaftPropose,
+      {0, 1, Digest{}, cert, 0, 0,
+       {TimestampElement{0, 1, 2, 3}, TimestampElement{1, 1, 2, 4}}});
+  // Two elements of assigner, target gid, target seq and ts each.
+  EXPECT_EQ(with_ts.ByteSize(), bare.ByteSize() + 2 * (2 + 2 + 8 + 8));
 }
 
 }  // namespace

@@ -103,13 +103,13 @@ class RaftHarness {
       RaftCoordinator* c = coordinators_[to].get();
       switch (static_cast<MessageType>(msg->type())) {
         case MessageType::kRaftPropose:
-          c->OnProposeControl(static_cast<const RaftProposeMsg&>(*msg));
+          c->OnProposeControl(BodyOf<RaftPropose>(*msg));
           break;
         case MessageType::kRaftAccept:
-          c->OnAccept(static_cast<const RaftAcceptMsg&>(*msg));
+          c->OnAccept(BodyOf<RaftAccept>(*msg));
           break;
         case MessageType::kRaftCommit:
-          c->OnCommit(static_cast<const RaftCommitMsg&>(*msg));
+          c->OnCommit(BodyOf<RaftCommit>(*msg));
           break;
         default:
           break;
@@ -260,8 +260,8 @@ TEST(RaftTest, InvalidProposeCertificateRejected) {
   Certificate bogus;
   bogus.gid = 0;
   bogus.digest = DigestOf(1);
-  RaftProposeMsg msg(0, 0, DigestOf(1), bogus, {});
-  h.coordinator(1).OnProposeControl(msg);
+  h.coordinator(1).OnProposeControl(
+      RaftPropose{0, 0, DigestOf(1), bogus, 0, 0, {}});
   h.MakeAvailable(1, 0, 0);
   EXPECT_TRUE(h.accepts(1).empty());
 }
