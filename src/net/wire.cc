@@ -154,7 +154,7 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t len) {
 
   BinaryReader body(data + kFrameHeaderBytes + trace_len, body_len);
   MASSBFT_ASSIGN_OR_RETURN(std::unique_ptr<ProtocolMessage> msg,
-                           DecodeMessageBody(info->type, &body));
+                           info->decode(info->type, &body));
   frame.src = NodeId::FromPacked(src_packed);
   frame.msg = std::move(msg);
   return frame;

@@ -45,18 +45,8 @@ const MessageTypeInfo* FindMessageType(MessageType type) {
   return nullptr;
 }
 
-Result<std::unique_ptr<ProtocolMessage>> DecodeMessageBody(MessageType type,
-                                                           BinaryReader* r) {
-  const MessageTypeInfo* info = FindMessageType(type);
-  if (info == nullptr) return Status::Corruption("unknown message type");
-  MASSBFT_ASSIGN_OR_RETURN(std::unique_ptr<ProtocolMessage> msg,
-                           info->decode(type, r));
-  if (!r->AtEnd()) return Status::Corruption("trailing bytes after message");
-  return msg;
-}
-
 ProtocolMessage::ProtocolMessage(MessageType type, BodyDecoder decoder)
-    : type_(type), info_(FindMessageType(type)) {
+    : info_(FindMessageType(type)) {
   MASSBFT_CHECK(info_ != nullptr && info_->decode == decoder);
 }
 

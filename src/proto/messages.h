@@ -299,7 +299,9 @@ struct MessageTypeInfo {
   /// carry or propose an entry, the hops that stitch an entry's cross-node
   /// lifecycle together in the merged trace.
   bool carries_trace;
-  /// Decodes a body of the type's layout (DecodeAs<Body>).
+  /// Decodes one whole body of the type's layout (DecodeAs<Body>): the
+  /// inverse of EncodeBodyTo. Rejects malformed, truncated or trailing
+  /// bytes with an error Status; never crashes on malformed input.
   BodyDecoder decode;
 };
 
@@ -309,12 +311,6 @@ std::span<const MessageTypeInfo> MessageTypes();
 /// The row for `type`, or null for a value no type has.
 const MessageTypeInfo* FindMessageType(MessageType type);
 
-/// Decodes one message body of the given type (the inverse of
-/// EncodeBodyTo). Rejects unknown types, malformed, truncated or trailing
-/// bytes with an error Status — never crashes on malformed input.
-[[nodiscard]] Result<std::unique_ptr<ProtocolMessage>> DecodeMessageBody(
-    MessageType type, BinaryReader* r);
-
 // --------------------------------------------------------------- Envelope
 
 /// Common base for every wire message; Message<Body> is the only subclass.
@@ -322,8 +318,8 @@ const MessageTypeInfo* FindMessageType(MessageType type);
 /// them by pointer.
 class ProtocolMessage : public SimMessage {
  public:
-  int type() const override { return static_cast<int>(type_); }
-  MessageType message_type() const { return type_; }
+  int type() const override { return static_cast<int>(info_->type); }
+  MessageType message_type() const { return info_->type; }
   const MessageTypeInfo& info() const { return *info_; }
 
   /// The bytes this message costs on a link: the frame it encodes to.
@@ -333,7 +329,7 @@ class ProtocolMessage : public SimMessage {
   }
 
   /// Serializes the body (everything after the frame header and trace
-  /// context). DecodeMessageBody() inverts it.
+  /// context). The registry row's decode() inverts it.
   virtual void EncodeBodyTo(BinaryWriter* w) const = 0;
   /// Encoded body size in bytes, counted without encoding.
   virtual size_t BodySize() const = 0;
@@ -346,7 +342,6 @@ class ProtocolMessage : public SimMessage {
   ProtocolMessage(MessageType type, BodyDecoder decoder);
 
  private:
-  MessageType type_;
   const MessageTypeInfo* info_;
 };
 
@@ -392,6 +387,7 @@ template <class Body>
     MessageType type, BinaryReader* r) {
   Body body;
   MASSBFT_RETURN_IF_ERROR(field::Decode(r, &body));
+  if (!r->AtEnd()) return Status::Corruption("trailing bytes after message");
   return std::unique_ptr<ProtocolMessage>(
       std::make_unique<Message<Body>>(type, std::move(body)));
 }

@@ -128,52 +128,53 @@ std::vector<Chunk> RandChunks(Rng& rng) {
   return chunks;
 }
 
-template <class Body>
-std::unique_ptr<ProtocolMessage> Make(MessageType type, Body body) {
-  return std::make_unique<Message<Body>>(type, std::move(body));
-}
-
+/// The small frame most transport tests send.
 Message<GroupHeartbeat> Heartbeat(uint16_t gid, uint64_t last_seq) {
   return {MessageType::kGroupHeartbeat, {gid, last_seq}};
 }
 
 /// A randomized instance of every registered message type; null for a
 /// type it does not know, which fails the round-trip test.
-std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
+std::shared_ptr<const ProtocolMessage> MakeMessage(MessageType type,
+                                                   Rng& rng) {
   using T = MessageType;
   auto gid = [&rng] { return static_cast<uint16_t>(rng.NextBelow(8)); };
   switch (type) {
     case T::kPrePrepare:
-      return Make(type, PrePrepare{rng.NextU64(), rng.NextU64(),
-                                   RandEntry(rng), RandSig(rng)});
+      return NewMessage(type, PrePrepare{rng.NextU64(), rng.NextU64(),
+                                         RandEntry(rng), RandSig(rng)});
     case T::kPrepare:
     case T::kCommit:
-      return Make(type, PbftVote{rng.NextU64(), rng.NextU64(),
-                                 RandDigest(rng), RandSig(rng)});
+      return NewMessage(type, PbftVote{rng.NextU64(), rng.NextU64(),
+                                       RandDigest(rng), RandSig(rng)});
     case T::kCertifyRequest:
     case T::kCertifyVote:
-      return Make(type, SignedDecision{RandDecision(rng), RandSig(rng)});
+      return NewMessage(type,
+                        SignedDecision{RandDecision(rng), RandSig(rng)});
     case T::kEntryTransfer:
     case T::kLeaderForward:
-      return Make(type, CertifiedEntry{RandEntry(rng), RandCert(rng)});
+      return NewMessage(type, CertifiedEntry{RandEntry(rng), RandCert(rng)});
     case T::kChunkBatch:
-      return Make(type, ChunkBatch{gid(), rng.NextU64(), RandDigest(rng),
-                                   rng.NextBelow(1u << 20), RandCert(rng),
-                                   RandChunks(rng)});
+      return NewMessage(type, ChunkBatch{gid(), rng.NextU64(),
+                                         RandDigest(rng),
+                                         rng.NextBelow(1u << 20),
+                                         RandCert(rng), RandChunks(rng)});
     case T::kRaftPropose:
-      return Make(type, RaftPropose{gid(), rng.NextU64(), RandDigest(rng),
-                                    RandCert(rng), gid(), rng.NextU64(),
-                                    RandElements(rng)});
+      return NewMessage(type, RaftPropose{gid(), rng.NextU64(),
+                                          RandDigest(rng), RandCert(rng),
+                                          gid(), rng.NextU64(),
+                                          RandElements(rng)});
     case T::kRaftAccept:
-      return Make(type, RaftAccept{gid(), rng.NextU64(), gid(),
-                                   rng.NextU64(), RandCert(rng)});
+      return NewMessage(type, RaftAccept{gid(), rng.NextU64(), gid(),
+                                         rng.NextU64(), RandCert(rng)});
     case T::kRaftCommit:
-      return Make(type, RaftCommit{gid(), rng.NextU64(), RandCert(rng)});
+      return NewMessage(type,
+                        RaftCommit{gid(), rng.NextU64(), RandCert(rng)});
     case T::kTimestampAssign:
-      return Make(type, TimestampAssign{rng.NextBelow(2) == 0,
-                                        RandElements(rng)});
+      return NewMessage(type, TimestampAssign{rng.NextBelow(2) == 0,
+                                              RandElements(rng)});
     case T::kGroupHeartbeat:
-      return Make(type, GroupHeartbeat{gid(), rng.NextU64()});
+      return NewMessage(type, GroupHeartbeat{gid(), rng.NextU64()});
     case T::kGroupRelay: {
       GroupRelay relay{rng.NextBelow(2) == 0, {}};
       size_t n = 1 + rng.NextBelow(4);
@@ -181,23 +182,24 @@ std::unique_ptr<ProtocolMessage> MakeMessage(MessageType type, Rng& rng) {
         relay.events.push_back(
             RelayEvent{static_cast<uint8_t>(1 + rng.NextBelow(2)), gid(),
                        rng.NextU64(), gid(), rng.NextU64()});
-      return Make(type, std::move(relay));
+      return NewMessage(type, std::move(relay));
     }
     case T::kEpochMarker:
-      return Make(type, EpochMarker{gid(), rng.NextU64(), rng.NextU64()});
+      return NewMessage(type,
+                        EpochMarker{gid(), rng.NextU64(), rng.NextU64()});
     case T::kCatchUpRequest: {
       CatchUpRequest request;
       size_t n = 1 + rng.NextBelow(4);
       for (size_t i = 0; i < n; ++i)
         request.executed_next.push_back(
             {static_cast<uint16_t>(i), rng.NextU64()});
-      return Make(type, std::move(request));
+      return NewMessage(type, std::move(request));
     }
     case T::kFreezeQuery:
     case T::kFreezeReport:
-      return Make(type, Freeze{gid(), rng.NextU64()});
+      return NewMessage(type, Freeze{gid(), rng.NextU64()});
     case T::kCatchUpDone:
-      return Make(type, CatchUpDone{});
+      return NewMessage(type, CatchUpDone{});
   }
   return nullptr;
 }
@@ -230,55 +232,58 @@ Certificate GoldenCert() {
 
 /// One instance of `type` built from literal field values only: no rng,
 /// so no dependence on the order in which arguments are evaluated.
-std::unique_ptr<ProtocolMessage> GoldenMessage(MessageType type) {
+std::shared_ptr<const ProtocolMessage> GoldenMessage(MessageType type) {
   using T = MessageType;
   const DecisionId decision{1, 2, 3, 44, 55};
   const std::vector<TimestampElement> elements{{1, 2, 3, 4}, {5, 6, 7, 8}};
   switch (type) {
     case T::kPrePrepare:
-      return Make(type,
-                  PrePrepare{1, 9, GoldenEntry(), Filled<Signature>(0x01)});
+      return NewMessage(
+          type, PrePrepare{1, 9, GoldenEntry(), Filled<Signature>(0x01)});
     case T::kPrepare:
     case T::kCommit:
-      return Make(type, PbftVote{1, 9, Filled<Digest>(0x11),
-                                 Filled<Signature>(0x22)});
+      return NewMessage(type, PbftVote{1, 9, Filled<Digest>(0x11),
+                                       Filled<Signature>(0x22)});
     case T::kCertifyRequest:
-      return Make(type, SignedDecision{decision, Filled<Signature>(0x33)});
+      return NewMessage(type,
+                        SignedDecision{decision, Filled<Signature>(0x33)});
     case T::kCertifyVote:
-      return Make(type, SignedDecision{decision, Filled<Signature>(0x44)});
+      return NewMessage(type,
+                        SignedDecision{decision, Filled<Signature>(0x44)});
     case T::kEntryTransfer:
     case T::kLeaderForward:
-      return Make(type, CertifiedEntry{GoldenEntry(), GoldenCert()});
+      return NewMessage(type, CertifiedEntry{GoldenEntry(), GoldenCert()});
     case T::kChunkBatch: {
       Chunk chunk{3, Bytes{9, 8, 7, 6},
                   MerkleProof{3, 4, {Filled<Digest>(0x50),
                                      Filled<Digest>(0x60)}}};
-      return Make(type, ChunkBatch{1, 7, Filled<Digest>(0x70), 4096,
-                                   GoldenCert(), {chunk}});
+      return NewMessage(type, ChunkBatch{1, 7, Filled<Digest>(0x70), 4096,
+                                         GoldenCert(), {chunk}});
     }
     case T::kRaftPropose:
-      return Make(type, RaftPropose{1, 99, Filled<Digest>(0x90), GoldenCert(),
-                                    2, 55, elements});
+      return NewMessage(type, RaftPropose{1, 99, Filled<Digest>(0x90),
+                                          GoldenCert(), 2, 55, elements});
     case T::kRaftAccept:
-      return Make(type, RaftAccept{1, 3, 2, 17, GoldenCert()});
+      return NewMessage(type, RaftAccept{1, 3, 2, 17, GoldenCert()});
     case T::kRaftCommit:
-      return Make(type, RaftCommit{1, 3, GoldenCert()});
+      return NewMessage(type, RaftCommit{1, 3, GoldenCert()});
     case T::kTimestampAssign:
-      return Make(type, TimestampAssign{true, elements});
+      return NewMessage(type, TimestampAssign{true, elements});
     case T::kGroupHeartbeat:
-      return Make(type, GroupHeartbeat{3, 12});
+      return NewMessage(type, GroupHeartbeat{3, 12});
     case T::kGroupRelay:
-      return Make(type, GroupRelay{false, {{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}});
+      return NewMessage(
+          type, GroupRelay{false, {{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}});
     case T::kEpochMarker:
-      return Make(type, EpochMarker{2, 5, 300});
+      return NewMessage(type, EpochMarker{2, 5, 300});
     case T::kCatchUpRequest:
-      return Make(type, CatchUpRequest{{{0, 5}, {1, 200}}});
+      return NewMessage(type, CatchUpRequest{{{0, 5}, {1, 200}}});
     case T::kFreezeQuery:
-      return Make(type, Freeze{2, 0});
+      return NewMessage(type, Freeze{2, 0});
     case T::kFreezeReport:
-      return Make(type, Freeze{2, 41});
+      return NewMessage(type, Freeze{2, 41});
     case T::kCatchUpDone:
-      return Make(type, CatchUpDone{});
+      return NewMessage(type, CatchUpDone{});
   }
   return nullptr;
 }
@@ -615,8 +620,8 @@ TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
   BinaryWriter body;
   body.PutU8(0);  // replay
   body.PutVarint(1u << 28);
-  auto frame = DecodeFrame(
-      Reframe(*Make(MessageType::kGroupRelay, GroupRelay{}), body.buffer()));
+  auto frame = DecodeFrame(Reframe(
+      *NewMessage(MessageType::kGroupRelay, GroupRelay{}), body.buffer()));
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsCorruption());
 }
@@ -626,8 +631,9 @@ TEST(WireMalformedTest, ImplausibleElementCountIsRejected) {
 TEST(WireMalformedTest, BoolOtherThanZeroOrOneIsRejected) {
   const Bytes two = {2, 0};  // replay = 2, no elements.
   const Bytes one = {1, 0};
-  const auto assign = Make(MessageType::kTimestampAssign, TimestampAssign{});
-  const auto relay = Make(MessageType::kGroupRelay, GroupRelay{});
+  const auto assign =
+      NewMessage(MessageType::kTimestampAssign, TimestampAssign{});
+  const auto relay = NewMessage(MessageType::kGroupRelay, GroupRelay{});
   for (const Bytes& wire : {Reframe(*assign, two), Reframe(*relay, two)}) {
     auto frame = DecodeFrame(wire);
     ASSERT_FALSE(frame.ok());
@@ -644,7 +650,8 @@ TEST(WireMalformedTest, NonMinimalVarintIsRejected) {
   padded.insert(padded.end(), pair.begin(), pair.end());
   Bytes minimal = {0x01};
   minimal.insert(minimal.end(), pair.begin(), pair.end());
-  const auto sample = Make(MessageType::kCatchUpRequest, CatchUpRequest{});
+  const auto sample =
+      NewMessage(MessageType::kCatchUpRequest, CatchUpRequest{});
   auto frame = DecodeFrame(Reframe(*sample, padded));
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsCorruption());
