@@ -155,6 +155,16 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t len) {
   BinaryReader body(data + kFrameHeaderBytes + trace_len, body_len);
   MASSBFT_ASSIGN_OR_RETURN(std::unique_ptr<ProtocolMessage> msg,
                            info->decode(info->type, &body));
+  // Like the flag, the context's entry key and origin follow from the
+  // message and its sender; a context naming another entry or node would
+  // mislabel the merged trace and re-encode to different bytes.
+  if (has_trace) {
+    uint16_t gid = 0;
+    uint64_t seq = 0;
+    if (!msg->TraceKey(&gid, &seq) || gid != frame.trace.gid ||
+        seq != frame.trace.seq || frame.trace.origin != src_packed)
+      return Status::Corruption("trace context disagrees with the frame");
+  }
   frame.src = NodeId::FromPacked(src_packed);
   frame.msg = std::move(msg);
   return frame;

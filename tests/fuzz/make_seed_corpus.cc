@@ -136,22 +136,33 @@ std::vector<std::pair<std::string, Bytes>> SeedFrames() {
   return seeds;
 }
 
+/// Rewrites the length and CRC fields of an edited frame, so that its
+/// bytes get past the CRC check to the decoder.
+void FixLengthAndCrc(Bytes* wire) {
+  const size_t trace_len = ((*wire)[6] & kFrameFlagTraceContext) != 0
+                               ? kTraceContextBytes
+                               : 0;
+  auto put_u32 = [wire](size_t offset, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i)
+      (*wire)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  };
+  put_u32(kFrameHeaderBytes - 8, static_cast<uint32_t>(
+                                     wire->size() - kFrameHeaderBytes -
+                                     trace_len));
+  Crc32 crc;
+  crc.Update(wire->data() + 4, kFrameHeaderBytes - 8);
+  crc.Update(wire->data() + kFrameHeaderBytes,
+             wire->size() - kFrameHeaderBytes);
+  put_u32(kFrameHeaderBytes - 4, crc.Finish());
+}
+
 /// `msg`'s frame (a type without a trace context) around a body the
-/// encoder never writes, with the length and CRC fixed up so the bytes
-/// reach the body decoder.
+/// encoder never writes.
 Bytes Reframe(const ProtocolMessage& msg, const Bytes& body) {
   Bytes wire = EncodeFrame(msg, NodeId{1, 2}, 0);
   wire.resize(kFrameHeaderBytes);
   wire.insert(wire.end(), body.begin(), body.end());
-  auto put_u32 = [&wire](size_t offset, uint32_t v) {
-    for (size_t i = 0; i < 4; ++i)
-      wire[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-  };
-  put_u32(kFrameHeaderBytes - 8, static_cast<uint32_t>(body.size()));
-  Crc32 crc;
-  crc.Update(wire.data() + 4, kFrameHeaderBytes - 8);
-  crc.Update(wire.data() + kFrameHeaderBytes, body.size());
-  put_u32(kFrameHeaderBytes - 4, crc.Finish());
+  FixLengthAndCrc(&wire);
   return wire;
 }
 
@@ -209,6 +220,17 @@ int main(int argc, char** argv) {
         Reframe(Message(MessageType::kCatchUpRequest, CatchUpRequest{}),
                 Bytes{0x81, 0x00, 3, 0, 5, 0, 0, 0, 0, 0, 0, 0});
     WriteSeed(decode_dir, "varint_non_minimal", padded.data(), padded.size());
+  }
+
+  // A valid CRC over a trace context that names another entry than the
+  // body carries (seeds[2] is entry_transfer; the context's seq is at
+  // offset 21).
+  {
+    Bytes other_seq = seeds[2].second;
+    other_seq[kFrameHeaderBytes + 2] ^= 0x01;
+    FixLengthAndCrc(&other_seq);
+    WriteSeed(decode_dir, "trace_key_mismatch", other_seq.data(),
+              other_seq.size());
   }
 
   // Streams for the reassembler: all seed frames back to back, and the

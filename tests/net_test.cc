@@ -658,6 +658,26 @@ TEST(WireMalformedTest, NonMinimalVarintIsRejected) {
   EXPECT_TRUE(DecodeFrame(Reframe(*sample, minimal)).ok());
 }
 
+/// The trace context's entry key and origin follow from the message and
+/// its sender, so a context naming another entry or node is rejected: it
+/// would re-encode to different bytes.
+TEST(WireMalformedTest, TraceContextMustMatchTheFrame) {
+  auto entry = std::make_shared<const Entry>(3, 42, std::vector<Transaction>{});
+  Message<CertifiedEntry> msg(MessageType::kEntryTransfer,
+                              {entry, Certificate{}});
+  const Bytes good = EncodeFrame(msg, NodeId{3, 5}, 1);
+  ASSERT_TRUE(DecodeFrame(good).ok());
+  // The context's gid, seq and origin start at offsets 19, 21 and 29.
+  for (size_t offset : {19, 21, 29}) {
+    Bytes wire = good;
+    wire[offset] ^= 0x01;
+    FixCrc(wire);
+    auto frame = DecodeFrame(wire);
+    ASSERT_FALSE(frame.ok()) << "offset " << offset;
+    EXPECT_TRUE(frame.status().IsCorruption());
+  }
+}
+
 /// Fuzz-ish: random corruption of one byte anywhere in the frame must
 /// yield an error or a well-formed decode — never a crash.
 TEST(WireMalformedTest, SingleByteCorruptionNeverCrashes) {
