@@ -48,8 +48,7 @@ GroupBreakdown Run(ProtocolConfig protocol, const BenchOptions& opts) {
   // count committed transactions of entries the group itself proposed.
   double window_s = SimToSeconds(config.duration - config.warmup);
   for (int g = 0; g < 3; ++g) {
-    const GroupNode* leader =
-        experiment.node(NodeId{static_cast<uint16_t>(g), 0});
+    const GroupNode* leader = experiment.node(GroupNode::LeaderOf(g));
     // executed_txns counts all groups' txns; approximate the per-group
     // share via the leader's own clock (committed own entries) times the
     // average batch size.

@@ -2,10 +2,10 @@
 // frames to another on this host, and how many syscalls does each frame
 // cost? Two scenarios:
 //
-//   * small-frame flood — back-to-back heartbeat frames (~30 bytes), the
+//   * small-frame flood — back-to-back freeze-query frames (29 bytes), the
 //     consensus-vote shape that dominates frame counts. Stresses per-frame
 //     overhead: syscalls, allocations, queue bookkeeping.
-//   * mixed-size replay — a deterministic cycle of heartbeats, PBFT votes,
+//   * mixed-size replay — a deterministic cycle of freeze queries, PBFT votes,
 //     ~2 KB entry transfers and ~32 KB chunk batches, the traffic mix of a
 //     running cluster. Stresses the batch writer across frame-size jumps.
 //
@@ -104,8 +104,8 @@ struct CountingSink {
 std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
   std::vector<std::unique_ptr<ProtocolMessage>> cycle;
   if (!mixed) {
-    cycle.push_back(std::make_unique<Message<GroupHeartbeat>>(
-        MessageType::kGroupHeartbeat, GroupHeartbeat{1, 42}));
+    cycle.push_back(std::make_unique<Message<Freeze>>(
+        MessageType::kFreezeQuery, Freeze{1, 42}));
     return cycle;
   }
   Rng rng(20250808);
@@ -114,13 +114,13 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
     for (auto& byte : b) byte = static_cast<uint8_t>(rng.NextU64());
     return b;
   };
-  // 8 heartbeats : 4 votes : 2 entry transfers : 1 chunk batch — roughly a
-  // running cluster's frame mix by count, heavily skewed to small frames
-  // while the bytes are dominated by the large ones.
+  // 8 freeze queries : 4 votes : 2 entry transfers : 1 chunk batch —
+  // roughly a running cluster's frame mix by count, heavily skewed to small
+  // frames while the bytes are dominated by the large ones.
   for (int i = 0; i < 8; ++i)
-    cycle.push_back(std::make_unique<Message<GroupHeartbeat>>(
-        MessageType::kGroupHeartbeat,
-        GroupHeartbeat{static_cast<uint16_t>(i), static_cast<uint64_t>(i)}));
+    cycle.push_back(std::make_unique<Message<Freeze>>(
+        MessageType::kFreezeQuery,
+        Freeze{static_cast<uint16_t>(i), static_cast<uint64_t>(i)}));
   for (int i = 0; i < 4; ++i) {
     Digest digest{};
     Signature sig{};
@@ -128,7 +128,7 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
     for (auto& b : sig) b = static_cast<uint8_t>(rng.NextU64());
     cycle.push_back(std::make_unique<Message<PbftVote>>(
         MessageType::kPrepare,
-        PbftVote{1, static_cast<uint64_t>(i), digest, sig}));
+        PbftVote{static_cast<uint64_t>(i), digest, sig}));
   }
   for (int i = 0; i < 2; ++i) {
     std::vector<Transaction> txns(4);
@@ -153,7 +153,7 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
     }
     cycle.push_back(std::make_unique<Message<ChunkBatch>>(
         MessageType::kChunkBatch,
-        ChunkBatch{1, 7, root, 32768, Certificate{}, std::move(chunks)}));
+        ChunkBatch{1, 7, root, Certificate{}, std::move(chunks)}));
   }
   return cycle;
 }

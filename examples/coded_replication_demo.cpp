@@ -66,8 +66,8 @@ int main() {
   EntryRebuilder::Config rebuild_config;
   rebuild_config.n_total = plan->n_total();
   rebuild_config.n_data = plan->n_data();
-  rebuild_config.validate = [&](const Certificate& c, const Digest& digest) {
-    return c.digest == digest && c.Verify(registry, 3);
+  rebuild_config.validate = [&](const Certificate& c, const Entry& rebuilt) {
+    return c.digest == rebuilt.digest() && c.Verify(registry, 3);
   };
   EntryRebuilder rebuilder(std::move(rebuild_config));
 

@@ -13,17 +13,16 @@ namespace {
 struct VoteStatement {
   uint8_t phase = 0;  // MessageType.
   uint16_t gid = 0;
-  uint64_t view = 0;
   uint64_t seq = 0;
   Digest digest{};
-  auto Fields() { return std::tie(phase, gid, view, seq, digest); }
+  auto Fields() { return std::tie(phase, gid, seq, digest); }
 };
 
 }  // namespace
 
 PbftEngine::PbftEngine(uint16_t gid, NodeId self, int group_size,
-                       Callbacks callbacks)
-    : gid_(gid), self_(self), n_(group_size), f_((group_size - 1) / 3),
+                       uint16_t leader, Callbacks callbacks)
+    : gid_(gid), self_(self), f_((group_size - 1) / 3), leader_(leader),
       cb_(std::move(callbacks)) {
   MASSBFT_CHECK(self.group == gid);
   if (cb_.telemetry != nullptr) {
@@ -45,8 +44,8 @@ void PbftEngine::ObservePhase(const char* name, obs::Histogram* hist,
   }
 }
 
-Bytes PbftEngine::VotePayload(uint64_t view, uint64_t seq,
-                              const Digest& digest, MessageType phase) const {
+Bytes PbftEngine::VotePayload(uint64_t seq, const Digest& digest,
+                              MessageType phase) const {
   // Commit votes sign the bare entry digest: the 2f+1 commit signatures
   // ARE the certificate that travels with the entry, and remote groups
   // verify it against the digest alone (Certificate::Verify). The digest
@@ -54,22 +53,21 @@ Bytes PbftEngine::VotePayload(uint64_t view, uint64_t seq,
   if (phase == MessageType::kCommit)
     return Bytes(digest.begin(), digest.end());
   return field::ToBytes(
-      VoteStatement{static_cast<uint8_t>(phase), gid_, view, seq, digest});
+      VoteStatement{static_cast<uint8_t>(phase), gid_, seq, digest});
 }
 
-uint64_t PbftEngine::Propose(EntryPtr entry) {
+void PbftEngine::Propose(EntryPtr entry) {
   MASSBFT_CHECK(IsLeader());
-  uint64_t seq = next_seq_++;
+  const uint64_t seq = entry->seq();
   Instance& inst = GetInstance(seq);
+  if (inst.digest_known) return;  // One slot, one entry.
   inst.validated = true;  // The leader built the batch; it has verified
                           // client signatures on ingest.
-  Signature sig = cb_.sign(
-      VotePayload(view_, seq, entry->digest(), MessageType::kPrePrepare));
-  cb_.broadcast(
-      NewMessage(MessageType::kPrePrepare, PrePrepare{view_, seq, entry, sig}));
+  Signature sig =
+      cb_.sign(VotePayload(seq, entry->digest(), MessageType::kPrePrepare));
+  cb_.broadcast(NewMessage(MessageType::kPrePrepare, PrePrepare{entry, sig}));
   AdoptProposal(seq, std::move(entry), sig);
   MaybePrepare(seq);
-  return seq;
 }
 
 void PbftEngine::AdoptProposal(uint64_t seq, EntryPtr entry,
@@ -81,8 +79,7 @@ void PbftEngine::AdoptProposal(uint64_t seq, EntryPtr entry,
   if (cb_.now) inst.started_at = cb_.now();
   // The pre-prepare stands in for the leader's prepare vote (classic PBFT
   // counts it toward the 2f+1 prepare quorum).
-  inst.prepares.emplace(static_cast<uint16_t>(leader_index()),
-                        pre_prepare_sig);
+  inst.prepares.emplace(leader_, pre_prepare_sig);
   // Votes that raced ahead of the pre-prepare now learn which digest
   // counts.
   std::map<std::pair<MessageType, uint16_t>, PbftVote> early;
@@ -109,18 +106,20 @@ void PbftEngine::OnMessage(NodeId from, const MessagePtr& message) {
 }
 
 void PbftEngine::OnPrePrepare(NodeId from, const PrePrepare& msg) {
-  if (msg.view != view_) return;
-  if (from.index != leader_index()) return;  // Only the leader proposes.
-  Instance& inst = GetInstance(msg.seq);
+  if (from.index != leader_) return;  // Only the leader proposes.
+  // The group certifies its own entries only: a certificate it issued for
+  // another group's entry would speak for that group's slot.
+  if (msg.entry->gid() != gid_) return;
+  const uint64_t seq = msg.entry->seq();
+  Instance& inst = GetInstance(seq);
   if (inst.digest_known) return;  // Duplicate (or equivocation; first wins —
                                   // equivocation cannot gather two quorums).
   if (!cb_.verify(from,
-                  VotePayload(msg.view, msg.seq, msg.entry->digest(),
+                  VotePayload(seq, msg.entry->digest(),
                               MessageType::kPrePrepare),
                   msg.sig))
     return;
 
-  uint64_t seq = msg.seq;
   AdoptProposal(seq, msg.entry, msg.sig);
 
   // Validate the batch (per-transaction signature verification — the
@@ -131,17 +130,16 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepare& msg) {
     Instance& inst = GetInstance(seq);
     inst.validated = true;
     Signature own =
-        cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare));
+        cb_.sign(VotePayload(seq, inst.digest, MessageType::kPrepare));
     inst.prepares[self_.index] = own;
-    cb_.broadcast(NewMessage(MessageType::kPrepare,
-                             PbftVote{view_, seq, inst.digest, own}));
+    cb_.broadcast(
+        NewMessage(MessageType::kPrepare, PbftVote{seq, inst.digest, own}));
     MaybePrepare(seq);
     MaybeCommit(seq);
   });
 }
 
 void PbftEngine::OnVote(NodeId from, MessageType phase, const PbftVote& vote) {
-  if (vote.view != view_) return;
   Instance& inst = GetInstance(vote.seq);
   if (!inst.digest_known) {
     // Which digest counts is unknown until the pre-prepare: hold the vote,
@@ -159,8 +157,7 @@ void PbftEngine::OnVote(NodeId from, MessageType phase, const PbftVote& vote) {
   if (votes.contains(from.index) ||
       static_cast<int>(votes.size()) >= quorum())
     return;
-  if (!cb_.verify(from, VotePayload(vote.view, vote.seq, vote.digest, phase),
-                  vote.sig))
+  if (!cb_.verify(from, VotePayload(vote.seq, vote.digest, phase), vote.sig))
     return;
 
   votes.emplace(from.index, vote.sig);
@@ -182,10 +179,10 @@ void PbftEngine::MaybePrepare(uint64_t seq) {
                  seq);
   }
   Signature own =
-      cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kCommit));
+      cb_.sign(VotePayload(seq, inst.digest, MessageType::kCommit));
   inst.commits[self_.index] = own;
-  cb_.broadcast(NewMessage(MessageType::kCommit,
-                           PbftVote{view_, seq, inst.digest, own}));
+  cb_.broadcast(
+      NewMessage(MessageType::kCommit, PbftVote{seq, inst.digest, own}));
   MaybeCommit(seq);
 }
 

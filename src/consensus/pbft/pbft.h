@@ -19,8 +19,9 @@ namespace massbft {
 
 /// Three-phase PBFT (pre-prepare / prepare / commit) over a single group,
 /// as the paper's local consensus layer (Section II-A). One engine instance
-/// runs per node; instances are keyed by (view, seq) and pipelined — the
-/// leader may have many outstanding proposals.
+/// runs per node; instance `seq` decides entry e_{gid,seq} of this group, so
+/// a pre-prepare names its instance by the entry it carries. Instances are
+/// pipelined — the leader may have many outstanding proposals.
 ///
 /// The engine is transport- and clock-agnostic: the owning node injects
 /// send/sign/verify/timer callbacks (which also charge simulated CPU).
@@ -28,8 +29,8 @@ namespace massbft {
 /// signatures — the artifact that protects the entry during global
 /// replication.
 ///
-/// There is no view change: the view stays 0, so node 0 leads for good,
-/// and messages from any other view are dropped. A crashed group leader
+/// There is no view change: the leader the owner names leads for good, so
+/// no message or signed statement carries a view. A crashed group leader
 /// halts its group; the other groups then treat the whole group as
 /// crashed (heartbeat timeout, Raft-instance takeover, paper §V-C).
 class PbftEngine {
@@ -58,20 +59,17 @@ class PbftEngine {
     uint32_t trace_track = 0;
   };
 
-  PbftEngine(uint16_t gid, NodeId self, int group_size, Callbacks callbacks);
+  /// `leader` is the index of the group member whose pre-prepares count.
+  PbftEngine(uint16_t gid, NodeId self, int group_size, uint16_t leader,
+             Callbacks callbacks);
 
-  uint64_t view() const { return view_; }
-  int leader_index() const { return static_cast<int>(view_ % n_); }
-  bool IsLeader() const { return self_.index == leader_index(); }
-  NodeId leader() const {
-    return NodeId{gid_, static_cast<uint16_t>(leader_index())};
-  }
+  bool IsLeader() const { return self_.index == leader_; }
   int quorum() const { return 2 * f_ + 1; }
   int f() const { return f_; }
 
-  /// Leader: proposes `entry` in the next free sequence slot.
-  /// Returns the assigned sequence number.
-  uint64_t Propose(EntryPtr entry);
+  /// Leader: proposes `entry` in instance entry->seq(). A second entry for
+  /// a slot that already holds one is not proposed.
+  void Propose(EntryPtr entry);
 
   /// Delivery entry point for kPrePrepare/kPrepare/kCommit messages.
   void OnMessage(NodeId from, const MessagePtr& message);
@@ -99,7 +97,7 @@ class PbftEngine {
     SimTime prepared_at = -1;
   };
 
-  Bytes VotePayload(uint64_t view, uint64_t seq, const Digest& digest,
+  Bytes VotePayload(uint64_t seq, const Digest& digest,
                     MessageType phase) const;
   Instance& GetInstance(uint64_t seq) { return instances_[seq]; }
 
@@ -119,12 +117,10 @@ class PbftEngine {
 
   uint16_t gid_;
   NodeId self_;
-  int n_;
   int f_;
+  uint16_t leader_;
   Callbacks cb_;
 
-  const uint64_t view_ = 0;  // No view change: always 0.
-  uint64_t next_seq_ = 0;
   uint64_t committed_count_ = 0;
   std::map<uint64_t, Instance> instances_;
 

@@ -17,38 +17,20 @@ RaftCoordinator::RaftCoordinator(int num_groups, int my_group,
   }
 }
 
-void RaftCoordinator::Propose(uint16_t gid, uint64_t seq, const Digest& digest,
+void RaftCoordinator::Propose(uint16_t gid, uint64_t seq,
                               const Certificate& cert) {
   Instance& inst = instances_[gid];
   InstanceEntry& e = inst.log[seq];
-  e.digest = digest;
   e.proposed = true;
   if (cb_.now && e.proposed_at < 0) e.proposed_at = cb_.now();
   e.accept_groups.insert(static_cast<uint16_t>(my_group_));
 
-  // Receivers map a Steward global sequence back to its entry by digest,
-  // so the message's origin fields stay zero.
-  auto msg = NewMessage(MessageType::kRaftPropose,
-                        RaftPropose{gid, seq, digest, cert, /*origin_gid=*/0,
-                                    /*origin_seq=*/0, /*piggyback=*/{}});
+  auto msg = NewMessage(MessageType::kRaftPropose, RaftPropose{gid, seq, cert});
   for (int g = 0; g < num_groups_; ++g) {
     if (g == my_group_) continue;
     cb_.send_to_group(g, msg);
   }
-  // A single group (n_g == 1) commits immediately.
-  if (static_cast<int>(e.accept_groups.size()) >= GroupQuorum() &&
-      !e.commit_started) {
-    e.commit_started = true;
-    DecisionId decision{DigestCertifier::kCommitDecision,
-                        static_cast<uint16_t>(my_group_), gid, seq, 0};
-    cb_.certify(decision, [this, gid, seq](Certificate commit_cert) {
-      auto commit = NewMessage(MessageType::kRaftCommit,
-                               RaftCommit{gid, seq, std::move(commit_cert)});
-      for (int g = 0; g < num_groups_; ++g)
-        if (g != my_group_) cb_.send_to_group(g, commit);
-      MarkCommitted(gid, seq);
-    });
-  }
+  MaybeStartCommit(gid, seq);  // A single group (n_g == 1) commits now.
 }
 
 void RaftCoordinator::OnProposeControl(const RaftPropose& msg) {
@@ -62,12 +44,11 @@ void RaftCoordinator::OnProposeControl(const RaftPropose& msg) {
       cb_.send_to_group(msg.gid, e.cached_accept);
     return;
   }
-  if (!cb_.verify_group_cert(msg.cert, msg.digest)) {
+  if (!cb_.verify_group_cert(msg.cert, msg.cert.digest)) {
     MASSBFT_LOG(kWarn) << "raft: propose with invalid certificate from group "
                        << msg.gid;
     return;
   }
-  e.digest = msg.digest;
   e.proposed = true;
   MaybeStartAccept(msg.gid, msg.seq);
 }
@@ -91,8 +72,7 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
   // Overlapped VTS assignment (Fig 7b): stamp our clock now, certify the
   // (accept, ts) decision locally, then ship the receipt.
   uint64_t ts = cb_.assign_ts(gid, seq);
-  DecisionId decision{DigestCertifier::kAccept,
-                      static_cast<uint16_t>(my_group_), gid, seq, ts};
+  DecisionId decision{DigestCertifier::kAccept, gid, seq, ts};
   cb_.certify(decision, [this, gid, seq, ts](Certificate cert) {
     Instance& inst = instances_[gid];
     InstanceEntry& e = inst.log[seq];
@@ -101,10 +81,8 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
     // Track our own accept so a later takeover of this instance can count
     // quorums without replaying history.
     e.accept_groups.insert(static_cast<uint16_t>(my_group_));
-    auto accept = NewMessage(
-        MessageType::kRaftAccept,
-        RaftAccept{gid, seq, static_cast<uint16_t>(my_group_), ts,
-                   std::move(cert)});
+    auto accept = NewMessage(MessageType::kRaftAccept,
+                             RaftAccept{gid, seq, ts, std::move(cert)});
     e.cached_accept = accept;
     // To the proposer, and broadcast to all other groups so slow receivers
     // learn replication progress without waiting for payloads (paper
@@ -117,20 +95,20 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
 }
 
 void RaftCoordinator::OnAccept(const RaftAccept& msg) {
-  DecisionId decision{DigestCertifier::kAccept, msg.from_group, msg.gid,
-                      msg.seq, msg.ts};
+  DecisionId decision{DigestCertifier::kAccept, msg.gid, msg.seq, msg.ts};
   Digest digest = DigestCertifier::DecisionDigest(decision);
   if (!cb_.verify_group_cert(msg.cert, digest)) {
     MASSBFT_LOG(kWarn) << "raft: accept with invalid certificate";
     return;
   }
-  cb_.on_accept_observed(msg.gid, msg.seq, msg.from_group, msg.ts);
+  const uint16_t from_group = msg.cert.gid;
+  cb_.on_accept_observed(msg.gid, msg.seq, from_group, msg.ts);
 
   // Record the accept for the instance regardless of role: takeover
   // leaders need the quorum history (Section V-C, "Crashed Groups").
   Instance& inst = instances_[msg.gid];
   InstanceEntry& e = inst.log[msg.seq];
-  e.accept_groups.insert(msg.from_group);
+  e.accept_groups.insert(from_group);
 
   if (static_cast<int>(msg.gid) == my_group_ || HasTakenOver(msg.gid))
     MaybeStartCommit(msg.gid, msg.seq);
@@ -146,8 +124,7 @@ void RaftCoordinator::MaybeStartCommit(uint16_t gid, uint64_t seq) {
     return;
   e.commit_started = true;
 
-  DecisionId commit_decision{DigestCertifier::kCommitDecision,
-                             static_cast<uint16_t>(my_group_), gid, seq, 0};
+  DecisionId commit_decision{DigestCertifier::kCommitDecision, gid, seq, 0};
   cb_.certify(commit_decision, [this, gid, seq](Certificate commit_cert) {
     auto commit = NewMessage(MessageType::kRaftCommit,
                              RaftCommit{gid, seq, std::move(commit_cert)});
@@ -158,18 +135,12 @@ void RaftCoordinator::MaybeStartCommit(uint16_t gid, uint64_t seq) {
 }
 
 void RaftCoordinator::OnCommit(const RaftCommit& msg) {
-  // The commit certificate is issued by the proposer group (or its
-  // takeover group); the decision binds (gid, seq).
-  bool valid = false;
-  for (int voter = 0; voter < num_groups_ && !valid; ++voter) {
-    DecisionId decision{DigestCertifier::kCommitDecision,
-                        static_cast<uint16_t>(voter), msg.gid, msg.seq, 0};
-    if (msg.cert.gid == voter &&
-        cb_.verify_group_cert(msg.cert,
-                              DigestCertifier::DecisionDigest(decision)))
-      valid = true;
-  }
-  if (!valid) {
+  // The decision binds (gid, seq) but not the committing group: honest
+  // commits come from the proposer group (or its takeover group), yet any
+  // group's certificate over the decision counts.
+  DecisionId decision{DigestCertifier::kCommitDecision, msg.gid, msg.seq, 0};
+  if (!cb_.verify_group_cert(msg.cert,
+                             DigestCertifier::DecisionDigest(decision))) {
     MASSBFT_LOG(kWarn) << "raft: commit with invalid certificate";
     return;
   }

@@ -70,9 +70,9 @@ class RaftCoordinator {
   int GroupQuorum() const { return num_groups_ / 2 + 1; }
 
   /// Proposer (leader of my_group): starts consensus on a locally-certified
-  /// entry. The caller has already launched payload replication.
-  void Propose(uint16_t gid, uint64_t seq, const Digest& digest,
-               const Certificate& cert);
+  /// entry, whose certificate's digest is the one proposed. The caller has
+  /// already launched payload replication.
+  void Propose(uint16_t gid, uint64_t seq, const Certificate& cert);
 
   /// Follower-group leader: a propose control message arrived.
   void OnProposeControl(const RaftPropose& msg);
@@ -82,6 +82,7 @@ class RaftCoordinator {
   void NotifyEntryAvailable(uint16_t gid, uint64_t seq);
 
   /// An accept receipt arrived (addressed to us as proposer, or broadcast).
+  /// It counts for the group whose certificate it carries.
   void OnAccept(const RaftAccept& msg);
 
   /// A commit announcement arrived from a proposer group.
@@ -107,7 +108,6 @@ class RaftCoordinator {
 
  private:
   struct InstanceEntry {
-    Digest digest{};
     bool proposed = false;            // Propose control seen.
     bool accept_started = false;      // Accept certification launched.
     bool accept_sent = false;

@@ -117,7 +117,7 @@ Status Experiment::Setup() {
 }
 
 void Experiment::SubmitNext(size_t client) {
-  const NodeId leader_id{static_cast<uint16_t>(clients_.group(client)), 0};
+  const NodeId leader_id = GroupNode::LeaderOf(clients_.group(client));
   GroupNode* leader = node(leader_id);
   if (leader == nullptr || leader->crashed()) return;  // Group down.
 
@@ -133,8 +133,7 @@ void Experiment::SubmitNext(size_t client) {
   // and since each closed-loop client draws from its own forked rng, the
   // payload bytes are identical either way.
   sim_->Schedule(config_.client_rtt / 2, [this, client, submit_time] {
-    GroupNode* l =
-        node(NodeId{static_cast<uint16_t>(clients_.group(client)), 0});
+    GroupNode* l = node(GroupNode::LeaderOf(clients_.group(client)));
     if (l == nullptr || l->crashed()) return;
     l->SubmitClientTxn(clients_.Next(client, *workload_, submit_time));
   });
@@ -197,7 +196,7 @@ int64_t Experiment::CheckAgreement() const {
   std::vector<std::pair<NodeId, const ExecutionLog*>> logs;
   for (const auto& n : nodes_) {
     if (n->crashed() || n->rejoined()) continue;
-    if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
+    if (!config_.execute_on_all_nodes && !n->IsGroupLeader()) continue;
     logs.emplace_back(n->id(), &n->execution_log());
   }
   Result<size_t> common = CheckExecutionPrefixes(logs);

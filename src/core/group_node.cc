@@ -63,6 +63,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     OnLocalCommitted(std::move(entry), std::move(cert));
   };
   pbft_ = std::make_unique<PbftEngine>(id.group, id, group_size(id.group),
+                                       LeaderOf(id.group).index,
                                        std::move(pbft_cb));
 
   // ---- Skip-prepare decision certifier.
@@ -118,8 +119,6 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
 
 GroupNode::~GroupNode() = default;
 
-bool GroupNode::IsGroupLeader() const { return id().index == 0; }
-
 void GroupNode::BroadcastLan(const MessagePtr& msg) {
   for (int i = 0; i < group_size(my_group()); ++i) {
     if (i == id().index) continue;
@@ -156,6 +155,12 @@ bool GroupNode::VerifyGroupCert(const Certificate& cert,
     proven_order_.pop_front();
   }
   return true;
+}
+
+bool GroupNode::VerifySlot(const Key& key, const Entry& entry,
+                           const Certificate& cert) {
+  return entry.gid() == key.first && entry.seq() == key.second &&
+         cert.gid == key.first && VerifyGroupCert(cert, entry.digest());
 }
 
 void GroupNode::Start() {
@@ -301,9 +306,9 @@ void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
         uint64_t gseq = next_global_seq_++;
         global_seq_digest_[gseq] = entry->digest();
         digest_index_[entry->digest()] = key;
-        raft_->Propose(0, gseq, entry->digest(), cert);
+        raft_->Propose(0, gseq, cert);
       } else {
-        raft_->Propose(entry->gid(), entry->seq(), entry->digest(), cert);
+        raft_->Propose(entry->gid(), entry->seq(), cert);
       }
     }
   }
@@ -410,10 +415,9 @@ void GroupNode::SendEncoded(const EntryPtr& entry, const Certificate& cert) {
     uint16_t gid = entry->gid();
     uint64_t seq = entry->seq();
     for (auto& [receiver, chunks] : by_receiver) {
-      auto msg = NewMessage(
-          MessageType::kChunkBatch,
-          ChunkBatch{gid, seq, encoded->merkle_root, entry->ByteSize(), cert,
-                     std::move(chunks)});
+      auto msg = NewMessage(MessageType::kChunkBatch,
+                            ChunkBatch{gid, seq, encoded->merkle_root, cert,
+                                       std::move(chunks)});
       NodeId dst{static_cast<uint16_t>(g), static_cast<uint16_t>(receiver)};
       // Transmit once the encode CPU completes.
       sim()->ScheduleAt(done_at, [this, dst, msg] {
@@ -431,7 +435,7 @@ void GroupNode::OnEntryTransfer(NodeId from, const CertifiedEntry& msg) {
   bool was_available = rec.payload_available;
   if (!was_available) {
     cpu().ChargeHash(msg.entry->ByteSize());  // Recompute entry digest.
-    if (!VerifyGroupCert(msg.cert, msg.entry->digest())) {
+    if (!VerifySlot(key, *msg.entry, msg.cert)) {
       MASSBFT_LOG(kWarn) << "entry transfer with bad certificate dropped";
       return;
     }
@@ -448,6 +452,7 @@ void GroupNode::OnEntryTransfer(NodeId from, const CertifiedEntry& msg) {
 }
 
 void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
+  if (msg.gid >= num_groups()) return;  // No such slot.
   Key key{msg.gid, msg.seq};
   EntryRecord& rec = GetRecord(key);
   bool from_wan = from.group != my_group();
@@ -459,9 +464,8 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
     EntryRebuilder::Config cfg;
     cfg.n_total = plan->n_total();
     cfg.n_data = plan->n_data();
-    cfg.validate = [this](const Certificate& cert,
-                          const Digest& entry_digest) {
-      return VerifyGroupCert(cert, entry_digest);
+    cfg.validate = [this, key](const Certificate& cert, const Entry& entry) {
+      return VerifySlot(key, entry, cert);
     };
     cfg.telemetry = tel_;
     rec.rebuilder = std::make_unique<EntryRebuilder>(std::move(cfg));
@@ -472,26 +476,30 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
   if (rec.rebuilder != nullptr && !rec.payload_available) {
     for (const Chunk& chunk : msg.chunks) {
       cpu().ChargeHash(chunk.data.size() + 32 * chunk.proof.path.size());
-      // Deterministic-decode cache: if some node already rebuilt and
-      // validated this root, adopt the entry (CPU charged all the same).
-      EntryPtr rebuilt;
+      // Deterministic-decode cache: if some node already rebuilt this root
+      // and validated it for this slot, adopt the entry with the
+      // certificate that validated it (the decode and hash are charged all
+      // the same; the certificate check is not).
+      const CertifiedEntry* rebuilt = nullptr;
       auto cached = ctx_->rebuild_cache.find(msg.merkle_root);
-      if (cached != ctx_->rebuild_cache.end()) {
-        rebuilt = cached->second;
+      if (cached != ctx_->rebuild_cache.end() &&
+          cached->second.entry->gid() == key.first &&
+          cached->second.entry->seq() == key.second) {
+        rebuilt = &cached->second;
       } else if (rec.rebuilder->AddChunk(msg.merkle_root, chunk.chunk_id,
                                          chunk.data, chunk.proof, msg.cert) ==
                  EntryRebuilder::AddResult::kRebuilt) {
-        rebuilt = rec.rebuilder->entry();
-        ctx_->rebuild_cache[msg.merkle_root] = rebuilt;
+        rebuilt = &(ctx_->rebuild_cache[msg.merkle_root] =
+                        CertifiedEntry{rec.rebuilder->entry(), msg.cert});
       }
       if (rebuilt == nullptr) continue;
-      cpu().ChargeEc(msg.entry_size);
-      cpu().ChargeHash(msg.entry_size);
+      cpu().ChargeEc(rebuilt->entry->ByteSize());
+      cpu().ChargeHash(rebuilt->entry->ByteSize());
       if (IsGroupLeader())
         tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
                               rec.first_chunk_at, Now(), key.first,
                               key.second);
-      StorePayload(key, std::move(rebuilt), msg.cert);
+      StorePayload(key, rebuilt->entry, rebuilt->cert);
       break;
     }
   }
@@ -524,8 +532,7 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
       }
     }
     BroadcastLan(NewMessage(MessageType::kChunkBatch,
-                            ChunkBatch{msg.gid, msg.seq, share_root,
-                                       msg.entry_size, msg.cert,
+                            ChunkBatch{msg.gid, msg.seq, share_root, msg.cert,
                                        std::move(to_share)}));
   }
 }
@@ -717,7 +724,7 @@ void GroupNode::OnLeaderForward(const CertifiedEntry& msg) {
   Key key{msg.entry->gid(), msg.entry->seq()};
   if (HasPayload(key)) return;  // Duplicate.
   cpu().ChargeHash(msg.entry->ByteSize());
-  if (!VerifyGroupCert(msg.cert, msg.entry->digest())) return;
+  if (!VerifySlot(key, *msg.entry, msg.cert)) return;
   StorePayload(key, msg.entry, msg.cert);
   // Distribute the payload to every other group (one-way from the master)
   // and within the master's own group.
@@ -727,7 +734,7 @@ void GroupNode::OnLeaderForward(const CertifiedEntry& msg) {
   uint64_t gseq = next_global_seq_++;
   global_seq_digest_[gseq] = msg.entry->digest();
   digest_index_[msg.entry->digest()] = key;
-  raft_->Propose(0, gseq, msg.entry->digest(), msg.cert);
+  raft_->Propose(0, gseq, msg.cert);
 }
 
 void GroupNode::MaybeTranslateGlobalCommits() {
@@ -775,9 +782,7 @@ void GroupNode::OnEpochMarker(NodeId from, const EpochMarker& msg) {
 
 void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   if (epoch != timer_epoch_) return;
-  auto hb = NewMessage(
-      MessageType::kGroupHeartbeat,
-      GroupHeartbeat{static_cast<uint16_t>(my_group()), next_local_seq_});
+  auto hb = NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
   CheckGroupLiveness();
@@ -940,7 +945,7 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
     case MessageType::kRaftPropose: {
       const auto& propose = BodyOf<RaftPropose>(msg);
       if (single_master() && propose.gid == 0)
-        global_seq_digest_[propose.seq] = propose.digest;
+        global_seq_digest_[propose.seq] = propose.cert.digest;
       if (raft_ != nullptr) raft_->OnProposeControl(propose);
       break;
     }
@@ -957,8 +962,7 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
         OnTimestampAssign(BodyOf<TimestampAssign>(msg));
       break;
     case MessageType::kGroupHeartbeat:
-      // A heartbeat speaks for its sender's group only.
-      if (BodyOf<GroupHeartbeat>(msg).gid != from.group) break;
+      // A heartbeat speaks for its sender's group.
       last_heartbeat_[from.group] = Now();
       if (dead_groups_.contains(from.group)) OnGroupRejoined(from.group);
       break;
@@ -1052,7 +1056,7 @@ void GroupNode::Recover() {
       if (key.first != my_group()) continue;
       if (!rec.payload_available || rec.globally_committed) continue;
       SendLeaderOneWay(rec.entry, rec.cert);
-      raft_->Propose(key.first, key.second, rec.entry->digest(), rec.cert);
+      raft_->Propose(key.first, key.second, rec.cert);
     }
   }
 }

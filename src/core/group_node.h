@@ -46,12 +46,15 @@ struct ClusterContext {
   std::function<void(const Transaction&, SimTime commit_time)>
       on_txn_committed;
 
-  /// Pure-optimization caches (results identical with or without; the
-  /// simulated CPU cost is still charged per node). Keyed so Byzantine
-  /// (tampered) encodings never collide with correct ones.
+  /// Optimization caches, keyed so Byzantine (tampered) encodings never
+  /// collide with correct ones. Encoding is result-neutral (the simulated
+  /// CPU cost is still charged per node); a rebuild-cache hit is not: the
+  /// adopting node skips its certificate check and the verify charge.
   std::map<std::pair<Digest, int>, std::shared_ptr<const EncodedEntry>>
       encode_cache;
-  std::map<Digest, EntryPtr> rebuild_cache;  // Merkle root -> decoded entry.
+  /// Merkle root -> the decoded entry and the certificate that validated
+  /// it for its own slot.
+  std::map<Digest, CertifiedEntry> rebuild_cache;
 
   /// Collusion channel for the Fig 15 Byzantine experiment: tampered
   /// encodings shared among faulty nodes (out-of-band in a real attack).
@@ -103,8 +106,12 @@ class GroupNode : public Actor {
   /// deployment installs a state snapshot instead of re-deriving history.
   bool rejoined() const { return rejoined_; }
 
+  /// The node that leads group `g`: it batches, proposes and speaks for
+  /// its group. Without a view change this never moves.
+  static NodeId LeaderOf(int g) { return NodeId{static_cast<uint16_t>(g), 0}; }
+
   // ---- Introspection (tests / benches).
-  bool IsGroupLeader() const;
+  bool IsGroupLeader() const { return id() == LeaderOf(my_group()); }
   uint64_t executed_entries() const { return execution_log_.size(); }
   const std::vector<std::pair<uint16_t, uint64_t>>& execution_log() const {
     return execution_log_;
@@ -140,9 +147,6 @@ class GroupNode : public Actor {
   int num_groups() const { return ctx_->topology->num_groups(); }
   int group_size(int g) const { return ctx_->topology->group_size(g); }
   int group_f(int g) const { return ctx_->topology->max_faulty(g); }
-  NodeId LeaderOf(int g) const {
-    return NodeId{static_cast<uint16_t>(g), 0};
-  }
   /// True when `node` leads a group other than this node's.
   bool IsPeerGroupLeader(NodeId node) const {
     return node.group != my_group() && node == LeaderOf(node.group);
@@ -163,6 +167,11 @@ class GroupNode : public Actor {
   /// rebuild.
   [[nodiscard]] bool VerifyGroupCert(const Certificate& cert,
                                      const Digest& digest);
+  /// True when `cert` proves `entry` is e_{key}: the entry's own key is
+  /// `key`, and group key.first certified it. Only such an entry is
+  /// stored under `key`.
+  [[nodiscard]] bool VerifySlot(const Key& key, const Entry& entry,
+                                const Certificate& cert);
 
   // ---- Batching / proposing (leader). Timer chains carry an epoch so
   // chains from before a crash die instead of double-firing after

@@ -72,37 +72,32 @@ constexpr size_t kTraceContextBytes = 2 + 8 + 4 + 8;
 // to its layout; some layouts serve two types.
 
 /// PBFT pre-prepare (kPrePrepare): the group leader's proposal carrying
-/// the full entry.
+/// the full entry. The entry's own seq() is the PBFT instance.
 struct PrePrepare {
-  uint64_t view = 0;
-  uint64_t seq = 0;
   EntryPtr entry;
   Signature sig{};
-  auto Fields() { return std::tie(view, seq, entry, sig); }
+  auto Fields() { return std::tie(entry, sig); }
 };
 
 /// PBFT prepare and commit votes (kPrepare, kCommit).
 struct PbftVote {
-  uint64_t view = 0;
   uint64_t seq = 0;
   Digest digest{};
   Signature sig{};
-  auto Fields() { return std::tie(view, seq, digest, sig); }
+  auto Fields() { return std::tie(seq, digest, sig); }
 };
 
 /// Identifies a group-level decision being certified by skip-prepare
-/// consensus: e.g. "group `voter_gid` accepts entry e_{target_gid,seq} and
-/// stamps it with clock value ts". Certificates sign the SHA-256 of its
-/// encoding (DigestCertifier::DecisionDigest).
+/// consensus: e.g. "accept entry e_{target_gid,seq} and stamp it with clock
+/// value ts". Certificates sign the SHA-256 of its encoding
+/// (DigestCertifier::DecisionDigest); the certificate's gid names the group
+/// that decided.
 struct DecisionId {
   uint8_t kind = 0;  // DigestCertifier::Kind.
-  uint16_t voter_gid = 0;
   uint16_t target_gid = 0;
   uint64_t target_seq = 0;
   uint64_t ts = 0;
-  auto Fields() {
-    return std::tie(kind, voter_gid, target_gid, target_seq, ts);
-  }
+  auto Fields() { return std::tie(kind, target_gid, target_seq, ts); }
 
   friend bool operator==(const DecisionId&, const DecisionId&) = default;
   friend auto operator<=>(const DecisionId&, const DecisionId&) = default;
@@ -143,12 +138,9 @@ struct ChunkBatch {
   uint16_t gid = 0;
   uint64_t seq = 0;
   Digest merkle_root{};
-  uint64_t entry_size = 0;
   Certificate cert;
   std::vector<Chunk> chunks;
-  auto Fields() {
-    return std::tie(gid, seq, merkle_root, entry_size, cert, chunks);
-  }
+  auto Fields() { return std::tie(gid, seq, merkle_root, cert, chunks); }
 };
 
 /// One vector-timestamp element assignment: group `assigner_gid` stamps
@@ -165,33 +157,24 @@ struct TimestampElement {
 };
 
 /// Raft propose control message (leader group -> follower groups,
-/// kRaftPropose): the entry digest + certificate; the payload itself
-/// travels via the replication strategy. Nothing sets `piggyback` or the
-/// origin fields yet: they are always empty or zero.
+/// kRaftPropose): the entry's certificate, whose digest is the proposed
+/// one; the payload itself travels via the replication strategy.
 struct RaftPropose {
   uint16_t gid = 0;
   uint64_t seq = 0;
-  Digest digest{};
   Certificate cert;
-  uint16_t origin_gid = 0;
-  uint64_t origin_seq = 0;
-  std::vector<TimestampElement> piggyback;
-  auto Fields() {
-    return std::tie(gid, seq, digest, cert, origin_gid, origin_seq,
-                    piggyback);
-  }
+  auto Fields() { return std::tie(gid, seq, cert); }
 };
 
-/// Raft accept (kRaftAccept): group `from_group`'s receipt for
-/// e_{gid,seq}, stamped with its clock value `ts` (MassBFT) and protected
-/// by its certificate over DecisionId{kAccept, from_group, gid, seq, ts}.
+/// Raft accept (kRaftAccept): group cert.gid's receipt for e_{gid,seq},
+/// stamped with its clock value `ts` (MassBFT) and protected by its
+/// certificate over DecisionId{kAccept, gid, seq, ts}.
 struct RaftAccept {
   uint16_t gid = 0;
   uint64_t seq = 0;
-  uint16_t from_group = 0;
   uint64_t ts = 0;
   Certificate cert;
-  auto Fields() { return std::tie(gid, seq, from_group, ts, cert); }
+  auto Fields() { return std::tie(gid, seq, ts, cert); }
 };
 
 /// Raft commit (kRaftCommit): the proposer announces e_{gid,seq} is
@@ -235,11 +218,10 @@ struct GroupRelay {
 };
 
 /// Group liveness heartbeat (kGroupHeartbeat; crash detection for Raft
-/// leader takeover). Only tests read `last_seq`.
+/// leader takeover). It speaks for its sender's group, so it carries
+/// nothing.
 struct GroupHeartbeat {
-  uint16_t gid = 0;
-  uint64_t last_seq = 0;
-  auto Fields() { return std::tie(gid, last_seq); }
+  auto Fields() { return std::tie(); }
 };
 
 /// ISS epoch boundary marker (kEpochMarker): group `gid` declares `count`

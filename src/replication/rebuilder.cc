@@ -98,7 +98,7 @@ EntryRebuilder::AddResult EntryRebuilder::TryRebuild(const Digest& root,
     auto entry = Entry::Decode(*decoded);
     if (entry.ok()) {
       candidate = *entry;
-      valid = config_.validate(cert, candidate->digest());
+      valid = config_.validate(cert, *candidate);
     }
   }
 

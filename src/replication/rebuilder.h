@@ -39,10 +39,10 @@ class EntryRebuilder {
     int n_total = 0;
     int n_data = 0;
     /// Validates the certificate carried with the chunks and binds it to
-    /// the rebuilt entry digest. Typically: cert.digest == digest &&
-    /// cert.Verify(registry, 2f+1 of the sender group).
-    std::function<bool(const Certificate& cert, const Digest& entry_digest)>
-        validate;
+    /// the rebuilt entry: typically, the entry is the slot's own and
+    /// cert.digest == entry.digest() && cert.Verify(registry, 2f+1 of the
+    /// sender group). A bucket that decodes to another slot's entry fails.
+    std::function<bool(const Certificate& cert, const Entry& entry)> validate;
     /// Observability sink (optional): chunk outcomes land in the registry
     /// counters "rebuild/chunks_{accepted,duplicate,rejected}",
     /// "rebuild/entries_rebuilt" and "rebuild/fake_buckets".

@@ -127,7 +127,7 @@ SimTime RealCluster::SinceStart() const {
 
 void RealCluster::SubmitNext(size_t client) {
   const int group = clients_.group(client);
-  NodeRuntime* leader = runtime(NodeId{static_cast<uint16_t>(group), 0});
+  NodeRuntime* leader = runtime(GroupNode::LeaderOf(group));
   if (leader == nullptr) return;
   // The transaction is materialized on the leader's event-loop thread:
   // each group's payload generator and its clients' pool entries are only
@@ -220,8 +220,8 @@ Status RealCluster::IssueWindow() {
   if (crashes) {
     sleep_until_offset(std::min(config_.crash_at_s,
                                 config_.duration_seconds));
-    // Kill the highest-indexed followers of every group; index 0 (the
-    // leader clients submit to) always survives.
+    // Kill the highest-indexed followers of every group, all but one at
+    // most: the leader clients submit to (GroupNode::LeaderOf) survives.
     for (int g = 0; g < topology_->num_groups(); ++g) {
       const int size = config_.topology.group_sizes[static_cast<size_t>(g)];
       const int count = std::min(config_.crash_nodes_per_group, size - 1);

@@ -16,6 +16,7 @@
 #include "consensus/pbft/certifier.h"
 #include "consensus/pbft/pbft.h"
 #include "crypto/sha256.h"
+#include "golden_messages.h"
 #include "net/buffer_pool.h"
 #include "net/crc32.h"
 #include "net/rx_ring.h"
@@ -94,7 +95,6 @@ Certificate RandCert(Rng& rng) {
 DecisionId RandDecision(Rng& rng) {
   DecisionId d;
   d.kind = static_cast<uint8_t>(rng.NextBelow(4));
-  d.voter_gid = static_cast<uint16_t>(rng.NextBelow(8));
   d.target_gid = static_cast<uint16_t>(rng.NextBelow(8));
   d.target_seq = rng.NextU64();
   d.ts = rng.NextU64();
@@ -128,9 +128,9 @@ std::vector<Chunk> RandChunks(Rng& rng) {
   return chunks;
 }
 
-/// The small frame most transport tests send.
-Message<GroupHeartbeat> Heartbeat(uint16_t gid, uint64_t last_seq) {
-  return {MessageType::kGroupHeartbeat, {gid, last_seq}};
+/// The small frame most transport tests send; `max_seen` numbers it.
+Message<Freeze> FreezeQuery(uint16_t dead_gid, uint64_t max_seen) {
+  return {MessageType::kFreezeQuery, {dead_gid, max_seen}};
 }
 
 /// A randomized instance of every registered message type; null for a
@@ -141,12 +141,11 @@ std::shared_ptr<const ProtocolMessage> MakeMessage(MessageType type,
   auto gid = [&rng] { return static_cast<uint16_t>(rng.NextBelow(8)); };
   switch (type) {
     case T::kPrePrepare:
-      return NewMessage(type, PrePrepare{rng.NextU64(), rng.NextU64(),
-                                         RandEntry(rng), RandSig(rng)});
+      return NewMessage(type, PrePrepare{RandEntry(rng), RandSig(rng)});
     case T::kPrepare:
     case T::kCommit:
-      return NewMessage(type, PbftVote{rng.NextU64(), rng.NextU64(),
-                                       RandDigest(rng), RandSig(rng)});
+      return NewMessage(
+          type, PbftVote{rng.NextU64(), RandDigest(rng), RandSig(rng)});
     case T::kCertifyRequest:
     case T::kCertifyVote:
       return NewMessage(type,
@@ -156,17 +155,14 @@ std::shared_ptr<const ProtocolMessage> MakeMessage(MessageType type,
       return NewMessage(type, CertifiedEntry{RandEntry(rng), RandCert(rng)});
     case T::kChunkBatch:
       return NewMessage(type, ChunkBatch{gid(), rng.NextU64(),
-                                         RandDigest(rng),
-                                         rng.NextBelow(1u << 20),
-                                         RandCert(rng), RandChunks(rng)});
+                                         RandDigest(rng), RandCert(rng),
+                                         RandChunks(rng)});
     case T::kRaftPropose:
-      return NewMessage(type, RaftPropose{gid(), rng.NextU64(),
-                                          RandDigest(rng), RandCert(rng),
-                                          gid(), rng.NextU64(),
-                                          RandElements(rng)});
+      return NewMessage(type,
+                        RaftPropose{gid(), rng.NextU64(), RandCert(rng)});
     case T::kRaftAccept:
-      return NewMessage(type, RaftAccept{gid(), rng.NextU64(), gid(),
-                                         rng.NextU64(), RandCert(rng)});
+      return NewMessage(type, RaftAccept{gid(), rng.NextU64(), rng.NextU64(),
+                                         RandCert(rng)});
     case T::kRaftCommit:
       return NewMessage(type,
                         RaftCommit{gid(), rng.NextU64(), RandCert(rng)});
@@ -174,7 +170,7 @@ std::shared_ptr<const ProtocolMessage> MakeMessage(MessageType type,
       return NewMessage(type, TimestampAssign{rng.NextBelow(2) == 0,
                                               RandElements(rng)});
     case T::kGroupHeartbeat:
-      return NewMessage(type, GroupHeartbeat{gid(), rng.NextU64()});
+      return NewMessage(type, GroupHeartbeat{});
     case T::kGroupRelay: {
       GroupRelay relay{rng.NextBelow(2) == 0, {}};
       size_t n = 1 + rng.NextBelow(4);
@@ -206,130 +202,48 @@ std::shared_ptr<const ProtocolMessage> MakeMessage(MessageType type,
 
 // ------------------------------------------------------------ Golden
 
-template <typename Array>
-Array Filled(uint8_t first) {
-  Array a{};
-  for (size_t i = 0; i < a.size(); ++i)
-    a[i] = static_cast<uint8_t>(first + i);
-  return a;
-}
-
-EntryPtr GoldenEntry() {
-  return std::make_shared<const Entry>(
-      1, 5,
-      std::vector<Transaction>{Transaction{11, 22, 33, Bytes{1, 2, 3}},
-                               Transaction{44, 55, 66, Bytes{}}});
-}
-
-Certificate GoldenCert() {
-  Certificate cert;
-  cert.gid = 1;
-  cert.digest = Filled<Digest>(0x40);
-  cert.AddSignature(0, Filled<Signature>(0x10));
-  cert.AddSignature(2, Filled<Signature>(0x80));
-  return cert;
-}
-
-/// One instance of `type` built from literal field values only: no rng,
-/// so no dependence on the order in which arguments are evaluated.
-std::shared_ptr<const ProtocolMessage> GoldenMessage(MessageType type) {
-  using T = MessageType;
-  const DecisionId decision{1, 2, 3, 44, 55};
-  const std::vector<TimestampElement> elements{{1, 2, 3, 4}, {5, 6, 7, 8}};
-  switch (type) {
-    case T::kPrePrepare:
-      return NewMessage(
-          type, PrePrepare{1, 9, GoldenEntry(), Filled<Signature>(0x01)});
-    case T::kPrepare:
-    case T::kCommit:
-      return NewMessage(type, PbftVote{1, 9, Filled<Digest>(0x11),
-                                       Filled<Signature>(0x22)});
-    case T::kCertifyRequest:
-      return NewMessage(type,
-                        SignedDecision{decision, Filled<Signature>(0x33)});
-    case T::kCertifyVote:
-      return NewMessage(type,
-                        SignedDecision{decision, Filled<Signature>(0x44)});
-    case T::kEntryTransfer:
-    case T::kLeaderForward:
-      return NewMessage(type, CertifiedEntry{GoldenEntry(), GoldenCert()});
-    case T::kChunkBatch: {
-      Chunk chunk{3, Bytes{9, 8, 7, 6},
-                  MerkleProof{3, 4, {Filled<Digest>(0x50),
-                                     Filled<Digest>(0x60)}}};
-      return NewMessage(type, ChunkBatch{1, 7, Filled<Digest>(0x70), 4096,
-                                         GoldenCert(), {chunk}});
-    }
-    case T::kRaftPropose:
-      return NewMessage(type, RaftPropose{1, 99, Filled<Digest>(0x90),
-                                          GoldenCert(), 2, 55, elements});
-    case T::kRaftAccept:
-      return NewMessage(type, RaftAccept{1, 3, 2, 17, GoldenCert()});
-    case T::kRaftCommit:
-      return NewMessage(type, RaftCommit{1, 3, GoldenCert()});
-    case T::kTimestampAssign:
-      return NewMessage(type, TimestampAssign{true, elements});
-    case T::kGroupHeartbeat:
-      return NewMessage(type, GroupHeartbeat{3, 12});
-    case T::kGroupRelay:
-      return NewMessage(
-          type, GroupRelay{false, {{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}});
-    case T::kEpochMarker:
-      return NewMessage(type, EpochMarker{2, 5, 300});
-    case T::kCatchUpRequest:
-      return NewMessage(type, CatchUpRequest{{{0, 5}, {1, 200}}});
-    case T::kFreezeQuery:
-      return NewMessage(type, Freeze{2, 0});
-    case T::kFreezeReport:
-      return NewMessage(type, Freeze{2, 41});
-    case T::kCatchUpDone:
-      return NewMessage(type, CatchUpDone{});
-  }
-  return nullptr;
-}
-
 /// SHA-256 of each type's GoldenMessage frame, sent by (1,2) at origin time
 /// 777. A changed hash is a changed wire format: every peer, the golden
 /// runs and the figures' byte counts move with it.
 constexpr std::pair<MessageType, const char*> kGoldenFrameHashes[] = {
     {MessageType::kPrePrepare,
-     "df5a2ece16ff41d3466ff05ac2557961d8e6c86daea3466ab0f6fd891de5d427"},
+     "cddc0a7693fc82858f40c4c5c9431b0b3f2bd14663a8bb1b765075df6e1737c1"},
     {MessageType::kPrepare,
-     "bde27550bba03383abf16d9d1ed91b4c3ac4e3e418b0fbd32e3ca8d9cd6e29d6"},
+     "6c78848f7e1a615853a9243456131dd8f86c31c31916530466d07f2d1da1f430"},
     {MessageType::kCommit,
-     "74058153a29a924e3c3690d91ae576c8b414933926fd30784acd8336c336f551"},
+     "ad965047580db4908426f9e7fed7233766cae2b2d86a47b161615fc010ea3178"},
     {MessageType::kCertifyRequest,
-     "e8a5ecf150770b889d9e536778e250174b9be944cb7c5ba0ceeb2f9c44637a34"},
+     "cb2e3e931f32d2b127da67c74b94f44356505be3962f5ba49496b0362901f295"},
     {MessageType::kCertifyVote,
-     "becf29be1ae8f19574b389514a4f6d8d2548bbf8f9a1b135e6c28df6b7c6b7fe"},
+     "081ce3bb8c459e1cc907b02874431d4b06d6d7b26ba0bc5684d3f82f68b35210"},
     {MessageType::kEntryTransfer,
-     "877e990040bcbe63ad50b4175fc963a4cbfd0d1ab7ccb1bf345509ec743c4b0d"},
+     "345d878d8604cd0dfc5f547c1dbfb933cf89393017187d1c150976ec4af35d59"},
     {MessageType::kChunkBatch,
-     "f1a304d964ce3ec4473d3a91581575301f370074365664b99f4c85dfaedfde72"},
+     "92de399cea3d4da213cf81e18cc72517b9e2a8d513ba5a06c9eaeeee3b09dd6e"},
     {MessageType::kRaftPropose,
-     "d0c4adce65e54574a6e1b38c674b8c9194a39c41165e77c739e09d9f4e4f8699"},
+     "bd18dbe7ae5858ff66812f094ba7d237cac2f1839a2d001d964888439d971cc8"},
     {MessageType::kRaftAccept,
-     "9ad6d50fe2fee9bdea497e5aee0a748e7b326973afc718edac9f19b9993502ca"},
+     "e7bdabe22ddd66be1750abbab5b363af6a44807802e8a1bb6c587c322a3fefb9"},
     {MessageType::kRaftCommit,
-     "f8a4fef6e6005d27d68d54e25f739b5a4bce107fec520f677dace7036d86b2f1"},
+     "815faffc0f1f0bfbd47e3ee8d0bce22dd7938fefd15c507d49669344ae4ee900"},
     {MessageType::kTimestampAssign,
-     "53c5dd361bdc26d2fd4fcd05d12ba6391c4dfb54ec0ab8ad49f8c3f1d0f15b04"},
+     "d92bd5e9b225a401c01c2c6fc0bcde06e4c5e5c8d6a0eec494d8b7ea9c8abf39"},
     {MessageType::kGroupHeartbeat,
-     "98449f37166b543df0176eedbdc494cea35e7cb2b396347bb28fc983baf22b2a"},
+     "ba4b314f2e7fd23cf0149b768f58a7c3cfd637b3816a5573e75cca35110313a1"},
     {MessageType::kGroupRelay,
-     "5a70866752b000918dd67743e63eb4559561f4ab3ef8d0002d0d59b9e924aba6"},
+     "6ce3292e52927fab30593f8b37bd1ac5a8ca1baa0d230f9a30d80f55308b9341"},
     {MessageType::kEpochMarker,
-     "13f44e77417b0dabe4a7e54d44dfa1c153b9906b863144466a1d56d4f42e7f93"},
+     "9d714a4f67de35517c8109178e5e7705dc00705eb206db7d9c3bdbd0a80da545"},
     {MessageType::kLeaderForward,
-     "9cd8c6892ab89c4369299e1d2717dd08436c1e065a3661cbd384c3253d233c57"},
+     "dfaacef423c816fdd020f186e96d6358c61cd42fcc097e25f1ee097d8ffb63e4"},
     {MessageType::kCatchUpRequest,
-     "b46c9778da6c054855e3a1d43d8214e32cd3ef24a85042de339e649da126f097"},
+     "155f51bbceee6de569b355caf80e01c58586f8960b16d8e1ce9ad03ecce4a594"},
     {MessageType::kFreezeQuery,
-     "c8db44afebf1bcf2a61717f71c8080412c4096520c05baf957d042fbffea254f"},
+     "9cd48257ed3fb022284894844bc4408c5e88dd31ae195f9d52ec0d827ba43113"},
     {MessageType::kFreezeReport,
-     "088f5e5083c2240f9f165fe52ab20bc8ea00d99c79c9f7bcd1b66858a8c2673a"},
+     "0d933d6cfe04901d30c2d7f7ed87150427061604460a7da9d62064b5c62dd6fb"},
     {MessageType::kCatchUpDone,
-     "e6207152aadd389e1dc99cd7da1115552ffde1c66515fd190ca5dbb22d0b5872"},
+     "f175f1f68b25f3b42fbeec3a7080b5346521ef1dea2b68b6446d113ece1748f0"},
 };
 
 TEST(WireGoldenTest, EveryTypeEncodesToRecordedBytes) {
@@ -363,27 +277,27 @@ TEST(WireGoldenTest, SignedBytesAreRecorded) {
     cb.on_committed = [](EntryPtr, Certificate) {};
     return cb;
   };
-  PbftEngine leader(1, NodeId{1, 0}, 1, callbacks());
+  PbftEngine leader(1, NodeId{1, 0}, 1, /*leader=*/0, callbacks());
   leader.Propose(GoldenEntry());
-  PbftEngine follower(1, NodeId{1, 1}, 4, callbacks());
+  PbftEngine follower(1, NodeId{1, 1}, 4, /*leader=*/0, callbacks());
   follower.OnMessage(NodeId{1, 0},
                      NewMessage(MessageType::kPrePrepare,
-                                PrePrepare{0, 9, GoldenEntry(), Signature{}}));
+                                PrePrepare{GoldenEntry(), Signature{}}));
   ASSERT_EQ(signed_bytes.size(), 3u);
-  // Pre-prepare: phase, gid, view, seq, entry digest.
+  // Pre-prepare: phase, gid, seq (the entry's), entry digest.
   EXPECT_EQ(ToHex(signed_bytes[0]),
-            "0a" "0100" "0000000000000000" "0000000000000000"
+            "0a" "0100" "0500000000000000"
             "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
   // Commit: the bare entry digest (the certificate's signed value).
   EXPECT_EQ(ToHex(signed_bytes[1]),
             "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
-  // Prepare for seq 9.
+  // Prepare for the same seq.
   EXPECT_EQ(ToHex(signed_bytes[2]),
-            "0b" "0100" "0000000000000000" "0900000000000000"
+            "0b" "0100" "0500000000000000"
             "39b54f2ba73920ec67aef096e2831dac78384e16227da44d426bdd772508432e");
   EXPECT_EQ(
-      DigestToHex(DigestCertifier::DecisionDigest(DecisionId{1, 2, 3, 44, 55})),
-      "1516b59cc02459be0c726e336f3d4ce0a31ce205a3ded11f3bcce1f2396088f7");
+      DigestToHex(DigestCertifier::DecisionDigest(DecisionId{1, 3, 44, 55})),
+      "0542e399bede8fe4ea8103b165922657557b74a92074748915e45b09c8b9dadf");
 }
 
 // ------------------------------------------------------------ Roundtrip
@@ -438,38 +352,34 @@ TEST(WireRoundTripTest, FieldLevelSpotChecks) {
     EXPECT_EQ(decoded.cert, cert);
   }
   {
-    auto elements = RandElements(rng);
-    Message<RaftPropose> msg(
-        MessageType::kRaftPropose,
-        {4, 99, RandDigest(rng), RandCert(rng), 2, 55, elements});
+    auto cert = RandCert(rng);
+    Message<RaftPropose> msg(MessageType::kRaftPropose, {4, 99, cert});
     auto frame = DecodeFrame(EncodeFrame(msg, src));
     ASSERT_TRUE(frame.ok());
     const auto& decoded = BodyOf<RaftPropose>(*frame->msg);
     EXPECT_EQ(decoded.gid, 4);
     EXPECT_EQ(decoded.seq, 99u);
-    EXPECT_EQ(decoded.piggyback, elements);
-    EXPECT_EQ(decoded.origin_gid, 2);
-    EXPECT_EQ(decoded.origin_seq, 55u);
+    EXPECT_EQ(decoded.cert, cert);
   }
   {
     auto chunks = RandChunks(rng);
-    Message<ChunkBatch> msg(
-        MessageType::kChunkBatch,
-        {1, 7, RandDigest(rng), 4096, RandCert(rng), chunks});
+    const Digest root = RandDigest(rng);
+    Message<ChunkBatch> msg(MessageType::kChunkBatch,
+                            {1, 7, root, RandCert(rng), chunks});
     auto frame = DecodeFrame(EncodeFrame(msg, src));
     ASSERT_TRUE(frame.ok());
     const auto& decoded = BodyOf<ChunkBatch>(*frame->msg);
     ASSERT_EQ(decoded.chunks.size(), chunks.size());
     EXPECT_EQ(decoded.chunks[0].data, chunks[0].data);
     EXPECT_EQ(decoded.chunks[0].proof.path, chunks[0].proof.path);
-    EXPECT_EQ(decoded.entry_size, 4096u);
+    EXPECT_EQ(decoded.merkle_root, root);
   }
 }
 
 // ------------------------------------------------------------ Malformed
 
 Bytes SampleFrame() {
-  auto msg = Heartbeat(1, 12345);
+  auto msg = FreezeQuery(1, 12345);
   return EncodeFrame(msg, NodeId{0, 1});
 }
 
@@ -503,7 +413,7 @@ TEST(WireTraceContextTest, EntryCarryingFrameRoundTripsContext) {
 }
 
 TEST(WireTraceContextTest, NonCarryingFrameHasNoContext) {
-  auto msg = Heartbeat(0, 7);
+  auto msg = FreezeQuery(0, 7);
   auto frame = DecodeFrame(EncodeFrame(msg, NodeId{0, 1}));
   ASSERT_TRUE(frame.ok());
   EXPECT_FALSE(frame->has_trace);
@@ -728,13 +638,13 @@ TEST(InProcTransportTest, DeliversThroughFullCodec) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(2, 77);
+  auto msg = FreezeQuery(2, 77);
   ASSERT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   ASSERT_TRUE(sink_b.WaitForCount(1));
   EXPECT_EQ(sink_b.frames[0].src, (NodeId{0, 0}));
-  const auto& decoded = BodyOf<GroupHeartbeat>(*sink_b.frames[0].msg);
-  EXPECT_EQ(decoded.gid, 2);
-  EXPECT_EQ(decoded.last_seq, 77u);
+  const auto& decoded = BodyOf<Freeze>(*sink_b.frames[0].msg);
+  EXPECT_EQ(decoded.dead_gid, 2);
+  EXPECT_EQ(decoded.max_seen, 77u);
 
   EXPECT_EQ(a->stats().frames_sent, 1u);
   EXPECT_EQ(a->stats().bytes_sent, msg.ByteSize());
@@ -768,7 +678,7 @@ TEST(TcpTransportTest, LoopbackRoundTrip) {
   // Both directions, including a large frame spanning multiple reads.
   Rng rng(3);
   auto big = MakeMessage(MessageType::kEntryTransfer, rng);
-  auto small = Heartbeat(1, 5);
+  auto small = FreezeQuery(1, 5);
   ASSERT_TRUE(a.Send(NodeId{0, 1}, *big).ok());
   ASSERT_TRUE(a.Send(NodeId{0, 1}, small).ok());
   ASSERT_TRUE(b.Send(NodeId{0, 0}, small).ok());
@@ -778,7 +688,7 @@ TEST(TcpTransportTest, LoopbackRoundTrip) {
   EXPECT_EQ(sink_b.frames[0].msg->message_type(),
             MessageType::kEntryTransfer);
   EXPECT_EQ(sink_b.frames[1].msg->message_type(),
-            MessageType::kGroupHeartbeat);
+            MessageType::kFreezeQuery);
   EXPECT_EQ(sink_a.frames[0].src, (NodeId{0, 1}));
 
   EXPECT_EQ(a.stats().frames_sent, 2u);
@@ -792,7 +702,7 @@ TEST(TcpTransportTest, SendToUnmappedNodeFails) {
   TcpTransport a(NodeId{0, 0}, ports);
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
-  auto msg = Heartbeat(0, 0);
+  auto msg = FreezeQuery(0, 0);
   EXPECT_FALSE(a.Send(NodeId{5, 5}, msg).ok());
   EXPECT_EQ(a.stats().send_errors, 1u);
   a.Stop();
@@ -822,7 +732,7 @@ TEST(TcpTransportTest, SendToDeadPeerNeverBlocks) {
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   for (int i = 0; i < 50; ++i) {
     auto start = std::chrono::steady_clock::now();
     ASSERT_TRUE(a.Send(NodeId{0, 1}, msg).ok());
@@ -844,7 +754,7 @@ TEST(TcpTransportTest, BackpressureDropsWhenQueueFull) {
   Sink sink;
   ASSERT_TRUE(a.Start(sink.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   int dropped = 0;
   for (int i = 0; i < 20; ++i)
     if (!a.Send(NodeId{0, 1}, msg).ok()) ++dropped;
@@ -863,7 +773,7 @@ TEST(TcpTransportTest, ReconnectsAfterPeerRestart) {
   ASSERT_TRUE(a.Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b1.fn()).ok());
 
-  auto msg = Heartbeat(7, 1);
+  auto msg = FreezeQuery(7, 1);
   ASSERT_TRUE(a.Send(NodeId{0, 1}, msg).ok());
   ASSERT_TRUE(sink_b1.WaitForCount(1));
 
@@ -912,7 +822,7 @@ TEST(FaultTransportTest, DropRateOneDropsEverything) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   EXPECT_EQ(a->fault_stats().dropped, 10u);
   EXPECT_EQ(b->stats().frames_received, 0u);
@@ -931,7 +841,7 @@ TEST(FaultTransportTest, DuplicateRateOneDeliversTwice) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   EXPECT_EQ(a->fault_stats().duplicated, 5u);
   EXPECT_EQ(b->stats().frames_received, 10u);
@@ -949,7 +859,7 @@ TEST(FaultTransportTest, CorruptionIsCaughtByReceiverCrc) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   // Real mangled bytes went on the wire; the receiver's codec rejected
   // every frame (one flipped byte always breaks the CRC or the header).
@@ -973,7 +883,7 @@ TEST(FaultTransportTest, DelayedFramesArriveLater) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   // Sends return before delivery (they only scheduled the frames).
@@ -1006,14 +916,14 @@ TEST(FaultTransportTest, DelayStallsTheLinkButNeverReordersIt) {
 
   constexpr uint64_t kFrames = 50;
   for (uint64_t i = 0; i < kFrames; ++i) {
-    auto msg = Heartbeat(0, /*last_seq=*/i);
+    auto msg = FreezeQuery(0, /*max_seen=*/i);
     EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
   }
   ASSERT_TRUE(sink_b.WaitForCount(kFrames));
   EXPECT_GT(a->fault_stats().delayed, 0u);
   std::lock_guard<std::mutex> lock(sink_b.mu);
   for (uint64_t i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(BodyOf<GroupHeartbeat>(*sink_b.frames[i].msg).last_seq, i)
+    EXPECT_EQ(BodyOf<Freeze>(*sink_b.frames[i].msg).max_seen, i)
         << "frame overtook a delayed predecessor";
   }
   a->Stop();
@@ -1035,7 +945,7 @@ TEST(FaultTransportTest, PartitionWindowCutsBothDirectionsThenHeals) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
   EXPECT_TRUE(a->Send(NodeId{1, 0}, msg).ok());
   EXPECT_TRUE(b->Send(NodeId{0, 0}, msg).ok());
   EXPECT_EQ(a->fault_stats().partition_dropped +
@@ -1060,7 +970,7 @@ TEST(FaultTransportTest, SameSeedSameMessageSequenceSameFaults) {
   spec.drop_rate = 0.3;
   spec.duplicate_rate = 0.2;
   spec.corrupt_rate = 0.2;
-  auto msg = Heartbeat(1, 1);
+  auto msg = FreezeQuery(1, 1);
 
   auto run = [&] {
     InProcHub hub;
@@ -1223,7 +1133,7 @@ TEST(FrameReassemblerTest, RandomFragmentationFuzz) {
 /// before tearing the connection down.
 TEST(FrameReassemblerTest, CorruptionAfterGoodFramesKeepsThePrefix) {
   Rng rng(41);
-  auto msg = Heartbeat(3, 9);
+  auto msg = FreezeQuery(3, 9);
   Bytes stream;
   for (int i = 0; i < 2; ++i) {
     const Bytes wire = EncodeFrame(msg, NodeId{0, 0});
@@ -1306,7 +1216,7 @@ TEST(InProcTransportTest, SteadyStateSendsMakeZeroPoolAllocations) {
   ASSERT_TRUE(a->Start(sink_a.fn()).ok());
   ASSERT_TRUE(b->Start(sink_b.fn()).ok());
 
-  auto msg = Heartbeat(1, 42);
+  auto msg = FreezeQuery(1, 42);
   for (int i = 0; i < 16; ++i)  // Warm the pool.
     ASSERT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
 
@@ -1327,7 +1237,7 @@ TEST(InProcTransportTest, SteadyStateSendsMakeZeroPoolAllocations) {
 
 /// Floods of small frames exercise the scatter-gather writer's full-batch
 /// and partial-batch resume paths; per-peer delivery order must survive
-/// batching. Sequence numbers ride in last_seq.
+/// batching. Sequence numbers ride in max_seen.
 TEST(TcpTransportTest, BatchedDeliveryPreservesPerPeerOrder) {
   TcpTransport::Options options;
   options.max_queue_frames = 8192;
@@ -1340,7 +1250,7 @@ TEST(TcpTransportTest, BatchedDeliveryPreservesPerPeerOrder) {
 
   constexpr uint64_t kCount = 3000;
   for (uint64_t i = 0; i < kCount; ++i) {
-    auto msg = Heartbeat(1, i);
+    auto msg = FreezeQuery(1, i);
     while (!a.Send(NodeId{0, 1}, msg).ok())  // Ride out backpressure.
       std::this_thread::yield();
   }
@@ -1348,7 +1258,7 @@ TEST(TcpTransportTest, BatchedDeliveryPreservesPerPeerOrder) {
 
   std::lock_guard<std::mutex> lock(sink_b.mu);
   for (uint64_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(BodyOf<GroupHeartbeat>(*sink_b.frames[i].msg).last_seq, i)
+    ASSERT_EQ(BodyOf<Freeze>(*sink_b.frames[i].msg).max_seen, i)
         << "reordered or lost at " << i;
   }
   // The whole flood must have moved in far fewer syscalls than frames on
@@ -1387,9 +1297,9 @@ TEST(TcpTransportTest, PartialWriteResumeAcrossBatchBoundaries) {
   constexpr int kRounds = 8;
   for (int i = 0; i < kRounds; ++i) {
     Message<ChunkBatch> big(MessageType::kChunkBatch,
-                            {1, static_cast<uint64_t>(i), RandDigest(rng), 0,
+                            {1, static_cast<uint64_t>(i), RandDigest(rng),
                              RandCert(rng), chunks});
-    auto small = Heartbeat(1, static_cast<uint64_t>(i));
+    auto small = FreezeQuery(1, static_cast<uint64_t>(i));
     while (!a.Send(NodeId{0, 1}, big).ok()) std::this_thread::yield();
     while (!a.Send(NodeId{0, 1}, small).ok()) std::this_thread::yield();
   }
@@ -1401,7 +1311,7 @@ TEST(TcpTransportTest, PartialWriteResumeAcrossBatchBoundaries) {
               MessageType::kChunkBatch);
     ASSERT_EQ(
         sink_b.frames[2 * static_cast<size_t>(i) + 1].msg->message_type(),
-        MessageType::kGroupHeartbeat);
+        MessageType::kFreezeQuery);
   }
   EXPECT_EQ(b.stats().decode_errors, 0u);
   a.Stop();

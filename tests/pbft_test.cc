@@ -18,10 +18,12 @@ namespace {
 /// plus simple virtual timers.
 class GroupBus {
  public:
-  explicit GroupBus(int n) : n_(n) {
+  explicit GroupBus(int n, uint16_t gid = 0) : n_(n), gid_(gid) {
     for (int i = 0; i < n; ++i)
-      registry.RegisterNode(NodeId{0, static_cast<uint16_t>(i)});
+      registry.RegisterNode(NodeId{gid, static_cast<uint16_t>(i)});
   }
+
+  uint16_t gid() const { return gid_; }
 
   using Handler = std::function<void(NodeId from, const MessagePtr&)>;
 
@@ -48,7 +50,7 @@ class GroupBus {
       auto [from, to, msg] = std::move(queue_.front());
       queue_.pop_front();
       if (dropped_.count(to) > 0) continue;
-      handlers_[to](NodeId{0, static_cast<uint16_t>(from)}, msg);
+      handlers_[to](NodeId{gid_, static_cast<uint16_t>(from)}, msg);
     }
   }
 
@@ -63,6 +65,7 @@ class GroupBus {
     MessagePtr msg;
   };
   int n_;
+  uint16_t gid_;
   std::map<int, Handler> handlers_;
   std::set<int> dropped_;
   std::set<std::pair<int, int>> dropped_links_;
@@ -71,7 +74,7 @@ class GroupBus {
 
 struct PbftNode {
   PbftNode(GroupBus* bus, int index, int n, bool instant_validation = true) {
-    NodeId self{0, static_cast<uint16_t>(index)};
+    NodeId self{bus->gid(), static_cast<uint16_t>(index)};
     PbftEngine::Callbacks cb;
     cb.broadcast = [bus, index](MessagePtr m) {
       bus->Broadcast(index, std::move(m));
@@ -97,7 +100,8 @@ struct PbftNode {
     cb.on_committed = [this](EntryPtr entry, Certificate cert) {
       committed.push_back({entry, cert});
     };
-    engine = std::make_unique<PbftEngine>(0, self, n, std::move(cb));
+    engine = std::make_unique<PbftEngine>(bus->gid(), self, n, /*leader=*/0,
+                                          std::move(cb));
   }
 
   std::unique_ptr<PbftEngine> engine;
@@ -107,17 +111,17 @@ struct PbftNode {
   int verifies = 0;
 };
 
-EntryPtr MakeEntry(uint64_t seq, int payload = 100) {
+EntryPtr MakeEntry(uint64_t seq, int payload = 100, uint16_t gid = 0) {
   return std::make_shared<const Entry>(
-      0, seq,
+      gid, seq,
       std::vector<Transaction>{
           Transaction{seq, 1, 0, Bytes(static_cast<size_t>(payload), 0x11)}});
 }
 
 class PbftFixture : public ::testing::Test {
  protected:
-  void Init(int n) {
-    bus_ = std::make_unique<GroupBus>(n);
+  void Init(int n, uint16_t gid = 0) {
+    bus_ = std::make_unique<GroupBus>(n, gid);
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(std::make_unique<PbftNode>(bus_.get(), i, n));
       PbftNode* node = nodes_.back().get();
@@ -188,7 +192,7 @@ TEST_F(PbftFixture, NonLeaderCannotPrePrepare) {
   EntryPtr entry = MakeEntry(0);
   Signature sig = bus_->registry.Sign(NodeId{0, 2}, Bytes{1, 2, 3});
   auto forged =
-      NewMessage(MessageType::kPrePrepare, PrePrepare{0, 0, entry, sig});
+      NewMessage(MessageType::kPrePrepare, PrePrepare{entry, sig});
   bus_->Broadcast(2, forged);
   bus_->Deliver();
   for (auto& node : nodes_) EXPECT_TRUE(node->committed.empty());
@@ -200,7 +204,7 @@ TEST_F(PbftFixture, BadSignatureVotesIgnored) {
   // Garbage commit votes should not help reach quorum.
   for (int from = 1; from < 4; ++from) {
     auto vote = NewMessage(MessageType::kCommit,
-                           PbftVote{0, 0, entry->digest(), Signature{}});
+                           PbftVote{0, entry->digest(), Signature{}});
     bus_->Send(from, 0, vote);
   }
   bus_->Deliver();
@@ -253,6 +257,26 @@ TEST_F(PbftFixture, VotesBeforeThePrePrepareCountOnlyForItsDigest) {
     EXPECT_FALSE(from == 1 && msg->type() ==
                                   static_cast<int>(MessageType::kCommit));
   EXPECT_TRUE(nodes_[1]->committed.empty());
+}
+
+TEST_F(PbftFixture, OneSlotCommitsOneEntry) {
+  // The group-1 leader pre-prepares (1,0)..(1,4), then two different
+  // entries both labelled (1,5). Two certified entries for one slot would
+  // give other groups two versions of e_{1,5}.
+  Init(4, /*gid=*/1);
+  for (uint64_t s = 0; s < 5; ++s)
+    nodes_[0]->engine->Propose(MakeEntry(s, 100, 1));
+  nodes_[0]->engine->Propose(MakeEntry(5, 100, 1));
+  nodes_[0]->engine->Propose(MakeEntry(5, 200, 1));
+  bus_->Deliver();
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    int fifth = 0;
+    for (const auto& [entry, cert] : nodes_[i]->committed)
+      fifth += entry->seq() == 5 ? 1 : 0;
+    EXPECT_EQ(fifth, 1);
+    EXPECT_EQ(nodes_[i]->committed.size(), 6u);
+  }
 }
 
 TEST_F(PbftFixture, ValidationGateBlocksPrepare) {
@@ -325,7 +349,7 @@ class CertifierFixture : public ::testing::Test {
   }
 
   DecisionId Decision() {
-    return DecisionId{DigestCertifier::kAccept, 0, 1, 7, 42};
+    return DecisionId{DigestCertifier::kAccept, 1, 7, 42};
   }
 
   std::unique_ptr<GroupBus> bus_;
@@ -361,9 +385,9 @@ TEST_F(CertifierFixture, DeferredVotesFlowAfterRecheck) {
 }
 
 TEST_F(CertifierFixture, DistinctDecisionsDistinctDigests) {
-  DecisionId a{DigestCertifier::kAccept, 0, 1, 7, 42};
-  DecisionId b{DigestCertifier::kAccept, 0, 1, 7, 43};
-  DecisionId c{DigestCertifier::kCommitDecision, 0, 1, 7, 42};
+  DecisionId a{DigestCertifier::kAccept, 1, 7, 42};
+  DecisionId b{DigestCertifier::kAccept, 1, 7, 43};
+  DecisionId c{DigestCertifier::kCommitDecision, 1, 7, 42};
   EXPECT_NE(DigestCertifier::DecisionDigest(a),
             DigestCertifier::DecisionDigest(b));
   EXPECT_NE(DigestCertifier::DecisionDigest(a),

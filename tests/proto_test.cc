@@ -219,9 +219,9 @@ TEST(MessageSizeTest, EnvelopeAddedToEveryMessage) {
   Message<CatchUpDone> done(MessageType::kCatchUpDone, {});
   EXPECT_EQ(done.ByteSize(), kFrameOverheadBytes);
   EXPECT_EQ(done.ByteSize(), EncodedSize(done));
-  Message<GroupHeartbeat> hb(MessageType::kGroupHeartbeat, {1, 100});
-  EXPECT_EQ(hb.ByteSize(), kFrameOverheadBytes + 10);
-  EXPECT_EQ(hb.ByteSize(), EncodedSize(hb));
+  Message<Freeze> query(MessageType::kFreezeQuery, {1, 100});
+  EXPECT_EQ(query.ByteSize(), kFrameOverheadBytes + 10);
+  EXPECT_EQ(query.ByteSize(), EncodedSize(query));
 }
 
 TEST(MessageSizeTest, EntryTransferCarriesEntryAndCert) {
@@ -248,11 +248,11 @@ TEST(MessageSizeTest, ChunkBatchAccountsChunksProofsAndCert) {
   Certificate cert;
   for (uint16_t i = 0; i < 5; ++i) cert.AddSignature(i, Signature{});
   Message<ChunkBatch> msg(MessageType::kChunkBatch,
-                          {0, 1, Digest{}, 13000, cert, {chunk}});
+                          {0, 1, Digest{}, cert, {chunk}});
   // Chunk: id, 2-byte varint length, data, then the proof's index, leaf
   // count, path length and path.
   const size_t chunk_bytes = 4 + 2 + 1000 + (4 + 4 + 2 + 5 * 32);
-  size_t expected = kFrameOverheadBytes + kTraceContextBytes + 2 + 8 + 32 + 8 +
+  size_t expected = kFrameOverheadBytes + kTraceContextBytes + 2 + 8 + 32 +
                     CertBytes(5) + /*chunk count varint*/ 1 + chunk_bytes;
   EXPECT_EQ(msg.ByteSize(), expected);
   EXPECT_EQ(msg.ByteSize(), EncodedSize(msg));
@@ -260,21 +260,9 @@ TEST(MessageSizeTest, ChunkBatchAccountsChunksProofsAndCert) {
 
 TEST(MessageSizeTest, SignatureWireSizeMatchesEd25519) {
   // The substituted scheme must not change message sizes (DESIGN.md §2).
-  Message<PbftVote> vote(MessageType::kPrepare, {0, 0, Digest{}, Signature{}});
-  EXPECT_EQ(vote.ByteSize(), kFrameOverheadBytes + 8 + 8 + 32 + 64);
+  Message<PbftVote> vote(MessageType::kPrepare, {0, Digest{}, Signature{}});
+  EXPECT_EQ(vote.ByteSize(), kFrameOverheadBytes + 8 + 32 + 64);
   EXPECT_EQ(vote.ByteSize(), EncodedSize(vote));
-}
-
-TEST(MessageSizeTest, TimestampPiggybackCounted) {
-  Certificate cert;
-  Message<RaftPropose> bare(MessageType::kRaftPropose,
-                            {0, 1, Digest{}, cert, 0, 0, {}});
-  Message<RaftPropose> with_ts(
-      MessageType::kRaftPropose,
-      {0, 1, Digest{}, cert, 0, 0,
-       {TimestampElement{0, 1, 2, 3}, TimestampElement{1, 1, 2, 4}}});
-  // Two elements of assigner, target gid, target seq and ts each.
-  EXPECT_EQ(with_ts.ByteSize(), bare.ByteSize() + 2 * (2 + 2 + 8 + 8));
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ class RaftHarness {
     } else {
       available_[g].insert({static_cast<uint16_t>(g), seq});
     }
-    coordinators_[g]->Propose(static_cast<uint16_t>(g), seq, digest, cert);
+    coordinators_[g]->Propose(static_cast<uint16_t>(g), seq, cert);
     Deliver();
   }
 
@@ -260,8 +260,7 @@ TEST(RaftTest, InvalidProposeCertificateRejected) {
   Certificate bogus;
   bogus.gid = 0;
   bogus.digest = DigestOf(1);
-  h.coordinator(1).OnProposeControl(
-      RaftPropose{0, 0, DigestOf(1), bogus, 0, 0, {}});
+  h.coordinator(1).OnProposeControl(RaftPropose{0, 0, bogus});
   h.MakeAvailable(1, 0, 0);
   EXPECT_TRUE(h.accepts(1).empty());
 }

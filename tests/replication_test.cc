@@ -211,8 +211,8 @@ class RebuilderTest : public ::testing::Test {
     EntryRebuilder::Config cfg;
     cfg.n_total = plan_->n_total();
     cfg.n_data = plan_->n_data();
-    cfg.validate = [this](const Certificate& cert, const Digest& digest) {
-      return cert.digest == digest && cert.Verify(registry_, 3);
+    cfg.validate = [this](const Certificate& cert, const Entry& entry) {
+      return cert.digest == entry.digest() && cert.Verify(registry_, 3);
     };
     return EntryRebuilder(std::move(cfg));
   }
