@@ -202,6 +202,39 @@ void BM_AriaBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AriaBatch)->Arg(37)->Arg(270);
 
+// TPC-C execution as each replica pays it on perfbench's tpcc-crash:
+// batches of 8 (its core.txns_per_entry is 7.8) over 128 warehouses. The
+// loop cycles through one 2 s sub-run's worth of transactions (2,400 at
+// 1.2k txn/s), so the store grows as it does in a sub-run, then starts
+// again from the pristine state.
+void BM_AriaBatchTpcc(benchmark::State& state) {
+  constexpr int kTxnsPerSubRun = 2400;
+  const int batch_size = static_cast<int>(state.range(0));
+  auto workload = MakeWorkload(WorkloadKind::kTpcc, 1.0);
+  KvStore store;
+  workload->InstallInitialState(&store);
+  AriaExecutor executor(&store, workload->MakeFactory());
+  Rng rng(4);
+  std::vector<std::vector<Transaction>> batches(
+      static_cast<size_t>(kTxnsPerSubRun / batch_size));
+  uint64_t id = 0;
+  for (auto& batch : batches)
+    for (int i = 0; i < batch_size; ++i)
+      batch.push_back(Transaction{id++, 0, 0, workload->NextPayload(rng)});
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(executor.ExecuteBatch(batches[next]));
+    if (++next == batches.size()) {
+      state.PauseTiming();
+      store.Reset();
+      next = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * batch_size);
+}
+BENCHMARK(BM_AriaBatchTpcc)->Arg(8);
+
 // ------------------------------------------------------------- Simulator
 
 // Raw event-loop turnover: schedule-then-run batches of small callbacks.

@@ -906,18 +906,19 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
                             rec.global_committed_at, done_at, gid, seq);
 
     // Conflict-aborted transactions re-enter the next batch
-    // deterministically (Aria); committed ones notify their clients.
-    std::set<size_t> aborted(result.conflict_aborts.begin(),
-                             result.conflict_aborts.end());
+    // deterministically (Aria); committed ones notify their clients. The
+    // abort indices ascend, so one cursor walks them alongside the batch.
+    auto next_abort = result.conflict_aborts.begin();
     for (size_t i = 0; i < entry->txns().size(); ++i) {
       const Transaction& txn = entry->txns()[i];
-      if (aborted.contains(i)) {
+      if (next_abort != result.conflict_aborts.end() && *next_abort == i) {
+        ++next_abort;
         pending_txns_.push_back(txn);
       } else if (ctx_->on_txn_committed) {
         ctx_->on_txn_committed(txn, done_at);
       }
     }
-    if (!aborted.empty()) TryFormBatch(false);
+    if (!result.conflict_aborts.empty()) TryFormBatch(false);
   }
 }
 

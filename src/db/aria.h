@@ -2,11 +2,10 @@
 #define MASSBFT_DB_ARIA_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -20,28 +19,39 @@ namespace massbft {
 /// During the Aria execution phase all reads observe the batch-start
 /// snapshot; writes are buffered and only installed for transactions that
 /// survive conflict detection.
+///
+/// Both sets are flat vectors. A transaction touches a few dozen keys at
+/// most, so a scan of its own writes costs less than a per-key tree.
 class TxnContext {
  public:
   explicit TxnContext(const KvStore* store) : store_(store) {}
 
-  /// Snapshot read; records the key in the read set.
+  /// Snapshot read, or this transaction's own write of `key` if it made
+  /// one; records the key in the read set.
   std::optional<Bytes> Get(const std::string& key);
 
-  /// Buffered write; records the key in the write set.
-  void Put(const std::string& key, Bytes value);
+  /// Buffered write; records the key in the write set. A second write of
+  /// the same key replaces the first.
+  void Put(std::string key, Bytes value);
 
   /// Business abort (e.g. invalid account): the transaction completes
   /// deterministically with no effects but is NOT retried.
   void AbortLogic() { logic_aborted_ = true; }
   bool logic_aborted() const { return logic_aborted_; }
 
-  const std::set<std::string>& read_set() const { return read_set_; }
-  const std::map<std::string, Bytes>& writes() const { return writes_; }
+  /// Keys read, in read order; a key read twice is listed twice.
+  const std::vector<std::string>& reads() const { return reads_; }
+  /// Buffered writes, one per key, in first-write order.
+  const std::vector<std::pair<std::string, Bytes>>& writes() const {
+    return writes_;
+  }
 
  private:
+  friend class AriaExecutor;  // Moves the survivors' writes into the store.
+
   const KvStore* store_;
-  std::set<std::string> read_set_;
-  std::map<std::string, Bytes> writes_;
+  std::vector<std::string> reads_;
+  std::vector<std::pair<std::string, Bytes>> writes_;
   bool logic_aborted_ = false;
 };
 
@@ -50,6 +60,8 @@ class TxnContext {
 class Procedure {
  public:
   virtual ~Procedure() = default;
+  /// Runs once per decoded procedure, so it may move its decoded values
+  /// into the context.
   virtual Status Execute(TxnContext* ctx) = 0;
 };
 
@@ -61,8 +73,8 @@ using ProcedureFactory =
 /// Outcome of one Aria batch.
 struct AriaBatchResult {
   int committed = 0;
-  /// Conflict-aborted transaction indices, to be re-queued into the next
-  /// batch by the caller (deterministic retry).
+  /// Conflict-aborted transaction indices in ascending order, to be
+  /// re-queued into the next batch by the caller (deterministic retry).
   std::vector<size_t> conflict_aborts;
   /// Business aborts (completed, no effects, not retried).
   int logic_aborts = 0;

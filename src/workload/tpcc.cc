@@ -49,9 +49,8 @@ class NewOrderProcedure final : public Procedure {
       return Status::OK();
     }
     int64_t o_id = GetI64At(*district, 0);
-    Bytes new_district = *district;
-    PutI64At(new_district, 0, o_id + 1);
-    ctx->Put(dkey, new_district);
+    PutI64At(*district, 0, o_id + 1);
+    ctx->Put(std::move(dkey), std::move(*district));
 
     int64_t total = 0;
     int line = 0;
@@ -71,15 +70,14 @@ class NewOrderProcedure final : public Procedure {
         ctx->AbortLogic();
         return Status::OK();
       }
-      Bytes new_stock = *stock;
       int64_t quantity = GetI64At(*stock, 0);
       quantity = quantity >= item.quantity + 10
                      ? quantity - item.quantity
                      : quantity - item.quantity + 91;
-      PutI64At(new_stock, 0, quantity);
-      PutI64At(new_stock, 8, GetI64At(*stock, 8) + item.quantity);
-      PutI64At(new_stock, 16, GetI64At(*stock, 16) + 1);
-      ctx->Put(skey, new_stock);
+      PutI64At(*stock, 0, quantity);
+      PutI64At(*stock, 8, GetI64At(*stock, 8) + item.quantity);
+      PutI64At(*stock, 16, GetI64At(*stock, 16) + 1);
+      ctx->Put(std::move(skey), std::move(*stock));
 
       int64_t amount = price * item.quantity;
       total += amount;
@@ -90,7 +88,7 @@ class NewOrderProcedure final : public Procedure {
       PutI64At(ol, 16, amount);
       ctx->Put(TpccWorkload::OrderLineKey(w_, d_, static_cast<uint32_t>(o_id),
                                           line++),
-               ol);
+               std::move(ol));
     }
 
     // Order insert: {customer i64, line count i64, total i64}.
@@ -99,7 +97,7 @@ class NewOrderProcedure final : public Procedure {
     PutI64At(order, 8, static_cast<int64_t>(items_.size()));
     PutI64At(order, 16, total);
     ctx->Put(TpccWorkload::OrderKey(w_, d_, static_cast<uint32_t>(o_id)),
-             order);
+             std::move(order));
     return Status::OK();
   }
 
@@ -123,9 +121,8 @@ class PaymentProcedure final : public Procedure {
       ctx->AbortLogic();
       return Status::OK();
     }
-    Bytes new_warehouse = *warehouse;
-    PutI64At(new_warehouse, 0, GetI64At(*warehouse, 0) + amount_);
-    ctx->Put(wkey, new_warehouse);
+    PutI64At(*warehouse, 0, GetI64At(*warehouse, 0) + amount_);
+    ctx->Put(std::move(wkey), std::move(*warehouse));
 
     std::string dkey = TpccWorkload::DistrictKey(w_, d_);
     auto district = ctx->Get(dkey);
@@ -133,9 +130,8 @@ class PaymentProcedure final : public Procedure {
       ctx->AbortLogic();
       return Status::OK();
     }
-    Bytes new_district = *district;
-    PutI64At(new_district, 8, GetI64At(*district, 8) + amount_);
-    ctx->Put(dkey, new_district);
+    PutI64At(*district, 8, GetI64At(*district, 8) + amount_);
+    ctx->Put(std::move(dkey), std::move(*district));
 
     // Customer row: {balance i64, ytd_payment i64, payment_cnt i64}.
     std::string ckey = TpccWorkload::CustomerKey(w_, d_, c_);
@@ -144,11 +140,10 @@ class PaymentProcedure final : public Procedure {
       ctx->AbortLogic();
       return Status::OK();
     }
-    Bytes new_customer = *customer;
-    PutI64At(new_customer, 0, GetI64At(*customer, 0) - amount_);
-    PutI64At(new_customer, 8, GetI64At(*customer, 8) + amount_);
-    PutI64At(new_customer, 16, GetI64At(*customer, 16) + 1);
-    ctx->Put(ckey, new_customer);
+    PutI64At(*customer, 0, GetI64At(*customer, 0) - amount_);
+    PutI64At(*customer, 8, GetI64At(*customer, 8) + amount_);
+    PutI64At(*customer, 16, GetI64At(*customer, 16) + 1);
+    ctx->Put(std::move(ckey), std::move(*customer));
     return Status::OK();
   }
 

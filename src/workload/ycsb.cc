@@ -23,7 +23,7 @@ class YcsbProcedure final : public Procedure {
     if (op_ == kOpRead) {
       if (!ctx->Get(key).has_value()) ctx->AbortLogic();
     } else {
-      ctx->Put(key, value_);
+      ctx->Put(std::move(key), std::move(value_));
     }
     return Status::OK();
   }
@@ -38,7 +38,7 @@ class YcsbProcedure final : public Procedure {
 }  // namespace
 
 YcsbWorkload::YcsbWorkload(bool variant_a, uint64_t num_rows)
-    : variant_a_(variant_a), num_rows_(num_rows), zipf_(num_rows, 0.99) {}
+    : variant_a_(variant_a), num_rows_(num_rows) {}
 
 std::string YcsbWorkload::RowColKey(uint64_t row, int col) {
   std::string key = "y:";
@@ -62,7 +62,8 @@ void YcsbWorkload::InstallInitialState(KvStore* store) const {
 }
 
 Bytes YcsbWorkload::NextPayload(Rng& rng) {
-  uint64_t row = zipf_.Next(rng);
+  if (!zipf_) zipf_.emplace(num_rows_, 0.99);
+  uint64_t row = zipf_->Next(rng);
   uint8_t col = static_cast<uint8_t>(rng.NextBelow(kNumColumns));
   double write_fraction = variant_a_ ? 0.5 : 0.05;
   bool is_update = rng.NextBool(write_fraction);

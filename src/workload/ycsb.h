@@ -2,6 +2,7 @@
 #define MASSBFT_WORKLOAD_YCSB_H_
 
 #include <memory>
+#include <optional>
 
 #include "common/zipf.h"
 #include "workload/workload.h"
@@ -34,7 +35,9 @@ class YcsbWorkload final : public Workload {
  private:
   bool variant_a_;
   uint64_t num_rows_;
-  ZipfGenerator zipf_;
+  /// Built by the first NextPayload: only clients draw keys, and building
+  /// it sums `num_rows` powers, which a replica would pay for nothing.
+  std::optional<ZipfGenerator> zipf_;
 };
 
 }  // namespace massbft

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
 #include "db/aria.h"
 #include "db/kv_store.h"
+#include "workload/workload.h"
 
 namespace massbft {
 namespace {
@@ -305,6 +312,304 @@ TEST_F(AriaTest, CommittedWritersHaveDisjointWriteSets) {
   EXPECT_EQ(r.conflict_aborts.size(), 2u);
   EXPECT_EQ(*store_.Get("hot"), ToBytes("a"));
 }
+
+// ------------------------------------------------ Reference executor
+
+/// Reference Aria batch: the same rules as AriaExecutor, written with a
+/// std::set read set and a std::map write set per transaction and two
+/// std::map reservation tables, each survivor's writes copied into the
+/// store as its verdict is reached. The oracle tests below hold the
+/// production executor to it, verdict for verdict and byte for byte.
+AriaBatchResult ReferenceExecuteBatch(KvStore* store,
+                                      const ProcedureFactory& factory,
+                                      bool reordering,
+                                      const std::vector<Transaction>& txns) {
+  struct Sets {
+    std::set<std::string> reads;
+    std::map<std::string, Bytes> writes;
+  };
+  AriaBatchResult result;
+  const size_t n = txns.size();
+
+  // Phase 1: execute everything against the batch-start snapshot.
+  std::vector<Sets> sets(n);
+  std::vector<bool> ok(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    auto proc = factory(txns[i]);
+    if (!proc.ok()) continue;
+    TxnContext ctx(store);
+    Status s = (*proc)->Execute(&ctx);
+    ok[i] = s.ok() && !ctx.logic_aborted();
+    sets[i].reads.insert(ctx.reads().begin(), ctx.reads().end());
+    for (const auto& [key, value] : ctx.writes()) sets[i].writes[key] = value;
+  }
+
+  // Phase 2: reservations — the lowest transaction index wins each key.
+  std::map<std::string, size_t> write_reservation;
+  std::map<std::string, size_t> read_reservation;
+  for (size_t i = 0; i < n; ++i) {
+    if (!ok[i]) continue;
+    for (const auto& [key, value] : sets[i].writes) {
+      auto it = write_reservation.find(key);
+      if (it == write_reservation.end() || it->second > i)
+        write_reservation[key] = i;
+    }
+    for (const auto& key : sets[i].reads) {
+      auto it = read_reservation.find(key);
+      if (it == read_reservation.end() || it->second > i)
+        read_reservation[key] = i;
+    }
+  }
+
+  // Phase 3: commit decision and install.
+  for (size_t i = 0; i < n; ++i) {
+    if (!ok[i]) {
+      ++result.logic_aborts;
+      continue;
+    }
+    bool waw = false, raw = false, war = false;
+    for (const auto& [key, value] : sets[i].writes) {
+      auto w = write_reservation.find(key);
+      if (w != write_reservation.end() && w->second < i) waw = true;
+      auto r = read_reservation.find(key);
+      if (r != read_reservation.end() && r->second < i) war = true;
+      if (waw) break;
+    }
+    if (!waw) {
+      for (const auto& key : sets[i].reads) {
+        auto w = write_reservation.find(key);
+        if (w != write_reservation.end() && w->second < i) {
+          raw = true;
+          break;
+        }
+      }
+    }
+    bool conflict = reordering ? (waw || (raw && war)) : (waw || raw);
+    if (conflict) {
+      result.conflict_aborts.push_back(i);
+      continue;
+    }
+    for (const auto& [key, value] : sets[i].writes) store->Put(key, value);
+    ++result.committed;
+  }
+  return result;
+}
+
+/// One production executor and the reference, each over its own store,
+/// fed the same batches.
+class OraclePair {
+ public:
+  /// `make_factory` builds a procedure factory for a given store;
+  /// `install` registers the initial state on a store.
+  OraclePair(const std::function<ProcedureFactory(const KvStore*)>&
+                 make_factory,
+             const std::function<void(KvStore*)>& install, bool reordering)
+      : reference_factory_(make_factory(&reference_store_)),
+        executor_(&store_, make_factory(&store_), reordering),
+        reordering_(reordering) {
+    install(&store_);
+    install(&reference_store_);
+  }
+
+  /// Runs `batch` on both sides and checks that the results and the
+  /// stores match; returns the result.
+  AriaBatchResult RunAndCompare(const std::vector<Transaction>& batch) {
+    AriaBatchResult want = ReferenceExecuteBatch(
+        &reference_store_, reference_factory_, reordering_, batch);
+    AriaBatchResult got = executor_.ExecuteBatch(batch);
+    EXPECT_EQ(got.committed, want.committed);
+    EXPECT_EQ(got.conflict_aborts, want.conflict_aborts);
+    EXPECT_EQ(got.logic_aborts, want.logic_aborts);
+    EXPECT_EQ(store_.Snapshot(), reference_store_.Snapshot());
+    return got;
+  }
+
+ private:
+  KvStore store_;
+  KvStore reference_store_;
+  ProcedureFactory reference_factory_;
+  AriaExecutor executor_;
+  bool reordering_;
+};
+
+/// Random read/write sequence for the oracle tests. Each written value
+/// folds in everything the transaction read before it, so the final state
+/// depends on what every Get returned; each Get is also checked against
+/// the transaction's own earlier writes and the batch-start store.
+class OpScriptProcedure final : public Procedure {
+ public:
+  struct Op {
+    bool write = false;
+    std::string key;
+    std::string value;
+  };
+
+  OpScriptProcedure(const KvStore* snapshot, std::vector<Op> ops,
+                    bool logic_abort)
+      : snapshot_(snapshot), ops_(std::move(ops)), logic_abort_(logic_abort) {}
+
+  Status Execute(TxnContext* ctx) override {
+    std::map<std::string, Bytes> own;
+    uint64_t folded = 0;
+    for (Op& op : ops_) {
+      if (op.write) {
+        Bytes value = ToBytes(op.value + ":" + std::to_string(folded));
+        own[op.key] = value;
+        ctx->Put(std::move(op.key), std::move(value));
+        continue;
+      }
+      std::optional<Bytes> got = ctx->Get(op.key);
+      auto it = own.find(op.key);
+      std::optional<Bytes> want =
+          it != own.end() ? std::optional<Bytes>(it->second)
+                          : snapshot_->Get(op.key);
+      EXPECT_EQ(got, want) << op.key;
+      folded = folded * 131 + (got.has_value() ? got->size() + 1 : 0);
+      if (got.has_value())
+        for (uint8_t b : *got) folded = folded * 131 + b;
+    }
+    if (logic_abort_) ctx->AbortLogic();
+    return Status::OK();
+  }
+
+ private:
+  const KvStore* snapshot_;
+  std::vector<Op> ops_;
+  bool logic_abort_;
+};
+
+/// Payload: op count, then per op {kind, key, value if a write}, then the
+/// logic-abort flag. Any strict prefix fails to parse.
+Bytes OpScriptPayload(const std::vector<OpScriptProcedure::Op>& ops,
+                      bool logic_abort) {
+  BinaryWriter w;
+  w.PutVarint(ops.size());
+  for (const auto& op : ops) {
+    w.PutU8(op.write ? 1 : 0);
+    w.PutString(op.key);
+    if (op.write) w.PutString(op.value);
+  }
+  w.PutU8(logic_abort ? 1 : 0);
+  return w.Release();
+}
+
+ProcedureFactory OpScriptFactory(const KvStore* snapshot) {
+  return [snapshot](const Transaction& txn)
+             -> Result<std::unique_ptr<Procedure>> {
+    BinaryReader r(txn.payload);
+    uint64_t count = 0;
+    MASSBFT_RETURN_IF_ERROR(r.GetVarint(&count));
+    std::vector<OpScriptProcedure::Op> ops;
+    for (uint64_t i = 0; i < count; ++i) {
+      OpScriptProcedure::Op op;
+      uint8_t kind = 0;
+      MASSBFT_RETURN_IF_ERROR(r.GetU8(&kind));
+      op.write = kind != 0;
+      MASSBFT_RETURN_IF_ERROR(r.GetString(&op.key));
+      if (op.write) MASSBFT_RETURN_IF_ERROR(r.GetString(&op.value));
+      ops.push_back(std::move(op));
+    }
+    uint8_t abort_flag = 0;
+    MASSBFT_RETURN_IF_ERROR(r.GetU8(&abort_flag));
+    return std::unique_ptr<Procedure>(std::make_unique<OpScriptProcedure>(
+        snapshot, std::move(ops), abort_flag != 0));
+  };
+}
+
+/// Random batch over a 12-key space: six keys within the 15-byte
+/// small-string buffer and six beyond it. Small transactions over few
+/// keys give duplicate reads, reads after the transaction's own write and
+/// blind writes; ~5% of transactions logic-abort and ~3% are malformed.
+std::vector<Transaction> RandomOpScriptBatch(Rng& rng, size_t size) {
+  static const std::vector<std::string> kKeys = {
+      "k0", "k1", "k2", "k3", "key-4", "key-5",
+      "a-key-longer-than-sso-6", "a-key-longer-than-sso-7",
+      "a-key-longer-than-sso-8", "a-key-longer-than-sso-9",
+      "a-key-longer-than-sso-10", "a-key-longer-than-sso-11"};
+  std::vector<Transaction> batch;
+  for (size_t t = 0; t < size; ++t) {
+    std::vector<OpScriptProcedure::Op> ops(rng.NextBelow(7));
+    for (auto& op : ops) {
+      op.write = rng.NextBool(0.5);
+      op.key = kKeys[rng.NextBelow(kKeys.size())];
+      if (op.write) op.value = std::to_string(rng.NextBelow(1000));
+    }
+    Bytes payload = OpScriptPayload(ops, rng.NextBool(0.05));
+    if (rng.NextBool(0.03)) payload.resize(rng.NextBelow(payload.size()));
+    batch.push_back(ScriptTxn(t, std::move(payload)));
+  }
+  return batch;
+}
+
+/// Pristine values for the long keys only, so reads see both synthesized
+/// and absent keys.
+void InstallLongKeyDefaults(KvStore* store) {
+  store->SetDefaultValueFn([](std::string_view key) -> std::optional<Bytes> {
+    if (key.size() <= 15) return std::nullopt;
+    return ToBytes(std::string("pristine-") + std::string(key));
+  });
+}
+
+class AriaOracleTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AriaOracleTest, RandomScriptsMatchReference) {
+  const bool reordering = GetParam();
+  Rng rng(reordering ? 17 : 18);
+  int conflicts = 0, logic_aborts = 0;
+  // 8,000 batches per mode, in 100 runs of 80 batches from a fresh store.
+  for (int run = 0; run < 100; ++run) {
+    OraclePair pair(OpScriptFactory, InstallLongKeyDefaults, reordering);
+    for (int b = 0; b < 80; ++b) {
+      auto batch = RandomOpScriptBatch(rng, 1 + rng.NextBelow(24));
+      AriaBatchResult r = pair.RunAndCompare(batch);
+      ASSERT_FALSE(HasFailure()) << "run " << run << " batch " << b;
+      conflicts += static_cast<int>(r.conflict_aborts.size());
+      logic_aborts += r.logic_aborts;
+    }
+  }
+  // The inputs reached every verdict.
+  EXPECT_GT(conflicts, 1000);
+  EXPECT_GT(logic_aborts, 1000);
+}
+
+TEST_P(AriaOracleTest, WorkloadBatchesMatchReference) {
+  const bool reordering = GetParam();
+  // Small tables, so batches conflict; TPC-C over 4 warehouses.
+  const std::pair<WorkloadKind, double> kWorkloads[] = {
+      {WorkloadKind::kYcsbA, 0.001},
+      {WorkloadKind::kSmallBank, 0.0001},
+      {WorkloadKind::kTpcc, 4.0 / 128}};
+  for (const auto& [kind, scale] : kWorkloads) {
+    auto workload = MakeWorkload(kind, scale);
+    for (int size : {8, 38, 270}) {
+      SCOPED_TRACE(std::string(WorkloadKindName(kind)) + " batches of " +
+                   std::to_string(size));
+      OraclePair pair(
+          [&workload](const KvStore*) { return workload->MakeFactory(); },
+          [&workload](KvStore* store) { workload->InstallInitialState(store); },
+          reordering);
+      Rng rng(static_cast<uint64_t>(size));
+      int conflicts = 0;
+      for (int b = 0; b < 10; ++b) {
+        std::vector<Transaction> batch;
+        for (int t = 0; t < size; ++t)
+          batch.push_back(ScriptTxn(static_cast<uint64_t>(t),
+                                    workload->NextPayload(rng)));
+        conflicts += static_cast<int>(
+            pair.RunAndCompare(batch).conflict_aborts.size());
+        ASSERT_FALSE(HasFailure()) << "batch " << b;
+      }
+      if (size == 270) {
+        EXPECT_GT(conflicts, 0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, AriaOracleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Reordering" : "Classic";
+                         });
 
 }  // namespace
 }  // namespace massbft
