@@ -117,8 +117,5 @@ int main() {
     std::fprintf(stderr, "rebuild failed\n");
     return 1;
   }
-  std::printf("\nthe receiver re-shares %zu verified chunks over LAN for "
-              "its peers\n",
-              rebuilder.HeldChunks().size());
   return 0;
 }

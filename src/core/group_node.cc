@@ -549,16 +549,9 @@ void GroupNode::StorePayload(const Key& key, EntryPtr entry,
 }
 
 void GroupNode::MarkPayloadAvailable(const Key& key) {
-  EntryRecord& rec = GetRecord(key);
-  if (shape_.global == GlobalConsensus::kNone && !rec.globally_committed) {
-    rec.globally_committed = true;  // GeoBFT: receipt is final.
-    rec.global_committed_at = Now();
-    if (IsGroupLeader() && key.first == my_group()) {
-      --outstanding_;
-      TryFormBatch(false);
-    }
-  }
-  if (single_master()) digest_index_[rec.entry->digest()] = key;
+  if (shape_.global == GlobalConsensus::kNone)  // GeoBFT: receipt is final.
+    ApplyRelay(GroupRelay{.commits = {{key.first, key.second}}});
+  if (single_master()) digest_index_[GetRecord(key).entry->digest()] = key;
   if (raft_ != nullptr) raft_->NotifyEntryAvailable(key.first, key.second);
   certifier_->RecheckPending();
   if (single_master()) MaybeTranslateGlobalCommits();
@@ -610,60 +603,78 @@ void GroupNode::SetupRaft() {
                                             std::move(cb));
 }
 
-void GroupNode::RelayToGroup(RelayEvent event, bool replay) {
-  // While syncing after recovery, live timestamp events are buffered so
-  // catch-up history applies first (the ordering engine's inference relies
-  // on per-assigner non-decreasing delivery, paper Section V-D).
-  if (syncing_ && !replay && event.type == RelayEvent::kTimestamp) {
-    sync_buffer_.push_back(event);
-    return;
+void GroupNode::RelayToGroup(GroupRelay relay) {
+  // While syncing after recovery, live stamps wait until the catch-up
+  // history is applied (the ordering engine's inference relies on
+  // per-assigner non-decreasing delivery, paper Section V-D).
+  if (syncing_ && !relay.replay) {
+    sync_buffer_.insert(sync_buffer_.end(), relay.stamps.begin(),
+                        relay.stamps.end());
+    relay.stamps.clear();
   }
-  ApplyRelayEvent(event);
-  BroadcastLan(NewMessage(MessageType::kGroupRelay,
-                          GroupRelay{.replay = false, .events = {event}}));
+  const bool ends_sync = relay.replay;
+  if (!relay.commits.empty() || !relay.stamps.empty() ||
+      !relay.seals.empty()) {
+    ApplyRelay(relay);
+    BroadcastLan(NewMessage(MessageType::kGroupRelay, std::move(relay)));
+  }
+  if (ends_sync) FinishSync();
 }
 
 void GroupNode::FinishSync() {
   if (!syncing_) return;
   syncing_ = false;
-  std::vector<RelayEvent> buffered;
-  buffered.swap(sync_buffer_);
-  for (const RelayEvent& event : buffered) RelayToGroup(event);
-  ordering_->Poke();
+  GroupRelay buffered;
+  buffered.stamps.swap(sync_buffer_);
+  RelayToGroup(std::move(buffered));
 }
 
-void GroupNode::ApplyRelayEvent(const RelayEvent& event) {
-  if (event.type == RelayEvent::kCommitted) {
-    Key key{event.gid, event.seq};
+void GroupNode::ApplyRelay(const GroupRelay& relay) {
+  for (const auto& [gid, seq] : relay.commits) {
+    Key key{gid, seq};
     EntryRecord& rec = GetRecord(key);
     if (!rec.globally_committed) {
       rec.globally_committed = true;
       rec.global_committed_at = Now();
       unexecuted_committed_.insert(key);
-      if (event.gid == my_group()) {
-        own_clock_ = std::max(own_clock_, event.seq + 1);
+      if (gid == my_group()) {
+        own_clock_ = std::max(own_clock_, seq + 1);
         // Own-entry pipeline slot freed. This is the single decrement
-        // point — the raft path, Steward translation and catch-up replay
-        // all funnel through this state transition exactly once.
+        // point: the raft path, Steward translation, catch-up replay and
+        // GeoBFT's receipt all commit through here, once per entry.
         if (IsGroupLeader()) {
           --outstanding_;
           TryFormBatch(false);
         }
       }
-      ordering_->OnCommitted(event.gid, event.seq);
+      ordering_->OnCommitted(gid, seq);
       // Keep the raft coordinator's contiguous-delivery cursor in sync
       // when commits arrive via catch-up replay instead of raft messages.
-      if (raft_ != nullptr && !single_master())
-        raft_->NoteCommitted(event.gid, event.seq);
+      if (raft_ != nullptr && !single_master()) raft_->NoteCommitted(gid, seq);
     }
     ordering_->Poke();
-  } else if (event.type == RelayEvent::kTimestamp) {
-    auto& seen = max_ts_seen_[event.assigner];
-    seen = std::max(seen, event.ts);
-    recorded_vts_[Key{event.gid, event.seq}][event.assigner] = event.ts;
-    ordering_->OnTimestamp(event.assigner, event.gid, event.seq, event.ts);
+  }
+  for (const TimestampElement& stamp : relay.stamps) {
+    uint64_t& seen = max_ts_seen_[stamp.assigner_gid];
+    seen = std::max(seen, stamp.ts);
+    recorded_vts_[Key{stamp.target_gid, stamp.target_seq}]
+                 [stamp.assigner_gid] = stamp.ts;
+    ordering_->OnTimestamp(stamp.assigner_gid, stamp.target_gid,
+                           stamp.target_seq, stamp.ts);
     ordering_->Poke();
   }
+  for (const GroupRelay::Seal& seal : relay.seals) {
+    ordering_->OnEpochSealed(seal.gid, seal.epoch, seal.count);
+    ordering_->Poke();
+  }
+}
+
+void GroupNode::RelayToAll(GroupRelay relay) {
+  auto msg = NewMessage(MessageType::kGroupRelay, relay);
+  for (int g = 0; g < num_groups(); ++g)
+    if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
+      SendWan(LeaderOf(g), msg);
+  RelayToGroup(std::move(relay));
 }
 
 void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
@@ -683,32 +694,24 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
     tel_->RecordPhaseSpan(obs::Phase::kGlobalReplication, trace_track_,
                           rec.local_committed_at, Now(), key.first,
                           key.second);
-  RelayToGroup(RelayEvent{RelayEvent::kCommitted, key.first, key.second, 0, 0});
+  RelayToGroup(GroupRelay{.commits = {{key.first, key.second}}});
 
   // Crash takeover: stamp the dead groups' frozen clocks onto this entry
   // (only once the freeze round agreed on the value; earlier commits are
   // covered by EmitTakeoverTimestamps via unexecuted_committed_).
+  GroupRelay takeover;
   for (uint16_t dead : dead_groups_) {
-    if (raft_->HasTakenOver(dead) && frozen_clock_.contains(dead)) {
-      uint64_t frozen = frozen_clock_[dead];
-      auto msg = NewMessage(
-          MessageType::kTimestampAssign,
-          TimestampAssign{.replay = false,
-                          .elements = {TimestampElement{dead, key.first,
-                                                        key.second, frozen}}});
-      for (int g = 0; g < num_groups(); ++g)
-        if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
-          SendWan(LeaderOf(g), msg);
-      RelayToGroup(RelayEvent{RelayEvent::kTimestamp, key.first, key.second,
-                              dead, frozen});
-    }
+    if (raft_->HasTakenOver(dead) && frozen_clock_.contains(dead))
+      takeover.stamps.push_back(
+          TimestampElement{dead, key.first, key.second, frozen_clock_[dead]});
   }
+  if (!takeover.stamps.empty()) RelayToAll(std::move(takeover));
 }
 
 void GroupNode::OnAcceptObserved(uint16_t gid, uint64_t seq,
                                  uint16_t from_group, uint64_t ts) {
   if (shape_.ordering == OrderingMode::kAsyncVts)
-    RelayToGroup(RelayEvent{RelayEvent::kTimestamp, gid, seq, from_group, ts});
+    RelayToGroup(GroupRelay{.stamps = {{from_group, gid, seq, ts}}});
 }
 
 // ---------------------------------------------------------------- Steward
@@ -746,8 +749,7 @@ void GroupNode::MaybeTranslateGlobalCommits() {
     if (origin_it == digest_index_.end()) break;
     pending_global_commits_.pop_front();
     Key key = origin_it->second;
-    RelayToGroup(
-        RelayEvent{RelayEvent::kCommitted, key.first, key.second, 0, 0});
+    RelayToGroup(GroupRelay{.commits = {{key.first, key.second}}});
   }
 }
 
@@ -756,26 +758,12 @@ void GroupNode::MaybeTranslateGlobalCommits() {
 void GroupNode::OnEpochTimer(uint64_t epoch) {
   if (epoch != timer_epoch_) return;
   // Seal the finished epoch and announce its entry range.
-  uint64_t count = next_local_seq_ - epoch_first_seq_;
-  auto marker = NewMessage(
-      MessageType::kEpochMarker,
-      EpochMarker{static_cast<uint16_t>(my_group()), current_epoch_, count});
-  for (int g = 0; g < num_groups(); ++g)
-    if (g != my_group()) SendWan(LeaderOf(g), marker);
-  BroadcastLan(marker);
-  ordering_->OnEpochSealed(static_cast<uint16_t>(my_group()), current_epoch_,
-                           count);
-  ordering_->Poke();
+  RelayToAll(GroupRelay{.seals = {{static_cast<uint16_t>(my_group()),
+                                    current_epoch_,
+                                    next_local_seq_ - epoch_first_seq_}}});
   ++current_epoch_;
   epoch_first_seq_ = next_local_seq_;
   After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
-}
-
-void GroupNode::OnEpochMarker(NodeId from, const EpochMarker& msg) {
-  if (from.group != my_group() && IsGroupLeader())
-    BroadcastLan(NewMessage(MessageType::kEpochMarker, msg));
-  ordering_->OnEpochSealed(msg.gid, msg.epoch, msg.count);
-  ordering_->Poke();
 }
 
 // -------------------------------------------------- MassBFT fault handling
@@ -840,27 +828,11 @@ void GroupNode::FinishFreezeRound(uint16_t dead_gid) {
 
 void GroupNode::EmitTakeoverTimestamps(uint16_t dead_gid) {
   uint64_t frozen = frozen_clock_[dead_gid];
-  std::vector<TimestampElement> elements;
-  for (const Key& key : unexecuted_committed_) {
-    elements.push_back(
+  GroupRelay takeover;
+  for (const Key& key : unexecuted_committed_)
+    takeover.stamps.push_back(
         TimestampElement{dead_gid, key.first, key.second, frozen});
-  }
-  if (elements.empty()) return;
-  auto msg = NewMessage(MessageType::kTimestampAssign,
-                        TimestampAssign{.replay = false, .elements = elements});
-  for (int g = 0; g < num_groups(); ++g)
-    if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
-      SendWan(LeaderOf(g), msg);
-  for (const TimestampElement& e : elements)
-    RelayToGroup(RelayEvent{RelayEvent::kTimestamp, e.target_gid,
-                            e.target_seq, e.assigner_gid, e.ts});
-}
-
-void GroupNode::OnTimestampAssign(const TimestampAssign& msg) {
-  for (const TimestampElement& e : msg.elements)
-    RelayToGroup(RelayEvent{RelayEvent::kTimestamp, e.target_gid,
-                            e.target_seq, e.assigner_gid, e.ts},
-                 msg.replay);
+  if (!takeover.stamps.empty()) RelayToAll(std::move(takeover));
 }
 
 // -------------------------------------------------- Ordering & execution
@@ -956,49 +928,45 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
     case MessageType::kRaftCommit:
       if (raft_ != nullptr) raft_->OnCommit(BodyOf<RaftCommit>(msg));
       break;
-    case MessageType::kTimestampAssign:
-      // Stamps travel leader to leader (takeover stamps, catch-up replay);
-      // a leader then relays them to its group.
-      if (IsGroupLeader() && IsPeerGroupLeader(from))
-        OnTimestampAssign(BodyOf<TimestampAssign>(msg));
-      break;
     case MessageType::kGroupHeartbeat:
       // A heartbeat speaks for its sender's group.
       last_heartbeat_[from.group] = Now();
       if (dead_groups_.contains(from.group)) OnGroupRejoined(from.group);
       break;
     case MessageType::kGroupRelay: {
+      // Ordering facts pass leader to leader, then leader to group. A
+      // leader takes them only from a peer group's leader, and an epoch
+      // seal only for that leader's own group; a follower only from its
+      // own leader.
       const auto& relay = BodyOf<GroupRelay>(msg);
       if (IsGroupLeader()) {
-        // Catch-up replay from a peer group's leader: forward to our own
-        // group.
-        if (!IsPeerGroupLeader(from)) break;
-        for (const RelayEvent& event : relay.events)
-          RelayToGroup(event, relay.replay);
+        if (IsPeerGroupLeader(from) &&
+            std::ranges::all_of(relay.seals, [from](const auto& seal) {
+              return seal.gid == from.group;
+            }))
+          RelayToGroup(relay);
       } else if (from == LeaderOf(my_group())) {
-        for (const RelayEvent& event : relay.events) ApplyRelayEvent(event);
+        ApplyRelay(relay);
       }
       break;
     }
-    case MessageType::kEpochMarker:
-      OnEpochMarker(from, BodyOf<EpochMarker>(msg));
-      break;
     case MessageType::kLeaderForward:
       OnLeaderForward(BodyOf<CertifiedEntry>(msg));
       break;
+    // Freeze rounds and catch-up run between group leaders.
     case MessageType::kCatchUpRequest:
-      OnCatchUpRequest(from, BodyOf<CatchUpRequest>(msg));
+      if (IsPeerGroupLeader(from))
+        OnCatchUpRequest(from, BodyOf<CatchUpRequest>(msg));
       break;
     case MessageType::kFreezeQuery: {
+      if (!IsPeerGroupLeader(from)) break;
       const uint16_t dead_gid = BodyOf<Freeze>(msg).dead_gid;
       SendWan(from, NewMessage(MessageType::kFreezeReport,
                                Freeze{dead_gid, max_ts_seen_[dead_gid]}));
       break;
     }
-    case MessageType::kCatchUpDone:
-      FinishSync();
-      break;
     case MessageType::kFreezeReport: {
+      if (!IsPeerGroupLeader(from)) break;
       const auto& report = BodyOf<Freeze>(msg);
       auto it = freeze_rounds_.find(report.dead_gid);
       if (it == freeze_rounds_.end()) break;
@@ -1069,8 +1037,7 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequest& msg) {
   for (const auto& [gid, next] : msg.executed_next)
     frontier[gid] = std::max(frontier[gid], next);
 
-  std::vector<RelayEvent> commits;
-  std::vector<TimestampElement> elements;
+  GroupRelay history{.replay = true};
   for (const auto& [key, rec] : entries_) {
     if (key.second < frontier[key.first]) continue;  // Already executed.
     // Ship every payload we hold past the frontier — entries whose chunks
@@ -1080,30 +1047,19 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequest& msg) {
       SendWan(from, NewMessage(MessageType::kEntryTransfer,
                                CertifiedEntry{rec.entry, rec.cert}));
     if (!rec.globally_committed) continue;
-    commits.push_back(
-        RelayEvent{RelayEvent::kCommitted, key.first, key.second, 0, 0});
+    history.commits.push_back({key.first, key.second});
     auto vts = recorded_vts_.find(key);
     if (vts != recorded_vts_.end())
       for (const auto& [assigner, ts] : vts->second)
-        elements.push_back(
+        history.stamps.push_back(
             TimestampElement{assigner, key.first, key.second, ts});
   }
   // Replay must preserve per-assigner non-decreasing stamp order (the
   // invariant Algorithm 2's inference relies on); recorded_vts_ iterates
-  // by entry, so sort by stamp value before shipping.
-  std::stable_sort(elements.begin(), elements.end(),
-                   [](const TimestampElement& a, const TimestampElement& b) {
-                     return a.ts < b.ts;
-                   });
-  if (!commits.empty())
-    SendWan(from, NewMessage(MessageType::kGroupRelay,
-                             GroupRelay{.replay = true,
-                                        .events = std::move(commits)}));
-  if (!elements.empty())
-    SendWan(from, NewMessage(MessageType::kTimestampAssign,
-                             TimestampAssign{.replay = true,
-                                             .elements = std::move(elements)}));
-  SendWan(from, NewMessage(MessageType::kCatchUpDone, CatchUpDone{}));
+  // by entry, so sort by stamp value before shipping. The one relay ends
+  // the requester's sync, even when it holds no history.
+  std::ranges::stable_sort(history.stamps, {}, &TimestampElement::ts);
+  SendWan(from, NewMessage(MessageType::kGroupRelay, std::move(history)));
 }
 
 void GroupNode::OnGroupRejoined(uint16_t gid) {

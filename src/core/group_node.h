@@ -205,8 +205,18 @@ class GroupNode : public Actor {
 
   // ---- Global consensus (group leader).
   void SetupRaft();
-  void RelayToGroup(RelayEvent event, bool replay = false);
-  void ApplyRelayEvent(const RelayEvent& event);
+  /// The one way in for ordering facts on a leader, from every source:
+  /// its Raft or Steward commits, accept and takeover stamps, epoch seals,
+  /// peer leaders' relays and catch-up history. Applies `relay`, then
+  /// passes it on to the group. While syncing after recovery, live stamps
+  /// wait in the sync buffer; a `replay` relay ends the sync.
+  void RelayToGroup(GroupRelay relay);
+  /// Records ordering facts and feeds them to the ordering engine.
+  void ApplyRelay(const GroupRelay& relay);
+  /// For facts this leader originates for every group (its epoch seals,
+  /// takeover stamps): sends `relay` to the leader of every other group
+  /// not known dead, then relays it to this group.
+  void RelayToAll(GroupRelay relay);
   void FinishSync();
   void OnRaftCommitted(uint16_t gid, uint64_t seq);
   void OnAcceptObserved(uint16_t gid, uint64_t seq, uint16_t from_group,
@@ -219,14 +229,12 @@ class GroupNode : public Actor {
 
   // ---- ISS epochs.
   void OnEpochTimer(uint64_t epoch);
-  void OnEpochMarker(NodeId from, const EpochMarker& msg);
 
   // ---- MassBFT fault handling.
   void OnHeartbeatTimer(uint64_t epoch);
   void CheckGroupLiveness();
   void StartTakeover(uint16_t dead_gid);
   void EmitTakeoverTimestamps(uint16_t dead_gid);
-  void OnTimestampAssign(const TimestampAssign& msg);
   void OnCatchUpRequest(NodeId from, const CatchUpRequest& msg);
   void OnGroupRejoined(uint16_t gid);
   void FinishFreezeRound(uint16_t dead_gid);
@@ -306,11 +314,11 @@ class GroupNode : public Actor {
   };
   std::map<uint16_t, FreezeRound> freeze_rounds_;
   std::map<uint16_t, uint64_t> frozen_clock_;
-  /// Recovery sync window: live timestamp events buffered until the
-  /// catch-up replay is fully applied.
+  /// Recovery sync window: live stamps buffered until the catch-up
+  /// replay is applied.
   bool syncing_ = false;
   bool rejoined_ = false;
-  std::vector<RelayEvent> sync_buffer_;
+  std::vector<TimestampElement> sync_buffer_;
 
   // Timer-chain epoch (bumped on crash so stale chains die).
   uint64_t timer_epoch_ = 0;

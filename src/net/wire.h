@@ -33,9 +33,10 @@ namespace massbft {
 
 /// On-wire bytes 'M' 'B' 'F' 'T' read as a little-endian u32.
 constexpr uint32_t kWireMagic = 0x5446424Du;
-// v4: bodies carry no field that is dead or that restates a value the
-// receiver already has (DESIGN.md §12).
-constexpr uint8_t kWireVersion = 4;
+// v5: every ordering fact (commit, stamp, epoch seal) travels in one
+// GroupRelay body; v4 made bodies carry no field that is dead or that
+// restates a value the receiver already has (DESIGN.md §12).
+constexpr uint8_t kWireVersion = 5;
 constexpr size_t kFrameHeaderBytes = 19;
 constexpr uint8_t kFrameFlagTraceContext = 0x01;
 // The simulator charges kFrameOverheadBytes per message; the real wire must

@@ -54,7 +54,7 @@ class OrderingEngine {
   /// e_{gid,seq} became globally committed (reported once per entry).
   virtual void OnCommitted(uint16_t /*gid*/, uint64_t /*seq*/) {}
   /// Group `assigner` stamped e_{target_gid,target_seq} with clock value
-  /// `ts` (from an accept receipt or a TimestampAssign takeover message).
+  /// `ts` (its certified accept, or a takeover group's frozen clock).
   virtual void OnTimestamp(uint16_t /*assigner*/, uint16_t /*target_gid*/,
                            uint64_t /*target_seq*/, uint64_t /*ts*/) {}
   /// Group `gid` sealed `epoch` with `count` entries, the ones following

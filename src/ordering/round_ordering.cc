@@ -16,9 +16,10 @@ void RoundOrderingEngine::RunExecutionLoop() {
 
 void EpochOrderingEngine::OnEpochSealed(uint16_t gid, uint64_t epoch,
                                         uint64_t count) {
-  if (gid >= num_groups_) return;
+  if (gid >= num_groups_ || epoch != next_epoch_[gid]) return;
   plans_[epoch][gid] = {next_first_[gid], count};
   next_first_[gid] += count;
+  ++next_epoch_[gid];
 }
 
 void EpochOrderingEngine::RunExecutionLoop() {

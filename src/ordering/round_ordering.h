@@ -29,19 +29,20 @@ class RoundOrderingEngine : public OrderingEngine {
 };
 
 /// Epoch-bucketed ordering (ISS): entries are grouped into epochs by their
-/// proposing group; an epoch executes once every group has sealed it (sent
-/// its epoch marker declaring how many entries it contributed). Within an
-/// epoch, entries run in (gid, seq) order. Frequent epoch boundaries act as
-/// global synchronization barriers — the latency effect the paper reports
-/// for ISS.
+/// proposing group; an epoch executes once every group has sealed it
+/// (declared how many entries it contributed). Within an epoch, entries run
+/// in (gid, seq) order. Frequent epoch boundaries act as global
+/// synchronization barriers — the latency effect the paper reports for ISS.
 class EpochOrderingEngine : public OrderingEngine {
  public:
   EpochOrderingEngine(int num_groups, Callbacks callbacks)
       : OrderingEngine(num_groups, std::move(callbacks)),
-        next_first_(num_groups, 0) {}
+        next_first_(num_groups, 0),
+        next_epoch_(num_groups, 0) {}
 
   /// A group seals its epochs in order, so its epoch starts where the
-  /// previous one's `count` entries ended.
+  /// previous one's `count` entries ended. A seal counts only when it is
+  /// the group's next epoch: a repeated one would shift every later range.
   void OnEpochSealed(uint16_t gid, uint64_t epoch, uint64_t count) override;
 
   uint64_t current_epoch() const { return epoch_; }
@@ -53,6 +54,7 @@ class EpochOrderingEngine : public OrderingEngine {
   std::map<uint64_t, std::map<uint16_t, std::pair<uint64_t, uint64_t>>>
       plans_;
   std::vector<uint64_t> next_first_;  // Per group.
+  std::vector<uint64_t> next_epoch_;  // Per group.
   uint64_t epoch_ = 0;
 };
 

@@ -18,21 +18,15 @@ constexpr MessageTypeInfo kRegistry[] = {
     {MessageType::kRaftPropose, "raft_propose", true, &DecodeAs<RaftPropose>},
     {MessageType::kRaftAccept, "raft_accept", false, &DecodeAs<RaftAccept>},
     {MessageType::kRaftCommit, "raft_commit", false, &DecodeAs<RaftCommit>},
-    {MessageType::kTimestampAssign, "timestamp_assign", false,
-     &DecodeAs<TimestampAssign>},
     {MessageType::kGroupHeartbeat, "group_heartbeat", false,
      &DecodeAs<GroupHeartbeat>},
     {MessageType::kGroupRelay, "group_relay", false, &DecodeAs<GroupRelay>},
-    {MessageType::kEpochMarker, "epoch_marker", false,
-     &DecodeAs<EpochMarker>},
     {MessageType::kLeaderForward, "leader_forward", true,
      &DecodeAs<CertifiedEntry>},
     {MessageType::kCatchUpRequest, "catch_up_request", false,
      &DecodeAs<CatchUpRequest>},
     {MessageType::kFreezeQuery, "freeze_query", false, &DecodeAs<Freeze>},
     {MessageType::kFreezeReport, "freeze_report", false, &DecodeAs<Freeze>},
-    {MessageType::kCatchUpDone, "catch_up_done", false,
-     &DecodeAs<CatchUpDone>},
 };
 
 }  // namespace

@@ -36,17 +36,14 @@ enum class MessageType : uint8_t {
   kRaftPropose = 30,
   kRaftAccept = 31,
   kRaftCommit = 32,
-  kTimestampAssign = 33,
   kGroupHeartbeat = 34,
-  kGroupRelay = 35,  // Leader -> group members: raft outcomes over LAN.
+  kGroupRelay = 35,  // Ordering facts: leader to leader, leader to group.
   // Protocol-specific.
-  kEpochMarker = 40,    // ISS epoch boundary.
   kLeaderForward = 41,  // Steward: remote group -> global leader.
   // Crash recovery (Section V-C, "When G_i recovers later...").
   kCatchUpRequest = 50,
   kFreezeQuery = 51,
   kFreezeReport = 52,
-  kCatchUpDone = 53,
 };
 
 /// Fixed frame overhead charged on every message in addition to the body:
@@ -186,35 +183,35 @@ struct RaftCommit {
   auto Fields() { return std::tie(gid, seq, cert); }
 };
 
-/// Standalone VTS stamps between group leaders (kTimestampAssign): for
-/// crashed-group takeover (paper Section V-C) and catch-up replay.
-/// `replay` marks catch-up history.
-struct TimestampAssign {
-  bool replay = false;
-  std::vector<TimestampElement> elements;
-  auto Fields() { return std::tie(replay, elements); }
-};
-
-/// One global-consensus outcome relayed from a group leader to its group
-/// members over LAN, so every node tracks commit/timestamp state.
-struct RelayEvent {
-  enum Type : uint8_t { kCommitted = 1, kTimestamp = 2 };
-  uint8_t type = 0;
-  uint16_t gid = 0;       // Proposer group of the entry.
-  uint64_t seq = 0;       // Entry sequence.
-  uint16_t assigner = 0;  // For kTimestamp: the stamping group.
-  uint64_t ts = 0;        // For kTimestamp: the clock value.
-  auto Fields() { return std::tie(type, gid, seq, assigner, ts); }
-};
-
-/// Batched raft outcomes (kGroupRelay): a leader to its group members, or
-/// catch-up history from a peer group's leader. `replay` marks catch-up
-/// history (applied ahead of buffered live events on a recovering node,
-/// preserving per-assigner timestamp order).
+/// The facts that fix the execution order (kGroupRelay), one list per
+/// OrderingEngine hook: global commits (OnCommitted), vector-timestamp
+/// stamps (OnTimestamp) and ISS epoch seals (OnEpochSealed). A leader
+/// sends them to its group members over LAN, and to peer group leaders
+/// when they are its own group's (epoch seals) or its takeover stamps.
+/// `replay` marks catch-up history for a recovering leader: it is applied
+/// ahead of the live stamps buffered meanwhile (preserving per-assigner
+/// stamp order), and its arrival ends the sync.
 struct GroupRelay {
+  /// e_{gid,seq} is globally committed.
+  struct Commit {
+    uint16_t gid = 0;
+    uint64_t seq = 0;
+    auto Fields() { return std::tie(gid, seq); }
+  };
+  /// Group `gid` sealed `epoch` with `count` entries.
+  struct Seal {
+    uint16_t gid = 0;
+    uint64_t epoch = 0;
+    uint64_t count = 0;
+    auto Fields() { return std::tie(gid, epoch, count); }
+  };
+  // Defaulted, so a designated initializer may name only the lists it
+  // fills.
   bool replay = false;
-  std::vector<RelayEvent> events;
-  auto Fields() { return std::tie(replay, events); }
+  std::vector<Commit> commits = {};
+  std::vector<TimestampElement> stamps = {};
+  std::vector<Seal> seals = {};
+  auto Fields() { return std::tie(replay, commits, stamps, seals); }
 };
 
 /// Group liveness heartbeat (kGroupHeartbeat; crash detection for Raft
@@ -222,15 +219,6 @@ struct GroupRelay {
 /// nothing.
 struct GroupHeartbeat {
   auto Fields() { return std::tie(); }
-};
-
-/// ISS epoch boundary marker (kEpochMarker): group `gid` declares `count`
-/// entries in epoch `epoch`.
-struct EpochMarker {
-  uint16_t gid = 0;
-  uint64_t epoch = 0;
-  uint64_t count = 0;
-  auto Fields() { return std::tie(gid, epoch, count); }
 };
 
 /// Takeover freeze agreement (kFreezeQuery, kFreezeReport): before
@@ -256,13 +244,6 @@ struct CatchUpRequest {
   };
   std::vector<Next> executed_next;
   auto Fields() { return std::tie(executed_next); }
-};
-
-/// Marks the end of a catch-up replay stream (kCatchUpDone; same FIFO link
-/// as the replay messages, so its arrival means the history is fully
-/// delivered).
-struct CatchUpDone {
-  auto Fields() { return std::tie(); }
 };
 
 // --------------------------------------------------------------- Registry

@@ -1,6 +1,8 @@
 #include "replication/rebuilder.h"
 
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "ec/reed_solomon.h"
@@ -77,12 +79,11 @@ EntryRebuilder::AddResult EntryRebuilder::AddChunk(const Digest& root,
   if (!inserted) return Count(AddResult::kDuplicate);
 
   if (static_cast<int>(bucket.chunks.size()) >= config_.n_data)
-    return Count(TryRebuild(root, bucket, cert));
+    return Count(TryRebuild(bucket, cert));
   return Count(AddResult::kPending);
 }
 
-EntryRebuilder::AddResult EntryRebuilder::TryRebuild(const Digest& root,
-                                                     Bucket& bucket,
+EntryRebuilder::AddResult EntryRebuilder::TryRebuild(Bucket& bucket,
                                                      const Certificate& cert) {
   auto rs = ReedSolomon::Shared(config_.n_data,
                                 config_.n_total - config_.n_data);
@@ -114,20 +115,7 @@ EntryRebuilder::AddResult EntryRebuilder::TryRebuild(const Digest& root,
   }
 
   entry_ = std::move(candidate);
-  winning_root_ = root;
   return AddResult::kRebuilt;
-}
-
-std::vector<EntryRebuilder::HeldChunk> EntryRebuilder::HeldChunks() const {
-  std::vector<HeldChunk> held;
-  for (const auto& [root, bucket] : buckets_) {
-    if (bucket.proven_fake) continue;
-    // Once rebuilt, only re-share the winning bucket.
-    if (complete() && root != winning_root_) continue;
-    for (const auto& [id, chunk] : bucket.chunks)
-      held.push_back({root, id, chunk.first, chunk.second});
-  }
-  return held;
 }
 
 }  // namespace massbft

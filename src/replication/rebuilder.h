@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -68,16 +66,6 @@ class EntryRebuilder {
   bool complete() const { return entry_ != nullptr; }
   const EntryPtr& entry() const { return entry_; }
 
-  /// Chunks this node verified and holds from the winning/any bucket —
-  /// what it re-shares over LAN. Returns (root, chunk_id, data, proof).
-  struct HeldChunk {
-    Digest root;
-    uint32_t chunk_id;
-    Bytes data;
-    MerkleProof proof;
-  };
-  std::vector<HeldChunk> HeldChunks() const;
-
   /// Total chunks discarded inside proven-fake buckets (per-root scope).
   int banned_count() const { return static_cast<int>(banned_total_); }
   int bucket_count() const { return static_cast<int>(buckets_.size()); }
@@ -88,8 +76,7 @@ class EntryRebuilder {
     bool proven_fake = false;
   };
 
-  AddResult TryRebuild(const Digest& root, Bucket& bucket,
-                       const Certificate& cert);
+  AddResult TryRebuild(Bucket& bucket, const Certificate& cert);
   /// Reports `result` into the registry counters (no-op when unwired).
   AddResult Count(AddResult result);
 
@@ -97,7 +84,6 @@ class EntryRebuilder {
   std::map<Digest, Bucket> buckets_;
   size_t banned_total_ = 0;
   EntryPtr entry_;
-  Digest winning_root_{};
   // Pre-resolved observability handles (null when not wired).
   obs::Counter* accepted_counter_ = nullptr;
   obs::Counter* duplicate_counter_ = nullptr;

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   // or they would decode and re-encode to different bytes.
   {
     const Bytes replay_two =
-        Reframe(SeedNamed(seeds, "timestamp_assign"), Bytes{2, 0});
+        Reframe(SeedNamed(seeds, "group_relay"), Bytes{2, 0, 0, 0});
     WriteSeed(decode_dir, "bool_flag_two", replay_two.data(),
               replay_two.size());
     const Bytes padded =

@@ -77,23 +77,17 @@ inline std::shared_ptr<const ProtocolMessage> GoldenMessage(MessageType type) {
       return NewMessage(type, RaftAccept{1, 3, 17, GoldenCert()});
     case T::kRaftCommit:
       return NewMessage(type, RaftCommit{1, 3, GoldenCert()});
-    case T::kTimestampAssign:
-      return NewMessage(type, TimestampAssign{true, elements});
     case T::kGroupHeartbeat:
       return NewMessage(type, GroupHeartbeat{});
     case T::kGroupRelay:
-      return NewMessage(
-          type, GroupRelay{false, {{1, 2, 3, 0, 0}, {2, 1, 4, 2, 9}}});
-    case T::kEpochMarker:
-      return NewMessage(type, EpochMarker{2, 5, 300});
+      return NewMessage(type, GroupRelay{true, {{1, 3}, {2, 4}}, elements,
+                                         {{2, 5, 300}}});
     case T::kCatchUpRequest:
       return NewMessage(type, CatchUpRequest{{{0, 5}, {1, 200}}});
     case T::kFreezeQuery:
       return NewMessage(type, Freeze{2, 0});
     case T::kFreezeReport:
       return NewMessage(type, Freeze{2, 41});
-    case T::kCatchUpDone:
-      return NewMessage(type, CatchUpDone{});
   }
   return nullptr;
 }

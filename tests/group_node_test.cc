@@ -61,6 +61,14 @@ class NodeHarness {
     return n;
   }
 
+  /// Messages sent to `dst`.
+  std::vector<MessagePtr> SentTo(NodeId dst) const {
+    std::vector<MessagePtr> to;
+    for (const auto& [to_node, m] : sent)
+      if (to_node == dst) to.push_back(m);
+    return to;
+  }
+
   Simulator sim;
   KeyRegistry registry;
   std::vector<std::pair<NodeId, MessagePtr>> sent;
@@ -134,8 +142,8 @@ TEST(GroupNodeTest, LeaderTakesTimestampsOnlyFromPeerLeaders) {
   // that took it would relay it to its group, and the first stamp seen
   // for an element wins.
   NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
-  auto stamp = NewMessage(MessageType::kTimestampAssign,
-                          TimestampAssign{false, {{0, 2, 0, 999}}});
+  auto stamp = NewMessage(MessageType::kGroupRelay,
+                          GroupRelay{.stamps = {{0, 2, 0, 999}}});
   h.node->HandleMessage(NodeId{2, 3}, stamp);
   h.sim.RunAll();
   EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
@@ -149,14 +157,152 @@ TEST(GroupNodeTest, LeaderTakesTimestampsOnlyFromPeerLeaders) {
 TEST(GroupNodeTest, FollowerAppliesRelaysOnlyFromItsLeader) {
   // (2,3) tells follower (1,1) that its own group's entry (1,0) committed.
   NodeHarness h(3, 4, NodeId{1, 1}, ProtocolConfig::MassBft());
-  auto commit = NewMessage(
-      MessageType::kGroupRelay,
-      GroupRelay{false, {{RelayEvent::kCommitted, 1, 0, 0, 0}}});
+  auto commit = NewMessage(MessageType::kGroupRelay,
+                           GroupRelay{.commits = {{1, 0}}});
   h.node->HandleMessage(NodeId{2, 3}, commit);
   EXPECT_EQ(h.node->own_clock(), 0u);
 
   h.node->HandleMessage(NodeId{1, 0}, commit);
   EXPECT_EQ(h.node->own_clock(), 1u);
+}
+
+TEST(GroupNodeTest, LeaderTakesEpochSealsOnlyFromPeerLeaders) {
+  // Follower (2,3) claims group 2 sealed epoch 0 with one entry. A seal
+  // fixes which entries an ISS epoch executes, so leader (1,0) must
+  // neither apply nor forward it.
+  NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::Iss());
+  auto seal = NewMessage(MessageType::kGroupRelay,
+                         GroupRelay{.seals = {{2, 0, 1}}});
+  h.node->HandleMessage(NodeId{2, 3}, seal);
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
+
+  // Group 2's leader seals for group 2, never for group 0.
+  h.node->HandleMessage(NodeId{2, 0},
+                        NewMessage(MessageType::kGroupRelay,
+                                   GroupRelay{.seals = {{0, 0, 1}}}));
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
+
+  // Its seal for its own group reaches all 3 group members.
+  h.node->HandleMessage(NodeId{2, 0}, seal);
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 3);
+}
+
+TEST(GroupNodeTest, FreezeReportCountsOnlyFromPeerLeaders) {
+  // Leader (0,0) takes silent group 2 over and asks group 1's leader for
+  // the highest stamp it saw from group 2. Follower (1,3) answers 999
+  // first. Taken, that would close the round and freeze group 2's clock
+  // above any stamp group 2 can issue after it rejoins, which breaks the
+  // per-assigner monotonicity Algorithm 2's inference needs.
+  NodeHarness h(3, 4, NodeId{0, 0}, ProtocolConfig::MassBft());
+  h.node->Start();
+  for (SimTime t = 0; t < 4 * kSecond; t += 100 * kMillisecond) {
+    h.sim.ScheduleAt(t, [&h] {
+      h.node->HandleMessage(
+          NodeId{1, 0},
+          NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{}));
+    });
+  }
+  h.sim.RunUntil(4 * kSecond);
+  // A freeze query from (1,0) reads back what (0,0) holds for group 2.
+  auto frozen = [&h]() -> uint64_t {
+    h.sent.clear();
+    h.node->HandleMessage(
+        NodeId{1, 0}, NewMessage(MessageType::kFreezeQuery, Freeze{2, 0}));
+    h.sim.RunUntil(h.sim.Now() + 200 * kMillisecond);
+    for (const MessagePtr& m : h.SentTo(NodeId{1, 0}))
+      if (m->type() == static_cast<int>(MessageType::kFreezeReport))
+        return BodyOf<Freeze>(*m).max_seen;
+    ADD_FAILURE() << "no freeze report";
+    return 0;
+  };
+
+  h.node->HandleMessage(
+      NodeId{1, 3}, NewMessage(MessageType::kFreezeReport, Freeze{2, 999}));
+  EXPECT_EQ(frozen(), 0u);
+
+  // Group 1's leader closes the round.
+  h.node->HandleMessage(
+      NodeId{1, 0}, NewMessage(MessageType::kFreezeReport, Freeze{2, 5}));
+  EXPECT_EQ(frozen(), 5u);
+}
+
+TEST(GroupNodeTest, CatchUpServesOnlyPeerLeaders) {
+  // An empty catch-up request asks for everything from sequence 0. From
+  // follower (2,3), one small frame would buy a WAN copy of every payload
+  // leader (1,0) holds.
+  NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
+  EntryPtr entry = MakeEntry(0, 0);
+  h.node->HandleMessage(
+      NodeId{0, 0},
+      NewMessage(MessageType::kEntryTransfer,
+                 CertifiedEntry{entry, h.Certify(0, entry->digest())}));
+  auto request = NewMessage(MessageType::kCatchUpRequest, CatchUpRequest{});
+  h.node->HandleMessage(NodeId{2, 3}, request);
+  h.sim.RunAll();
+  EXPECT_TRUE(h.SentTo(NodeId{2, 3}).empty());
+
+  // Group 2's leader gets the payload, then the (empty) history.
+  h.node->HandleMessage(NodeId{2, 0}, request);
+  h.sim.RunAll();
+  std::vector<MessagePtr> reply = h.SentTo(NodeId{2, 0});
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.front()->type(),
+            static_cast<int>(MessageType::kEntryTransfer));
+  EXPECT_EQ(BodyOf<CertifiedEntry>(*reply.front()).entry->digest(),
+            entry->digest());
+}
+
+TEST(GroupNodeTest, CatchUpHistoryPrecedesBufferedStamps) {
+  // MassBFT leader (1,0) crashes, recovers and asks group 0's leader for
+  // the history it missed. A live stamp from group 2 arriving meanwhile
+  // waits: the history holds group 2's earlier stamp, and Algorithm 2's
+  // inference needs each group's stamps in order.
+  const GroupRelay live{.stamps = {{2, 0, 1, 5}}};
+  const GroupRelay history{
+      .replay = true, .commits = {{0, 0}}, .stamps = {{2, 0, 0, 3}}};
+  {
+    NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
+    h.node->Crash();
+    h.node->Recover();
+    h.node->HandleMessage(NodeId{2, 0},
+                          NewMessage(MessageType::kGroupRelay, live));
+    h.sim.RunUntil(kSecond);
+    EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
+
+    h.node->HandleMessage(NodeId{0, 0},
+                          NewMessage(MessageType::kGroupRelay, history));
+    h.sim.RunUntil(2 * kSecond);
+    // (1,1) gets the history as one replay relay, ahead of any stamp.
+    std::vector<uint64_t> stamps;
+    size_t history_commits = 0;
+    for (const MessagePtr& m : h.SentTo(NodeId{1, 1})) {
+      if (m->type() != static_cast<int>(MessageType::kGroupRelay)) continue;
+      const GroupRelay& relay = BodyOf<GroupRelay>(*m);
+      if (relay.replay) {
+        EXPECT_TRUE(stamps.empty());
+        history_commits += relay.commits.size();
+      }
+      for (const TimestampElement& stamp : relay.stamps)
+        stamps.push_back(stamp.ts);
+    }
+    EXPECT_EQ(history_commits, 1u);
+    EXPECT_EQ(stamps, (std::vector<uint64_t>{3, 5}));
+  }
+  {
+    // With no history at all, the 4 s failsafe ends the sync.
+    NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
+    h.node->Crash();
+    h.node->Recover();
+    h.node->HandleMessage(NodeId{2, 0},
+                          NewMessage(MessageType::kGroupRelay, live));
+    h.sim.RunUntil(4 * kSecond - kMillisecond);
+    EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
+    h.sim.RunUntil(4 * kSecond + 100 * kMillisecond);
+    EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 3);
+  }
 }
 
 TEST(GroupNodeTest, HeartbeatCountsOnlyForItsSendersGroup) {
@@ -297,9 +443,11 @@ TEST(GroupNodeTest, AcceptStampCountsForTheCertifyingGroup) {
   int stamps = 0;
   for (const auto& [dst, m] : h.sent) {
     if (m->type() != static_cast<int>(MessageType::kGroupRelay)) continue;
-    for (const RelayEvent& event : BodyOf<GroupRelay>(*m).events) {
-      EXPECT_EQ(event.type, RelayEvent::kTimestamp);
-      EXPECT_EQ(event.assigner, 1);
+    const GroupRelay& relay = BodyOf<GroupRelay>(*m);
+    EXPECT_TRUE(relay.commits.empty());
+    EXPECT_TRUE(relay.seals.empty());
+    for (const TimestampElement& stamp : relay.stamps) {
+      EXPECT_EQ(stamp.assigner_gid, 1);
       ++stamps;
     }
   }

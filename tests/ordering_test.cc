@@ -345,6 +345,24 @@ TEST(EpochOrderingTest, EachGroupEpochStartsWhereItsLastEnded) {
             (Executed{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {1, 2}}));
 }
 
+TEST(EpochOrderingTest, RepeatedSealCountsOnce) {
+  // The script above with group 0's first seal delivered twice, as a
+  // duplicated frame would. Counted twice, it would move group 0's epoch 0
+  // to [2, 4) and every later epoch with it.
+  EpochHarness h(2);
+  for (uint64_t s = 0; s < 3; ++s) {
+    h.MakeAvailable(0, s);
+    h.MakeAvailable(1, s);
+  }
+  h.Seal(0, 0, 2);
+  h.Seal(0, 0, 2);
+  h.Seal(1, 0, 1);
+  h.Seal(1, 1, 2);
+  h.Seal(0, 1, 1);
+  EXPECT_EQ(h.executed,
+            (Executed{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {1, 2}}));
+}
+
 // ---------------------------------------------------------- FIFO ordering
 
 TEST(FifoOrderingTest, ExecutesInCommitOrder) {

@@ -216,9 +216,9 @@ size_t CertBytes(size_t n) { return 2 + 32 + 2 + 1 + n * sizeof(Signature); }
 
 TEST(MessageSizeTest, EnvelopeAddedToEveryMessage) {
   // Empty body: the envelope alone.
-  Message<CatchUpDone> done(MessageType::kCatchUpDone, {});
-  EXPECT_EQ(done.ByteSize(), kFrameOverheadBytes);
-  EXPECT_EQ(done.ByteSize(), EncodedSize(done));
+  Message<GroupHeartbeat> heartbeat(MessageType::kGroupHeartbeat, {});
+  EXPECT_EQ(heartbeat.ByteSize(), kFrameOverheadBytes);
+  EXPECT_EQ(heartbeat.ByteSize(), EncodedSize(heartbeat));
   Message<Freeze> query(MessageType::kFreezeQuery, {1, 100});
   EXPECT_EQ(query.ByteSize(), kFrameOverheadBytes + 10);
   EXPECT_EQ(query.ByteSize(), EncodedSize(query));

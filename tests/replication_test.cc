@@ -378,24 +378,6 @@ TEST_F(RebuilderTest, RepeatedFakeRootsEachCostOneRebuildOnly) {
   EXPECT_EQ(rebuilder.entry()->digest(), entry_->digest());
 }
 
-TEST_F(RebuilderTest, HeldChunksOnlyFromHealthyBuckets) {
-  Bytes tampered_payload = entry_->Encoded();
-  tampered_payload[4] ^= 0xFF;
-  auto tampered = EncodeBytesForPlan(tampered_payload, *plan_);
-  ASSERT_TRUE(tampered.ok());
-
-  EntryRebuilder rebuilder = MakeRebuilder();
-  rebuilder.AddChunk(encoded_->merkle_root, 5, encoded_->chunks[5].data,
-                     encoded_->chunks[5].proof, cert_);
-  for (int c = 0; c < plan_->n_data(); ++c)
-    rebuilder.AddChunk(tampered->merkle_root, c, tampered->chunks[c].data,
-                       tampered->chunks[c].proof, cert_);
-  auto held = rebuilder.HeldChunks();
-  ASSERT_EQ(held.size(), 1u);  // Only the healthy chunk is re-shared.
-  EXPECT_EQ(held[0].chunk_id, 5u);
-  EXPECT_EQ(held[0].root, encoded_->merkle_root);
-}
-
 TEST_F(RebuilderTest, ChunksAfterCompletionIgnored) {
   EntryRebuilder rebuilder = MakeRebuilder();
   for (int c = 0; c < plan_->n_data(); ++c)

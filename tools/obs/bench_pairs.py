@@ -20,6 +20,14 @@ the gain rule holds (wins in at least 9/10 of the pairs, and a median gap
 in the better direction larger than the parent's interquartile range),
 and whether the change's median stays within the metric's bound of the
 parent's. Failed and attempted operation totals close the report.
+
+Each run also reports the host's steal time: the share of all CPU time,
+read from the `cpu` line of /proc/stat before and after the run, that a
+hypervisor gave to other guests. It is printed on the run's stderr line,
+and each side's median closes the summary ("n/a" where /proc/stat cannot
+be read). A series whose steal share moves between sides or pairs can
+read as a regression or a gain the code did not cause; no verdict
+depends on it.
 """
 
 import argparse
@@ -58,13 +66,55 @@ def check_run(returncode, stdout):
     return result, None
 
 
+def parse_cpu_line(line):
+    """The aggregate `cpu` line's first eight counters (user, nice, system,
+    idle, iowait, irq, softirq, steal), or None for any other line. Guest
+    time is left out: the kernel already counts it in user and nice."""
+    fields = line.split()
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    try:
+        return [int(v) for v in fields[1:9]]
+    except ValueError:
+        return None
+
+
+def read_cpu_times(path="/proc/stat"):
+    """parse_cpu_line of `path`'s `cpu` line, or None if it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as f:
+            for line in f:
+                times = parse_cpu_line(line)
+                if times is not None:
+                    return times
+    except (OSError, UnicodeDecodeError):
+        return None
+    return None
+
+
+def steal_share(before, after):
+    """Steal time's share of all CPU time between two readings, or None."""
+    if before is None or after is None:
+        return None
+    delta = [a - b for a, b in zip(after, before)]
+    total = sum(delta)
+    return delta[7] / total if total > 0 else None
+
+
+def format_share(share):
+    return "n/a" if share is None else "%.1f%%" % (100 * share)
+
+
 def run_once(checkout, benchmark, workload, seed):
+    """(result, error, steal share) of one benchmark run."""
     command = list(benchmark["command"]) + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    before = read_cpu_times()
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
                           universal_newlines=True, check=False)
-    return check_run(proc.returncode, proc.stdout)
+    steal = steal_share(before, read_cpu_times())
+    return check_run(proc.returncode, proc.stdout) + (steal,)
 
 
 def quartiles(values):
@@ -91,6 +141,13 @@ def judge(metric, parent, change):
         "wins": wins, "ties": ties, "losses": losses, "gain": gain,
         "worse_by": worse_by, "within_bound": worse_by <= metric["bound"],
     }
+
+
+def median_share(results):
+    """The median steal share of the runs that know theirs, or None."""
+    known = [r["steal_share"] for r in results
+             if r.get("steal_share") is not None]
+    return statistics.median(known) if known else None
 
 
 def report(benchmark, workload, runs, out):
@@ -125,6 +182,9 @@ def report(benchmark, workload, runs, out):
         attempted = sum(r[index]["attempted"] for r in runs)
         out.write("%s: %d failed of %d attempted operations\n"
                   % (side, failed, attempted))
+    out.write("median steal share: parent %s, change %s\n" % (
+        format_share(median_share([p for p, _ in runs])),
+        format_share(median_share([c for _, c in runs]))))
     return verdicts
 
 
@@ -137,16 +197,18 @@ def run_pairs(args):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
-            result, error = run_once(sides[side], benchmark, args.workload,
-                                     seed)
-            sys.stderr.write("pair %d seed %d %s: %s\n" % (
-                i + 1, seed, side, error or json.dumps(result["metrics"])))
+            result, error, share = run_once(sides[side], benchmark,
+                                            args.workload, seed)
+            sys.stderr.write("pair %d seed %d %s (steal %s): %s\n" % (
+                i + 1, seed, side, format_share(share),
+                error or json.dumps(result["metrics"])))
             if error:
                 if runs:
                     report(benchmark, args.workload, runs, sys.stdout)
                 sys.stdout.write("STOPPED: %s side, seed %d: %s\n"
                                  % (side, seed, error))
                 return 1
+            result["steal_share"] = share
             pair[side] = result
         runs.append((pair["parent"], pair["change"]))
     report(benchmark, args.workload, runs, sys.stdout)
@@ -217,6 +279,36 @@ def self_test():
           "failed and attempted operations totalled")
     check(quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0),
           "quartiles interpolate between order statistics")
+    check("median steal share: parent n/a, change n/a" in text.getvalue(),
+          "unknown steal shares print n/a")
+    for i, (parent, change) in enumerate(runs):
+        parent["steal_share"] = 0.05 if i == 0 else 0.02
+        change["steal_share"] = None if i == 0 else 0.187
+    text = io.StringIO()
+    check(report(benchmark, "tpcc-crash", runs, text) == v,
+          "steal shares change no verdict")
+    check("median steal share: parent 2.0%, change 18.7%" in text.getvalue(),
+          "each side's median steal share, skipping unknown runs")
+
+    # /proc/stat: only the aggregate line counts, guest time is already in
+    # user and nice, and steal is the eighth counter.
+    before = parse_cpu_line("cpu  100 5 50 800 10 1 2 30 7 0\n")
+    after = parse_cpu_line("cpu  700 5 150 1000 10 1 2 130 77 0\n")
+    check(before == [100, 5, 50, 800, 10, 1, 2, 30],
+          "parse the cpu line's first eight counters")
+    check(parse_cpu_line("cpu0 1 2 3 4 5 6 7 8 9 10") is None and
+          parse_cpu_line("intr 1 2 3") is None and
+          parse_cpu_line("cpu  1 2 x 4 5 6 7 8") is None,
+          "per-core, other and malformed lines are not the cpu line")
+    check(abs(steal_share(before, after) - 0.1) < 1e-12,
+          "steal share of the time between two readings")
+    check(steal_share(None, after) is None and
+          steal_share(before, before) is None,
+          "no share without two readings or elapsed time")
+    check(read_cpu_times(os.path.join(os.sep, "nonexistent", "stat")) is None,
+          "an unreadable /proc/stat gives no reading")
+    check(format_share(None) == "n/a" and format_share(0.187) == "18.7%",
+          "steal shares print as percentages or n/a")
 
     # 8 of 10 wins is below the 9/10 rule even with a large median gap.
     mixed = list(change_cpu[:8]) + [1200, 1200]
