@@ -1,5 +1,6 @@
 #include "consensus/pbft/certifier.h"
 
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,10 +9,9 @@ namespace massbft {
 
 DigestCertifier::DigestCertifier(uint16_t gid, NodeId self, int group_size,
                                  uint16_t leader, Callbacks callbacks)
-    : gid_(gid), self_(self), n_(group_size), f_((group_size - 1) / 3),
-      leader_(leader), cb_(std::move(callbacks)) {
+    : gid_(gid), self_(self), f_((group_size - 1) / 3), leader_(leader),
+      cb_(std::move(callbacks)) {
   MASSBFT_CHECK(self.group == gid);
-  (void)n_;
 }
 
 Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
@@ -53,7 +53,7 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
       if (!cb_.verify(from, payload, req.sig)) return;
       Pending& p = pending_[req.decision];
       p.decision = req.decision;
-      TryVote(p);
+      if (!TryVote(p)) deferred_.insert(req.decision);
       break;
     }
     case MessageType::kCertifyVote: {
@@ -85,9 +85,9 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   }
 }
 
-void DigestCertifier::TryVote(Pending& p) {
-  if (p.voted) return;
-  if (!cb_.can_sign(p.decision)) return;  // Deferred until state advances.
+bool DigestCertifier::TryVote(Pending& p) {
+  if (p.voted) return true;
+  if (!cb_.can_sign(p.decision)) return false;  // Until state advances.
   p.voted = true;
   Digest digest = DecisionDigest(p.decision);
   Bytes payload(digest.begin(), digest.end());
@@ -95,10 +95,12 @@ void DigestCertifier::TryVote(Pending& p) {
   cb_.send_to(NodeId{gid_, leader_},
               NewMessage(MessageType::kCertifyVote,
                          SignedDecision{p.decision, sig}));
+  return true;
 }
 
 void DigestCertifier::RecheckPending() {
-  for (auto& [decision, p] : pending_) TryVote(p);
+  for (auto it = deferred_.begin(); it != deferred_.end();)
+    it = TryVote(pending_.at(*it)) ? deferred_.erase(it) : std::next(it);
 }
 
 }  // namespace massbft

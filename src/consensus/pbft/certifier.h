@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -61,7 +62,8 @@ class DigestCertifier {
   /// Dispatch for kCertifyRequest / kCertifyVote.
   void OnMessage(NodeId from, const MessagePtr& message);
 
-  /// Re-evaluates deferred follower votes (call when local state advances).
+  /// Re-evaluates deferred follower votes (call when local state
+  /// advances). Asks can_sign only about decisions still waiting to vote.
   void RecheckPending();
 
   int quorum() const { return 2 * f_ + 1; }
@@ -74,15 +76,18 @@ class DigestCertifier {
     std::map<uint16_t, Signature> votes;  // Leader-side shares.
   };
 
-  void TryVote(Pending& p);
+  /// Votes on `p` unless can_sign defers it; returns whether `p` has
+  /// voted.
+  bool TryVote(Pending& p);
 
   uint16_t gid_;
   NodeId self_;
-  int n_;
   int f_;
   uint16_t leader_;
   Callbacks cb_;
   std::map<DecisionId, Pending> pending_;
+  /// The decisions whose vote can_sign deferred, in pending_'s order.
+  std::set<DecisionId> deferred_;
 };
 
 }  // namespace massbft

@@ -1,6 +1,7 @@
 #include "core/group_node.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -248,7 +249,7 @@ void GroupNode::TryFormBatch(bool timer_fired) {
                           {"txns", static_cast<double>(take)}}});
     }
     auto entry = std::make_shared<const Entry>(
-        static_cast<uint16_t>(my_group()), seq, std::move(batch));
+        static_cast<uint16_t>(my_group()), seq, batch);
     cpu().ChargeHash(entry->ByteSize());  // Entry digest.
     EntryRecord& rec = GetRecord(Key{entry->gid(), seq});
     rec.created_at = Now();
@@ -313,7 +314,6 @@ void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
     }
   }
 
-  certifier_->RecheckPending();
   MarkPayloadAvailable(key);
 }
 
@@ -558,6 +558,16 @@ void GroupNode::MarkPayloadAvailable(const Key& key) {
   ordering_->Poke();
 }
 
+GroupNode::Retained GroupNode::retained() const {
+  Retained retained;
+  for (const auto& [key, rec] : entries_) {
+    if (!rec.payload_available) continue;
+    ++retained.entries;
+    retained.payload_bytes += rec.entry->ByteSize();
+  }
+  return retained;
+}
+
 bool GroupNode::HasPayload(const Key& key) const {
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.payload_available;
@@ -688,13 +698,17 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
   }
   Key key{gid, seq};
 
+  // A commit applied from a relay (catch-up replay) reaches Raft through
+  // NoteCommitted and returns here; the relay that carried it already
+  // tells the group.
   EntryRecord& rec = GetRecord(key);
-  if (rec.local_committed_at >= 0 && key.first == my_group() &&
-      !rec.globally_committed)
-    tel_->RecordPhaseSpan(obs::Phase::kGlobalReplication, trace_track_,
-                          rec.local_committed_at, Now(), key.first,
-                          key.second);
-  RelayToGroup(GroupRelay{.commits = {{key.first, key.second}}});
+  if (!rec.globally_committed) {
+    if (rec.local_committed_at >= 0 && key.first == my_group())
+      tel_->RecordPhaseSpan(obs::Phase::kGlobalReplication, trace_track_,
+                            rec.local_committed_at, Now(), key.first,
+                            key.second);
+    RelayToGroup(GroupRelay{.commits = {{key.first, key.second}}});
+  }
 
   // Crash takeover: stamp the dead groups' frozen clocks onto this entry
   // (only once the freeze round agreed on the value; earlier commits are
@@ -852,9 +866,15 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   unexecuted_committed_.erase(key);
   executed_next_[gid] = std::max(executed_next_[gid], seq + 1);
   execution_log_.emplace_back(gid, seq);
-  if (!executed_digests_.insert(rec.entry->digest()).second) return;
-
   const EntryPtr& entry = rec.entry;
+  // Nothing reads an executed entry's chunks again (ClusterContext).
+  const Digest& digest = entry->digest();
+  auto& encodings = ctx_->encode_cache;
+  encodings.erase(
+      encodings.lower_bound({digest, std::numeric_limits<int>::min()}),
+      encodings.upper_bound({digest, std::numeric_limits<int>::max()}));
+  if (!executed_digests_.insert(digest).second) return;
+
   int n = entry->num_txns();
   executed_txns_ += n;
   SimTime done_at = cpu().ChargeExec(n);
@@ -862,7 +882,10 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
 
   if (!IsExecutor()) return;  // CPU charged; state tracked by leaders.
 
-  AriaBatchResult result = aria_->ExecuteBatch(entry->txns());
+  // This node's one parse of the batch feeds Aria, the conflict re-queue
+  // and the commit callbacks.
+  std::vector<Transaction> txns = entry->DecodeTxns();
+  AriaBatchResult result = aria_->ExecuteBatch(txns);
   bool owns_metrics =
       IsGroupLeader() && static_cast<int>(gid) == my_group() && !crashed();
   if (owns_metrics) {
@@ -881,13 +904,12 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
     // deterministically (Aria); committed ones notify their clients. The
     // abort indices ascend, so one cursor walks them alongside the batch.
     auto next_abort = result.conflict_aborts.begin();
-    for (size_t i = 0; i < entry->txns().size(); ++i) {
-      const Transaction& txn = entry->txns()[i];
+    for (size_t i = 0; i < txns.size(); ++i) {
       if (next_abort != result.conflict_aborts.end() && *next_abort == i) {
         ++next_abort;
-        pending_txns_.push_back(txn);
+        pending_txns_.push_back(std::move(txns[i]));
       } else if (ctx_->on_txn_committed) {
-        ctx_->on_txn_committed(txn, done_at);
+        ctx_->on_txn_committed(txns[i], done_at);
       }
     }
     if (!result.conflict_aborts.empty()) TryFormBatch(false);

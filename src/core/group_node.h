@@ -47,9 +47,16 @@ struct ClusterContext {
       on_txn_committed;
 
   /// Optimization caches, keyed so Byzantine (tampered) encodings never
-  /// collide with correct ones. Encoding is result-neutral (the simulated
-  /// CPU cost is still charged per node); a rebuild-cache hit is not: the
-  /// adopting node skips its certificate check and the verify charge.
+  /// collide with correct ones. Encoding is result-neutral: it is
+  /// deterministic, and each node is charged its CPU cost on a hit or a
+  /// miss. A rebuild-cache hit is not: the adopting node skips its
+  /// certificate check and the verify charge.
+  ///
+  /// (entry digest, plan n_total) -> that entry's chunks, erased when a
+  /// node executes the entry. A real-mode node has a context of its own,
+  /// so its cache holds only entries in flight; the simulator's nodes
+  /// share one, and a sender that encodes after some node executed the
+  /// entry encodes it again.
   std::map<std::pair<Digest, int>, std::shared_ptr<const EncodedEntry>>
       encode_cache;
   /// Merkle root -> the decoded entry and the certificate that validated
@@ -119,6 +126,14 @@ class GroupNode : public Actor {
   uint64_t executed_txns() const { return executed_txns_; }
   const KvStore& store() const { return store_; }
   uint64_t own_clock() const { return own_clock_; }
+
+  /// The entry store's footprint: the entries whose payload this node
+  /// holds, and their canonical bytes. Nothing is truncated yet.
+  struct Retained {
+    uint64_t entries = 0;
+    uint64_t payload_bytes = 0;
+  };
+  Retained retained() const;
 
   /// Force this node to execute entries even if it is not a group leader
   /// (agreement tests compare all nodes' execution logs).

@@ -3,62 +3,89 @@
 #include <bit>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace massbft {
 
-void Transaction::EncodeTo(BinaryWriter* w) const {
-  w->PutU64(id);
-  w->PutU32(client);
-  w->PutI64(submit_time);
-  w->PutBytes(payload);
+namespace {
+
+/// Reads one transaction into `txn`, reusing its payload buffer.
+Status ReadTxn(BinaryReader* r, Transaction* txn) {
+  MASSBFT_RETURN_IF_ERROR(r->GetU64(&txn->id));
+  MASSBFT_RETURN_IF_ERROR(r->GetU32(&txn->client));
+  MASSBFT_RETURN_IF_ERROR(r->GetI64(&txn->submit_time));
+  return r->GetBytes(&txn->payload);
 }
+
+/// An entry's header: gid, seq, then the transaction count.
+Status ReadHeader(BinaryReader* r, uint16_t* gid, uint64_t* seq,
+                  uint64_t* count) {
+  MASSBFT_RETURN_IF_ERROR(r->GetU16(gid));
+  MASSBFT_RETURN_IF_ERROR(r->GetU64(seq));
+  return r->GetVarint(count);
+}
+
+template <class Writer>
+void WriteEntry(Writer* w, uint16_t gid, uint64_t seq,
+                const std::vector<Transaction>& txns) {
+  w->PutU16(gid);
+  w->PutU64(seq);
+  w->PutVarint(txns.size());
+  for (const Transaction& txn : txns) txn.EncodeTo(w);
+}
+
+}  // namespace
 
 Result<Transaction> Transaction::DecodeFrom(BinaryReader* r) {
   Transaction txn;
-  MASSBFT_RETURN_IF_ERROR(r->GetU64(&txn.id));
-  MASSBFT_RETURN_IF_ERROR(r->GetU32(&txn.client));
-  MASSBFT_RETURN_IF_ERROR(r->GetI64(&txn.submit_time));
-  MASSBFT_RETURN_IF_ERROR(r->GetBytes(&txn.payload));
+  MASSBFT_RETURN_IF_ERROR(ReadTxn(r, &txn));
   return txn;
 }
 
-Entry::Entry(uint16_t gid, uint64_t seq, std::vector<Transaction> txns)
-    : gid_(gid), seq_(seq), txns_(std::move(txns)) {
-  BinaryWriter w;
-  w.PutU16(gid_);
-  w.PutU64(seq_);
-  w.PutVarint(txns_.size());
-  for (const Transaction& txn : txns_) txn.EncodeTo(&w);
+Entry::Entry(uint16_t gid, uint64_t seq, const std::vector<Transaction>& txns)
+    : gid_(gid), seq_(seq), num_txns_(static_cast<int>(txns.size())) {
+  // Sized exactly: the entry keeps this buffer for as long as it lives.
+  ByteCounter size;
+  WriteEntry(&size, gid_, seq_, txns);
+  BinaryWriter w(size.size());
+  WriteEntry(&w, gid_, seq_, txns);
   encoded_ = w.Release();
 }
 
-Entry::Entry(uint16_t gid, uint64_t seq, std::vector<Transaction> txns,
-             Bytes encoded)
-    : gid_(gid),
-      seq_(seq),
-      txns_(std::move(txns)),
-      encoded_(std::move(encoded)) {}
+Entry::Entry(uint16_t gid, uint64_t seq, int num_txns, Bytes encoded)
+    : gid_(gid), seq_(seq), num_txns_(num_txns), encoded_(std::move(encoded)) {}
 
-Result<EntryPtr> Entry::Decode(const Bytes& encoded) {
+std::vector<Transaction> Entry::DecodeTxns() const {
+  // Decode (or the constructor) already proved these bytes parse.
+  BinaryReader r(encoded_);
+  uint16_t gid = 0;
+  uint64_t seq = 0;
+  uint64_t count = 0;
+  MASSBFT_CHECK(ReadHeader(&r, &gid, &seq, &count).ok());
+  std::vector<Transaction> txns(count);
+  for (Transaction& txn : txns) MASSBFT_CHECK(ReadTxn(&r, &txn).ok());
+  return txns;
+}
+
+Result<EntryPtr> Entry::Decode(Bytes encoded) {
   BinaryReader r(encoded);
-  uint16_t gid;
-  uint64_t seq;
-  uint64_t count;
-  MASSBFT_RETURN_IF_ERROR(r.GetU16(&gid));
-  MASSBFT_RETURN_IF_ERROR(r.GetU64(&seq));
-  MASSBFT_RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > encoded.size())  // Cheap sanity bound before allocating.
+  uint16_t gid = 0;
+  uint64_t seq = 0;
+  uint64_t count = 0;
+  MASSBFT_RETURN_IF_ERROR(ReadHeader(&r, &gid, &seq, &count));
+  if (count > encoded.size())  // Cheap sanity bound before parsing.
     return Status::Corruption("implausible transaction count");
-  std::vector<Transaction> txns;
-  txns.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    MASSBFT_ASSIGN_OR_RETURN(Transaction txn, Transaction::DecodeFrom(&r));
-    txns.push_back(std::move(txn));
-  }
+  // Every transaction must parse, but none is kept: one scratch
+  // transaction takes each in turn.
+  Transaction txn;
+  for (uint64_t i = 0; i < count; ++i)
+    MASSBFT_RETURN_IF_ERROR(ReadTxn(&r, &txn));
   if (!r.AtEnd()) return Status::Corruption("trailing bytes after entry");
-  // Adopt the already-validated wire bytes as the canonical encoding; the
-  // writer side always emits canonical varints, so re-encoding would
-  // reproduce `encoded` byte for byte.
-  return std::make_shared<const Entry>(gid, seq, std::move(txns), encoded);
+  // Adopt the validated wire bytes as the canonical encoding; the writer
+  // side always emits canonical varints, so re-encoding would reproduce
+  // `encoded` byte for byte.
+  return EntryPtr(
+      new Entry(gid, seq, static_cast<int>(count), std::move(encoded)));
 }
 
 void Certificate::AddSignature(uint16_t index, const Signature& sig) {

@@ -25,7 +25,14 @@ struct Transaction {
   SimTime submit_time = 0;
   Bytes payload;
 
-  void EncodeTo(BinaryWriter* w) const;
+  /// `w` is a BinaryWriter, or a ByteCounter to size the encoding.
+  template <class Writer>
+  void EncodeTo(Writer* w) const {
+    w->PutU64(id);
+    w->PutU32(client);
+    w->PutU64(static_cast<uint64_t>(submit_time));
+    w->PutBytes(payload);
+  }
   [[nodiscard]] static Result<Transaction> DecodeFrom(BinaryReader* r);
 
   friend bool operator==(const Transaction&, const Transaction&) = default;
@@ -34,21 +41,21 @@ struct Transaction {
 /// A log entry (block): a batch of transactions proposed by group `gid`
 /// with group-local sequence number `seq` (paper notation e_{gid,seq}).
 /// Immutable after construction; shared by pointer across the simulation.
+///
+/// An entry holds only its canonical bytes, its transaction count and the
+/// memoized digest: every replica keeps each entry it replicates, so a
+/// parsed copy of the transactions would store every payload twice.
+/// Executors parse the batch when they execute it (DecodeTxns).
 class Entry {
  public:
-  Entry(uint16_t gid, uint64_t seq, std::vector<Transaction> txns);
-
-  /// Decode-path constructor: adopts `encoded` as the canonical
-  /// serialization instead of re-encoding the parsed fields. The caller
-  /// (Entry::Decode) guarantees the bytes parse back to exactly these
-  /// fields.
-  Entry(uint16_t gid, uint64_t seq, std::vector<Transaction> txns,
-        Bytes encoded);
+  Entry(uint16_t gid, uint64_t seq, const std::vector<Transaction>& txns);
 
   uint16_t gid() const { return gid_; }
   uint64_t seq() const { return seq_; }
-  const std::vector<Transaction>& txns() const { return txns_; }
-  int num_txns() const { return static_cast<int>(txns_.size()); }
+  int num_txns() const { return num_txns_; }
+
+  /// Parses the transactions out of the canonical bytes, in batch order.
+  [[nodiscard]] std::vector<Transaction> DecodeTxns() const;
 
   /// Canonical serialized form; chunks are carved from these bytes.
   const Bytes& Encoded() const { return encoded_; }
@@ -66,13 +73,17 @@ class Entry {
     return digest_;
   }
 
+  /// Validates `encoded` as an entry (header, every transaction, no
+  /// trailing bytes) and adopts it as the canonical encoding.
   [[nodiscard]] static Result<std::shared_ptr<const Entry>> Decode(
-      const Bytes& encoded);
+      Bytes encoded);
 
  private:
+  Entry(uint16_t gid, uint64_t seq, int num_txns, Bytes encoded);
+
   uint16_t gid_;
   uint64_t seq_;
-  std::vector<Transaction> txns_;
+  int num_txns_;
   Bytes encoded_;
   mutable Digest digest_{};
   mutable bool digest_valid_ = false;

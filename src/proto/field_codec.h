@@ -124,7 +124,7 @@ template <class T>
   } else if constexpr (std::is_same_v<T, EntryPtr>) {
     Bytes blob;
     MASSBFT_RETURN_IF_ERROR(in->GetBytes(&blob));
-    MASSBFT_ASSIGN_OR_RETURN(*value, Entry::Decode(blob));
+    MASSBFT_ASSIGN_OR_RETURN(*value, Entry::Decode(std::move(blob)));
     return Status::OK();
   } else if constexpr (Listed<T>) {
     // Decodes the fields in order, stopping at the first error.

@@ -96,7 +96,7 @@ EntryRebuilder::AddResult EntryRebuilder::TryRebuild(Bucket& bucket,
   bool valid = false;
   EntryPtr candidate;
   if (decoded.ok()) {
-    auto entry = Entry::Decode(*decoded);
+    auto entry = Entry::Decode(std::move(*decoded));
     if (entry.ok()) {
       candidate = *entry;
       valid = config_.validate(cert, *candidate);

@@ -1,6 +1,9 @@
 #include "runtime/cluster.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -22,6 +25,16 @@ using Clock = std::chrono::steady_clock;
 
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
+}
+
+/// This process's resident set size in KiB (0 where /proc is missing).
+uint64_t ResidentKb() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)) /
+         1024;
 }
 
 }  // namespace
@@ -337,6 +350,7 @@ std::string RealCluster::HealthJson() {
   for (const FaultInjectingTransport* injector : fault_transports_)
     faults += injector->fault_stats().total();
   w.Member("faults_injected", faults);
+  w.Member("rss_kb", ResidentKb());
   w.Key("nodes");
   w.BeginArray();
   {
@@ -351,13 +365,16 @@ std::string RealCluster::HealthJson() {
       struct Progress {
         uint64_t executed;
         bool rejoined;
+        GroupNode::Retained retained;
       };
       // One inspection hop per node; a stopped runtime answers inline.
       const Progress progress = raw->Call([](GroupNode& n) {
-        return Progress{n.executed_entries(), n.rejoined()};
+        return Progress{n.executed_entries(), n.rejoined(), n.retained()};
       });
       w.Member("executed_entries", progress.executed);
       w.Member("rejoined", progress.rejoined);
+      w.Member("retained_entries", progress.retained.entries);
+      w.Member("retained_payload_bytes", progress.retained.payload_bytes);
       const Transport::Stats stats = raw->transport().stats();
       w.Member("reconnects", stats.reconnects);
       w.Member("send_errors", stats.send_errors);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -68,6 +71,8 @@ class NodeHarness {
       if (to_node == dst) to.push_back(m);
     return to;
   }
+
+  const ClusterContext& context() const { return ctx_; }
 
   Simulator sim;
   KeyRegistry registry;
@@ -275,9 +280,12 @@ TEST(GroupNodeTest, CatchUpHistoryPrecedesBufferedStamps) {
     h.node->HandleMessage(NodeId{0, 0},
                           NewMessage(MessageType::kGroupRelay, history));
     h.sim.RunUntil(2 * kSecond);
-    // (1,1) gets the history as one replay relay, ahead of any stamp.
+    // (1,1) gets the history as one replay relay, ahead of any stamp, and
+    // the replayed commit only there: applying it also advances Raft's
+    // delivery cursor, which must not relay the same commit again.
     std::vector<uint64_t> stamps;
     size_t history_commits = 0;
+    size_t commits_of_0_0 = 0;
     for (const MessagePtr& m : h.SentTo(NodeId{1, 1})) {
       if (m->type() != static_cast<int>(MessageType::kGroupRelay)) continue;
       const GroupRelay& relay = BodyOf<GroupRelay>(*m);
@@ -285,10 +293,13 @@ TEST(GroupNodeTest, CatchUpHistoryPrecedesBufferedStamps) {
         EXPECT_TRUE(stamps.empty());
         history_commits += relay.commits.size();
       }
+      for (const auto& [gid, seq] : relay.commits)
+        commits_of_0_0 += gid == 0 && seq == 0 ? 1 : 0;
       for (const TimestampElement& stamp : relay.stamps)
         stamps.push_back(stamp.ts);
     }
     EXPECT_EQ(history_commits, 1u);
+    EXPECT_EQ(commits_of_0_0, 1u);
     EXPECT_EQ(stamps, (std::vector<uint64_t>{3, 5}));
   }
   {
@@ -476,6 +487,100 @@ TEST(GroupNodeTest, RebuildCacheHitCountsOnlyForItsOwnSlot) {
                         NewMessage(MessageType::kChunkBatch, batch));
   h.sim.RunAll();
   EXPECT_EQ(h.CountSent(MessageType::kCertifyRequest), 0);
+}
+
+TEST(GroupNodeTest, ExecutedEntryLeavesNoEncodingBehind) {
+  // EBR leader (0,0) batches one transaction, certifies it with followers
+  // (0,1..3), then encodes it for group 1 and sends its chunks. Once it
+  // has executed the entry, nothing reads those chunks again, so its
+  // encode cache must not keep them.
+  ProtocolConfig config = ProtocolConfig::Ebr();
+  config.max_batch_size = 1;
+  config.batch_timeout = 100 * kSecond;  // No timer-driven empty batches.
+  NodeHarness h(2, 4, NodeId{0, 0}, config);
+
+  // The followers are bare PBFT engines; `lan` holds their messages.
+  std::deque<std::tuple<NodeId, NodeId, MessagePtr>> lan;
+  std::vector<std::unique_ptr<PbftEngine>> followers;
+  for (uint16_t i = 1; i < 4; ++i) {
+    const NodeId self{0, i};
+    PbftEngine::Callbacks cb;
+    cb.broadcast = [&lan, self](MessagePtr m) {
+      for (uint16_t j = 0; j < 4; ++j)
+        if (j != self.index) lan.emplace_back(self, NodeId{0, j}, m);
+    };
+    cb.sign = [&h, self](const Bytes& payload) {
+      return h.registry.Sign(self, payload);
+    };
+    cb.verify = [&h](NodeId node, const Bytes& payload,
+                     const Signature& sig) {
+      return h.registry.Verify(node, payload, sig);
+    };
+    cb.validate_entry = [](EntryPtr, std::function<void(bool)> done) {
+      done(true);
+    };
+    cb.on_committed = [](EntryPtr, Certificate) {};
+    followers.push_back(std::make_unique<PbftEngine>(0, self, 4,
+                                                     /*leader=*/0,
+                                                     std::move(cb)));
+  }
+  // Runs the node and its group's LAN until both fall quiet.
+  size_t routed = 0;
+  auto settle = [&] {
+    while (true) {
+      h.sim.RunUntil(h.sim.Now() + 500 * kMillisecond);
+      for (; routed < h.sent.size(); ++routed) {
+        const auto& [dst, m] = h.sent[routed];
+        if (dst.group == 0) lan.emplace_back(NodeId{0, 0}, dst, m);
+      }
+      if (lan.empty()) return;
+      while (!lan.empty()) {
+        auto [from, to, m] = std::move(lan.front());
+        lan.pop_front();
+        if (to.index == 0) {
+          h.node->HandleMessage(from, m);
+        } else {
+          followers[to.index - 1]->OnMessage(from, m);
+        }
+      }
+    }
+  };
+
+  h.node->Start();
+  h.node->SubmitClientTxn(Transaction{1, 1, 0, Bytes(100, 0x22)});
+  settle();
+  // The entry committed locally, and its chunks went to group 1.
+  Digest digest{};
+  int chunk_batches = 0;
+  for (const auto& [dst, m] : h.sent) {
+    if (dst.group != 1 ||
+        m->type() != static_cast<int>(MessageType::kChunkBatch))
+      continue;
+    digest = BodyOf<ChunkBatch>(*m).cert.digest;
+    ++chunk_batches;
+  }
+  ASSERT_GT(chunk_batches, 0);
+  auto encodings_of = [&h](const Digest& d) {
+    int n = 0;
+    for (const auto& [key, encoded] : h.context().encode_cache)
+      n += key.first == d ? 1 : 0;
+    return n;
+  };
+  EXPECT_EQ(encodings_of(digest), 1);
+
+  // Group 1's entry of round 0 arrives, and group 1's leader relays both
+  // commits: the round executes.
+  EntryPtr peer = MakeEntry(1, 0);
+  h.node->HandleMessage(
+      NodeId{1, 0},
+      NewMessage(MessageType::kEntryTransfer,
+                 CertifiedEntry{peer, h.Certify(1, peer->digest())}));
+  h.node->HandleMessage(NodeId{1, 0},
+                        NewMessage(MessageType::kGroupRelay,
+                                   GroupRelay{.commits = {{0, 0}, {1, 0}}}));
+  settle();
+  ASSERT_EQ(h.node->executed_entries(), 2u);
+  EXPECT_EQ(encodings_of(digest), 0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "consensus/pbft/certifier.h"
@@ -422,6 +423,57 @@ TEST_F(CertifierFixture, DuplicateStartIdempotent) {
   nodes_[0]->certifier->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
+}
+
+TEST(CertifierTest, RecheckAsksOnlyDecisionsStillWaiting) {
+  // A follower has voted on K decisions, and its vote on two more waits
+  // for their payloads. A payload arrival rechecks the two, not all K+2.
+  constexpr uint64_t kVoted = 50;
+  GroupBus bus(4);
+  std::set<uint64_t> held;  // Sequences whose payload the follower holds.
+  int asked = 0;
+  DigestCertifier::Callbacks cb;
+  cb.broadcast = [](MessagePtr) {};
+  cb.send_to = [](NodeId, MessagePtr) {};
+  cb.sign = [&bus](const Bytes& payload) {
+    return bus.registry.Sign(NodeId{0, 1}, payload);
+  };
+  cb.verify = [&bus](NodeId node, const Bytes& payload,
+                     const Signature& sig) {
+    return bus.registry.Verify(node, payload, sig);
+  };
+  cb.can_sign = [&held, &asked](const DecisionId& decision) {
+    ++asked;
+    return held.contains(decision.target_seq);
+  };
+  cb.on_certified = [](const DecisionId&, Certificate) {};
+  DigestCertifier follower(0, NodeId{0, 1}, 4, /*leader=*/0, std::move(cb));
+  // The leader's request for the accept of (1, seq).
+  auto request = [&bus](uint64_t seq) {
+    DecisionId decision{DigestCertifier::kAccept, 1, seq, 0};
+    Digest digest = DigestCertifier::DecisionDigest(decision);
+    Signature sig = bus.registry.Sign(NodeId{0, 0},
+                                      Bytes(digest.begin(), digest.end()));
+    return NewMessage(MessageType::kCertifyRequest,
+                      SignedDecision{decision, sig});
+  };
+
+  for (uint64_t seq = 0; seq < kVoted; ++seq) {
+    held.insert(seq);
+    follower.OnMessage(NodeId{0, 0}, request(seq));
+  }
+  follower.OnMessage(NodeId{0, 0}, request(kVoted));
+  follower.OnMessage(NodeId{0, 0}, request(kVoted + 1));
+  EXPECT_EQ(asked, static_cast<int>(kVoted) + 2);
+
+  asked = 0;
+  held.insert(kVoted);
+  follower.RecheckPending();
+  EXPECT_EQ(asked, 2);  // Both waiting decisions; one votes.
+
+  asked = 0;
+  follower.RecheckPending();
+  EXPECT_EQ(asked, 1);  // Only (1, K+1) still waits.
 }
 
 }  // namespace

@@ -33,8 +33,25 @@ TEST(EntryTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ((*decoded)->gid(), 2);
   EXPECT_EQ((*decoded)->seq(), 17u);
-  EXPECT_EQ((*decoded)->txns(), txns);
+  EXPECT_EQ((*decoded)->DecodeTxns(), txns);
   EXPECT_EQ((*decoded)->digest(), entry.digest());
+}
+
+TEST(EntryTest, DecodedCopyAgreesWithBuiltEntry) {
+  // An entry keeps only its bytes: the one built from transactions and the
+  // one decoded from its encoding must be indistinguishable.
+  std::vector<Transaction> txns = {MakeTxn(4, 0), MakeTxn(5, 300),
+                                   MakeTxn(6, 1)};
+  Entry built(1, 9, txns);
+  auto decoded = Entry::Decode(built.Encoded());
+  ASSERT_TRUE(decoded.ok());
+  const Entry& copy = **decoded;
+  EXPECT_EQ(copy.Encoded(), built.Encoded());
+  EXPECT_EQ(copy.digest(), built.digest());
+  EXPECT_EQ(copy.num_txns(), 3);
+  EXPECT_EQ(built.num_txns(), 3);
+  EXPECT_EQ(built.DecodeTxns(), txns);
+  EXPECT_EQ(copy.DecodeTxns(), txns);
 }
 
 TEST(EntryTest, EmptyEntryRoundTrips) {
@@ -70,6 +87,43 @@ TEST(EntryTest, TruncatedBytesRejected) {
   Entry entry(1, 5, {MakeTxn(9), MakeTxn(10)});
   Bytes truncated(entry.Encoded().begin(), entry.Encoded().end() - 5);
   EXPECT_FALSE(Entry::Decode(truncated).ok());
+}
+
+TEST(EntryTest, MalformedMidEntryTransactionRejected) {
+  // Transaction 2 of 3 has a non-minimal length prefix; the entry's byte
+  // count still adds up, so only checking every transaction finds it.
+  BinaryWriter w;
+  w.PutU16(1);
+  w.PutU64(5);
+  w.PutVarint(3);
+  MakeTxn(1).EncodeTo(&w);
+  w.PutU64(2);
+  w.PutU32(14);
+  w.PutU64(2000);
+  w.PutU8(0x80);  // Length 0, written in two bytes.
+  w.PutU8(0x00);
+  MakeTxn(3).EncodeTo(&w);
+  EXPECT_FALSE(Entry::Decode(w.Release()).ok());
+}
+
+TEST(EntryTest, TrailingBytesRejected) {
+  Entry entry(1, 5, {MakeTxn(9)});
+  Bytes padded = entry.Encoded();
+  padded.push_back(0);
+  EXPECT_FALSE(Entry::Decode(padded).ok());
+}
+
+TEST(EntryTest, ImplausibleCountRejected) {
+  // A count larger than the buffer fails before any transaction is read;
+  // one more than the entry holds fails at the missing transaction.
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{2}}) {
+    BinaryWriter w;
+    w.PutU16(0);
+    w.PutU64(1);
+    w.PutVarint(count);
+    MakeTxn(1).EncodeTo(&w);
+    EXPECT_FALSE(Entry::Decode(w.Release()).ok()) << count;
+  }
 }
 
 TEST(EntryTest, ByteSizeIsEncodedSize) {

@@ -281,6 +281,9 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"running\":true"), std::string::npos);
   EXPECT_NE(health.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(health.find("\"reconnects\""), std::string::npos);
+  EXPECT_NE(health.find("\"rss_kb\""), std::string::npos);
+  EXPECT_NE(health.find("\"retained_entries\""), std::string::npos);
+  EXPECT_NE(health.find("\"retained_payload_bytes\""), std::string::npos);
 
   // The commit samples filled the real-mode timeline, and some bucket saw
   // commits.
