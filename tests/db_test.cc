@@ -52,6 +52,42 @@ TEST(KvStoreTest, ResetRestoresPristine) {
   EXPECT_EQ(*store.Get("x"), ToBytes("d"));
 }
 
+// What every replica holds after fixed seeded batches, pinned across
+// commits: a change to the store or to execution that moves a single row
+// moves these. Small tables, so batches conflict and rows are overwritten.
+// StateFingerprint hashes keys with std::hash, so the constants are
+// libstdc++'s.
+TEST(KvStoreTest, WorkloadBatchesKeepPinnedFingerprints) {
+  struct Pin {
+    WorkloadKind kind;
+    double scale;
+    size_t rows;
+    uint64_t fingerprint;
+  };
+  const Pin kPins[] = {
+      {WorkloadKind::kYcsbA, 0.001, 492, 17256425587616047696ULL},
+      {WorkloadKind::kSmallBank, 0.0001, 198, 6418213030363553448ULL},
+      {WorkloadKind::kTpcc, 4.0 / 128, 10616, 8342823885725132220ULL},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(WorkloadKindName(pin.kind));
+    auto workload = MakeWorkload(pin.kind, pin.scale);
+    KvStore store;
+    workload->InstallInitialState(&store);
+    AriaExecutor executor(&store, workload->MakeFactory());
+    Rng rng(25);
+    uint64_t id = 0;
+    for (int b = 0; b < 40; ++b) {
+      std::vector<Transaction> batch;
+      for (int t = 0; t < 38; ++t)
+        batch.push_back(Transaction{id++, 0, 0, workload->NextPayload(rng)});
+      (void)executor.ExecuteBatch(batch);
+    }
+    EXPECT_EQ(store.materialized_size(), pin.rows);
+    EXPECT_EQ(store.StateFingerprint(), pin.fingerprint);
+  }
+}
+
 // --------------------------------------------------------------- Aria
 
 /// Scripted test procedure: reads then writes fixed keys.
