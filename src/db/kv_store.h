@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,12 +23,27 @@ namespace massbft {
 /// memory proportional to the touched working set instead of the full
 /// 1M-row loaded table, while remaining semantically identical to eager
 /// loading — the function is deterministic in the key.
+///
+/// Layout (DESIGN.md §18). Each written row is stored once, as (varint key
+/// length, varint value length, key, value), in an append-only arena of
+/// 64 KiB blocks that never move; a row longer than a quarter block gets a
+/// block of its own. One open-addressing index, a power-of-two table probed
+/// linearly at load ≤ 3/4, holds an 8-byte slot per key: 32 hash bits and a
+/// 32-bit row reference (block << 16 | offset). A probe reads a row only
+/// when the hash bits match, and growth re-places slots from their hash
+/// bits without reading rows. `Put` overwrites a value in place when its
+/// size is unchanged; otherwise it appends the row again and the old bytes
+/// become waste, as does the unused end of a block a row did not fit in.
+/// Once waste exceeds the live row bytes, the live rows are rewritten into
+/// fresh blocks, so the blocks never hold much more than twice the live
+/// rows plus the block being filled.
 class KvStore {
  public:
   using DefaultValueFn =
       std::function<std::optional<Bytes>(std::string_view key)>;
 
-  KvStore() = default;
+  KvStore();
+  ~KvStore();
 
   /// Registers the lazy initial-state synthesizer.
   void SetDefaultValueFn(DefaultValueFn fn) { default_fn_ = std::move(fn); }
@@ -40,43 +55,56 @@ class KvStore {
   void Put(std::string key, Bytes value);
 
   /// Number of materialized (written) keys.
-  size_t materialized_size() const { return map_.size(); }
+  size_t materialized_size() const { return size_; }
 
-  /// Drops all written state (back to pristine initial state).
-  void Reset() { map_.clear(); }
+  /// Drops all written state (back to pristine initial state) and frees
+  /// the index and the blocks.
+  void Reset();
+
+  /// Heap bytes held for written state: the index plus every block.
+  size_t bytes() const;
 
   /// All materialized (written) entries in ascending key order. Any
   /// result-observable dump of store state (agreement digests, experiment
   /// JSON, debugging snapshots) must go through this instead of walking the
-  /// hash map, whose order depends on the hash seed (DESIGN.md §11, D2).
+  /// index, whose order depends on the hash seed (DESIGN.md §11, D2).
   [[nodiscard]] std::vector<std::pair<std::string, Bytes>> Snapshot() const;
 
-  /// Order-independent digest input: XOR/sum-folds per-entry hashes, so it
-  /// is identical for any iteration order. Used by tests to check that two
-  /// stores hold the same state without materializing a snapshot.
+  /// Order-independent digest of the written state: the XOR over rows of
+  ///   h = std::hash<std::string_view>(key); h = h * 1099511628211 + b
+  /// for each value byte b in order. XOR is commutative, so the result is
+  /// identical for any walk order. Used by tests and drain checks to
+  /// compare two stores without materializing a snapshot.
   [[nodiscard]] uint64_t StateFingerprint() const;
 
-  /// Test hook: perturbs the bucket hash for all KvStores constructed
-  /// afterwards, emulating a different std::hash implementation/seed.
+  /// Test hook: perturbs the index hash for all KvStores constructed
+  /// afterwards, emulating a different hash implementation/seed.
   /// Deterministic results must not change under any seed (regression test
   /// for hash-order leaking into experiment output).
   static void SetHashSeedForTest(uint64_t seed);
   static uint64_t hash_seed();
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      // SplitMix64-style avalanche of the seed keeps bucket assignment
-      // well-distributed for any test seed.
-      uint64_t h = std::hash<std::string_view>{}(s) + hash_seed();
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 27;
-      return static_cast<size_t>(h);
-    }
-  };
-  std::unordered_map<std::string, Bytes, StringHash, std::equal_to<>> map_;
+  /// Returns the slot holding `key`, or the empty slot where it belongs.
+  size_t Probe(std::string_view key, uint32_t hash) const;
+  uint32_t Hash(std::string_view key) const;
+  uint8_t* RowAt(uint32_t ref) const;
+  /// Claims `n` bytes for a row and returns its reference.
+  uint32_t Allocate(size_t n, uint8_t** out);
+  void Grow();
+  void Compact();
+
+  /// The index: (hash << 32 | row reference) per key, or kEmptySlot.
+  std::vector<uint64_t> slots_;
+  std::vector<std::unique_ptr<uint8_t[]>> blocks_;
+  /// Index of the block being filled (kNoBlock if none) and its fill.
+  size_t fill_block_;
+  size_t fill_used_ = 0;
+  size_t size_ = 0;
+  size_t block_bytes_ = 0;
+  size_t live_bytes_ = 0;
+  size_t waste_bytes_ = 0;
+  uint64_t seed_;
   DefaultValueFn default_fn_;
 };
 

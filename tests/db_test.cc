@@ -52,6 +52,112 @@ TEST(KvStoreTest, ResetRestoresPristine) {
   EXPECT_EQ(*store.Get("x"), ToBytes("d"));
 }
 
+/// The formula kv_store.h documents for StateFingerprint, over a model.
+uint64_t ModelFingerprint(const std::map<std::string, Bytes>& model) {
+  uint64_t fp = 0;
+  for (const auto& [key, value] : model) {
+    uint64_t h = std::hash<std::string_view>{}(key);
+    for (uint8_t b : value) h = h * 1099511628211ULL + b;
+    fp ^= h;
+  }
+  return fp;
+}
+
+/// A random value: empty, short, mid-sized, near a quarter block (where a
+/// row gets its own block) or larger than a 64 KiB block.
+Bytes RandomValue(Rng& rng) {
+  size_t size = 0;
+  const uint64_t kind = rng.NextBelow(100);
+  if (kind < 10) {
+    size = 0;
+  } else if (kind < 70) {
+    size = 1 + rng.NextBelow(40);
+  } else if (kind < 92) {
+    size = 100 + rng.NextBelow(2000);
+  } else if (kind < 97) {
+    size = 15'000 + rng.NextBelow(3'000);
+  } else {
+    size = 65'000 + rng.NextBelow(6'000);
+  }
+  Bytes value(size);
+  for (auto& b : value) b = static_cast<uint8_t>(rng.NextU64());
+  return value;
+}
+
+/// Seeded Put/Get/Reset against a std::map model, under two hash seeds.
+/// After every step the store answers every query as the model does, and
+/// its footprint stays within the index, twice the live rows and the one
+/// block being filled.
+TEST(KvStoreTest, RandomOpsMatchMapModel) {
+  // Keys inside and beyond the 15-byte small-string buffer, the empty key,
+  // and "p" keys that the default function synthesizes.
+  std::vector<std::string> keys = {""};
+  for (int i = 0; i < 48; ++i) {
+    std::string key = (i % 4 == 0 ? "p" : "k") + std::to_string(i);
+    if (i % 2 == 1) key += std::string(12 + i % 9, 'x');
+    keys.push_back(key);
+  }
+  auto pristine = [](std::string_view key) -> std::optional<Bytes> {
+    if (key.empty() || key[0] != 'p') return std::nullopt;
+    return ToBytes("pristine:" + std::string(key));
+  };
+  // The index the store's growth rule gives `n` keys: the smallest power
+  // of two of at least 16 slots holding them at load <= 3/4.
+  auto index_bytes = [](size_t n) -> size_t {
+    if (n == 0) return 0;
+    size_t slots = 16;
+    while (n * 4 > slots * 3) slots *= 2;
+    return slots * sizeof(uint64_t);
+  };
+  constexpr size_t kBlockBytes = 64 * 1024;
+
+  for (uint64_t seed : {uint64_t{0}, uint64_t{0x9e3779b97f4a7c15}}) {
+    KvStore::SetHashSeedForTest(seed);
+    KvStore store;
+    KvStore::SetHashSeedForTest(0);
+    store.SetDefaultValueFn(pristine);
+    std::map<std::string, Bytes> model;
+    Rng rng(31);
+    int compactions = 0;
+    for (int step = 0; step < 2500; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const std::string& key = keys[rng.NextBelow(keys.size())];
+      const uint64_t op = rng.NextBelow(1000);
+      const size_t before = store.bytes();
+      if (op < 600) {
+        Bytes value = RandomValue(rng);
+        model[key] = value;
+        store.Put(key, std::move(value));
+        if (store.bytes() < before) ++compactions;
+      } else if (op < 995) {
+        auto it = model.find(key);
+        EXPECT_EQ(store.Get(key),
+                  it != model.end() ? std::optional<Bytes>(it->second)
+                                    : pristine(key));
+      } else {
+        model.clear();
+        store.Reset();
+        EXPECT_EQ(store.bytes(), 0u);
+      }
+      ASSERT_EQ(store.materialized_size(), model.size());
+      const std::vector<std::pair<std::string, Bytes>> want(model.begin(),
+                                                            model.end());
+      ASSERT_EQ(store.Snapshot(), want);
+      ASSERT_EQ(store.StateFingerprint(), ModelFingerprint(model));
+      size_t live = 0;
+      for (const auto& [k, v] : model)
+        live += VarintSize(k.size()) + VarintSize(v.size()) + k.size() +
+                v.size();
+      const size_t index = index_bytes(model.size());
+      ASSERT_GE(store.bytes(), index + live);
+      ASSERT_LT(store.bytes(), index + 2 * live + kBlockBytes);
+    }
+    // Values changed size often enough that the store rewrote its rows.
+    EXPECT_GT(compactions, 10);
+  }
+}
+
 // What every replica holds after fixed seeded batches, pinned across
 // commits: a change to the store or to execution that moves a single row
 // moves these. Small tables, so batches conflict and rows are overwritten.
