@@ -9,6 +9,10 @@ namespace massbft {
 namespace {
 
 constexpr size_t kPayloadBytes = 108;  // Paper's average SmallBank txn size.
+// The amounts NextPayload draws, in cents. Parse rejects any other, so no
+// client amount can overflow a balance during execution.
+constexpr int64_t kMinAmount = 1;
+constexpr int64_t kMaxAmount = 10000;
 
 enum SbOp : uint8_t {
   kBalance = 1,
@@ -141,7 +145,7 @@ Bytes SmallBankWorkload::NextPayload(Rng& rng) {
   uint64_t a1 = rng.NextBelow(num_accounts_);
   uint64_t a2 = rng.NextBelow(num_accounts_);
   if (a2 == a1) a2 = (a1 + 1) % num_accounts_;
-  int64_t amount = rng.NextInRange(1, 10000);  // Up to $100 in cents.
+  int64_t amount = rng.NextInRange(kMinAmount, kMaxAmount);  // Up to $100.
 
   BinaryWriter w(32);
   w.PutU8(op);
@@ -167,6 +171,8 @@ Result<std::unique_ptr<Procedure>> SmallBankWorkload::Parse(
     return Status::Corruption("bad smallbank opcode");
   if (a1 >= num_accounts_ || a2 >= num_accounts_)
     return Status::Corruption("smallbank account out of range");
+  if (amount < kMinAmount || amount > kMaxAmount)
+    return Status::Corruption("smallbank amount out of range");
   return std::unique_ptr<Procedure>(
       std::make_unique<SmallBankProcedure>(op, a1, a2, amount));
 }

@@ -12,6 +12,10 @@ constexpr size_t kPayloadBytes = 232;  // Paper's average TPC-C txn size.
 constexpr uint8_t kOpNewOrder = 1;
 constexpr uint8_t kOpPayment = 2;
 constexpr int kMaxOrderLines = 15;
+// The Payment amounts NextPayload draws, in cents ($1 .. $5000). Parse
+// rejects any other, so no client amount can overflow a row.
+constexpr int64_t kMinPayment = 100;
+constexpr int64_t kMaxPayment = 500000;
 
 // ---- Row codecs (fixed-width binary structs). ----
 
@@ -261,7 +265,7 @@ Bytes TpccWorkload::NextPayload(Rng& rng) {
     writer.PutU32(w);
     writer.PutU32(d);
     writer.PutU32(c);
-    writer.PutI64(rng.NextInRange(100, 500000));  // $1 .. $5000 in cents.
+    writer.PutI64(rng.NextInRange(kMinPayment, kMaxPayment));
   }
   Bytes payload = writer.Release();
   payload.resize(std::max(payload.size(), kPayloadBytes), 0);
@@ -305,6 +309,8 @@ Result<std::unique_ptr<Procedure>> TpccWorkload::Parse(
   if (op == kOpPayment) {
     int64_t amount = 0;
     MASSBFT_RETURN_IF_ERROR(r.GetI64(&amount));
+    if (amount < kMinPayment || amount > kMaxPayment)
+      return Status::Corruption("tpcc payment amount out of range");
     return std::unique_ptr<Procedure>(
         std::make_unique<PaymentProcedure>(w, d, c, amount));
   }

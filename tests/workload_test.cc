@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -170,23 +171,58 @@ TEST(SmallBankTest, MoneyConservedAcrossBatches) {
   EXPECT_EQ(total(), before);
 }
 
+Transaction SmallBankTxn(uint8_t op, uint64_t a1, uint64_t a2,
+                         int64_t amount) {
+  BinaryWriter w;
+  w.PutU8(op);
+  w.PutU64(a1);
+  w.PutU64(a2);
+  w.PutI64(amount);
+  Transaction txn;
+  txn.payload = w.Release();
+  txn.payload.resize(108, 0);
+  return txn;
+}
+
 TEST(SmallBankTest, SendPaymentInsufficientFundsAborts) {
   SmallBankWorkload workload(100);
   KvStore store;
   workload.InstallInitialState(&store);
   AriaExecutor executor(&store, workload.MakeFactory());
 
-  BinaryWriter w;
-  w.PutU8(6);  // SendPayment.
-  w.PutU64(1);
-  w.PutU64(2);
-  w.PutI64(1'000'000'000);  // Far above any initial balance.
-  Transaction txn;
-  txn.payload = w.Release();
-  txn.payload.resize(108, 0);
-  AriaBatchResult r = executor.ExecuteBatch({txn});
+  // Amalgamate (op 4) empties account 1 into account 2.
+  EXPECT_EQ(executor.ExecuteBatch({SmallBankTxn(4, 1, 2, 1)}).committed, 1);
+  // SendPayment (op 6) of $50 from the empty account.
+  AriaBatchResult r = executor.ExecuteBatch({SmallBankTxn(6, 1, 3, 5000)});
   EXPECT_EQ(r.committed, 0);
   EXPECT_EQ(r.logic_aborts, 1);
+}
+
+// An amount outside what clients draw (1 .. 10,000 cents) is rejected when
+// the payload is parsed: INT64_MAX would overflow the stored balance, which
+// is undefined behaviour that differently built replicas need not agree on.
+TEST(SmallBankTest, OutOfRangeAmountLogicAborts) {
+  SmallBankWorkload workload(100);
+  KvStore store;
+  workload.InstallInitialState(&store);
+  AriaExecutor executor(&store, workload.MakeFactory());
+  // DepositChecking (op 2) at both ends of the range commits.
+  AriaBatchResult ok = executor.ExecuteBatch(
+      {SmallBankTxn(2, 1, 2, 1), SmallBankTxn(2, 3, 4, 10000)});
+  EXPECT_EQ(ok.committed, 2);
+
+  const auto before = store.Snapshot();
+  for (int64_t amount : {std::numeric_limits<int64_t>::max(),
+                         std::numeric_limits<int64_t>::min(), int64_t{0},
+                         int64_t{-5}, int64_t{10001}}) {
+    SCOPED_TRACE(amount);
+    for (uint8_t op = 1; op <= 6; ++op) {
+      AriaBatchResult r = executor.ExecuteBatch({SmallBankTxn(op, 1, 2, amount)});
+      EXPECT_EQ(r.committed, 0);
+      EXPECT_EQ(r.logic_aborts, 1);
+    }
+  }
+  EXPECT_EQ(store.Snapshot(), before);
 }
 
 TEST(SmallBankTest, InitialBalancesDeterministic) {
@@ -266,6 +302,41 @@ TEST(TpccTest, PaymentUpdatesWarehouseDistrictCustomer) {
   for (int i = 0; i < 8; ++i)
     balance |= static_cast<int64_t>((*customer)[i]) << (8 * i);
   EXPECT_EQ(balance, -1000 - 5000);
+}
+
+// A Payment amount outside what clients draw (100 .. 500,000 cents) is
+// rejected when the payload is parsed, before it can overflow a row.
+TEST(TpccTest, OutOfRangePaymentLogicAborts) {
+  TpccWorkload workload(4);
+  KvStore store;
+  workload.InstallInitialState(&store);
+  AriaExecutor executor(&store, workload.MakeFactory());
+  auto payment = [](uint32_t c, int64_t amount) {
+    BinaryWriter w;
+    w.PutU8(2);  // Payment.
+    w.PutU32(1);
+    w.PutU32(2);
+    w.PutU32(c);
+    w.PutI64(amount);
+    Transaction txn;
+    txn.payload = w.Release();
+    txn.payload.resize(232, 0);
+    return txn;
+  };
+  // Both ends of the range commit (separate batches: same warehouse).
+  EXPECT_EQ(executor.ExecuteBatch({payment(3, 100)}).committed, 1);
+  EXPECT_EQ(executor.ExecuteBatch({payment(4, 500000)}).committed, 1);
+
+  const auto before = store.Snapshot();
+  for (int64_t amount : {std::numeric_limits<int64_t>::max(),
+                         std::numeric_limits<int64_t>::min(), int64_t{0},
+                         int64_t{99}, int64_t{500001}}) {
+    SCOPED_TRACE(amount);
+    AriaBatchResult r = executor.ExecuteBatch({payment(3, amount)});
+    EXPECT_EQ(r.committed, 0);
+    EXPECT_EQ(r.logic_aborts, 1);
+  }
+  EXPECT_EQ(store.Snapshot(), before);
 }
 
 TEST(TpccTest, PaymentsOnSameWarehouseConflictInBatch) {
