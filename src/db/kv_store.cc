@@ -13,16 +13,23 @@ namespace {
 
 uint64_t g_hash_seed = 0;
 
+using Blocks = std::vector<std::unique_ptr<uint8_t[]>>;
+
 constexpr uint64_t kEmptySlot = std::numeric_limits<uint64_t>::max();
 constexpr size_t kMinSlots = 16;
+/// Row references are 32 bits: 16 of block index, 16 of offset.
 constexpr int kOffsetBits = 16;
-constexpr size_t kBlockBytes = size_t{1} << kOffsetBits;
+static_assert(KvStore::kBlockBytes == size_t{1} << kOffsetBits);
+constexpr size_t kMaxBlocks = size_t{1} << (32 - kOffsetBits);
 /// A row longer than this gets a block of its own, so a block that a row
 /// does not fit in wastes less than a quarter of itself.
-constexpr size_t kOwnBlockRow = kBlockBytes / 4;
-/// Row references are 32 bits: 16 of block index, 16 of offset.
-constexpr size_t kMaxBlocks = size_t{1} << (32 - kOffsetBits);
-constexpr size_t kNoBlock = std::numeric_limits<size_t>::max();
+constexpr size_t kOwnBlockRow = KvStore::kBlockBytes / 4;
+
+uint32_t RefOf(uint64_t slot) { return static_cast<uint32_t>(slot); }
+uint32_t HashOf(uint64_t slot) { return static_cast<uint32_t>(slot >> 32); }
+uint64_t MakeSlot(uint32_t hash, uint32_t ref) {
+  return static_cast<uint64_t>(hash) << 32 | ref;
+}
 
 uint8_t* WriteVarint(uint8_t* p, uint64_t v) {
   while (v >= 0x80) {
@@ -52,29 +59,26 @@ size_t RowSize(size_t key_size, size_t value_size) {
          value_size;
 }
 
-/// One decoded row header: where its key and value are, and its length.
+/// One stored row: where it starts, its key and value, and its length.
 struct Row {
+  uint8_t* begin;
   std::string_view key;
   uint8_t* value;
   size_t value_size;
   size_t size;
 };
 
-Row ReadRow(uint8_t* p) {
+/// Decodes the row a slot refers to.
+Row ReadRow(const Blocks& blocks, uint64_t slot) {
+  const uint32_t ref = RefOf(slot);
+  uint8_t* begin =
+      blocks[ref >> kOffsetBits].get() + (ref & (KvStore::kBlockBytes - 1));
   size_t key_size = 0, value_size = 0;
-  size_t header = ReadVarint(p, &key_size);
-  header += ReadVarint(p + header, &value_size);
-  uint8_t* data = p + header;
-  return Row{{reinterpret_cast<const char*>(data), key_size},
-             data + key_size,
-             value_size,
-             header + key_size + value_size};
-}
-
-uint32_t RefOf(uint64_t slot) { return static_cast<uint32_t>(slot); }
-uint32_t HashOf(uint64_t slot) { return static_cast<uint32_t>(slot >> 32); }
-uint64_t MakeSlot(uint32_t hash, uint32_t ref) {
-  return static_cast<uint64_t>(hash) << 32 | ref;
+  size_t header = ReadVarint(begin, &key_size);
+  header += ReadVarint(begin + header, &value_size);
+  uint8_t* key = begin + header;
+  return Row{begin, {reinterpret_cast<const char*>(key), key_size},
+             key + key_size, value_size, header + key_size + value_size};
 }
 
 }  // namespace
@@ -82,10 +86,6 @@ uint64_t MakeSlot(uint32_t hash, uint32_t ref) {
 void KvStore::SetHashSeedForTest(uint64_t seed) { g_hash_seed = seed; }
 
 uint64_t KvStore::hash_seed() { return g_hash_seed; }
-
-KvStore::KvStore() : fill_block_(kNoBlock), seed_(hash_seed()) {}
-
-KvStore::~KvStore() = default;
 
 uint32_t KvStore::Hash(std::string_view key) const {
   // SplitMix64's finalizer over the seeded std::hash spreads every input
@@ -99,24 +99,18 @@ uint32_t KvStore::Hash(std::string_view key) const {
   return static_cast<uint32_t>(h >> 32);
 }
 
-uint8_t* KvStore::RowAt(uint32_t ref) const {
-  return blocks_[ref >> kOffsetBits].get() + (ref & (kBlockBytes - 1));
-}
-
 size_t KvStore::Probe(std::string_view key, uint32_t hash) const {
   const size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     const uint64_t slot = slots_[i];
     if (slot == kEmptySlot) return i;
-    if (HashOf(slot) == hash && ReadRow(RowAt(RefOf(slot))).key == key)
-      return i;
+    if (HashOf(slot) == hash && ReadRow(blocks_, slot).key == key) return i;
   }
 }
 
 uint32_t KvStore::Allocate(size_t n, uint8_t** out) {
   const bool own_block = n > kOwnBlockRow;
-  if (!own_block && fill_block_ != kNoBlock &&
-      fill_used_ + n <= kBlockBytes) {
+  if (!own_block && fill_used_ + n <= kBlockBytes) {
     const size_t offset = fill_used_;
     fill_used_ += n;
     *out = blocks_[fill_block_].get() + offset;
@@ -131,7 +125,7 @@ uint32_t KvStore::Allocate(size_t n, uint8_t** out) {
   *out = blocks_.back().get();
   const size_t index = blocks_.size() - 1;
   if (!own_block) {
-    if (fill_block_ != kNoBlock) waste_bytes_ += kBlockBytes - fill_used_;
+    waste_bytes_ += kBlockBytes - fill_used_;
     fill_block_ = index;
     fill_used_ = n;
   }
@@ -154,22 +148,20 @@ void KvStore::Grow() {
 }
 
 void KvStore::Compact() {
-  std::vector<std::unique_ptr<uint8_t[]>> old;
+  Blocks old;
   old.swap(blocks_);
-  fill_block_ = kNoBlock;
-  fill_used_ = 0;
+  fill_block_ = 0;
+  fill_used_ = kBlockBytes;
   block_bytes_ = 0;
   waste_bytes_ = 0;
   // The walk order decides only which block and offset each row lands at,
   // and no result reads a reference: Get and Put find rows by key.
   for (uint64_t& slot : slots_) {
     if (slot == kEmptySlot) continue;
-    const uint32_t ref = RefOf(slot);
-    uint8_t* from = old[ref >> kOffsetBits].get() + (ref & (kBlockBytes - 1));
-    const size_t n = ReadRow(from).size;
+    const Row row = ReadRow(old, slot);
     uint8_t* to = nullptr;
-    slot = MakeSlot(HashOf(slot), Allocate(n, &to));
-    std::memcpy(to, from, n);
+    slot = MakeSlot(HashOf(slot), Allocate(row.size, &to));
+    std::memcpy(to, row.begin, row.size);
   }
 }
 
@@ -177,7 +169,7 @@ std::optional<Bytes> KvStore::Get(std::string_view key) const {
   if (!slots_.empty()) {
     const uint64_t slot = slots_[Probe(key, Hash(key))];
     if (slot != kEmptySlot) {
-      const Row row = ReadRow(RowAt(RefOf(slot)));
+      const Row row = ReadRow(blocks_, slot);
       return Bytes(row.value, row.value + row.value_size);
     }
   }
@@ -195,7 +187,7 @@ void KvStore::Put(std::string key, Bytes value) {
     }
     ++size_;
   } else {
-    const Row row = ReadRow(RowAt(RefOf(slots_[i])));
+    const Row row = ReadRow(blocks_, slots_[i]);
     if (row.value_size == value.size()) {
       if (!value.empty()) std::memcpy(row.value, value.data(), value.size());
       return;
@@ -215,9 +207,9 @@ void KvStore::Put(std::string key, Bytes value) {
 
 void KvStore::Reset() {
   std::vector<uint64_t>().swap(slots_);
-  std::vector<std::unique_ptr<uint8_t[]>>().swap(blocks_);
-  fill_block_ = kNoBlock;
-  fill_used_ = 0;
+  Blocks().swap(blocks_);
+  fill_block_ = 0;
+  fill_used_ = kBlockBytes;
   size_ = 0;
   block_bytes_ = 0;
   live_bytes_ = 0;
@@ -235,7 +227,7 @@ std::vector<std::pair<std::string, Bytes>> KvStore::Snapshot() const {
   // escapes removes that order.
   for (uint64_t slot : slots_) {
     if (slot == kEmptySlot) continue;
-    const Row row = ReadRow(RowAt(RefOf(slot)));
+    const Row row = ReadRow(blocks_, slot);
     entries.emplace_back(std::string(row.key),
                          Bytes(row.value, row.value + row.value_size));
   }
@@ -250,7 +242,7 @@ uint64_t KvStore::StateFingerprint() const {
   // is the same in every order.
   for (uint64_t slot : slots_) {
     if (slot == kEmptySlot) continue;
-    const Row row = ReadRow(RowAt(RefOf(slot)));
+    const Row row = ReadRow(blocks_, slot);
     uint64_t h = std::hash<std::string_view>{}(row.key);
     for (size_t j = 0; j < row.value_size; ++j)
       h = h * 1099511628211ULL + row.value[j];

@@ -26,10 +26,10 @@ namespace massbft {
 ///
 /// Layout (DESIGN.md §18). Each written row is stored once, as (varint key
 /// length, varint value length, key, value), in an append-only arena of
-/// 64 KiB blocks that never move; a row longer than a quarter block gets a
-/// block of its own. One open-addressing index, a power-of-two table probed
-/// linearly at load ≤ 3/4, holds an 8-byte slot per key: 32 hash bits and a
-/// 32-bit row reference (block << 16 | offset). A probe reads a row only
+/// 64 KiB blocks that never move. One open-addressing index, a power-of-two
+/// table probed linearly at load ≤ 3/4, holds an 8-byte slot per key: 32
+/// hash bits and a 32-bit row reference (block << 16 | offset). A probe
+/// reads a row only
 /// when the hash bits match, and growth re-places slots from their hash
 /// bits without reading rows. `Put` overwrites a value in place when its
 /// size is unchanged; otherwise it appends the row again and the old bytes
@@ -42,8 +42,11 @@ class KvStore {
   using DefaultValueFn =
       std::function<std::optional<Bytes>(std::string_view key)>;
 
-  KvStore();
-  ~KvStore();
+  /// Rows are appended into blocks of this size; a row longer than a
+  /// quarter block gets a block of its own.
+  static constexpr size_t kBlockBytes = 64 * 1024;
+
+  KvStore() = default;
 
   /// Registers the lazy initial-state synthesizer.
   void SetDefaultValueFn(DefaultValueFn fn) { default_fn_ = std::move(fn); }
@@ -88,7 +91,6 @@ class KvStore {
   /// Returns the slot holding `key`, or the empty slot where it belongs.
   size_t Probe(std::string_view key, uint32_t hash) const;
   uint32_t Hash(std::string_view key) const;
-  uint8_t* RowAt(uint32_t ref) const;
   /// Claims `n` bytes for a row and returns its reference.
   uint32_t Allocate(size_t n, uint8_t** out);
   void Grow();
@@ -97,14 +99,15 @@ class KvStore {
   /// The index: (hash << 32 | row reference) per key, or kEmptySlot.
   std::vector<uint64_t> slots_;
   std::vector<std::unique_ptr<uint8_t[]>> blocks_;
-  /// Index of the block being filled (kNoBlock if none) and its fill.
-  size_t fill_block_;
-  size_t fill_used_ = 0;
+  /// The block rows are appended to, and its bytes in use; a full fill
+  /// means the next row starts a new block.
+  size_t fill_block_ = 0;
+  size_t fill_used_ = kBlockBytes;
   size_t size_ = 0;
   size_t block_bytes_ = 0;
   size_t live_bytes_ = 0;
   size_t waste_bytes_ = 0;
-  uint64_t seed_;
+  uint64_t seed_ = hash_seed();
   DefaultValueFn default_fn_;
 };
 
