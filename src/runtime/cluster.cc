@@ -366,15 +366,20 @@ std::string RealCluster::HealthJson() {
         uint64_t executed;
         bool rejoined;
         GroupNode::Retained retained;
+        uint64_t store_keys;
+        uint64_t store_bytes;
       };
       // One inspection hop per node; a stopped runtime answers inline.
       const Progress progress = raw->Call([](GroupNode& n) {
-        return Progress{n.executed_entries(), n.rejoined(), n.retained()};
+        return Progress{n.executed_entries(), n.rejoined(), n.retained(),
+                        n.store().materialized_size(), n.store().bytes()};
       });
       w.Member("executed_entries", progress.executed);
       w.Member("rejoined", progress.rejoined);
       w.Member("retained_entries", progress.retained.entries);
       w.Member("retained_payload_bytes", progress.retained.payload_bytes);
+      w.Member("store_keys", progress.store_keys);
+      w.Member("store_bytes", progress.store_bytes);
       const Transport::Stats stats = raw->transport().stats();
       w.Member("reconnects", stats.reconnects);
       w.Member("send_errors", stats.send_errors);

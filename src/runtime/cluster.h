@@ -149,8 +149,9 @@ class RealCluster {
   /// Prometheus text exposition of every node's metrics registry.
   std::string MetricsText();
   /// Cluster-health JSON: per-node liveness, progress, queue depth,
-  /// retained entries and transport health, plus cluster-wide commit/fault
-  /// counters and the process's resident set size.
+  /// retained entries, store keys and bytes and transport health, plus
+  /// cluster-wide commit/fault counters and the process's resident set
+  /// size.
   std::string HealthJson();
   /// Dumps every node's flight recorder to stderr (called on agreement
   /// failure / drain timeout so the last events before the failure are in

@@ -284,6 +284,8 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"rss_kb\""), std::string::npos);
   EXPECT_NE(health.find("\"retained_entries\""), std::string::npos);
   EXPECT_NE(health.find("\"retained_payload_bytes\""), std::string::npos);
+  EXPECT_NE(health.find("\"store_keys\""), std::string::npos);
+  EXPECT_NE(health.find("\"store_bytes\""), std::string::npos);
 
   // The commit samples filled the real-mode timeline, and some bucket saw
   // commits.
