@@ -187,6 +187,13 @@ void BM_ZipfNext(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfNext);
 
+/// The store's heap bytes (index plus blocks) per written row.
+double StoreBytesPerRow(const KvStore& store) {
+  if (store.materialized_size() == 0) return 0;
+  return static_cast<double>(store.bytes()) /
+         static_cast<double>(store.materialized_size());
+}
+
 void BM_AriaBatch(benchmark::State& state) {
   auto workload = MakeWorkload(WorkloadKind::kYcsbA, 1.0);
   KvStore store;
@@ -199,6 +206,7 @@ void BM_AriaBatch(benchmark::State& state) {
                                 workload->NextPayload(rng)});
   for (auto _ : state) benchmark::DoNotOptimize(executor.ExecuteBatch(batch));
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["store_bytes_per_row"] = StoreBytesPerRow(store);
 }
 BENCHMARK(BM_AriaBatch)->Arg(37)->Arg(270);
 
@@ -206,7 +214,8 @@ BENCHMARK(BM_AriaBatch)->Arg(37)->Arg(270);
 // batches of 8 (its core.txns_per_entry is 7.8) over 128 warehouses. The
 // loop cycles through one 2 s sub-run's worth of transactions (2,400 at
 // 1.2k txn/s), so the store grows as it does in a sub-run, then starts
-// again from the pristine state.
+// again from the pristine state. store_bytes_per_row is read from the
+// full store just before a reset (from the partial one if none happened).
 void BM_AriaBatchTpcc(benchmark::State& state) {
   constexpr int kTxnsPerSubRun = 2400;
   const int batch_size = static_cast<int>(state.range(0));
@@ -222,16 +231,20 @@ void BM_AriaBatchTpcc(benchmark::State& state) {
     for (int i = 0; i < batch_size; ++i)
       batch.push_back(Transaction{id++, 0, 0, workload->NextPayload(rng)});
   size_t next = 0;
+  double bytes_per_row = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.ExecuteBatch(batches[next]));
     if (++next == batches.size()) {
       state.PauseTiming();
+      bytes_per_row = StoreBytesPerRow(store);
       store.Reset();
       next = 0;
       state.ResumeTiming();
     }
   }
   state.SetItemsProcessed(state.iterations() * batch_size);
+  state.counters["store_bytes_per_row"] =
+      bytes_per_row > 0 ? bytes_per_row : StoreBytesPerRow(store);
 }
 BENCHMARK(BM_AriaBatchTpcc)->Arg(8);
 
