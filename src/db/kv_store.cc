@@ -179,8 +179,9 @@ std::optional<Bytes> KvStore::Get(std::string_view key) const {
 
 void KvStore::Put(std::string key, Bytes value) {
   const uint32_t hash = Hash(key);
-  size_t i = slots_.empty() ? 0 : Probe(key, hash);
-  if (slots_.empty() || slots_[i] == kEmptySlot) {
+  if (slots_.empty()) Grow();
+  size_t i = Probe(key, hash);
+  if (slots_[i] == kEmptySlot) {
     if ((size_ + 1) * 4 > slots_.size() * 3) {
       Grow();
       i = Probe(key, hash);

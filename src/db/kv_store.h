@@ -29,13 +29,12 @@ namespace massbft {
 /// 64 KiB blocks that never move. One open-addressing index, a power-of-two
 /// table probed linearly at load ≤ 3/4, holds an 8-byte slot per key: 32
 /// hash bits and a 32-bit row reference (block << 16 | offset). A probe
-/// reads a row only
-/// when the hash bits match, and growth re-places slots from their hash
-/// bits without reading rows. `Put` overwrites a value in place when its
-/// size is unchanged; otherwise it appends the row again and the old bytes
-/// become waste, as does the unused end of a block a row did not fit in.
-/// Once waste exceeds the live row bytes, the live rows are rewritten into
-/// fresh blocks, so the blocks never hold much more than twice the live
+/// reads a row only when the hash bits match, and growth re-places slots
+/// from their hash bits without reading rows. `Put` overwrites a value in
+/// place when its size is unchanged; otherwise it appends the row again and
+/// the old bytes become waste, as does the unused end of a block a row did
+/// not fit in. Once waste exceeds the live row bytes, the live rows are
+/// rewritten into fresh blocks, so the blocks hold at most twice the live
 /// rows plus the block being filled.
 class KvStore {
  public:
@@ -88,7 +87,8 @@ class KvStore {
   static uint64_t hash_seed();
 
  private:
-  /// Returns the slot holding `key`, or the empty slot where it belongs.
+  /// Returns the slot holding `key`, or the empty slot where it belongs;
+  /// the index must have slots.
   size_t Probe(std::string_view key, uint32_t hash) const;
   uint32_t Hash(std::string_view key) const;
   /// Claims `n` bytes for a row and returns its reference.

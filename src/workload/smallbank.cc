@@ -9,8 +9,8 @@ namespace massbft {
 namespace {
 
 constexpr size_t kPayloadBytes = 108;  // Paper's average SmallBank txn size.
-// The amounts NextPayload draws, in cents. Parse rejects any other, so no
-// client amount can overflow a balance during execution.
+// The amounts NextPayload draws, in cents. Parse rejects any other, so a
+// client cannot pick an amount that overflows a balance in execution.
 constexpr int64_t kMinAmount = 1;
 constexpr int64_t kMaxAmount = 10000;
 

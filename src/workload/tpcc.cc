@@ -13,7 +13,8 @@ constexpr uint8_t kOpNewOrder = 1;
 constexpr uint8_t kOpPayment = 2;
 constexpr int kMaxOrderLines = 15;
 // The Payment amounts NextPayload draws, in cents ($1 .. $5000). Parse
-// rejects any other, so no client amount can overflow a row.
+// rejects any other, so a client cannot pick an amount that overflows a
+// row in execution.
 constexpr int64_t kMinPayment = 100;
 constexpr int64_t kMaxPayment = 500000;
 
