@@ -62,8 +62,9 @@ struct ProtocolConfig {
   /// ISS epoch length (paper: 0.1 s nationwide, 0.5 s worldwide).
   SimTime epoch_length = 100 * kMillisecond;
 
-  /// MassBFT fault detection.
-  SimTime heartbeat_interval = 150 * kMillisecond;
+  /// MassBFT fault detection: a group leader silent for this long is
+  /// taken over (heartbeats go out every
+  /// GlobalMembership::kHeartbeatInterval).
   SimTime group_crash_timeout = 2 * kSecond;
 
   CpuModel cpu;

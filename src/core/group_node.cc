@@ -11,6 +11,10 @@ namespace massbft {
 
 namespace {
 
+bool IsEmpty(const GroupRelay& relay) {
+  return relay.commits.empty() && relay.stamps.empty() && relay.seals.empty();
+}
+
 /// Deterministic tampering applied by colluding Byzantine nodes (Fig 15):
 /// flip one payload byte, which changes the entry digest and thus every
 /// chunk's Merkle root.
@@ -31,7 +35,9 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
       ctx_(ctx),
       fault_(fault),
       tel_(ctx->telemetry),
-      trace_track_(obs::Telemetry::NodeTrack(id.Packed())) {
+      trace_track_(obs::Telemetry::NodeTrack(id.Packed())),
+      membership_(ctx->topology->num_groups(), id.group,
+                  config.group_crash_timeout) {
   ctx_->registry->RegisterNode(id);
 
   // ---- Observability handles (counters are cheap; the registry is
@@ -174,9 +180,8 @@ void GroupNode::Start() {
       After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
     }
     if (config_.kind == ProtocolKind::kMassBft) {
-      for (int g = 0; g < num_groups(); ++g)
-        last_heartbeat_[static_cast<uint16_t>(g)] = Now();
-      After(config_.heartbeat_interval,
+      membership_.Start(Now());
+      After(GlobalMembership::kHeartbeatInterval,
             [this, epoch] { OnHeartbeatTimer(epoch); });
     }
   }
@@ -614,29 +619,14 @@ void GroupNode::SetupRaft() {
 }
 
 void GroupNode::RelayToGroup(GroupRelay relay) {
-  // While syncing after recovery, live stamps wait until the catch-up
-  // history is applied (the ordering engine's inference relies on
-  // per-assigner non-decreasing delivery, paper Section V-D).
-  if (syncing_ && !relay.replay) {
-    sync_buffer_.insert(sync_buffer_.end(), relay.stamps.begin(),
-                        relay.stamps.end());
-    relay.stamps.clear();
-  }
   const bool ends_sync = relay.replay;
-  if (!relay.commits.empty() || !relay.stamps.empty() ||
-      !relay.seals.empty()) {
+  membership_.HoldBack(&relay);
+  if (!IsEmpty(relay)) {
     ApplyRelay(relay);
     BroadcastLan(NewMessage(MessageType::kGroupRelay, std::move(relay)));
   }
-  if (ends_sync) FinishSync();
-}
-
-void GroupNode::FinishSync() {
-  if (!syncing_) return;
-  syncing_ = false;
-  GroupRelay buffered;
-  buffered.stamps.swap(sync_buffer_);
-  RelayToGroup(std::move(buffered));
+  // The catch-up history is in; the stamps held back follow it.
+  if (ends_sync) RelayToGroup(membership_.CloseSyncWindow());
 }
 
 void GroupNode::ApplyRelay(const GroupRelay& relay) {
@@ -665,10 +655,7 @@ void GroupNode::ApplyRelay(const GroupRelay& relay) {
     ordering_->Poke();
   }
   for (const TimestampElement& stamp : relay.stamps) {
-    uint64_t& seen = max_ts_seen_[stamp.assigner_gid];
-    seen = std::max(seen, stamp.ts);
-    recorded_vts_[Key{stamp.target_gid, stamp.target_seq}]
-                 [stamp.assigner_gid] = stamp.ts;
+    membership_.OnStampApplied(stamp);
     ordering_->OnTimestamp(stamp.assigner_gid, stamp.target_gid,
                            stamp.target_seq, stamp.ts);
     ordering_->Poke();
@@ -680,10 +667,9 @@ void GroupNode::ApplyRelay(const GroupRelay& relay) {
 }
 
 void GroupNode::RelayToAll(GroupRelay relay) {
+  if (IsEmpty(relay)) return;
   auto msg = NewMessage(MessageType::kGroupRelay, relay);
-  for (int g = 0; g < num_groups(); ++g)
-    if (g != my_group() && !dead_groups_.contains(static_cast<uint16_t>(g)))
-      SendWan(LeaderOf(g), msg);
+  for (uint16_t g : membership_.LivePeers()) SendWan(LeaderOf(g), msg);
   RelayToGroup(std::move(relay));
 }
 
@@ -710,16 +696,10 @@ void GroupNode::OnRaftCommitted(uint16_t gid, uint64_t seq) {
     RelayToGroup(GroupRelay{.commits = {{key.first, key.second}}});
   }
 
-  // Crash takeover: stamp the dead groups' frozen clocks onto this entry
-  // (only once the freeze round agreed on the value; earlier commits are
-  // covered by EmitTakeoverTimestamps via unexecuted_committed_).
-  GroupRelay takeover;
-  for (uint16_t dead : dead_groups_) {
-    if (raft_->HasTakenOver(dead) && frozen_clock_.contains(dead))
-      takeover.stamps.push_back(
-          TimestampElement{dead, key.first, key.second, frozen_clock_[dead]});
-  }
-  if (!takeover.stamps.empty()) RelayToAll(std::move(takeover));
+  // Crash takeover: the frozen clocks of the instances this leader holds
+  // stamp this entry too (earlier commits got theirs when the freeze round
+  // closed).
+  RelayToAll(membership_.FrozenStamps(key.first, key.second));
 }
 
 void GroupNode::OnAcceptObserved(uint16_t gid, uint64_t seq,
@@ -787,66 +767,18 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   auto hb = NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
-  CheckGroupLiveness();
-  After(config_.heartbeat_interval,
+  for (uint16_t silent : membership_.SilentGroups(Now())) {
+    if (!membership_.Suspect(silent) || raft_ == nullptr) continue;
+    raft_->TakeOverInstance(silent);
+    GlobalMembership::FreezeStart round =
+        membership_.OpenFreezeRound(silent, unexecuted_committed_);
+    for (uint16_t g : round.query)
+      SendWan(LeaderOf(g),
+              NewMessage(MessageType::kFreezeQuery, Freeze{silent, 0}));
+    RelayToAll(std::move(round.stamps));
+  }
+  After(GlobalMembership::kHeartbeatInterval,
         [this, epoch] { OnHeartbeatTimer(epoch); });
-}
-
-void GroupNode::CheckGroupLiveness() {
-  for (int g = 0; g < num_groups(); ++g) {
-    uint16_t gid = static_cast<uint16_t>(g);
-    if (g == my_group() || dead_groups_.contains(gid)) continue;
-    if (Now() - last_heartbeat_[gid] > config_.group_crash_timeout)
-      StartTakeover(gid);
-  }
-}
-
-void GroupNode::StartTakeover(uint16_t dead_gid) {
-  dead_groups_.insert(dead_gid);
-  // The lowest-id alive group's leader represents the crashed group's Raft
-  // instance and freezes its clock (paper Section V-C, "Crashed Groups").
-  int takeover = -1;
-  for (int g = 0; g < num_groups(); ++g) {
-    if (g == dead_gid || dead_groups_.contains(static_cast<uint16_t>(g)))
-      continue;
-    takeover = g;
-    break;
-  }
-  if (takeover != my_group() || raft_ == nullptr) return;
-  raft_->TakeOverInstance(dead_gid);
-
-  // Freeze agreement round: a stamp the dying group issued may have
-  // reached only some groups; assigning a lower frozen value would break
-  // per-assigner monotonicity (and with it, deterministic ordering). Ask
-  // every alive leader for its highest observed stamp first.
-  FreezeRound& round = freeze_rounds_[dead_gid];
-  round.expected.clear();
-  for (int g = 0; g < num_groups(); ++g) {
-    uint16_t gid = static_cast<uint16_t>(g);
-    if (g == my_group() || dead_groups_.contains(gid)) continue;
-    round.expected.insert(gid);
-    SendWan(LeaderOf(g),
-            NewMessage(MessageType::kFreezeQuery, Freeze{dead_gid, 0}));
-  }
-  round.max_seen = max_ts_seen_[dead_gid];
-  if (round.expected.empty()) FinishFreezeRound(dead_gid);
-}
-
-void GroupNode::FinishFreezeRound(uint16_t dead_gid) {
-  FreezeRound& round = freeze_rounds_[dead_gid];
-  frozen_clock_[dead_gid] =
-      std::max(round.max_seen, max_ts_seen_[dead_gid]);
-  max_ts_seen_[dead_gid] = frozen_clock_[dead_gid];
-  EmitTakeoverTimestamps(dead_gid);
-}
-
-void GroupNode::EmitTakeoverTimestamps(uint16_t dead_gid) {
-  uint64_t frozen = frozen_clock_[dead_gid];
-  GroupRelay takeover;
-  for (const Key& key : unexecuted_committed_)
-    takeover.stamps.push_back(
-        TimestampElement{dead_gid, key.first, key.second, frozen});
-  if (!takeover.stamps.empty()) RelayToAll(std::move(takeover));
 }
 
 // -------------------------------------------------- Ordering & execution
@@ -864,7 +796,7 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   MASSBFT_CHECK(rec.payload_available && !rec.executed);
   rec.executed = true;
   unexecuted_committed_.erase(key);
-  executed_next_[gid] = std::max(executed_next_[gid], seq + 1);
+  membership_.OnExecuted(gid, seq);
   execution_log_.emplace_back(gid, seq);
   const EntryPtr& entry = rec.entry;
   // Nothing reads an executed entry's chunks again (ClusterContext).
@@ -951,9 +883,10 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       if (raft_ != nullptr) raft_->OnCommit(BodyOf<RaftCommit>(msg));
       break;
     case MessageType::kGroupHeartbeat:
-      // A heartbeat speaks for its sender's group.
-      last_heartbeat_[from.group] = Now();
-      if (dead_groups_.contains(from.group)) OnGroupRejoined(from.group);
+      // A heartbeat speaks for its sender's group. A suspected group is
+      // back: its instance goes back to it (paper Section V-C).
+      if (membership_.OnHeartbeat(from.group, Now()) && raft_ != nullptr)
+        raft_->ReleaseInstance(from.group);
       break;
     case MessageType::kGroupRelay: {
       // Ordering facts pass leader to leader, then leader to group. A
@@ -983,21 +916,16 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
     case MessageType::kFreezeQuery: {
       if (!IsPeerGroupLeader(from)) break;
       const uint16_t dead_gid = BodyOf<Freeze>(msg).dead_gid;
-      SendWan(from, NewMessage(MessageType::kFreezeReport,
-                               Freeze{dead_gid, max_ts_seen_[dead_gid]}));
+      SendWan(from,
+              NewMessage(MessageType::kFreezeReport,
+                         Freeze{dead_gid, membership_.HighestStamp(dead_gid)}));
       break;
     }
-    case MessageType::kFreezeReport: {
-      if (!IsPeerGroupLeader(from)) break;
-      const auto& report = BodyOf<Freeze>(msg);
-      auto it = freeze_rounds_.find(report.dead_gid);
-      if (it == freeze_rounds_.end()) break;
-      FreezeRound& round = it->second;
-      round.max_seen = std::max(round.max_seen, report.max_seen);
-      round.expected.erase(from.group);
-      if (round.expected.empty()) FinishFreezeRound(report.dead_gid);
+    case MessageType::kFreezeReport:
+      if (IsPeerGroupLeader(from))
+        RelayToAll(membership_.OnFreezeReport(
+            from.group, BodyOf<Freeze>(msg), unexecuted_committed_));
       break;
-    }
     default:
       MASSBFT_LOG(kWarn) << "unhandled message type " << message->type();
   }
@@ -1011,28 +939,21 @@ void GroupNode::Crash() {
 void GroupNode::Recover() {
   Actor::Recover();
   ++timer_epoch_;
-  rejoined_ = true;
+  membership_.Rejoin();
   Start();  // Restart batch/heartbeat/epoch timer chains.
   if (!IsGroupLeader()) return;
-  // Buffer live timestamps until the catch-up history is applied (with a
-  // failsafe flush in case the helper never responds).
-  syncing_ = true;
-  After(4 * kSecond, [this] { FinishSync(); });
-  // Ask every peer group's leader to replay what we missed; replies are
-  // deduplicated by the entry store. (Paper Section V-C: the recovered
-  // group resumes serving requests; the takeover group hands the Raft
-  // instance back once our heartbeats reappear.)
-  CatchUpRequest frontier;
-  for (int g = 0; g < num_groups(); ++g) {
-    uint16_t gid = static_cast<uint16_t>(g);
-    auto it = executed_next_.find(gid);
-    frontier.executed_next.push_back(
-        {gid, it != executed_next_.end() ? it->second : 0});
-  }
-  auto request =
-      NewMessage(MessageType::kCatchUpRequest, std::move(frontier));
-  // One helper suffices (and keeps the replay off every uplink); pick the
-  // lowest-id other group, which is also the takeover group by convention.
+  // Live timestamps wait until the catch-up history is applied, or until
+  // the failsafe if the helper never answers.
+  auto request = NewMessage(MessageType::kCatchUpRequest,
+                            membership_.OpenSyncWindow());
+  After(GlobalMembership::kSyncFailsafe,
+        [this] { RelayToGroup(membership_.CloseSyncWindow()); });
+  // A peer group's leader replays what we missed; replies are deduplicated
+  // by the entry store. (Paper Section V-C: the recovered group resumes
+  // serving requests; the takeover group hands the Raft instance back once
+  // our heartbeats reappear.) One helper suffices (and keeps the replay off
+  // every uplink); pick the lowest-id other group, which is also the
+  // takeover group by convention.
   for (int g = 0; g < num_groups(); ++g) {
     if (g == my_group()) continue;
     SendWan(LeaderOf(g), request);
@@ -1054,40 +975,19 @@ void GroupNode::Recover() {
 
 void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequest& msg) {
   if (!IsGroupLeader()) return;
-  // Requested frontiers, defaulting to 0.
-  std::map<uint16_t, uint64_t> frontier;
-  for (const auto& [gid, next] : msg.executed_next)
-    frontier[gid] = std::max(frontier[gid], next);
-
-  GroupRelay history{.replay = true};
-  for (const auto& [key, rec] : entries_) {
-    if (key.second < frontier[key.first]) continue;  // Already executed.
-    // Ship every payload we hold past the frontier — entries whose chunks
-    // were dropped while the requester was down may not be globally
-    // committed yet at snapshot time.
-    if (rec.payload_available)
-      SendWan(from, NewMessage(MessageType::kEntryTransfer,
-                               CertifiedEntry{rec.entry, rec.cert}));
-    if (!rec.globally_committed) continue;
-    history.commits.push_back({key.first, key.second});
-    auto vts = recorded_vts_.find(key);
-    if (vts != recorded_vts_.end())
-      for (const auto& [assigner, ts] : vts->second)
-        history.stamps.push_back(
-            TimestampElement{assigner, key.first, key.second, ts});
+  std::vector<GlobalMembership::EntryStatus> entries;
+  entries.reserve(entries_.size());
+  for (const auto& [key, rec] : entries_)
+    entries.push_back({key, rec.payload_available, rec.globally_committed});
+  GlobalMembership::CatchUpReply reply =
+      membership_.AnswerCatchUp(msg, entries);
+  for (const Key& key : reply.payloads) {
+    const EntryRecord& rec = entries_.at(key);
+    SendWan(from, NewMessage(MessageType::kEntryTransfer,
+                             CertifiedEntry{rec.entry, rec.cert}));
   }
-  // Replay must preserve per-assigner non-decreasing stamp order (the
-  // invariant Algorithm 2's inference relies on); recorded_vts_ iterates
-  // by entry, so sort by stamp value before shipping. The one relay ends
-  // the requester's sync, even when it holds no history.
-  std::ranges::stable_sort(history.stamps, {}, &TimestampElement::ts);
-  SendWan(from, NewMessage(MessageType::kGroupRelay, std::move(history)));
-}
-
-void GroupNode::OnGroupRejoined(uint16_t gid) {
-  dead_groups_.erase(gid);
-  if (raft_ != nullptr && raft_->HasTakenOver(gid))
-    raft_->ReleaseInstance(gid);  // Hand the instance back (Section V-C).
+  SendWan(from,
+          NewMessage(MessageType::kGroupRelay, std::move(reply.history)));
 }
 
 }  // namespace massbft

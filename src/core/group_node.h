@@ -14,6 +14,7 @@
 #include "consensus/pbft/pbft.h"
 #include "consensus/raft/raft.h"
 #include "core/config.h"
+#include "core/global_membership.h"
 #include "crypto/signature.h"
 #include "db/aria.h"
 #include "db/kv_store.h"
@@ -111,7 +112,7 @@ class GroupNode : public Actor {
   /// and quorums do not depend on its local order), but its locally
   /// re-derived execution interleaving is not authoritative — a production
   /// deployment installs a state snapshot instead of re-deriving history.
-  bool rejoined() const { return rejoined_; }
+  bool rejoined() const { return membership_.rejoined(); }
 
   /// The node that leads group `g`: it batches, proposes and speaks for
   /// its group. Without a view change this never moves.
@@ -224,15 +225,14 @@ class GroupNode : public Actor {
   /// its Raft or Steward commits, accept and takeover stamps, epoch seals,
   /// peer leaders' relays and catch-up history. Applies `relay`, then
   /// passes it on to the group. While syncing after recovery, live stamps
-  /// wait in the sync buffer; a `replay` relay ends the sync.
+  /// wait in the sync window; a `replay` relay ends the sync.
   void RelayToGroup(GroupRelay relay);
   /// Records ordering facts and feeds them to the ordering engine.
   void ApplyRelay(const GroupRelay& relay);
   /// For facts this leader originates for every group (its epoch seals,
-  /// takeover stamps): sends `relay` to the leader of every other group
-  /// not known dead, then relays it to this group.
+  /// takeover stamps): sends `relay`, unless empty, to the leader of every
+  /// other group not suspected, then relays it to this group.
   void RelayToAll(GroupRelay relay);
-  void FinishSync();
   void OnRaftCommitted(uint16_t gid, uint64_t seq);
   void OnAcceptObserved(uint16_t gid, uint64_t seq, uint16_t from_group,
                         uint64_t ts);
@@ -245,14 +245,9 @@ class GroupNode : public Actor {
   // ---- ISS epochs.
   void OnEpochTimer(uint64_t epoch);
 
-  // ---- MassBFT fault handling.
+  // ---- MassBFT fault handling (the decisions are membership_'s).
   void OnHeartbeatTimer(uint64_t epoch);
-  void CheckGroupLiveness();
-  void StartTakeover(uint16_t dead_gid);
-  void EmitTakeoverTimestamps(uint16_t dead_gid);
   void OnCatchUpRequest(NodeId from, const CatchUpRequest& msg);
-  void OnGroupRejoined(uint16_t gid);
-  void FinishFreezeRound(uint16_t dead_gid);
 
   // ---- Ordering & execution.
   bool CanExecute(uint16_t gid, uint64_t seq) const;
@@ -313,27 +308,11 @@ class GroupNode : public Actor {
 
   // MassBFT VTS state.
   uint64_t own_clock_ = 0;  // = number of own-group entries committed.
-  std::map<uint16_t, uint64_t> max_ts_seen_;  // Per assigner group.
-  std::set<uint16_t> dead_groups_;
-  std::map<uint16_t, SimTime> last_heartbeat_;
-  std::set<Key> unexecuted_committed_;  // For takeover stamping.
-  /// Per-instance execution frontier (next sequence this node would
-  /// execute) — drives catch-up after recovery.
-  std::map<uint16_t, uint64_t> executed_next_;
-  /// VTS elements retained per entry so peers can be caught up.
-  std::map<Key, std::map<uint16_t, uint64_t>> recorded_vts_;
-  /// Takeover freeze agreement (one round per dead group).
-  struct FreezeRound {
-    std::set<uint16_t> expected;
-    uint64_t max_seen = 0;
-  };
-  std::map<uint16_t, FreezeRound> freeze_rounds_;
-  std::map<uint16_t, uint64_t> frozen_clock_;
-  /// Recovery sync window: live stamps buffered until the catch-up
-  /// replay is applied.
-  bool syncing_ = false;
-  bool rejoined_ = false;
-  std::vector<TimestampElement> sync_buffer_;
+  /// Globally committed, not yet executed: the VTS liveness tick and the
+  /// takeover stamps read it.
+  std::set<Key> unexecuted_committed_;
+  /// Liveness, takeover, freeze rounds and catch-up (paper Section V-C).
+  GlobalMembership membership_;
 
   // Timer-chain epoch (bumped on crash so stale chains die).
   uint64_t timer_epoch_ = 0;
