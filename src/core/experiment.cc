@@ -10,6 +10,13 @@
 
 namespace massbft {
 
+namespace {
+
+/// Client <-> group leader round trip (clients are near their group).
+constexpr SimTime kClientRtt = 1 * kMillisecond;
+
+}  // namespace
+
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
 
 Experiment::~Experiment() = default;
@@ -132,7 +139,7 @@ void Experiment::SubmitNext(size_t client) {
   // delivery: the capture stays a 24-byte POD (inline in the event heap),
   // and since each closed-loop client draws from its own forked rng, the
   // payload bytes are identical either way.
-  sim_->Schedule(config_.client_rtt / 2, [this, client, submit_time] {
+  sim_->Schedule(kClientRtt / 2, [this, client, submit_time] {
     GroupNode* l = node(GroupNode::LeaderOf(clients_.group(client)));
     if (l == nullptr || l->crashed()) return;
     l->SubmitClientTxn(clients_.Next(client, *workload_, submit_time));
@@ -140,10 +147,10 @@ void Experiment::SubmitNext(size_t client) {
 }
 
 void Experiment::OnTxnCommitted(const Transaction& txn, SimTime commit_time) {
-  metrics_->RecordCommit(txn.submit_time, commit_time + config_.client_rtt / 2);
+  metrics_->RecordCommit(txn.submit_time, commit_time + kClientRtt / 2);
   std::optional<size_t> client = clients_.ClientOf(txn);
   if (!client.has_value()) return;
-  sim_->ScheduleAt(commit_time + config_.client_rtt,
+  sim_->ScheduleAt(commit_time + kClientRtt,
                    [this, c = *client] { SubmitNext(c); });
 }
 

@@ -46,8 +46,6 @@ struct ExperimentConfig {
   int clients_per_group = 400;
   SimTime duration = 12 * kSecond;
   SimTime warmup = 3 * kSecond;
-  /// Client <-> group leader round trip (clients are near their group).
-  SimTime client_rtt = 1 * kMillisecond;
   uint64_t seed = 42;
   FaultPlan faults;
   /// Execute on every node (agreement tests) instead of leaders only.

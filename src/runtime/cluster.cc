@@ -23,6 +23,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Wall-clock budget, after issuing stops, for every node to execute
+/// everything that committed before.
+constexpr std::chrono::seconds kDrainTimeout{20};
+
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
 }
@@ -268,10 +272,7 @@ bool RealCluster::DrainUntilStable() {
   // touch the store, so convergence is judged on state fingerprints: once
   // every replica holds the same fingerprint and no new transactions are
   // committing, all client work has been executed everywhere.
-  const auto deadline =
-      Clock::now() +
-      std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(config_.drain_timeout_seconds));
+  const auto deadline = Clock::now() + kDrainTimeout;
   uint64_t prev_committed = 0;
   bool had_stable_round = false;
   while (Clock::now() < deadline) {

@@ -31,9 +31,6 @@ struct RealClusterConfig {
   int clients_per_group = 16;
   /// Wall-clock transaction-issuing window.
   double duration_seconds = 3.0;
-  /// Extra wall-clock budget for every node to execute everything that
-  /// committed before issuing stopped.
-  double drain_timeout_seconds = 20.0;
   uint64_t seed = 42;
   /// Signature backend. Real clusters default to real ed25519 (RFC 8032);
   /// kSimulatedHmac remains available for apples-to-apples comparison with
