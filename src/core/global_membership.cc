@@ -5,10 +5,13 @@
 namespace massbft {
 
 GlobalMembership::GlobalMembership(int num_groups, uint16_t my_group,
-                                   SimTime crash_timeout)
+                                   SimTime crash_timeout,
+                                   obs::MetricsRegistry& metrics)
     : num_groups_(num_groups),
       my_group_(my_group),
-      crash_timeout_(crash_timeout) {}
+      crash_timeout_(crash_timeout),
+      late_stamps_(metrics.GetCounter("membership/late_stamps")),
+      takeovers_started_(metrics.GetCounter("membership/takeovers_started")) {}
 
 void GlobalMembership::Start(SimTime now) {
   for (int g = 0; g < num_groups_; ++g)
@@ -33,6 +36,7 @@ std::vector<uint16_t> GlobalMembership::SilentGroups(SimTime now) const {
 }
 
 bool GlobalMembership::Suspect(uint16_t gid) {
+  takeovers_started_->Add();
   dead_groups_.insert(gid);
   // The lowest-numbered live group's leader represents the silent group's
   // Raft instance and freezes its clock (paper Section V-C, "Crashed
@@ -101,6 +105,7 @@ std::vector<uint16_t> GlobalMembership::LivePeers() const {
 
 void GlobalMembership::OnStampApplied(const TimestampElement& stamp) {
   uint64_t& highest = max_ts_seen_[stamp.assigner_gid];
+  if (stamp.ts < highest) late_stamps_->Add();
   highest = std::max(highest, stamp.ts);
   recorded_vts_[Key{stamp.target_gid, stamp.target_seq}][stamp.assigner_gid] =
       stamp.ts;

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "proto/messages.h"
 #include "sim/time.h"
 
@@ -34,7 +35,12 @@ class GlobalMembership {
   /// history arrives.
   static constexpr SimTime kSyncFailsafe = 4 * kSecond;
 
-  GlobalMembership(int num_groups, uint16_t my_group, SimTime crash_timeout);
+  /// Counts in `metrics` what breaks Algorithm 2's input rules today:
+  /// stamps applied below their assigner's highest
+  /// ("membership/late_stamps") and takeovers started, one per suspected
+  /// group ("membership/takeovers_started").
+  GlobalMembership(int num_groups, uint16_t my_group, SimTime crash_timeout,
+                   obs::MetricsRegistry& metrics);
 
   // ---- Liveness and takeover (group leaders).
 
@@ -81,7 +87,8 @@ class GlobalMembership {
 
   // ---- Facts every node records.
 
-  /// This node applied `stamp`.
+  /// This node applied `stamp` (late when below the highest stamp applied
+  /// from its assigner so far).
   void OnStampApplied(const TimestampElement& stamp);
   /// The highest stamp applied from group `assigner` (a freeze report).
   uint64_t HighestStamp(uint16_t assigner) const;
@@ -134,6 +141,8 @@ class GlobalMembership {
   const int num_groups_;
   const uint16_t my_group_;
   const SimTime crash_timeout_;
+  obs::Counter* const late_stamps_;
+  obs::Counter* const takeovers_started_;
 
   std::set<uint16_t> dead_groups_;
   std::map<uint16_t, SimTime> last_heartbeat_;

@@ -37,7 +37,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
       tel_(ctx->telemetry),
       trace_track_(obs::Telemetry::NodeTrack(id.Packed())),
       membership_(ctx->topology->num_groups(), id.group,
-                  config.group_crash_timeout) {
+                  config.group_crash_timeout, ctx->telemetry->registry()) {
   ctx_->registry->RegisterNode(id);
 
   // ---- Observability handles (counters are cheap; the registry is
@@ -114,6 +114,8 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     ExecuteEntry(gid, seq);
   };
   if (IsGroupLeader()) order_cb.telemetry = tel_;
+  order_cb.stamps_below_inferred =
+      metrics_registry.GetCounter("vts/stamps_below_inferred");
   order_cb.trace_track = trace_track_;
   order_cb.now = [this] { return Now(); };
   ordering_ = MakeOrderingEngine(shape_.ordering, num_groups(),

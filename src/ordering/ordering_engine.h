@@ -43,6 +43,11 @@ class OrderingEngine {
     obs::Telemetry* telemetry = nullptr;
     uint32_t trace_track = 0;
     std::function<SimTime()> now;
+    /// Optional, and counted on every node, unlike the series above: stamps
+    /// that arrive below a bound the VTS engine had already inferred for
+    /// their element, which breaks its assumption that each assigner
+    /// stamps in non-decreasing order.
+    obs::Counter* stamps_below_inferred = nullptr;
   };
 
   OrderingEngine(int num_groups, Callbacks callbacks)

@@ -41,6 +41,9 @@ void VtsOrderingEngine::OnTimestamp(uint16_t assigner, uint16_t target_gid,
   if (target_seq >= heads_[target_gid]) {
     EntryState& e = GetEntry(target_gid, target_seq);
     if (!e.set[assigner]) {
+      // An unset element holds 0 or a bound inferred from earlier stamps.
+      if (ts < e.vts[assigner] && cb_.stamps_below_inferred != nullptr)
+        cb_.stamps_below_inferred->Add();
       e.vts[assigner] = ts;
       e.set[assigner] = true;
     }

@@ -369,11 +369,25 @@ std::string RealCluster::HealthJson() {
         GroupNode::Retained retained;
         uint64_t store_keys;
         uint64_t store_bytes;
+        // Breaches of Algorithm 2's input rules, and what causes them.
+        uint64_t late_stamps;
+        uint64_t stamps_below_inferred;
+        uint64_t takeovers_started;
       };
       // One inspection hop per node; a stopped runtime answers inline.
-      const Progress progress = raw->Call([](GroupNode& n) {
-        return Progress{n.executed_entries(), n.rejoined(), n.retained(),
-                        n.store().materialized_size(), n.store().bytes()};
+      const Progress progress = raw->Call([raw](GroupNode& n) {
+        obs::MetricsRegistry& metrics = raw->telemetry().registry();
+        auto count = [&metrics](const char* name) {
+          return metrics.GetCounter(name)->value();
+        };
+        return Progress{n.executed_entries(),
+                        n.rejoined(),
+                        n.retained(),
+                        n.store().materialized_size(),
+                        n.store().bytes(),
+                        count("membership/late_stamps"),
+                        count("vts/stamps_below_inferred"),
+                        count("membership/takeovers_started")};
       });
       w.Member("executed_entries", progress.executed);
       w.Member("rejoined", progress.rejoined);
@@ -381,6 +395,9 @@ std::string RealCluster::HealthJson() {
       w.Member("retained_payload_bytes", progress.retained.payload_bytes);
       w.Member("store_keys", progress.store_keys);
       w.Member("store_bytes", progress.store_bytes);
+      w.Member("late_stamps", progress.late_stamps);
+      w.Member("stamps_below_inferred", progress.stamps_below_inferred);
+      w.Member("takeovers_started", progress.takeovers_started);
       const Transport::Stats stats = raw->transport().stats();
       w.Member("reconnects", stats.reconnects);
       w.Member("send_errors", stats.send_errors);

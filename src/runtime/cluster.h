@@ -146,7 +146,8 @@ class RealCluster {
   /// Prometheus text exposition of every node's metrics registry.
   std::string MetricsText();
   /// Cluster-health JSON: per-node liveness, progress, queue depth,
-  /// retained entries, store keys and bytes and transport health, plus
+  /// retained entries, store keys and bytes, late stamps, stamps below an
+  /// inferred bound, takeovers started and transport health, plus
   /// cluster-wide commit/fault counters and the process's resident set
   /// size.
   std::string HealthJson();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/global_membership.h"
+#include "obs/metrics_registry.h"
 
 namespace massbft {
 namespace {
@@ -17,6 +18,19 @@ using Key = GlobalMembership::Key;
 using Groups = std::vector<uint16_t>;
 constexpr SimTime kTimeout = 2 * kSecond;
 
+class GlobalMembershipTest : public ::testing::Test {
+ protected:
+  GlobalMembership Make(int num_groups, uint16_t my_group) {
+    return GlobalMembership(num_groups, my_group, kTimeout, metrics_);
+  }
+  uint64_t Count(const char* name) {
+    return metrics_.GetCounter(name)->value();
+  }
+
+ private:
+  obs::MetricsRegistry metrics_;
+};
+
 std::vector<Key> CommitsOf(const GroupRelay& relay) {
   std::vector<Key> keys;
   for (const GroupRelay::Commit& commit : relay.commits)
@@ -24,8 +38,8 @@ std::vector<Key> CommitsOf(const GroupRelay& relay) {
   return keys;
 }
 
-TEST(GlobalMembershipTest, SilentGroupIsSuspectedOnceAndRejoinsOnHeartbeat) {
-  GlobalMembership m(3, /*my_group=*/0, kTimeout);
+TEST_F(GlobalMembershipTest, SilentGroupIsSuspectedOnceAndRejoinsOnHeartbeat) {
+  GlobalMembership m = Make(3, /*my_group=*/0);
   m.Start(0);
   m.OnHeartbeat(2, kSecond);
   m.OnHeartbeat(1, 3 * kSecond);
@@ -45,25 +59,25 @@ TEST(GlobalMembershipTest, SilentGroupIsSuspectedOnceAndRejoinsOnHeartbeat) {
   EXPECT_TRUE(m.SilentGroups(5 * kSecond).empty());
 }
 
-TEST(GlobalMembershipTest, OnlyTheLowestNumberedLiveGroupTakesOver) {
-  GlobalMembership group0(4, 0, kTimeout);
+TEST_F(GlobalMembershipTest, OnlyTheLowestNumberedLiveGroupTakesOver) {
+  GlobalMembership group0 = Make(4, 0);
   EXPECT_TRUE(group0.Suspect(2));
 
-  GlobalMembership group1(4, 1, kTimeout);
+  GlobalMembership group1 = Make(4, 1);
   EXPECT_FALSE(group1.Suspect(3));  // Group 0 is live.
   EXPECT_TRUE(group1.Suspect(0));   // Now group 1 is the lowest.
 
-  GlobalMembership group2(4, 2, kTimeout);
+  GlobalMembership group2 = Make(4, 2);
   EXPECT_FALSE(group2.Suspect(0));
   EXPECT_TRUE(group2.Suspect(1));
   EXPECT_EQ(group2.LivePeers(), Groups{3});
 }
 
-TEST(GlobalMembershipTest, FreezeRoundClosesOnceEveryPeerReportedAtTheMax) {
+TEST_F(GlobalMembershipTest, FreezeRoundClosesOnceEveryPeerReportedAtTheMax) {
   const std::set<Key> unexecuted = {{1, 0}};
   for (uint64_t own : {4u, 9u}) {
     SCOPED_TRACE(own);
-    GlobalMembership m(4, 0, kTimeout);
+    GlobalMembership m = Make(4, 0);
     m.OnStampApplied(TimestampElement{3, 1, 0, own});
     ASSERT_TRUE(m.Suspect(3));
     GlobalMembership::FreezeStart start = m.OpenFreezeRound(3, unexecuted);
@@ -80,12 +94,12 @@ TEST(GlobalMembershipTest, FreezeRoundClosesOnceEveryPeerReportedAtTheMax) {
   }
 
   // A report for a group this leader holds no round for is ignored.
-  GlobalMembership m(4, 0, kTimeout);
+  GlobalMembership m = Make(4, 0);
   EXPECT_TRUE(m.OnFreezeReport(1, Freeze{3, 7}, unexecuted).stamps.empty());
   EXPECT_EQ(m.HighestStamp(3), 0u);
 
   // With no live peer left to ask, the round closes at once.
-  GlobalMembership pair(2, 0, kTimeout);
+  GlobalMembership pair = Make(2, 0);
   pair.OnStampApplied(TimestampElement{1, 0, 0, 2});
   ASSERT_TRUE(pair.Suspect(1));
   GlobalMembership::FreezeStart alone = pair.OpenFreezeRound(1, {{0, 1}});
@@ -94,8 +108,8 @@ TEST(GlobalMembershipTest, FreezeRoundClosesOnceEveryPeerReportedAtTheMax) {
             (std::vector<TimestampElement>{TimestampElement{1, 0, 1, 2}}));
 }
 
-TEST(GlobalMembershipTest, UnexecutedAndLaterCommitsGetTheFrozenStamp) {
-  GlobalMembership m(3, 0, kTimeout);
+TEST_F(GlobalMembershipTest, UnexecutedAndLaterCommitsGetTheFrozenStamp) {
+  GlobalMembership m = Make(3, 0);
   ASSERT_TRUE(m.Suspect(2));
   EXPECT_TRUE(m.FrozenStamps(0, 5).stamps.empty());  // Not taken over yet.
   const std::set<Key> unexecuted = {{0, 1}, {1, 0}};
@@ -113,8 +127,8 @@ TEST(GlobalMembershipTest, UnexecutedAndLaterCommitsGetTheFrozenStamp) {
   EXPECT_TRUE(m.FrozenStamps(0, 6).stamps.empty());
 }
 
-TEST(GlobalMembershipTest, CatchUpHistoryIsOneSortedReplayPastTheFrontier) {
-  GlobalMembership m(3, 1, kTimeout);
+TEST_F(GlobalMembershipTest, CatchUpHistoryIsOneSortedReplayPastTheFrontier) {
+  GlobalMembership m = Make(3, 1);
   m.OnStampApplied(TimestampElement{1, 0, 0, 1});  // Below the frontier.
   m.OnStampApplied(TimestampElement{1, 0, 1, 6});
   m.OnStampApplied(TimestampElement{2, 0, 1, 4});
@@ -145,8 +159,8 @@ TEST(GlobalMembershipTest, CatchUpHistoryIsOneSortedReplayPastTheFrontier) {
   EXPECT_TRUE(empty.history.stamps.empty());
 }
 
-TEST(GlobalMembershipTest, LiveStampsWaitInTheSyncWindowUntilItCloses) {
-  GlobalMembership m(3, 1, kTimeout);
+TEST_F(GlobalMembershipTest, LiveStampsWaitInTheSyncWindowUntilItCloses) {
+  GlobalMembership m = Make(3, 1);
   m.OnExecuted(0, 3);
   m.OnExecuted(0, 1);
   m.OnExecuted(2, 0);
@@ -183,6 +197,34 @@ TEST(GlobalMembershipTest, LiveStampsWaitInTheSyncWindowUntilItCloses) {
   GroupRelay after{.stamps = {{2, 0, 5, 8}}};
   m.HoldBack(&after);
   EXPECT_EQ(after.stamps.size(), 1u);
+}
+
+TEST_F(GlobalMembershipTest, CountsStampsBelowTheirAssignersHighest) {
+  GlobalMembership m = Make(3, 0);
+  m.OnStampApplied(TimestampElement{1, 0, 0, 5});
+  m.OnStampApplied(TimestampElement{1, 0, 1, 5});  // Equal is in order.
+  m.OnStampApplied(TimestampElement{2, 0, 0, 1});  // Another assigner.
+  EXPECT_EQ(Count("membership/late_stamps"), 0u);
+  m.OnStampApplied(TimestampElement{1, 2, 0, 4});
+  EXPECT_EQ(Count("membership/late_stamps"), 1u);
+
+  // Group 1's own stamp, arriving below the value its takeover froze.
+  ASSERT_TRUE(m.Suspect(1));
+  ASSERT_EQ(m.OpenFreezeRound(1, {}).query, Groups{2});
+  m.OnFreezeReport(2, Freeze{1, 8}, {});
+  m.OnStampApplied(TimestampElement{1, 0, 2, 6});
+  EXPECT_EQ(Count("membership/late_stamps"), 2u);
+}
+
+TEST_F(GlobalMembershipTest, CountsEveryTakeoverStarted) {
+  // One per suspected group, whichever group then takes it over.
+  GlobalMembership group1 = Make(4, 1);
+  EXPECT_FALSE(group1.Suspect(3));
+  EXPECT_TRUE(group1.Suspect(0));
+  EXPECT_EQ(Count("membership/takeovers_started"), 2u);
+  EXPECT_TRUE(group1.OnHeartbeat(3, kSecond));
+  EXPECT_TRUE(group1.Suspect(3));
+  EXPECT_EQ(Count("membership/takeovers_started"), 3u);
 }
 
 }  // namespace

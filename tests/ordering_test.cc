@@ -5,9 +5,11 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics_registry.h"
 #include "ordering/ordering_engine.h"
 #include "ordering/round_ordering.h"
 #include "ordering/vts_ordering.h"
@@ -150,6 +152,25 @@ TEST(VtsOrderingTest, TieBrokenBySeqThenGid) {
   EXPECT_EQ(h.executed[2], (std::pair<uint16_t, uint64_t>{2, 0}));
   EXPECT_EQ(h.executed[3], (std::pair<uint16_t, uint64_t>{0, 1}));
   EXPECT_EQ(h.executed[4], (std::pair<uint16_t, uint64_t>{1, 1}));
+}
+
+TEST(VtsOrderingTest, CountsStampsBelowAnInferredBound) {
+  obs::MetricsRegistry metrics;
+  obs::Counter* below = metrics.GetCounter("vts/stamps_below_inferred");
+  OrderingEngine::Callbacks cb;
+  cb.can_execute = [](uint16_t, uint64_t) { return false; };
+  cb.execute = [](uint16_t, uint64_t) {};
+  cb.stamps_below_inferred = below;
+  VtsOrderingEngine engine(3, std::move(cb));
+  // Group 1 stamps (0,1) at 5 before (0,0): the heads' group-1 elements,
+  // (0,0)'s and (2,0)'s, are inferred to be at least 5.
+  engine.OnTimestamp(1, 0, 1, 5);
+  engine.OnTimestamp(2, 0, 0, 3);  // Nothing inferred from group 2 yet.
+  EXPECT_EQ(below->value(), 0u);
+  engine.OnTimestamp(1, 0, 0, 2);
+  EXPECT_EQ(below->value(), 1u);
+  engine.OnTimestamp(1, 2, 0, 5);  // At the bound is no breach.
+  EXPECT_EQ(below->value(), 1u);
 }
 
 TEST(VtsOrderingTest, MonotonicPerGroup) {

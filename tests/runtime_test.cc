@@ -286,6 +286,9 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"retained_payload_bytes\""), std::string::npos);
   EXPECT_NE(health.find("\"store_keys\""), std::string::npos);
   EXPECT_NE(health.find("\"store_bytes\""), std::string::npos);
+  EXPECT_NE(health.find("\"late_stamps\""), std::string::npos);
+  EXPECT_NE(health.find("\"stamps_below_inferred\""), std::string::npos);
+  EXPECT_NE(health.find("\"takeovers_started\""), std::string::npos);
 
   // The commit samples filled the real-mode timeline, and some bucket saw
   // commits.
