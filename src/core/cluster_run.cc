@@ -145,22 +145,39 @@ ExperimentResult BuildResult(const MetricsCollector& commits,
   return result;
 }
 
+namespace {
+
+std::string NodeName(NodeId node) {
+  return std::to_string(node.group) + "/" + std::to_string(node.index);
+}
+
+std::string EntryName(const std::pair<uint16_t, uint64_t>& entry) {
+  return "(" + std::to_string(entry.first) + "," +
+         std::to_string(entry.second) + ")";
+}
+
+}  // namespace
+
 Result<size_t> CheckExecutionPrefixes(
     const std::vector<std::pair<NodeId, const ExecutionLog*>>& logs) {
   if (logs.empty()) return size_t{0};
-  const ExecutionLog* longest = logs.front().second;
-  size_t shortest = longest->size();
-  for (const auto& [node, log] : logs) {
-    if (log->size() > longest->size()) longest = log;
-    shortest = std::min(shortest, log->size());
+  auto longest = logs.begin();
+  size_t shortest = longest->second->size();
+  for (auto it = logs.begin(); it != logs.end(); ++it) {
+    if (it->second->size() > longest->second->size()) longest = it;
+    shortest = std::min(shortest, it->second->size());
   }
+  const ExecutionLog& reference = *longest->second;
   for (const auto& [node, log] : logs) {
     for (size_t k = 0; k < log->size(); ++k) {
-      if ((*log)[k] != (*longest)[k])
-        return Status::Internal("execution order divergence at node " +
-                                std::to_string(node.group) + "/" +
-                                std::to_string(node.index) + " position " +
-                                std::to_string(k));
+      if ((*log)[k] == reference[k]) continue;
+      return Status::Internal(
+          "execution order divergence at node " + NodeName(node) +
+          " position " + std::to_string(k) + ": it executed " +
+          EntryName((*log)[k]) + " where node " + NodeName(longest->first) +
+          ", whose log is the longest, executed " + EntryName(reference[k]) +
+          "; their logs hold " + std::to_string(log->size()) + " and " +
+          std::to_string(reference.size()) + " entries");
     }
   }
   return shortest;

@@ -144,7 +144,8 @@ using ExecutionLog = std::vector<std::pair<uint16_t, uint64_t>>;
 /// Agreement over executed entries (Theorem V.6): every log must be a
 /// prefix of the longest. Returns the length of the shortest log (the
 /// prefix all replicas share; 0 for no logs), or Internal naming the
-/// first replica whose log departs from the longest and the position.
+/// first replica whose log departs from the longest, the position, the
+/// (gid, seq) entry each of the two logs holds there, and both lengths.
 Result<size_t> CheckExecutionPrefixes(
     const std::vector<std::pair<NodeId, const ExecutionLog*>>& logs);
 

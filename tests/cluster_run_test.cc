@@ -92,12 +92,18 @@ TEST(ExecutionPrefixTest, PrefixesAgreeAndDivergenceIsNamed) {
   ASSERT_TRUE(shorter.ok()) << shorter.status().ToString();
   EXPECT_EQ(*shorter, prefix.size());
 
-  // A divergence at position 2 names the node and the position.
+  // A divergence at position 2 names the node and the position, the entry
+  // each log holds there, the node whose log is the longest, and both
+  // lengths.
   Result<size_t> diverged =
       CheckExecutionPrefixes({{a, &full}, {b, &prefix}, {c, &forked}});
   ASSERT_FALSE(diverged.ok());
   const std::string message = diverged.status().ToString();
-  EXPECT_NE(message.find("node 2/3 position 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("node 2/3 position 2: it executed (0,1) where node "
+                         "0/0, whose log is the longest, executed (2,0); "
+                         "their logs hold 3 and 4 entries"),
+            std::string::npos)
+      << message;
 }
 
 }  // namespace
