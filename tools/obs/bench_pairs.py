@@ -11,8 +11,10 @@ its run length and the end-to-end metrics come from the parent's
 BENCHMARK.json, so both sides run exactly what the parent's benchmark
 runs. Pair i uses seed S+i on both sides; even pairs run the parent first,
 odd pairs the change. Each run's JSON line is echoed to stderr as it
-finishes. A run that fails its correctness gate (non-zero exit, or
-"correct": false) stops the series with exit code 1.
+finishes, after the run's own stderr. A run that fails its correctness gate
+(non-zero exit, or "correct": false) stops the series with exit code 1, and
+its stdout and stderr are kept in bench_pairs-<side>-<workload>-seed<N>.log
+in the current directory, whose path the error names.
 
 For each metric the summary gives both medians with their quartiles, the
 change's wins, ties and losses judged by the metric's `better`, whether
@@ -37,6 +39,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 GAIN_WIN_SHARE = 0.9
 
@@ -105,16 +108,35 @@ def format_share(share):
     return "n/a" if share is None else "%.1f%%" % (100 * share)
 
 
-def run_once(checkout, benchmark, workload, seed):
-    """(result, error, steal share) of one benchmark run."""
+def evidence_path(side, workload, seed, directory="."):
+    """Where a failed run's output is kept."""
+    return os.path.join(directory, "bench_pairs-%s-%s-seed%d.log"
+                        % (side, workload, seed))
+
+
+def keep_evidence(path, stdout, stderr):
+    """Writes a failed run's stdout and stderr to `path`; returns `path`."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("=== stdout ===\n%s=== stderr ===\n%s" % (stdout, stderr))
+    return path
+
+
+def run_once(checkout, benchmark, side, workload, seed):
+    """(result, error, steal share) of one benchmark run of `side`."""
     command = list(benchmark["command"]) + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
     before = read_cpu_times()
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
-                          universal_newlines=True, check=False)
+                          stderr=subprocess.PIPE, universal_newlines=True,
+                          check=False)
     steal = steal_share(before, read_cpu_times())
-    return check_run(proc.returncode, proc.stdout) + (steal,)
+    sys.stderr.write(proc.stderr)
+    result, error = check_run(proc.returncode, proc.stdout)
+    if error:
+        error += "; its output is in " + keep_evidence(
+            evidence_path(side, workload, seed), proc.stdout, proc.stderr)
+    return result, error, steal
 
 
 def quartiles(values):
@@ -197,7 +219,7 @@ def run_pairs(args):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
-            result, error, share = run_once(sides[side], benchmark,
+            result, error, share = run_once(sides[side], benchmark, side,
                                             args.workload, seed)
             sys.stderr.write("pair %d seed %d %s (steal %s): %s\n" % (
                 i + 1, seed, side, format_share(share),
@@ -309,6 +331,21 @@ def self_test():
           "an unreadable /proc/stat gives no reading")
     check(format_share(None) == "n/a" and format_share(0.187) == "18.7%",
           "steal shares print as percentages or n/a")
+
+    # A failed run's output is kept in a file named by side, workload and
+    # seed.
+    path = evidence_path("change", "ycsb-open", 8407, "out")
+    check(path == os.path.join("out", "bench_pairs-change-ycsb-open-"
+                               "seed8407.log"),
+          "evidence file named by side, workload and seed")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = keep_evidence(evidence_path("parent", "tpcc-crash", 931, tmp),
+                             "sub-run 3 diverged\n", "agreement failed\n")
+        with open(path, encoding="utf-8") as f:
+            kept = f.read()
+    check(kept == "=== stdout ===\nsub-run 3 diverged\n"
+                  "=== stderr ===\nagreement failed\n",
+          "a failed run's stdout and stderr are both kept")
 
     # 8 of 10 wins is below the 9/10 rule even with a large median gap.
     mixed = list(change_cpu[:8]) + [1200, 1200]
