@@ -483,30 +483,18 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatch& msg) {
   if (rec.rebuilder != nullptr && !rec.payload_available) {
     for (const Chunk& chunk : msg.chunks) {
       cpu().ChargeHash(chunk.data.size() + 32 * chunk.proof.path.size());
-      // Deterministic-decode cache: if some node already rebuilt this root
-      // and validated it for this slot, adopt the entry with the
-      // certificate that validated it (the decode and hash are charged all
-      // the same; the certificate check is not).
-      const CertifiedEntry* rebuilt = nullptr;
-      auto cached = ctx_->rebuild_cache.find(msg.merkle_root);
-      if (cached != ctx_->rebuild_cache.end() &&
-          cached->second.entry->gid() == key.first &&
-          cached->second.entry->seq() == key.second) {
-        rebuilt = &cached->second;
-      } else if (rec.rebuilder->AddChunk(msg.merkle_root, chunk.chunk_id,
-                                         chunk.data, chunk.proof, msg.cert) ==
-                 EntryRebuilder::AddResult::kRebuilt) {
-        rebuilt = &(ctx_->rebuild_cache[msg.merkle_root] =
-                        CertifiedEntry{rec.rebuilder->entry(), msg.cert});
-      }
-      if (rebuilt == nullptr) continue;
-      cpu().ChargeEc(rebuilt->entry->ByteSize());
-      cpu().ChargeHash(rebuilt->entry->ByteSize());
+      if (rec.rebuilder->AddChunk(msg.merkle_root, chunk.chunk_id, chunk.data,
+                                  chunk.proof, msg.cert) !=
+          EntryRebuilder::AddResult::kRebuilt)
+        continue;
+      EntryPtr entry = rec.rebuilder->entry();
+      cpu().ChargeEc(entry->ByteSize());
+      cpu().ChargeHash(entry->ByteSize());
       if (IsGroupLeader())
         tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
                               rec.first_chunk_at, Now(), key.first,
                               key.second);
-      StorePayload(key, rebuilt->entry, rebuilt->cert);
+      StorePayload(key, std::move(entry), msg.cert);
       break;
     }
   }

@@ -47,11 +47,11 @@ struct ClusterContext {
   std::function<void(const Transaction&, SimTime commit_time)>
       on_txn_committed;
 
-  /// Optimization caches, keyed so Byzantine (tampered) encodings never
-  /// collide with correct ones. Encoding is result-neutral: it is
+  /// Encoding cache, keyed so Byzantine (tampered) encodings never
+  /// collide with correct ones. It is result-neutral: encoding is
   /// deterministic, and each node is charged its CPU cost on a hit or a
-  /// miss. A rebuild-cache hit is not: the adopting node skips its
-  /// certificate check and the verify charge.
+  /// miss. Every node rebuilds, and checks the certificate of, what it
+  /// stores itself.
   ///
   /// (entry digest, plan n_total) -> that entry's chunks, erased when a
   /// node executes the entry. A real-mode node has a context of its own,
@@ -60,9 +60,6 @@ struct ClusterContext {
   /// entry encodes it again.
   std::map<std::pair<Digest, int>, std::shared_ptr<const EncodedEntry>>
       encode_cache;
-  /// Merkle root -> the decoded entry and the certificate that validated
-  /// it for its own slot.
-  std::map<Digest, CertifiedEntry> rebuild_cache;
 
   /// Collusion channel for the Fig 15 Byzantine experiment: tampered
   /// encodings shared among faulty nodes (out-of-band in a real attack).

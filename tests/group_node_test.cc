@@ -467,9 +467,9 @@ TEST(GroupNodeTest, AcceptStampCountsForTheCertifyingGroup) {
 
 TEST(GroupNodeTest, RebuildCacheHitCountsOnlyForItsOwnSlot) {
   // Leader (1,0) holds group 0's propose for (0,3), then rebuilds (0,5)
-  // from its own chunks, which caches (0,5) under its Merkle root. One
-  // chunk of that root, labelled (0,3) and carrying an empty certificate,
-  // must not adopt the cached (0,5) as (0,3).
+  // from its own chunks. One chunk of that Merkle root, labelled (0,3) and
+  // carrying an empty certificate, must not make (0,5) stand for (0,3):
+  // a slot's entry is rebuilt from that slot's chunks.
   NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
   EntryPtr proposed = MakeEntry(0, 3);
   h.node->HandleMessage(
