@@ -90,8 +90,11 @@ class GlobalMembership {
   /// This node applied `stamp` (late when below the highest stamp applied
   /// from its assigner so far).
   void OnStampApplied(const TimestampElement& stamp);
-  /// The highest stamp applied from group `assigner` (a freeze report).
-  uint64_t HighestStamp(uint16_t assigner) const;
+  /// This node's answer to a freeze query for `dead_gid`: the highest stamp
+  /// it applied from that group.
+  Freeze FreezeReport(uint16_t dead_gid) const {
+    return Freeze{dead_gid, HighestStamp(dead_gid)};
+  }
   /// This node executed e_{gid,seq}.
   void OnExecuted(uint16_t gid, uint64_t seq);
 
@@ -137,6 +140,7 @@ class GlobalMembership {
     uint64_t max_seen = 0;
   };
   GroupRelay CloseFreezeRound(uint16_t gid, const std::set<Key>& unexecuted);
+  uint64_t HighestStamp(uint16_t assigner) const;
 
   const int num_groups_;
   const uint16_t my_group_;

@@ -11,10 +11,6 @@ namespace massbft {
 
 namespace {
 
-bool IsEmpty(const GroupRelay& relay) {
-  return relay.commits.empty() && relay.stamps.empty() && relay.seals.empty();
-}
-
 /// Deterministic tampering applied by colluding Byzantine nodes (Fig 15):
 /// flip one payload byte, which changes the entry digest and thus every
 /// chunk's Merkle root.
@@ -611,7 +607,7 @@ void GroupNode::SetupRaft() {
 void GroupNode::RelayToGroup(GroupRelay relay) {
   const bool ends_sync = relay.replay;
   membership_.HoldBack(&relay);
-  if (!IsEmpty(relay)) {
+  if (!relay.empty()) {
     ApplyRelay(relay);
     BroadcastLan(NewMessage(MessageType::kGroupRelay, std::move(relay)));
   }
@@ -657,7 +653,7 @@ void GroupNode::ApplyRelay(const GroupRelay& relay) {
 }
 
 void GroupNode::RelayToAll(GroupRelay relay) {
-  if (IsEmpty(relay)) return;
+  if (relay.empty()) return;
   auto msg = NewMessage(MessageType::kGroupRelay, relay);
   for (uint16_t g : membership_.LivePeers()) SendWan(LeaderOf(g), msg);
   RelayToGroup(std::move(relay));
@@ -760,8 +756,7 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   for (uint16_t silent : membership_.SilentGroups(Now())) {
     if (!membership_.Suspect(silent) || raft_ == nullptr) continue;
     raft_->TakeOverInstance(silent);
-    GlobalMembership::FreezeStart round =
-        membership_.OpenFreezeRound(silent, unexecuted_committed_);
+    auto round = membership_.OpenFreezeRound(silent, unexecuted_committed_);
     for (uint16_t g : round.query)
       SendWan(LeaderOf(g),
               NewMessage(MessageType::kFreezeQuery, Freeze{silent, 0}));
@@ -903,14 +898,12 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       if (IsPeerGroupLeader(from))
         OnCatchUpRequest(from, BodyOf<CatchUpRequest>(msg));
       break;
-    case MessageType::kFreezeQuery: {
-      if (!IsPeerGroupLeader(from)) break;
-      const uint16_t dead_gid = BodyOf<Freeze>(msg).dead_gid;
-      SendWan(from,
-              NewMessage(MessageType::kFreezeReport,
-                         Freeze{dead_gid, membership_.HighestStamp(dead_gid)}));
+    case MessageType::kFreezeQuery:
+      if (IsPeerGroupLeader(from))
+        SendWan(from, NewMessage(MessageType::kFreezeReport,
+                                 membership_.FreezeReport(
+                                     BodyOf<Freeze>(msg).dead_gid)));
       break;
-    }
     case MessageType::kFreezeReport:
       if (IsPeerGroupLeader(from))
         RelayToAll(membership_.OnFreezeReport(
@@ -938,12 +931,9 @@ void GroupNode::Recover() {
                             membership_.OpenSyncWindow());
   After(GlobalMembership::kSyncFailsafe,
         [this] { RelayToGroup(membership_.CloseSyncWindow()); });
-  // A peer group's leader replays what we missed; replies are deduplicated
-  // by the entry store. (Paper Section V-C: the recovered group resumes
-  // serving requests; the takeover group hands the Raft instance back once
-  // our heartbeats reappear.) One helper suffices (and keeps the replay off
-  // every uplink); pick the lowest-id other group, which is also the
-  // takeover group by convention.
+  // One peer leader replays what we missed (paper Section V-C), which keeps
+  // the replay off every other uplink: the lowest-id other group's, the
+  // takeover group by convention. The entry store drops duplicates.
   for (int g = 0; g < num_groups(); ++g) {
     if (g == my_group()) continue;
     SendWan(LeaderOf(g), request);
@@ -969,8 +959,7 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequest& msg) {
   entries.reserve(entries_.size());
   for (const auto& [key, rec] : entries_)
     entries.push_back({key, rec.payload_available, rec.globally_committed});
-  GlobalMembership::CatchUpReply reply =
-      membership_.AnswerCatchUp(msg, entries);
+  auto reply = membership_.AnswerCatchUp(msg, entries);
   for (const Key& key : reply.payloads) {
     const EntryRecord& rec = entries_.at(key);
     SendWan(from, NewMessage(MessageType::kEntryTransfer,

@@ -212,6 +212,10 @@ struct GroupRelay {
   std::vector<TimestampElement> stamps = {};
   std::vector<Seal> seals = {};
   auto Fields() { return std::tie(replay, commits, stamps, seals); }
+  /// Carries no fact.
+  bool empty() const {
+    return commits.empty() && stamps.empty() && seals.empty();
+  }
 };
 
 /// Group liveness heartbeat (kGroupHeartbeat; crash detection for Raft

@@ -90,13 +90,13 @@ TEST_F(GlobalMembershipTest, FreezeRoundClosesOnceEveryPeerReportedAtTheMax) {
     const uint64_t frozen = own > 7 ? own : 7;
     EXPECT_EQ(closed.stamps, (std::vector<TimestampElement>{
                                  TimestampElement{3, 1, 0, frozen}}));
-    EXPECT_EQ(m.HighestStamp(3), frozen);
+    EXPECT_EQ(m.FreezeReport(3).max_seen, frozen);
   }
 
   // A report for a group this leader holds no round for is ignored.
   GlobalMembership m = Make(4, 0);
   EXPECT_TRUE(m.OnFreezeReport(1, Freeze{3, 7}, unexecuted).stamps.empty());
-  EXPECT_EQ(m.HighestStamp(3), 0u);
+  EXPECT_EQ(m.FreezeReport(3).max_seen, 0u);
 
   // With no live peer left to ask, the round closes at once.
   GlobalMembership pair = Make(2, 0);
