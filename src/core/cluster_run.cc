@@ -145,11 +145,11 @@ ExperimentResult BuildResult(const MetricsCollector& commits,
   return result;
 }
 
-namespace {
-
 std::string NodeName(NodeId node) {
   return std::to_string(node.group) + "/" + std::to_string(node.index);
 }
+
+namespace {
 
 std::string EntryName(const std::pair<uint16_t, uint64_t>& entry) {
   return "(" + std::to_string(entry.first) + "," +

@@ -138,6 +138,9 @@ class ClientPool {
     const std::vector<obs::Telemetry*>& telemetry, const KeyRegistry& keys,
     uint64_t wan_bytes, uint64_t lan_bytes);
 
+/// "group/index": how reports and logs name a node.
+std::string NodeName(NodeId node);
+
 /// The (gid, seq) entries one replica executed, in execution order.
 using ExecutionLog = std::vector<std::pair<uint16_t, uint64_t>>;
 

@@ -27,10 +27,6 @@ using Clock = std::chrono::steady_clock;
 /// everything that committed before.
 constexpr std::chrono::seconds kDrainTimeout{20};
 
-std::string NodeName(NodeId id) {
-  return std::to_string(id.group) + "/" + std::to_string(id.index);
-}
-
 /// This process's resident set size in KiB (0 where /proc is missing).
 uint64_t ResidentKb() {
   std::ifstream statm("/proc/self/statm");
