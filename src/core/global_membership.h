@@ -35,8 +35,8 @@ class GlobalMembership {
   /// history arrives.
   static constexpr SimTime kSyncFailsafe = 4 * kSecond;
 
-  /// Counts in `metrics` what breaks Algorithm 2's input rules today:
-  /// stamps applied below their assigner's highest
+  /// Counts in `metrics` a breach of Algorithm 2's input rules and what
+  /// causes it: stamps applied below their assigner's highest
   /// ("membership/late_stamps") and takeovers started, one per suspected
   /// group ("membership/takeovers_started").
   GlobalMembership(int num_groups, uint16_t my_group, SimTime crash_timeout,
@@ -150,9 +150,11 @@ class GlobalMembership {
 
   std::set<uint16_t> dead_groups_;
   std::map<uint16_t, SimTime> last_heartbeat_;
-  /// Instances this leader took over, until their group rejoins.
+  /// Instances this leader took over, until their group rejoins: the ones
+  /// its Raft coordinator holds (TakeOverInstance, ReleaseInstance).
   std::set<uint16_t> held_;
-  /// One round per group this leader took over, kept once closed.
+  /// One round per group this leader took over, kept once closed: a late
+  /// report closes it again and stamps what is still unexecuted.
   std::map<uint16_t, FreezeRound> freeze_rounds_;
   std::map<uint16_t, uint64_t> frozen_clock_;
 
