@@ -152,8 +152,14 @@ std::string NodeName(NodeId node) {
 namespace {
 
 std::string EntryName(const std::pair<uint16_t, uint64_t>& entry) {
-  return "(" + std::to_string(entry.first) + "," +
-         std::to_string(entry.second) + ")";
+  // Appended, not concatenated: GCC 12's -Wrestrict misfires on
+  // `"(" + std::to_string(...)` at -O3.
+  std::string name = "(";
+  name += std::to_string(entry.first);
+  name += ",";
+  name += std::to_string(entry.second);
+  name += ")";
+  return name;
 }
 
 }  // namespace
