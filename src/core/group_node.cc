@@ -277,7 +277,7 @@ void GroupNode::ValidateEntryAsync(EntryPtr entry,
   // Per-transaction signature verification plus hashing the batch.
   SimTime cost =
       cpu().model().verify_cost * std::max(1, entry->num_txns()) +
-      static_cast<SimTime>(cpu().model().hash_ns_per_byte *
+      static_cast<SimTime>(kHashNsPerByte *
                            static_cast<double>(entry->ByteSize()));
   cpu().ChargeThen(cost, [done = std::move(done)] { done(true); });
 }

@@ -19,7 +19,6 @@ double Histogram::BucketUpperBound(int index) {
 }
 
 void Histogram::Record(double v) {
-  if (!enabled_) return;
   if (count_ == 0) {
     min_ = v;
     max_ = v;
@@ -58,36 +57,20 @@ void Histogram::Reset() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-    slot->enabled_ = enabled_;
-  }
+  if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-    slot->enabled_ = enabled_;
-  }
+  if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>();
-    slot->enabled_ = enabled_;
-  }
+  if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
-}
-
-void MetricsRegistry::set_enabled(bool enabled) {
-  enabled_ = enabled;
-  for (auto& [name, c] : counters_) c->enabled_ = enabled;
-  for (auto& [name, g] : gauges_) g->enabled_ = enabled;
-  for (auto& [name, h] : histograms_) h->enabled_ = enabled;
 }
 
 void MetricsRegistry::ResetAll() {

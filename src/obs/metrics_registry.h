@@ -15,34 +15,26 @@ namespace massbft {
 namespace obs {
 
 /// Monotonic event count. Handles are plain pointers resolved once at
-/// setup; the hot-path cost is one branch and one add.
+/// setup; the hot-path cost is one add.
 class Counter {
  public:
-  void Add(uint64_t delta = 1) {
-    if (enabled_) value_ += delta;
-  }
+  void Add(uint64_t delta = 1) { value_ += delta; }
   uint64_t value() const { return value_; }
   void Reset() { value_ = 0; }
 
  private:
-  friend class MetricsRegistry;
   uint64_t value_ = 0;
-  bool enabled_ = true;
 };
 
 /// Last-write-wins sample (utilization ratios, queue depths).
 class Gauge {
  public:
-  void Set(double v) {
-    if (enabled_) value_ = v;
-  }
+  void Set(double v) { value_ = v; }
   double value() const { return value_; }
   void Reset() { value_ = 0; }
 
  private:
-  friend class MetricsRegistry;
   double value_ = 0;
-  bool enabled_ = true;
 };
 
 /// Value distribution: exact count/sum/min/max plus base-2 geometric
@@ -64,7 +56,6 @@ class Histogram {
   void Reset();
 
  private:
-  friend class MetricsRegistry;
   // Bucket i counts values in [2^(i-kBucketBias), 2^(i-kBucketBias+1)),
   // bucket 0 additionally absorbs everything smaller (incl. <= 0).
   static constexpr int kNumBuckets = 64;
@@ -77,7 +68,6 @@ class Histogram {
   double min_ = 0;
   double max_ = 0;
   std::array<uint64_t, kNumBuckets> buckets_{};
-  bool enabled_ = true;
 };
 
 /// Summary statistics of one histogram at a point in time.
@@ -103,9 +93,8 @@ struct MetricsSnapshot {
 
 /// Process-local registry of named series. Lookup happens once, at wiring
 /// time (`GetCounter` etc. return stable pointers for the registry's
-/// lifetime); the instruments themselves are branch-plus-add cheap.
-/// Disabling the registry turns every write into a single predictable
-/// branch, so instrumented code needs no `if (metrics)` guards.
+/// lifetime); the instruments themselves cost an add, so instrumented code
+/// needs no `if (metrics)` guards.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -118,10 +107,6 @@ class MetricsRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-
-  /// Enables/disables every current and future instrument.
-  void set_enabled(bool enabled);
-  bool enabled() const { return enabled_; }
 
   /// Zeroes all series (handles stay valid).
   void ResetAll();
@@ -141,7 +126,6 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
  private:
-  bool enabled_ = true;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

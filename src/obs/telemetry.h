@@ -32,8 +32,8 @@ constexpr int kNumPhases = 6;
 const char* PhaseName(Phase phase);
 
 /// One observability context per simulated cluster: a metrics registry
-/// (always on — instruments are branch-plus-add cheap) and a trace
-/// recorder (off unless a trace export was requested). Protocol
+/// (always on — instruments cost an add) and a trace recorder (off unless
+/// a trace export was requested). Protocol
 /// components hold a `Telemetry*` plus whatever pre-resolved instrument
 /// handles they need; the phase histograms of the Fig 11 breakdown are
 /// pre-resolved here because every layer reports into them.

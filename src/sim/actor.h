@@ -19,13 +19,14 @@ struct CpuModel {
   int cores = 8;
   SimTime sign_cost = 50 * kMicrosecond;
   SimTime verify_cost = 100 * kMicrosecond;
-  /// Hash throughput charge per byte (SHA-256 ~1 GB/s per core).
-  double hash_ns_per_byte = 1.0;
-  /// Reed-Solomon encode/decode charge per byte (vectorized RS ~1 GB/s).
-  double ec_ns_per_byte = 1.0;
-  /// Executing one transaction against the in-memory store.
-  SimTime exec_cost = 5 * kMicrosecond;
 };
+
+/// Hash throughput charge per byte (SHA-256 ~1 GB/s per core).
+constexpr double kHashNsPerByte = 1.0;
+/// Reed-Solomon encode/decode charge per byte (vectorized RS ~1 GB/s).
+constexpr double kEcNsPerByte = 1.0;
+/// Executing one transaction against the in-memory store.
+constexpr SimTime kExecCost = 5 * kMicrosecond;
 
 /// Serial-resource approximation of a multi-core CPU: operations queue
 /// FIFO, each charged cost/cores (a saturated k-core machine processes k
@@ -59,14 +60,14 @@ class CpuAccount {
   }
   SimTime ChargeSign(int count = 1) { return Charge(model_.sign_cost * count); }
   SimTime ChargeHash(size_t bytes) {
-    return Charge(static_cast<SimTime>(model_.hash_ns_per_byte *
-                                       static_cast<double>(bytes)));
+    return Charge(
+        static_cast<SimTime>(kHashNsPerByte * static_cast<double>(bytes)));
   }
   SimTime ChargeEc(size_t bytes) {
-    return Charge(static_cast<SimTime>(model_.ec_ns_per_byte *
-                                       static_cast<double>(bytes)));
+    return Charge(
+        static_cast<SimTime>(kEcNsPerByte * static_cast<double>(bytes)));
   }
-  SimTime ChargeExec(int txns) { return Charge(model_.exec_cost * txns); }
+  SimTime ChargeExec(int txns) { return Charge(kExecCost * txns); }
 
   SimTime busy_until() const { return busy_until_; }
   /// Total single-core-equivalent nanoseconds charged (utilization probe).

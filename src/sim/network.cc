@@ -7,6 +7,13 @@
 
 namespace massbft {
 
+namespace {
+
+/// Per-node LAN port bandwidth (bits/s), the same in every data center.
+constexpr double kLanBps = 2.5e9;
+
+}  // namespace
+
 Network::Network(Simulator* sim, const Topology* topology, DeliverFn deliver)
     : sim_(sim), topology_(topology), deliver_(std::move(deliver)) {
   for (NodeId node : topology_->AllNodes()) states_[node.Packed()] = {};
@@ -52,8 +59,8 @@ void Network::Send(NodeId src, NodeId dst, MessagePtr message, bool wan) {
   NodeState& s_src = State(src);
   NodeState& s_dst = State(dst);
   size_t bytes = message->ByteSize();
-  double up_bps = wan ? topology_->wan_bps(src) : topology_->lan_bps();
-  double down_bps = wan ? topology_->wan_bps(dst) : topology_->lan_bps();
+  double up_bps = wan ? topology_->wan_bps(src) : kLanBps;
+  double down_bps = wan ? topology_->wan_bps(dst) : kLanBps;
   Port& up = wan ? s_src.wan : s_src.lan;
   Port& down = wan ? s_dst.wan : s_dst.lan;
 

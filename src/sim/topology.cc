@@ -6,6 +6,9 @@ namespace massbft {
 
 namespace {
 
+/// One-way LAN latency within a data center, the same in every one.
+constexpr SimTime kLanLatency = 250 * kMicrosecond;
+
 /// Fills a symmetric RTT matrix from a per-pair table. Pairs beyond the
 /// table reuse the band's [lo, hi] range deterministically.
 std::vector<std::vector<double>> MakeRttMatrix(int n, double lo, double hi) {
@@ -49,8 +52,8 @@ Status TopologyConfig::Validate() const {
     return Status::InvalidArgument("topology needs at least one group");
   for (int n : group_sizes)
     if (n < 1) return Status::InvalidArgument("groups must be nonempty");
-  if (wan_bps <= 0 || lan_bps <= 0)
-    return Status::InvalidArgument("bandwidths must be positive");
+  if (wan_bps <= 0)
+    return Status::InvalidArgument("WAN bandwidth must be positive");
   int ng = num_groups();
   if (static_cast<int>(rtt_ms.size()) != ng)
     return Status::InvalidArgument("rtt matrix must be num_groups x num_groups");
@@ -85,7 +88,7 @@ double Topology::wan_bps(NodeId node) const {
 }
 
 SimTime Topology::WanPropagation(NodeId a, NodeId b) const {
-  if (a.group == b.group) return config_.lan_latency;
+  if (a.group == b.group) return kLanLatency;
   return MillisToSim(config_.rtt_ms[a.group][b.group] / 2.0);
 }
 

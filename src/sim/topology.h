@@ -13,7 +13,8 @@ namespace massbft {
 
 /// Cluster shape and link parameters. Mirrors the paper's testbeds:
 /// each group is one data center; every node has an exclusive WAN uplink
-/// (20 Mbps default) and shares a fast LAN (2.5 Gbps default); groups are
+/// (20 Mbps default) and shares a fast LAN (2.5 Gbps, 0.25 ms one way; see
+/// sim/network.cc and sim/topology.cc); groups are
 /// separated by an RTT matrix (nationwide 26.7–43.4 ms, worldwide
 /// 156–206 ms).
 struct TopologyConfig {
@@ -22,10 +23,6 @@ struct TopologyConfig {
 
   /// Per-node WAN bandwidth (bits/s), applied to both directions.
   double wan_bps = 20e6;
-  /// Per-node LAN bandwidth (bits/s).
-  double lan_bps = 2.5e9;
-  /// One-way LAN latency within a data center.
-  SimTime lan_latency = 250 * kMicrosecond;
   /// rtt_ms[i][j]: round-trip time between groups i and j in milliseconds.
   std::vector<std::vector<double>> rtt_ms;
 
@@ -66,8 +63,6 @@ class Topology {
   int max_faulty_groups() const { return (num_groups() - 1) / 2; }
 
   double wan_bps(NodeId node) const;
-  double lan_bps() const { return config_.lan_bps; }
-  SimTime lan_latency() const { return config_.lan_latency; }
 
   /// One-way WAN propagation delay between the data centers of two nodes.
   SimTime WanPropagation(NodeId a, NodeId b) const;

@@ -226,27 +226,6 @@ TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
   EXPECT_EQ(registry.histogram_count(), 1u);
 }
 
-TEST(MetricsRegistryTest, DisabledRegistryIgnoresWrites) {
-  obs::MetricsRegistry registry;
-  obs::Counter* c = registry.GetCounter("c");
-  obs::Histogram* h = registry.GetHistogram("h");
-  registry.set_enabled(false);
-  c->Add(10);
-  h->Record(1.0);
-  // New instruments created while disabled are disabled too.
-  obs::Gauge* g = registry.GetGauge("g");
-  g->Set(4.0);
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  EXPECT_DOUBLE_EQ(g->value(), 0.0);
-
-  registry.set_enabled(true);
-  c->Add(10);
-  g->Set(4.0);
-  EXPECT_EQ(c->value(), 10u);
-  EXPECT_DOUBLE_EQ(g->value(), 4.0);
-}
-
 TEST(MetricsRegistryTest, ResetAllKeepsHandlesValid) {
   obs::MetricsRegistry registry;
   obs::Counter* c = registry.GetCounter("c");
