@@ -47,7 +47,6 @@ namespace massbft {
 enum class LockRank : int {
   kClusterIntrospection = 10,  // RealCluster: kill/restart/stats vs lifecycle
   kRuntimeQueue = 20,          // NodeRuntime: post queue + running flag
-  kFaultInjector = 30,         // FaultInjectingTransport: fault state + timers
   kTransport = 40,             // TcpTransport / InProc hub + endpoints
   kBufferPool = 50,            // WireBufferPool free list (under kTransport)
   kObsRecorder = 60,           // Trace/Flight recorders (under kTransport)

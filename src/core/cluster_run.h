@@ -86,8 +86,8 @@ struct ExperimentResult {
   /// §15): far below the frame count when sendmsg coalescing is working.
   uint64_t net_send_syscalls = 0;
   uint64_t net_recv_syscalls = 0;
-  /// Frames dropped/duplicated/corrupted/delayed by the fault-injection
-  /// layer (real mode with a FaultSpec; see net/fault_transport.h).
+  /// Messages dropped/duplicated/corrupted/delayed/cut by a partition by
+  /// the network's fault injection (a FaultSpec; see sim/network.h).
   uint64_t faults_injected = 0;
   /// Nodes crash-stopped by the run's fault schedule.
   int nodes_killed = 0;

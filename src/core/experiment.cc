@@ -188,6 +188,7 @@ ExperimentResult Experiment::Run() {
   ExperimentResult result =
       BuildResult(*metrics_, {ctx_->telemetry}, *registry_,
                   network_->TotalWanBytesSent(), network_->TotalLanBytesSent());
+  result.faults_injected = network_->fault_stats().total();
   result.sim_events = sim_->events_processed();
   result.wall_ms = wall_ms;
   if (wall_ms > 0) {

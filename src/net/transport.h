@@ -68,9 +68,9 @@ class Transport {
   [[nodiscard]] virtual Status Send(NodeId dst, const ProtocolMessage& msg) = 0;
 
   /// Sends pre-encoded wire bytes verbatim. The bytes need not decode
-  /// cleanly — this is the seam fault injectors use to put corrupted
-  /// frames on the wire so receiver-side CRC rejection is exercised for
-  /// real. Default: not supported.
+  /// cleanly — TransportNetwork sends a corrupted message (Network's
+  /// corrupt fault, sim/network.h) through it, so receiver-side CRC
+  /// rejection is exercised for real. Default: not supported.
   [[nodiscard]] virtual Status SendEncoded(NodeId dst, Bytes wire) {
     (void)dst;
     (void)wire;

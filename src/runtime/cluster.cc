@@ -82,23 +82,12 @@ Status RealCluster::Setup() {
         config_.use_tcp
             ? std::unique_ptr<Transport>(new TcpTransport(id, ports))
             : hub_.CreateTransport(id);
-    if (config_.net_faults.any()) {
-      // Per-node injector with a seed derived from the cluster seed and
-      // the node id: every node draws an independent but reproducible
-      // fault sequence.
-      FaultSpec spec = config_.net_faults;
-      spec.seed = config_.net_faults.seed * 0x9E3779B97F4A7C15ULL +
-                  static_cast<uint64_t>(id.Packed()) + 1;
-      auto injector = std::make_unique<FaultInjectingTransport>(
-          std::move(transport), spec);
-      fault_transports_.push_back(injector.get());
-      transport = std::move(injector);
-    }
     auto rt = std::make_unique<NodeRuntime>(
         id, config_.protocol, config_.workload, config_.workload_scale,
         registry_.get(), topology_.get(), std::move(transport));
     // Every node executes so the agreement check can compare all replicas.
     rt->node().set_always_execute(true);
+    if (config_.net_faults.any()) rt->set_faults(config_.net_faults);
     rt->set_on_txn_committed(
         [this](const Transaction& txn, SimTime) { OnTxnCommitted(txn); });
     if (!config_.trace_path.empty()) {
@@ -344,8 +333,15 @@ std::string RealCluster::HealthJson() {
     w.Member("nodes_killed", static_cast<uint64_t>(killed_.size()));
   }
   uint64_t faults = 0;
-  for (const FaultInjectingTransport* injector : fault_transports_)
-    faults += injector->fault_stats().total();
+  {
+    // Each node's fault counts live on its own event loop.
+    MutexLock lock(&introspection_mu_);
+    for (auto& rt : runtimes_) {
+      NodeRuntime* raw = rt.get();
+      faults += raw->Call(
+          [raw](GroupNode&) { return raw->network().fault_stats().total(); });
+    }
+  }
   w.Member("faults_injected", faults);
   w.Member("rss_kb", ResidentKb());
   w.Key("nodes");
@@ -517,8 +513,8 @@ Result<ExperimentResult> RealCluster::Run() {
     result.net_send_syscalls += stats.send_syscalls;
     result.net_recv_syscalls += stats.recv_syscalls;
   }
-  for (const FaultInjectingTransport* injector : fault_transports_)
-    result.faults_injected += injector->fault_stats().total();
+  for (auto& rt : runtimes_)
+    result.faults_injected += rt->network().fault_stats().total();
   {
     MutexLock lock(&introspection_mu_);
     result.nodes_killed = static_cast<int>(killed_.size());

@@ -11,7 +11,6 @@
 #include "common/lock_rank.h"
 #include "common/result.h"
 #include "core/cluster_run.h"
-#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 #include "obs/stats_server.h"
@@ -41,10 +40,10 @@ struct RealClusterConfig {
   bool use_tcp = false;
   uint16_t base_port = 18200;
 
-  /// Network fault injection: when any() is true every node's transport is
-  /// wrapped in a FaultInjectingTransport (per-node seed derived from
-  /// FaultSpec::seed, so runs are reproducible). Partition windows are
-  /// offsets from Run()'s start.
+  /// Network fault injection: when any() is true every node injects these
+  /// faults into its sends (NodeRuntime::set_faults; per-node streams
+  /// derived from FaultSpec::seed, so runs are reproducible). Partition
+  /// windows are offsets from Run()'s start.
   FaultSpec net_faults;
   /// Crash-stop the highest-indexed `crash_nodes_per_group` nodes of every
   /// group (never the leader) at `crash_at_s` seconds into the run. Keep it
@@ -190,9 +189,6 @@ class RealCluster {
                                 LockRank::kClusterIntrospection};
   obs::StatsServer stats_server_;
 
-  /// Non-owning views of the per-node injectors (owned by the runtimes'
-  /// transport chain); empty when net_faults.any() is false.
-  std::vector<FaultInjectingTransport*> fault_transports_;
   /// Nodes crash-stopped by KillNode (in kill order).
   std::vector<NodeId> killed_ MASSBFT_GUARDED_BY(introspection_mu_);
 };

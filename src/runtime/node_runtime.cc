@@ -10,20 +10,12 @@ TransportNetwork::TransportNetwork(Simulator* sim, const Topology* topology,
                                    Transport* transport)
     : Network(sim, topology, /*deliver=*/nullptr), transport_(transport) {}
 
-void TransportNetwork::SendWan(NodeId, NodeId dst, MessagePtr message) {
-  SendReal(dst, message, &wan_bytes_sent_);
-}
-
-void TransportNetwork::SendLan(NodeId, NodeId dst, MessagePtr message) {
-  SendReal(dst, message, &lan_bytes_sent_);
-}
-
-void TransportNetwork::SendReal(NodeId dst, const MessagePtr& message,
-                                uint64_t* counter) {
+void TransportNetwork::Transmit(NodeId src, NodeId dst, MessagePtr message,
+                                bool wan, bool corrupt) {
   // Every message in the protocol stack is a ProtocolMessage; SimMessage is
   // only the byte-accounting face the simulated network sees.
   const auto& msg = static_cast<const ProtocolMessage&>(*message);
-  *counter += msg.ByteSize();
+  (wan ? wan_bytes_sent_ : lan_bytes_sent_) += msg.ByteSize();
   if (telemetry_ != nullptr && telemetry_->tracing()) {
     uint16_t gid = 0;
     uint64_t seq = 0;
@@ -37,7 +29,16 @@ void TransportNetwork::SendReal(NodeId dst, const MessagePtr& message,
   }
   // Best-effort, like a datagram over an unreliable link: the BFT layer
   // owns retries. The transport counts the failure in its stats.
-  (void)transport_->Send(dst, msg);
+  if (!corrupt) {
+    (void)transport_->Send(dst, msg);
+    return;
+  }
+  // Real mangled bytes go on the wire, so the receiver's CRC rejects them.
+  Bytes wire = EncodeFrame(msg, src);
+  Rng& rng = FaultRng(src);
+  const size_t index = rng.NextBelow(wire.size());
+  wire[index] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
+  (void)transport_->SendEncoded(dst, std::move(wire));
 }
 
 NodeRuntime::NodeRuntime(NodeId id, const ProtocolConfig& protocol,
@@ -155,7 +156,11 @@ void NodeRuntime::Deliver(Frame frame) {
   // must be copyable for std::function, hence shared_ptr.
   MessagePtr msg(std::move(frame.msg));
   NodeId src = frame.src;
-  Post([this, src, msg] { node_->HandleMessage(src, msg); });
+  // The partition check runs on the loop, where this node's clock and
+  // fault state live.
+  Post([this, src, msg] {
+    if (!network_.CutByPartition(id_, src)) node_->HandleMessage(src, msg);
+  });
 }
 
 void NodeRuntime::Loop() {

@@ -25,10 +25,11 @@ namespace massbft {
 
 /// Network implementation that puts messages on a real Transport instead of
 /// simulated links. Protocol code (GroupNode and the engines beneath it) is
-/// unchanged: it still calls SendWan/SendLan, but each call encodes the
-/// message into a wire frame and hands it to the transport. Timing comes
-/// from the operating system, not the flow model, so the latency/bandwidth
-/// parameters of the topology are ignored here.
+/// unchanged: it still calls SendWan/SendLan, and the base class still
+/// drops a crashed node's traffic and injects faults; each message that
+/// survives is encoded into a wire frame and handed to the transport.
+/// Timing comes from the operating system, not the flow model, so the
+/// latency/bandwidth parameters of the topology are ignored here.
 ///
 /// Not thread-safe by itself: all sends come from the owning NodeRuntime's
 /// event-loop thread.
@@ -37,17 +38,9 @@ class TransportNetwork : public Network {
   TransportNetwork(Simulator* sim, const Topology* topology,
                    Transport* transport);
 
-  void SendWan(NodeId src, NodeId dst, MessagePtr message) override;
-  void SendLan(NodeId src, NodeId dst, MessagePtr message) override;
-
-  /// Crash/recover in the threaded runtime means stopping or restarting a
-  /// whole NodeRuntime; the per-node drop bookkeeping of the simulated
-  /// network does not apply.
-  void CrashNode(NodeId) override {}
-  void RecoverNode(NodeId) override {}
-
   /// Wires the owning node's telemetry so entry-carrying sends leave a
-  /// "wire/send" instant on `track` (the owner's node track) when tracing.
+  /// "wire/send" instant on `track` (the owner's node track) when tracing,
+  /// and injected faults are recorded there.
   void BindTelemetry(obs::Telemetry* telemetry, uint32_t track) {
     telemetry_ = telemetry;
     track_ = track;
@@ -57,11 +50,14 @@ class TransportNetwork : public Network {
   uint64_t wan_bytes_sent() const { return wan_bytes_sent_; }
   uint64_t lan_bytes_sent() const { return lan_bytes_sent_; }
 
- private:
-  void SendReal(NodeId dst, const MessagePtr& message, uint64_t* counter);
+ protected:
+  /// Encodes and sends; a corrupted message goes out through
+  /// Transport::SendEncoded with one byte flipped.
+  void Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                bool corrupt) override;
 
+ private:
   Transport* transport_;
-  obs::Telemetry* telemetry_ = nullptr;
   uint32_t track_ = 0;
   uint64_t wan_bytes_sent_ = 0;
   uint64_t lan_bytes_sent_ = 0;
@@ -108,6 +104,11 @@ class NodeRuntime {
       std::function<void(const Transaction&, SimTime)> fn) {
     ctx_.on_txn_committed = std::move(fn);
   }
+
+  /// Injects `spec`'s faults into this node's sends, and cuts arriving
+  /// messages during its partition windows (Network::set_faults; windows
+  /// are offsets from the first Start()). Must be called before Start().
+  void set_faults(FaultSpec spec) { network_.set_faults(std::move(spec)); }
 
   /// Starts the transport and the event loop. The first call also arms the
   /// node's timers (GroupNode::Start()) on the loop thread; a restart after

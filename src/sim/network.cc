@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,7 +17,7 @@ constexpr double kLanBps = 2.5e9;
 
 Network::Network(Simulator* sim, const Topology* topology, DeliverFn deliver)
     : sim_(sim), topology_(topology), deliver_(std::move(deliver)) {
-  for (NodeId node : topology_->AllNodes()) states_[node.Packed()] = {};
+  for (NodeId node : topology_->AllNodes()) states_.try_emplace(node.Packed());
 }
 
 void Network::set_telemetry(obs::Telemetry* telemetry) {
@@ -37,6 +38,14 @@ void Network::set_telemetry(obs::Telemetry* telemetry) {
   wan_queue_hist_ = registry.GetHistogram("net/wan_uplink_queue_ms");
 }
 
+void Network::set_faults(FaultSpec spec) {
+  faults_ = std::move(spec);
+  for (NodeId node : topology_->AllNodes()) {
+    State(node).fault_rng = Rng(faults_.seed * 0x9E3779B97F4A7C15ULL +
+                                static_cast<uint64_t>(node.Packed()) + 1);
+  }
+}
+
 void Network::SendWan(NodeId src, NodeId dst, MessagePtr message) {
   Send(src, dst, std::move(message), /*wan=*/true);
 }
@@ -48,14 +57,108 @@ void Network::SendLan(NodeId src, NodeId dst, MessagePtr message) {
 
 void Network::Send(NodeId src, NodeId dst, MessagePtr message, bool wan) {
   if (IsCrashed(src) || IsCrashed(dst)) return;
+  if (!faults_.any()) {
+    Transmit(src, dst, std::move(message), wan, /*corrupt=*/false);
+    return;
+  }
+  if (CutByPartition(src, dst)) return;
+  // One draw per fault class in a fixed order, so the same seed and sends
+  // give the same faults. Loss is silent, like the network it models.
+  Rng& rng = FaultRng(src);
+  if (rng.NextBool(faults_.drop_rate)) {
+    RecordFault(&FaultStats::dropped, "dropped", src, dst, 0);
+    return;
+  }
+  bool corrupt = false;
+  SimTime delay = 0;
+  if (rng.NextBool(faults_.corrupt_rate)) {
+    corrupt = true;
+    RecordFault(&FaultStats::corrupted, "corrupted", src, dst, 0);
+  } else if (rng.NextBool(faults_.duplicate_rate)) {
+    RecordFault(&FaultStats::duplicated, "duplicated", src, dst, 0);
+    Forward(src, dst, message, wan, /*corrupt=*/false, 0);
+  } else if (rng.NextBool(faults_.delay_rate)) {
+    const double delay_ms =
+        faults_.delay_min_ms +
+        rng.NextDouble() * (faults_.delay_max_ms - faults_.delay_min_ms);
+    delay = MillisToSim(delay_ms);
+    RecordFault(&FaultStats::delayed, "delayed", src, dst, delay_ms);
+  }
+  Forward(src, dst, std::move(message), wan, corrupt, delay);
+}
+
+void Network::Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                      bool corrupt, SimTime delay) {
+  const uint64_t key = LinkKey(src, dst);
+  if (delay == 0 && !held_.contains(key)) {
+    Transmit(src, dst, std::move(message), wan, corrupt);
+    return;
+  }
+  // Equal release times fire in scheduling order (Simulator FIFO ties).
+  HeldLink& link = held_[key];
+  link.release = std::max(sim_->Now() + delay, link.release);
+  ++link.count;
+  sim_->ScheduleAt(link.release, [this, src, dst, m = std::move(message), wan,
+                                  corrupt,
+                                  epoch = State(src).crash_epoch]() mutable {
+    Release(src, dst, std::move(m), wan, corrupt, epoch);
+  });
+}
+
+void Network::Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                      bool corrupt, uint64_t crash_epoch) {
+  auto link = held_.find(LinkKey(src, dst));
+  if (--link->second.count == 0) held_.erase(link);
+  if (IsCrashed(src) || IsCrashed(dst) ||
+      State(src).crash_epoch != crash_epoch || CutByPartition(src, dst))
+    return;
+  Transmit(src, dst, std::move(message), wan, corrupt);
+}
+
+bool Network::CutByPartition(NodeId node, NodeId peer) {
+  if (faults_.partitions.empty()) return false;
+  const double now_s = SimToSeconds(sim_->Now());
+  for (const FaultSpec::Partition& p : faults_.partitions) {
+    if (now_s < p.start_s || now_s >= p.end_s) continue;
+    auto on_side_a = [&p](uint16_t group) {
+      return std::find(p.side_a.begin(), p.side_a.end(), group) !=
+             p.side_a.end();
+    };
+    if (on_side_a(node.group) != on_side_a(peer.group)) {
+      RecordFault(&FaultStats::partition_dropped, "partition_dropped", node,
+                  peer, 0);
+      return true;
+    }
+  }
+  return false;
+}
+
+void Network::RecordFault(uint64_t FaultStats::*kind, const char* name,
+                          NodeId node, NodeId peer, double detail) {
+  ++(fault_stats_.*kind);
+  if (telemetry_ == nullptr) return;
+  const SimTime now = sim_->Now();
+  const auto peer_id = static_cast<double>(peer.Packed());
+  telemetry_->registry().GetCounter(std::string("faults/") + name)->Add();
+  telemetry_->flight().Record(static_cast<uint64_t>(now), "fault", name,
+                              peer_id, detail);
+  if (telemetry_->tracing()) {
+    telemetry_->trace().RecordInstant(
+        obs::Telemetry::NodeTrack(node.Packed()), "fault", name, now,
+        obs::TraceArgs{{{"peer", peer_id}, {"detail", detail}}});
+  }
+}
+
+void Network::Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                       bool corrupt) {
   if (src == dst) {
     // Loopback: deliver immediately (no link traversal).
+    if (corrupt) return;
     sim_->Schedule(0, [this, dst, src, m = std::move(message)]() {
       if (!IsCrashed(dst)) deliver_(dst, src, m);
     });
     return;
   }
-
   NodeState& s_src = State(src);
   NodeState& s_dst = State(dst);
   size_t bytes = message->ByteSize();
@@ -105,12 +208,19 @@ void Network::Send(NodeId src, NodeId dst, MessagePtr message, bool wan) {
     }
   }
 
-  sim_->ScheduleAt(completion, [this, dst, src, m = std::move(message)]() {
-    if (!IsCrashed(dst)) deliver_(dst, src, m);
-  });
+  // A corrupted message occupied its links; the receiver drops it.
+  sim_->ScheduleAt(completion,
+                   [this, dst, src, m = std::move(message), corrupt]() {
+                     if (corrupt || IsCrashed(dst) || CutByPartition(dst, src))
+                       return;
+                     deliver_(dst, src, m);
+                   });
 }
 
-void Network::CrashNode(NodeId node) { crashed_[node.Packed()] = true; }
+void Network::CrashNode(NodeId node) {
+  crashed_[node.Packed()] = true;
+  ++State(node).crash_epoch;
+}
 
 void Network::RecoverNode(NodeId node) { crashed_.erase(node.Packed()); }
 

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
 #include "crypto/signature.h"  // NodeId
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
@@ -39,6 +40,66 @@ struct TrafficStats {
   uint64_t lan_messages_sent = 0;
 };
 
+/// Fault schedule for every node sending through a Network (paper Section
+/// VI-E-style failure experiments). Rates are independent per-message
+/// probabilities drawn from one seeded Rng per sending node, so a run with
+/// the same seed and message sequence injects the same faults.
+struct FaultSpec {
+  uint64_t seed = 1;
+  /// P(outbound message silently dropped).
+  double drop_rate = 0;
+  /// P(outbound message sent twice).
+  double duplicate_rate = 0;
+  /// P(outbound message sent with one byte flipped). Over a real transport
+  /// the receiver's CRC rejects it and counts a decode error — corruption
+  /// on the wire is exercised end to end; in the simulator the message
+  /// occupies its link and is dropped on arrival.
+  double corrupt_rate = 0;
+  /// P(outbound message held back for a uniform delay in [min, max] ms).
+  /// Delay stalls the link rather than reordering it: messages sent to the
+  /// same destination after a delayed one queue behind it, preserving
+  /// per-link FIFO. Real TCP never reorders within a connection, and the
+  /// VTS ordering engine's lower-bound inference (Algorithm 2) is only
+  /// sound under that per-channel monotonicity — injecting reorderings
+  /// would inject a fault no supported deployment can exhibit.
+  double delay_rate = 0;
+  double delay_min_ms = 1.0;
+  double delay_max_ms = 20.0;
+
+  /// During [start_s, end_s) of the node's clock, messages crossing between
+  /// the groups in `side_a` and everyone else are dropped in both
+  /// directions.
+  struct Partition {
+    double start_s = 0;
+    double end_s = 0;
+    std::vector<uint16_t> side_a;
+  };
+  std::vector<Partition> partitions;
+
+  bool any() const {
+    return drop_rate > 0 || duplicate_rate > 0 || corrupt_rate > 0 ||
+           delay_rate > 0 || !partitions.empty();
+  }
+};
+
+/// What the injector did, by fault class.
+struct FaultStats {
+  uint64_t dropped = 0;
+  uint64_t duplicated = 0;
+  uint64_t corrupted = 0;
+  uint64_t delayed = 0;
+  uint64_t partition_dropped = 0;
+  uint64_t total() const {
+    return dropped + duplicated + corrupted + delayed + partition_dropped;
+  }
+};
+
+/// The one seam every message of the protocol stack goes through, in the
+/// simulator and in the threaded runtime alike. SendWan/SendLan drop a
+/// crashed node's traffic, inject the configured faults (set_faults), and
+/// hand each surviving message to Transmit: the flow model below, or a real
+/// transport in runtime/TransportNetwork.
+///
 /// Flow-level network model. Every node has
 ///   * a WAN uplink and downlink of its configured bandwidth,
 ///   * a LAN uplink/downlink (shared data-center fabric, per-node port),
@@ -70,18 +131,32 @@ class Network {
   /// byte size and message type. Pass nullptr to detach.
   void set_telemetry(obs::Telemetry* telemetry);
 
+  /// Injects `spec`'s faults into every later send. Each sending node draws
+  /// from its own Rng, seeded from spec.seed and its id. Delays wait on
+  /// this network's Simulator and partition windows are read on its clock.
+  /// Each fault counts in fault_stats() and, with telemetry attached, as a
+  /// `faults/<kind>` counter and a `fault/<kind>` flight-recorder event.
+  void set_faults(FaultSpec spec);
+  const FaultStats& fault_stats() const { return fault_stats_; }
+
   /// Sends over WAN (inter-data-center). Also usable intra-group, but
-  /// protocol code should use SendLan for that. Virtual so the threaded
-  /// runtime can substitute a real transport (runtime/TransportNetwork)
-  /// underneath unmodified protocol code.
-  virtual void SendWan(NodeId src, NodeId dst, MessagePtr message);
+  /// protocol code should use SendLan for that.
+  void SendWan(NodeId src, NodeId dst, MessagePtr message);
 
   /// Sends over the data-center LAN. src and dst must be in one group.
-  virtual void SendLan(NodeId src, NodeId dst, MessagePtr message);
+  void SendLan(NodeId src, NodeId dst, MessagePtr message);
 
-  /// Marks a node crashed: all of its queued/future traffic is dropped.
-  virtual void CrashNode(NodeId node);
-  virtual void RecoverNode(NodeId node);
+  /// True when a partition window separates `node` from `peer` now, and
+  /// then counts one drop at `node`. Checked at send, at a held message's
+  /// release and, by the receiver, at arrival, so a message already under
+  /// way when a window opens is cut too.
+  bool CutByPartition(NodeId node, NodeId peer);
+
+  /// Marks a node crashed: all of its queued/future traffic is dropped,
+  /// including messages it holds back for a delay (they die even if the
+  /// node recovers before their release).
+  void CrashNode(NodeId node);
+  void RecoverNode(NodeId node);
   bool IsCrashed(NodeId node) const { return crashed_.contains(node.Packed()); }
 
   const TrafficStats& StatsFor(NodeId node) const;
@@ -92,6 +167,20 @@ class Network {
   uint64_t TotalLanBytesSent() const;
   void ResetStats();
 
+ protected:
+  /// Puts one message that survived fault injection on its link. The
+  /// simulator's flow model; TransportNetwork overrides it to encode and
+  /// send. `corrupt`: the message goes out with one byte flipped (drawn
+  /// from FaultRng(src)) and must not be delivered.
+  virtual void Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                        bool corrupt);
+
+  /// The fault stream of sending node `node`.
+  Rng& FaultRng(NodeId node) { return State(node).fault_rng; }
+
+  // Observability (optional; see set_telemetry).
+  obs::Telemetry* telemetry_ = nullptr;
+
  private:
   struct Port {
     SimTime up_busy = 0;
@@ -101,11 +190,35 @@ class Network {
     Port wan;
     Port lan;
     TrafficStats stats;
+    Rng fault_rng;
+    /// Bumped by every crash: a held message whose sender crashed since
+    /// it was held dies at release, even if the sender has recovered.
+    uint64_t crash_epoch = 0;
+  };
+  /// Messages of one (src, dst) link held back by a delay, and the release
+  /// time of the last of them: later messages release no earlier.
+  struct HeldLink {
+    int count = 0;
+    SimTime release = 0;
   };
 
   NodeState& State(NodeId node) { return states_[node.Packed()]; }
+  static uint64_t LinkKey(NodeId src, NodeId dst) {
+    return (static_cast<uint64_t>(src.Packed()) << 32) | dst.Packed();
+  }
 
   void Send(NodeId src, NodeId dst, MessagePtr message, bool wan);
+  /// Transmits now, or holds the message `delay` (and behind any message
+  /// already held on its link) so the link stalls but never reorders.
+  void Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
+               bool corrupt, SimTime delay);
+  /// A held message's release: the link moves on, and the message goes out
+  /// unless its sender crashed meanwhile or a partition window cuts it.
+  void Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
+               bool corrupt, uint64_t crash_epoch);
+  /// Counts one injected fault at `node` (peer: the other end).
+  void RecordFault(uint64_t FaultStats::*kind, const char* name, NodeId node,
+                   NodeId peer, double detail);
 
   Simulator* sim_;
   const Topology* topology_;
@@ -113,8 +226,10 @@ class Network {
   std::unordered_map<uint32_t, NodeState> states_;
   std::unordered_map<uint32_t, bool> crashed_;
 
-  // Observability (optional; see set_telemetry).
-  obs::Telemetry* telemetry_ = nullptr;
+  FaultSpec faults_;
+  FaultStats fault_stats_;
+  std::unordered_map<uint64_t, HeldLink> held_;
+
   obs::Counter* wan_bytes_counter_ = nullptr;
   obs::Counter* wan_msgs_counter_ = nullptr;
   obs::Counter* lan_bytes_counter_ = nullptr;

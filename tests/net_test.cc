@@ -20,7 +20,6 @@
 #include "net/buffer_pool.h"
 #include "net/crc32.h"
 #include "net/rx_ring.h"
-#include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
@@ -784,197 +783,6 @@ TEST(TcpTransportTest, ReconnectsAfterPeerRestart) {
   EXPECT_GE(a.stats().reconnects, 1u);
   a.Stop();
   b->Stop();
-}
-
-// ------------------------------------------------------- Fault injection
-
-std::unique_ptr<FaultInjectingTransport> Inject(InProcHub& hub, NodeId self,
-                                                FaultSpec spec) {
-  return std::make_unique<FaultInjectingTransport>(hub.CreateTransport(self),
-                                                   spec);
-}
-
-TEST(FaultTransportTest, DropRateOneDropsEverything) {
-  InProcHub hub;
-  FaultSpec spec;
-  spec.drop_rate = 1.0;
-  auto a = Inject(hub, NodeId{0, 0}, spec);
-  auto b = hub.CreateTransport(NodeId{0, 1});
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  auto msg = FreezeQuery(1, 1);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
-  EXPECT_EQ(a->fault_stats().dropped, 10u);
-  EXPECT_EQ(b->stats().frames_received, 0u);
-  EXPECT_EQ(a->stats().frames_sent, 0u);  // Dropped before the inner send.
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, DuplicateRateOneDeliversTwice) {
-  InProcHub hub;
-  FaultSpec spec;
-  spec.duplicate_rate = 1.0;
-  auto a = Inject(hub, NodeId{0, 0}, spec);
-  auto b = hub.CreateTransport(NodeId{0, 1});
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  auto msg = FreezeQuery(1, 1);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
-  EXPECT_EQ(a->fault_stats().duplicated, 5u);
-  EXPECT_EQ(b->stats().frames_received, 10u);
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, CorruptionIsCaughtByReceiverCrc) {
-  InProcHub hub;
-  FaultSpec spec;
-  spec.corrupt_rate = 1.0;
-  auto a = Inject(hub, NodeId{0, 0}, spec);
-  auto b = hub.CreateTransport(NodeId{0, 1});
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  auto msg = FreezeQuery(1, 1);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
-  // Real mangled bytes went on the wire; the receiver's codec rejected
-  // every frame (one flipped byte always breaks the CRC or the header).
-  EXPECT_EQ(a->fault_stats().corrupted, 10u);
-  EXPECT_EQ(b->stats().decode_errors, 10u);
-  EXPECT_EQ(b->stats().frames_received, 0u);
-  EXPECT_TRUE(sink_b.frames.empty());
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, DelayedFramesArriveLater) {
-  InProcHub hub;
-  FaultSpec spec;
-  spec.delay_rate = 1.0;
-  spec.delay_min_ms = 5.0;
-  spec.delay_max_ms = 15.0;
-  auto a = Inject(hub, NodeId{0, 0}, spec);
-  auto b = hub.CreateTransport(NodeId{0, 1});
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  auto msg = FreezeQuery(1, 1);
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
-  // Sends return before delivery (they only scheduled the frames).
-  EXPECT_EQ(a->fault_stats().delayed, 4u);
-  ASSERT_TRUE(sink_b.WaitForCount(4));
-  auto elapsed = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_GE(elapsed, 5.0);  // At least the minimum delay.
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, DelayStallsTheLinkButNeverReordersIt) {
-  // The VTS ordering engine infers lower bounds from the assumption that
-  // each channel delivers stamps in non-decreasing order — real TCP's
-  // per-connection FIFO. The injector must honor it: a delayed frame
-  // stalls later frames on the same link instead of being overtaken.
-  InProcHub hub;
-  FaultSpec spec;
-  spec.seed = 1234;
-  spec.delay_rate = 0.5;
-  spec.delay_min_ms = 1.0;
-  spec.delay_max_ms = 20.0;
-  auto a = Inject(hub, NodeId{0, 0}, spec);
-  auto b = hub.CreateTransport(NodeId{0, 1});
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  constexpr uint64_t kFrames = 50;
-  for (uint64_t i = 0; i < kFrames; ++i) {
-    auto msg = FreezeQuery(0, /*max_seen=*/i);
-    EXPECT_TRUE(a->Send(NodeId{0, 1}, msg).ok());
-  }
-  ASSERT_TRUE(sink_b.WaitForCount(kFrames));
-  EXPECT_GT(a->fault_stats().delayed, 0u);
-  std::lock_guard<std::mutex> lock(sink_b.mu);
-  for (uint64_t i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(BodyOf<Freeze>(*sink_b.frames[i].msg).max_seen, i)
-        << "frame overtook a delayed predecessor";
-  }
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, PartitionWindowCutsBothDirectionsThenHeals) {
-  InProcHub hub;
-  FaultSpec spec;
-  FaultSpec::Partition partition;
-  partition.start_s = 0;
-  partition.end_s = 0.25;
-  partition.side_a = {0};  // Group 0 vs everyone else.
-  spec.partitions.push_back(partition);
-
-  auto a = Inject(hub, NodeId{0, 0}, spec);  // Group 0.
-  auto b = Inject(hub, NodeId{1, 0}, spec);  // Group 1.
-  Sink sink_a, sink_b;
-  ASSERT_TRUE(a->Start(sink_a.fn()).ok());
-  ASSERT_TRUE(b->Start(sink_b.fn()).ok());
-
-  auto msg = FreezeQuery(1, 1);
-  EXPECT_TRUE(a->Send(NodeId{1, 0}, msg).ok());
-  EXPECT_TRUE(b->Send(NodeId{0, 0}, msg).ok());
-  EXPECT_EQ(a->fault_stats().partition_dropped +
-                b->fault_stats().partition_dropped,
-            2u);
-  EXPECT_TRUE(sink_a.frames.empty());
-  EXPECT_TRUE(sink_b.frames.empty());
-
-  // After the window the same sends go through (the partition healed).
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_TRUE(a->Send(NodeId{1, 0}, msg).ok());
-  EXPECT_TRUE(b->Send(NodeId{0, 0}, msg).ok());
-  ASSERT_TRUE(sink_a.WaitForCount(1));
-  ASSERT_TRUE(sink_b.WaitForCount(1));
-  a->Stop();
-  b->Stop();
-}
-
-TEST(FaultTransportTest, SameSeedSameMessageSequenceSameFaults) {
-  FaultSpec spec;
-  spec.seed = 12345;
-  spec.drop_rate = 0.3;
-  spec.duplicate_rate = 0.2;
-  spec.corrupt_rate = 0.2;
-  auto msg = FreezeQuery(1, 1);
-
-  auto run = [&] {
-    InProcHub hub;
-    auto a = Inject(hub, NodeId{0, 0}, spec);
-    auto b = hub.CreateTransport(NodeId{0, 1});
-    Sink sink_a, sink_b;
-    EXPECT_TRUE(a->Start(sink_a.fn()).ok());
-    EXPECT_TRUE(b->Start(sink_b.fn()).ok());
-    for (int i = 0; i < 200; ++i) (void)a->Send(NodeId{0, 1}, msg);
-    FaultStats stats = a->fault_stats();
-    a->Stop();
-    b->Stop();
-    return stats;
-  };
-
-  FaultStats first = run();
-  FaultStats second = run();
-  EXPECT_GT(first.total(), 0u);
-  EXPECT_EQ(first.dropped, second.dropped);
-  EXPECT_EQ(first.duplicated, second.duplicated);
-  EXPECT_EQ(first.corrupted, second.corrupted);
-  EXPECT_EQ(first.delayed, second.delayed);
 }
 
 // ----------------------------------------------------- crc32 kernels

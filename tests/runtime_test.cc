@@ -42,6 +42,33 @@ TEST(NodeRuntimeTest, CallRunsInlineBeforeStartAndPostDropsWhenStopped) {
   EXPECT_EQ(rt.id(), (NodeId{0, 0}));
 }
 
+TEST(TransportNetworkTest, CorruptionIsCaughtByReceiverCrc) {
+  auto topology = Topology::Create(TopologyConfig::Nationwide(1, 2));
+  ASSERT_TRUE(topology.ok());
+  InProcHub hub;
+  auto sender = hub.CreateTransport(NodeId{0, 0});
+  auto receiver = hub.CreateTransport(NodeId{0, 1});
+  int delivered = 0;  // The in-process hub delivers on the sending thread.
+  ASSERT_TRUE(sender->Start([](Frame) {}).ok());
+  ASSERT_TRUE(receiver->Start([&delivered](Frame) { ++delivered; }).ok());
+  Simulator sim;
+  TransportNetwork network(&sim, &*topology, sender.get());
+  FaultSpec spec;
+  spec.corrupt_rate = 1.0;
+  network.set_faults(spec);
+
+  auto msg = NewMessage(MessageType::kFreezeQuery, Freeze{1, 1});
+  for (int i = 0; i < 10; ++i) network.SendLan(NodeId{0, 0}, NodeId{0, 1}, msg);
+  // Real mangled bytes went on the wire; the receiver's codec rejected
+  // every frame (one flipped byte always breaks the CRC or the header).
+  EXPECT_EQ(network.fault_stats().corrupted, 10u);
+  EXPECT_EQ(receiver->stats().decode_errors, 10u);
+  EXPECT_EQ(receiver->stats().frames_received, 0u);
+  EXPECT_EQ(delivered, 0);
+  sender->Stop();
+  receiver->Stop();
+}
+
 TEST(RealClusterTest, InProcClusterCommitsAndAgrees) {
   RealCluster cluster(SmallConfig());
   ASSERT_TRUE(cluster.Setup().ok());
@@ -169,8 +196,10 @@ TEST(RealClusterTest, CrashedFollowersRejoinOverTcp) {
 
 TEST(RealClusterTest, AgreesAcrossHealedPartition) {
   // Cut group 0 from group 1 for 0.4s mid-run, then heal. Cross-group
-  // ordering stalls during the window; after it heals the VTS tick moves
-  // again and the drain must converge to one fingerprint.
+  // ordering stalls during the window and may stay stalled after it: a
+  // message the cut lost is never resent (ROADMAP item 13). The drain ends
+  // once every node has executed the same entries, so this checks
+  // agreement, not that commits resume.
   RealClusterConfig config = SmallConfig();
   config.duration_seconds = 1.5;
   FaultSpec::Partition partition;

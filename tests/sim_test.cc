@@ -312,6 +312,202 @@ TEST_F(NetworkFixture, LoopbackDeliversImmediately) {
   EXPECT_EQ(deliveries_[0].time, 0);
 }
 
+// ---------------------------------------------------------- Network faults
+
+constexpr NodeId kNodeA{0, 0};  // Group 0.
+constexpr NodeId kNodeB{1, 0};  // Group 1.
+
+/// A 2x2 nationwide network with a fault schedule. Everything runs in
+/// simulated time.
+class NetworkFaultTest : public NetworkFixture {
+ protected:
+  void InitFaults(const FaultSpec& spec, double wan_bps = 20e6) {
+    TopologyConfig cfg = TopologyConfig::Nationwide(2, 2);
+    cfg.wan_bps = wan_bps;
+    Init(cfg);
+    network_->set_faults(spec);
+  }
+  void SendAt(SimTime t, NodeId src, NodeId dst, int tag = 0,
+              size_t bytes = 100) {
+    sim_.ScheduleAt(t, [this, src, dst, tag, bytes] {
+      network_->SendWan(src, dst, std::make_shared<TestMessage>(bytes, tag));
+    });
+  }
+};
+
+TEST_F(NetworkFaultTest, DropRateOneDropsEverything) {
+  FaultSpec spec;
+  spec.drop_rate = 1.0;
+  InitFaults(spec);
+  for (int i = 0; i < 10; ++i) SendAt(0, kNodeA, kNodeB);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().dropped, 10u);
+  EXPECT_TRUE(deliveries_.empty());
+  // Dropped before the link: nothing was serialized.
+  EXPECT_EQ(network_->StatsFor(kNodeA).wan_messages_sent, 0u);
+}
+
+TEST_F(NetworkFaultTest, DuplicateRateOneDeliversTwice) {
+  FaultSpec spec;
+  spec.duplicate_rate = 1.0;
+  InitFaults(spec);
+  for (int i = 0; i < 5; ++i) SendAt(0, kNodeA, kNodeB, i);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().duplicated, 5u);
+  ASSERT_EQ(deliveries_.size(), 10u);
+  EXPECT_EQ(network_->StatsFor(kNodeA).wan_messages_sent, 10u);
+  for (size_t i = 0; i < deliveries_.size(); ++i)
+    EXPECT_EQ(deliveries_[i].tag, static_cast<int>(i / 2));
+}
+
+TEST_F(NetworkFaultTest, CorruptedMessageOccupiesTheLinkButIsNeverDelivered) {
+  FaultSpec spec;
+  spec.corrupt_rate = 1.0;
+  InitFaults(spec);
+  // 25,000 bytes at 20 Mbps: 10 ms on the uplink each.
+  SendAt(0, kNodeA, kNodeB, 1, 25000);
+  // A clean message sent while the corrupted one is still on the uplink
+  // queues behind it.
+  sim_.ScheduleAt(1, [this] { network_->set_faults(FaultSpec{}); });
+  SendAt(2, kNodeA, kNodeB, 2, 25000);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().corrupted, 1u);
+  EXPECT_EQ(network_->StatsFor(kNodeA).wan_bytes_sent, 50000u);
+  ASSERT_EQ(deliveries_.size(), 1u);
+  EXPECT_EQ(deliveries_[0].tag, 2);
+  const SimTime prop = topology_->WanPropagation(kNodeA, kNodeB);
+  EXPECT_EQ(deliveries_[0].time, MillisToSim(20.0) + prop);
+}
+
+TEST_F(NetworkFaultTest, DelayedMessagesArriveLater) {
+  FaultSpec spec;
+  spec.delay_rate = 1.0;
+  spec.delay_min_ms = 5.0;
+  spec.delay_max_ms = 15.0;
+  InitFaults(spec);
+  for (int i = 0; i < 4; ++i) SendAt(0, kNodeA, kNodeB, i);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().delayed, 4u);
+  ASSERT_EQ(deliveries_.size(), 4u);
+  const SimTime prop = topology_->WanPropagation(kNodeA, kNodeB);
+  for (const Delivery& d : deliveries_)
+    EXPECT_GE(d.time, MillisToSim(5.0) + prop);  // At least the minimum.
+}
+
+TEST_F(NetworkFaultTest, DelayStallsTheLinkButNeverReordersIt) {
+  // The VTS ordering engine infers lower bounds from the assumption that
+  // each channel delivers stamps in non-decreasing order — real TCP's
+  // per-connection FIFO. A delayed message stalls later messages on the
+  // same link instead of being overtaken.
+  FaultSpec spec;
+  spec.seed = 1234;
+  spec.delay_rate = 0.5;
+  spec.delay_min_ms = 1.0;
+  spec.delay_max_ms = 20.0;
+  InitFaults(spec);
+  constexpr int kMessages = 50;
+  for (int i = 0; i < kMessages; ++i)
+    SendAt(i * 100 * kMicrosecond, kNodeA, kNodeB, i);
+  sim_.RunAll();
+  EXPECT_GT(network_->fault_stats().delayed, 0u);
+  EXPECT_LT(network_->fault_stats().delayed, static_cast<uint64_t>(kMessages));
+  ASSERT_EQ(deliveries_.size(), static_cast<size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i)
+    EXPECT_EQ(deliveries_[static_cast<size_t>(i)].tag, i)
+        << "message overtook a delayed predecessor";
+}
+
+TEST_F(NetworkFaultTest, PartitionWindowCutsBothDirectionsThenHeals) {
+  FaultSpec spec;
+  FaultSpec::Partition partition;
+  partition.start_s = 0.1;
+  partition.end_s = 0.35;
+  partition.side_a = {0};  // Group 0 vs everyone else.
+  spec.partitions.push_back(partition);
+  InitFaults(spec);
+  const SimTime prop = topology_->WanPropagation(kNodeA, kNodeB);
+  // Sent before the window opens, arriving inside it: cut on arrival.
+  SendAt(SecondsToSim(0.1) - prop / 2, kNodeA, kNodeB, 1);
+  // Sent inside the window, both directions: cut at send.
+  SendAt(SecondsToSim(0.2), kNodeA, kNodeB, 2);
+  SendAt(SecondsToSim(0.2), kNodeB, kNodeA, 3);
+  // Within one group nothing is cut.
+  SendAt(SecondsToSim(0.2), kNodeA, NodeId{0, 1}, 4);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().partition_dropped, 3u);
+  ASSERT_EQ(deliveries_.size(), 1u);
+  EXPECT_EQ(deliveries_[0].tag, 4);
+
+  // After the window the same sends go through (the partition healed).
+  SendAt(SecondsToSim(0.4), kNodeA, kNodeB, 5);
+  SendAt(SecondsToSim(0.4), kNodeB, kNodeA, 6);
+  sim_.RunAll();
+  ASSERT_EQ(deliveries_.size(), 3u);
+  EXPECT_EQ(deliveries_[1].tag, 5);
+  EXPECT_EQ(deliveries_[2].tag, 6);
+}
+
+TEST_F(NetworkFaultTest, HeldMessageDiesWhenItsSenderCrashesBeforeRelease) {
+  FaultSpec spec;
+  spec.delay_rate = 1.0;
+  spec.delay_min_ms = 10.0;
+  spec.delay_max_ms = 10.0;
+  InitFaults(spec);
+  SendAt(0, kNodeA, kNodeB, 1);
+  // The sender crashes and is back before the 10 ms release.
+  sim_.ScheduleAt(MillisToSim(1.0), [this] { network_->CrashNode(kNodeA); });
+  sim_.ScheduleAt(MillisToSim(2.0),
+                  [this] { network_->RecoverNode(kNodeA); });
+  // A message sent after the recovery still goes out: the link moves on.
+  SendAt(MillisToSim(3.0), kNodeA, kNodeB, 2);
+  sim_.RunAll();
+  EXPECT_EQ(network_->fault_stats().delayed, 2u);
+  ASSERT_EQ(deliveries_.size(), 1u);
+  EXPECT_EQ(deliveries_[0].tag, 2);
+  EXPECT_GE(deliveries_[0].time, MillisToSim(13.0));
+}
+
+TEST_F(NetworkFaultTest, SameSeedSameMessageSequenceSameFaults) {
+  FaultSpec spec;
+  spec.seed = 12345;
+  spec.drop_rate = 0.3;
+  spec.duplicate_rate = 0.2;
+  spec.corrupt_rate = 0.2;
+  spec.delay_rate = 0.2;
+  auto topo = Topology::Create(TopologyConfig::Nationwide(2, 2));
+  ASSERT_TRUE(topo.ok());
+
+  auto run = [&](std::vector<SimTime>* times) {
+    Simulator sim;
+    Network network(&sim, &*topo, [&](NodeId, NodeId, MessagePtr) {
+      times->push_back(sim.Now());
+    });
+    network.set_faults(spec);
+    for (int i = 0; i < 200; ++i) {
+      sim.ScheduleAt(i * 50 * kMicrosecond, [&network] {
+        network.SendWan(kNodeA, kNodeB, std::make_shared<TestMessage>(100));
+      });
+    }
+    sim.RunAll();
+    return network.fault_stats();
+  };
+
+  std::vector<SimTime> first_times;
+  std::vector<SimTime> second_times;
+  FaultStats first = run(&first_times);
+  FaultStats second = run(&second_times);
+  EXPECT_GT(first.dropped, 0u);
+  EXPECT_GT(first.duplicated, 0u);
+  EXPECT_GT(first.corrupted, 0u);
+  EXPECT_GT(first.delayed, 0u);
+  EXPECT_EQ(first.dropped, second.dropped);
+  EXPECT_EQ(first.duplicated, second.duplicated);
+  EXPECT_EQ(first.corrupted, second.corrupted);
+  EXPECT_EQ(first.delayed, second.delayed);
+  EXPECT_FALSE(first_times.empty());
+  EXPECT_EQ(first_times, second_times);
+}
+
 // ---------------------------------------------------------------- CPU
 
 TEST(CpuAccountTest, SerialChargesAccumulate) {
