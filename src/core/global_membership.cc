@@ -84,6 +84,16 @@ GroupRelay GlobalMembership::CloseFreezeRound(
   return relay;
 }
 
+std::optional<uint64_t> GlobalMembership::ClosedFreezeRound(
+    uint16_t gid) const {
+  auto round = freeze_rounds_.find(gid);
+  auto frozen = frozen_clock_.find(gid);
+  if (round == freeze_rounds_.end() || !round->second.expected.empty() ||
+      frozen == frozen_clock_.end())
+    return std::nullopt;
+  return frozen->second;
+}
+
 GroupRelay GlobalMembership::FrozenStamps(uint16_t gid, uint64_t seq) const {
   GroupRelay relay;
   for (uint16_t held : held_) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -81,6 +82,9 @@ class GlobalMembership {
   /// Stamps for e_{gid,seq}, which this leader just committed: the frozen
   /// clock of every instance it holds whose freeze round has closed.
   GroupRelay FrozenStamps(uint16_t gid, uint64_t seq) const;
+  /// The frozen value of `gid`'s clock once this leader's freeze round for
+  /// it has closed; nullopt while it is open or when there is none.
+  std::optional<uint64_t> ClosedFreezeRound(uint16_t gid) const;
   /// Peer groups not suspected, ascending: the leaders a leader's own facts
   /// go to.
   std::vector<uint16_t> LivePeers() const;

@@ -754,9 +754,12 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
   for (uint16_t silent : membership_.SilentGroups(Now())) {
+    RecordMembership("suspect", silent);
     if (!membership_.Suspect(silent) || raft_ == nullptr) continue;
+    RecordMembership("takeover", silent);
     raft_->TakeOverInstance(silent);
     auto round = membership_.OpenFreezeRound(silent, unexecuted_committed_);
+    RecordFreezeClosed(silent);  // With no peer left to ask.
     for (uint16_t g : round.query)
       SendWan(LeaderOf(g),
               NewMessage(MessageType::kFreezeQuery, Freeze{silent, 0}));
@@ -764,6 +767,17 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   }
   After(GlobalMembership::kHeartbeatInterval,
         [this, epoch] { OnHeartbeatTimer(epoch); });
+}
+
+void GroupNode::RecordMembership(const char* name, uint16_t gid,
+                                 double detail) {
+  tel_->flight().Record(static_cast<uint64_t>(Now()), "membership", name, gid,
+                        detail);
+}
+
+void GroupNode::RecordFreezeClosed(uint16_t gid) {
+  if (std::optional<uint64_t> frozen = membership_.ClosedFreezeRound(gid))
+    RecordMembership("freeze_closed", gid, static_cast<double>(*frozen));
 }
 
 // -------------------------------------------------- Ordering & execution
@@ -870,8 +884,10 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
     case MessageType::kGroupHeartbeat:
       // A heartbeat speaks for its sender's group. A suspected group is
       // back: its instance goes back to it (paper Section V-C).
-      if (membership_.OnHeartbeat(from.group, Now()) && raft_ != nullptr)
-        raft_->ReleaseInstance(from.group);
+      if (membership_.OnHeartbeat(from.group, Now())) {
+        RecordMembership("rejoin", from.group);
+        if (raft_ != nullptr) raft_->ReleaseInstance(from.group);
+      }
       break;
     case MessageType::kGroupRelay: {
       // Ordering facts pass leader to leader, then leader to group. A
@@ -905,9 +921,13 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
                                      BodyOf<Freeze>(msg).dead_gid)));
       break;
     case MessageType::kFreezeReport:
-      if (IsPeerGroupLeader(from))
-        RelayToAll(membership_.OnFreezeReport(
-            from.group, BodyOf<Freeze>(msg), unexecuted_committed_));
+      if (IsPeerGroupLeader(from)) {
+        const auto& report = BodyOf<Freeze>(msg);
+        const bool open = !membership_.ClosedFreezeRound(report.dead_gid);
+        RelayToAll(membership_.OnFreezeReport(from.group, report,
+                                              unexecuted_committed_));
+        if (open) RecordFreezeClosed(report.dead_gid);
+      }
       break;
     default:
       MASSBFT_LOG(kWarn) << "unhandled message type " << message->type();

@@ -244,6 +244,12 @@ class GroupNode : public Actor {
 
   // ---- MassBFT fault handling (the decisions are membership_'s).
   void OnHeartbeatTimer(uint64_t epoch);
+  /// Records a membership transition for group `gid` in the flight
+  /// recorder: suspect, takeover (this leader takes the instance),
+  /// freeze_closed (detail: the frozen value) and rejoin (heard again).
+  void RecordMembership(const char* name, uint16_t gid, double detail = 0);
+  /// Records freeze_closed if this leader's freeze round for `gid` closed.
+  void RecordFreezeClosed(uint16_t gid);
   void OnCatchUpRequest(NodeId from, const CatchUpRequest& msg);
 
   // ---- Ordering & execution.

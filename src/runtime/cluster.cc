@@ -412,6 +412,25 @@ void RealCluster::DumpFlightRecorders(const char* why) {
     rt->telemetry().flight().Dump(std::cerr, "node " + NodeName(rt->id()));
 }
 
+std::string RealCluster::BreachSummary() {
+  uint64_t late = 0;
+  uint64_t below_inferred = 0;
+  uint64_t takeovers = 0;
+  uint64_t faults = 0;
+  for (auto& rt : runtimes_) {
+    obs::MetricsRegistry& metrics = rt->telemetry().registry();
+    late += metrics.GetCounter("membership/late_stamps")->value();
+    below_inferred += metrics.GetCounter("vts/stamps_below_inferred")->value();
+    takeovers += metrics.GetCounter("membership/takeovers_started")->value();
+    faults += rt->network().fault_stats().total();
+  }
+  std::ostringstream out;
+  out << "late stamps " << late << ", stamps below an inferred bound "
+      << below_inferred << ", takeovers started " << takeovers
+      << ", faults injected " << faults;
+  return out.str();
+}
+
 Status RealCluster::WriteMergedTrace(const std::string& path) const {
   obs::ClusterTraceMerger merger;
   merger.set_unix_anchor_ns(obs::TraceClock::UnixAnchorNs());
@@ -430,11 +449,14 @@ Result<ExperimentResult> RealCluster::Run() {
 
   // The failure paths preserve the evidence: flight recorders to stderr,
   // merged trace to the configured path.
-  auto fail = [&](const char* why, Status status) -> Status {
+  auto stop_with_evidence = [&](const char* why) {
     DumpFlightRecorders(why);
     if (!config_.trace_path.empty()) (void)WriteMergedTrace(config_.trace_path);
     MutexLock lock(&introspection_mu_);
     for (auto& rt : runtimes_) rt->Stop();
+  };
+  auto fail = [&](const char* why, Status status) -> Status {
+    stop_with_evidence(why);
     return status;
   };
 
@@ -452,9 +474,13 @@ Result<ExperimentResult> RealCluster::Run() {
   // Let in-flight entries commit and execute everywhere. The VTS liveness
   // tick keeps advancing the global order even with no new client load.
   if (!DrainUntilStable()) {
-    return fail("drain timeout",
-                Status::Internal("cluster did not reach a stable agreed "
-                                 "state within the drain timeout"));
+    stop_with_evidence("drain timeout");
+    std::string message =
+        "cluster did not reach a stable agreed state within the drain "
+        "timeout (";
+    message += BreachSummary();
+    message += ")";
+    return Status::Internal(message);
   }
 
   // Killed and rejoined nodes sit out the agreement check (same rule as

@@ -154,6 +154,10 @@ class RealCluster {
   /// failure / drain timeout so the last events before the failure are in
   /// the log).
   void DumpFlightRecorders(const char* why);
+  /// Cluster-wide late stamps, stamps below an inferred bound, takeovers
+  /// started and faults injected, as one phrase. Read once every runtime
+  /// has stopped.
+  std::string BreachSummary();
 
   RealClusterConfig config_;
   std::unique_ptr<Topology> topology_;

@@ -278,6 +278,35 @@ TEST(IntegrationTest, AgreesAcrossSimulatedPartitionShorterThanCrashTimeout) {
   EXPECT_GE(exp.CheckAgreement(), 1) << "execution logs diverged";
 }
 
+TEST(IntegrationTest, TakeoverIsInTheFlightRecorder) {
+  // Group 2 crashes at 1 s and is back at 3 s; the surviving leaders
+  // suspect it after the 1 s timeout. Their membership transitions land in
+  // the (cluster-wide, in the simulator) flight recorder.
+  ExperimentConfig config = SmallCluster(ProtocolConfig::MassBft(), 3, 4);
+  config.duration = 4 * kSecond;
+  config.protocol.group_crash_timeout = 1 * kSecond;
+  config.faults.crash_group = 2;
+  config.faults.crash_at = 1 * kSecond;
+  config.faults.recover_at = 3 * kSecond;
+  RunOutcome out = RunCluster(std::move(config));
+  std::vector<std::string> names;
+  for (const obs::FlightEvent& event :
+       out.experiment->telemetry().flight().Snapshot()) {
+    if (std::string(event.category) != "membership") continue;
+    EXPECT_EQ(event.a, 2.0) << event.name;
+    if (std::string(event.name) == "freeze_closed") {
+      EXPECT_GT(event.b, 0.0);  // The frozen value.
+    }
+    names.emplace_back(event.name);
+  }
+  // Both surviving leaders suspect group 2; group 0, the lowest live one,
+  // takes its instance over and closes the freeze round once group 1 has
+  // reported; both hear group 2 again after it recovers.
+  EXPECT_EQ(names, (std::vector<std::string>{"suspect", "takeover", "suspect",
+                                             "freeze_closed", "rejoin",
+                                             "rejoin"}));
+}
+
 TEST(IntegrationTest, HeterogeneousGroupSizes) {
   // Fig 12 setup: G1 has 4 nodes, G2/G3 have 7. MassBFT must stay live
   // with unequal transfer plans (LCM 28 chunks).
