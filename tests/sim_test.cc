@@ -317,13 +317,13 @@ TEST_F(NetworkFixture, LoopbackDeliversImmediately) {
 constexpr NodeId kNodeA{0, 0};  // Group 0.
 constexpr NodeId kNodeB{1, 0};  // Group 1.
 
-/// A 2x2 nationwide network with a fault schedule. Everything runs in
-/// simulated time.
+/// A 2x2 nationwide network at 20 Mbps with a fault schedule. Everything
+/// runs in simulated time.
 class NetworkFaultTest : public NetworkFixture {
  protected:
-  void InitFaults(const FaultSpec& spec, double wan_bps = 20e6) {
+  void InitFaults(const FaultSpec& spec) {
     TopologyConfig cfg = TopologyConfig::Nationwide(2, 2);
-    cfg.wan_bps = wan_bps;
+    cfg.wan_bps = 20e6;
     Init(cfg);
     network_->set_faults(spec);
   }
