@@ -41,9 +41,10 @@ struct TrafficStats {
 };
 
 /// Fault schedule for every node sending through a Network (paper Section
-/// VI-E-style failure experiments). Rates are independent per-message
-/// probabilities drawn from one seeded Rng per sending node, so a run with
-/// the same seed and message sequence injects the same faults.
+/// VI-E-style failure experiments). Rates are per-message probabilities,
+/// drawn in a fixed order (drop, then at most one of corrupt, duplicate and
+/// delay) from one seeded Rng per sending node, so a run with the same seed
+/// and message sequence injects the same faults.
 struct FaultSpec {
   uint64_t seed = 1;
   /// P(outbound message silently dropped).
