@@ -170,17 +170,17 @@ bool GroupNode::VerifySlot(const Key& key, const Entry& entry,
 
 void GroupNode::Start() {
   started_ = true;
-  uint64_t epoch = timer_epoch_;
   if (IsGroupLeader()) {
-    After(config_.batch_timeout, [this, epoch] { OnBatchTimer(epoch); });
+    Every(config_.batch_timeout,
+          [this] { TryFormBatch(/*timer_fired=*/true); });
     if (shape_.ordering == OrderingMode::kEpoch) {
       epoch_first_seq_ = next_local_seq_;
-      After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
+      Every(config_.epoch_length, [this] { OnEpochTimer(); });
     }
     if (config_.kind == ProtocolKind::kMassBft) {
       membership_.Start(Now());
-      After(GlobalMembership::kHeartbeatInterval,
-            [this, epoch] { OnHeartbeatTimer(epoch); });
+      Every(GlobalMembership::kHeartbeatInterval,
+            [this] { OnHeartbeatTimer(); });
     }
   }
 }
@@ -195,12 +195,6 @@ void GroupNode::SubmitClientTxn(Transaction txn) {
   cpu().ChargeVerify();
   pending_txns_.push_back(std::move(txn));
   TryFormBatch(/*timer_fired=*/false);
-}
-
-void GroupNode::OnBatchTimer(uint64_t epoch) {
-  if (epoch != timer_epoch_) return;  // Stale chain from before a crash.
-  TryFormBatch(/*timer_fired=*/true);
-  After(config_.batch_timeout, [this, epoch] { OnBatchTimer(epoch); });
 }
 
 void GroupNode::TryFormBatch(bool timer_fired) {
@@ -279,7 +273,7 @@ void GroupNode::ValidateEntryAsync(EntryPtr entry,
       cpu().model().verify_cost * std::max(1, entry->num_txns()) +
       static_cast<SimTime>(kHashNsPerByte *
                            static_cast<double>(entry->ByteSize()));
-  cpu().ChargeThen(cost, [done = std::move(done)] { done(true); });
+  At(cpu().Charge(cost), [done = std::move(done)] { done(true); });
 }
 
 // ------------------------------------------------------------ Local PBFT
@@ -423,9 +417,7 @@ void GroupNode::SendEncoded(const EntryPtr& entry, const Certificate& cert) {
                                        std::move(chunks)});
       NodeId dst{static_cast<uint16_t>(g), static_cast<uint16_t>(receiver)};
       // Transmit once the encode CPU completes.
-      sim()->ScheduleAt(done_at, [this, dst, msg] {
-        if (!crashed()) SendWan(dst, msg);
-      });
+      At(done_at, [this, dst, msg] { SendWan(dst, msg); });
     }
   }
 }
@@ -735,21 +727,18 @@ void GroupNode::MaybeTranslateGlobalCommits() {
 
 // ------------------------------------------------------------------- ISS
 
-void GroupNode::OnEpochTimer(uint64_t epoch) {
-  if (epoch != timer_epoch_) return;
+void GroupNode::OnEpochTimer() {
   // Seal the finished epoch and announce its entry range.
   RelayToAll(GroupRelay{.seals = {{static_cast<uint16_t>(my_group()),
                                     current_epoch_,
                                     next_local_seq_ - epoch_first_seq_}}});
   ++current_epoch_;
   epoch_first_seq_ = next_local_seq_;
-  After(config_.epoch_length, [this, epoch] { OnEpochTimer(epoch); });
 }
 
 // -------------------------------------------------- MassBFT fault handling
 
-void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
-  if (epoch != timer_epoch_) return;
+void GroupNode::OnHeartbeatTimer() {
   auto hb = NewMessage(MessageType::kGroupHeartbeat, GroupHeartbeat{});
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
@@ -765,8 +754,6 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
               NewMessage(MessageType::kFreezeQuery, Freeze{silent, 0}));
     RelayToAll(std::move(round.stamps));
   }
-  After(GlobalMembership::kHeartbeatInterval,
-        [this, epoch] { OnHeartbeatTimer(epoch); });
 }
 
 void GroupNode::RecordMembership(const char* name, uint16_t gid,
@@ -934,16 +921,10 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
   }
 }
 
-void GroupNode::Crash() {
-  ++timer_epoch_;  // Kill live timer chains.
-  Actor::Crash();
-}
-
 void GroupNode::Recover() {
-  Actor::Recover();
-  ++timer_epoch_;
+  Actor::Recover();  // A new incarnation: the old timer chains are dead.
   membership_.Rejoin();
-  Start();  // Restart batch/heartbeat/epoch timer chains.
+  Start();
   if (!IsGroupLeader()) return;
   // Live timestamps wait until the catch-up history is applied, or until
   // the failsafe if the helper never answers.

@@ -97,7 +97,6 @@ class GroupNode : public Actor {
   void SubmitClientTxn(Transaction txn);
 
   void HandleMessage(NodeId from, MessagePtr message) override;
-  void Crash() override;
 
   /// Rejoins a crashed node (paper Section V-C): timers restart; if this
   /// is the group leader it requests catch-up from a peer group leader and
@@ -186,10 +185,7 @@ class GroupNode : public Actor {
   [[nodiscard]] bool VerifySlot(const Key& key, const Entry& entry,
                                 const Certificate& cert);
 
-  // ---- Batching / proposing (leader). Timer chains carry an epoch so
-  // chains from before a crash die instead of double-firing after
-  // recovery.
-  void OnBatchTimer(uint64_t epoch);
+  // ---- Batching / proposing (leader).
   void TryFormBatch(bool timer_fired);
   /// True when a committed entry has been blocked from execution for more
   /// than two batch intervals (triggers the VTS liveness tick).
@@ -240,10 +236,10 @@ class GroupNode : public Actor {
   void MaybeTranslateGlobalCommits();
 
   // ---- ISS epochs.
-  void OnEpochTimer(uint64_t epoch);
+  void OnEpochTimer();
 
   // ---- MassBFT fault handling (the decisions are membership_'s).
-  void OnHeartbeatTimer(uint64_t epoch);
+  void OnHeartbeatTimer();
   /// Records a membership transition for group `gid` in the flight
   /// recorder: suspect, takeover (this leader takes the instance),
   /// freeze_closed (detail: the frozen value) and rejoin (heard again).
@@ -316,9 +312,6 @@ class GroupNode : public Actor {
   std::set<Key> unexecuted_committed_;
   /// Liveness, takeover, freeze rounds and catch-up (paper Section V-C).
   GlobalMembership membership_;
-
-  // Timer-chain epoch (bumped on crash so stale chains die).
-  uint64_t timer_epoch_ = 0;
 
   // ISS epoch bookkeeping.
   uint64_t current_epoch_ = 0;

@@ -169,9 +169,9 @@ Status RealCluster::KillNode(NodeId id) {
     telemetry.trace().RecordInstant(obs::Telemetry::NodeTrack(id.Packed()),
                                     "node", "kill", telemetry.TraceNowNs());
   }
-  // Crash on the event loop first (cancels protocol timers via the epoch
-  // bump) so a later restart resumes a node that knows it crashed, then
-  // tear the runtime — and its transport — down.
+  // Crash on the event loop first (its incarnation ends, and with it every
+  // protocol timer) so a later restart resumes a node that knows it
+  // crashed, then tear the runtime — and its transport — down.
   rt->Call([](GroupNode& n) {
     n.Crash();
     return true;
@@ -196,10 +196,6 @@ Status RealCluster::RestartNode(NodeId id) {
                                     "node", "restart",
                                     telemetry.TraceNowNs());
   }
-  // Rejoin on the fresh event loop: Recover() re-arms the timers and, for
-  // a leader, requests catch-up from a peer group (paper Section V-C). The
-  // runtime deliberately did not re-run GroupNode::Start().
-  rt->Post([rt] { rt->node().Recover(); });
   return Status::OK();
 }
 

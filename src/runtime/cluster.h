@@ -98,9 +98,9 @@ class RealCluster {
   /// driving thread.
   [[nodiscard]] Status KillNode(NodeId id);
 
-  /// Restarts a killed node and posts GroupNode::Recover() — the node
-  /// rejoins, catches up from a peer, and resumes, but stays excluded from
-  /// agreement checks (it is a catching-up learner; see
+  /// Restarts a killed node, whose runtime posts GroupNode::Recover() — the
+  /// node rejoins, catches up from a peer, and resumes, but stays excluded
+  /// from agreement checks (it is a catching-up learner; see
   /// GroupNode::rejoined()).
   [[nodiscard]] Status RestartNode(NodeId id);
 

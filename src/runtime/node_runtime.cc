@@ -93,10 +93,13 @@ Status NodeRuntime::Start() {
   ctx_.telemetry->flight().Record(
       static_cast<uint64_t>(ctx_.telemetry->TraceNowNs()), "node",
       first_start ? "start" : "restart", static_cast<double>(id_.Packed()), 0);
-  // First boot arms the node's timers. A restart does not: the caller
-  // decides the rejoin protocol (RealCluster posts GroupNode::Recover(),
-  // which bumps the timer epoch and re-arms).
-  if (first_start) Post([this] { node_->Start(); });
+  // First boot arms the node's timers; a restart rejoins (paper Section
+  // V-C), which starts a new incarnation and arms them again.
+  if (first_start) {
+    Post([this] { node_->Start(); });
+  } else {
+    Post([this] { node_->Recover(); });
+  }
   return Status::OK();
 }
 

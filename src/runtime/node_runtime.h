@@ -112,10 +112,9 @@ class NodeRuntime {
 
   /// Starts the transport and the event loop. The first call also arms the
   /// node's timers (GroupNode::Start()) on the loop thread; a restart after
-  /// Stop() does not — the caller owns the rejoin protocol (RealCluster
-  /// posts GroupNode::Recover()). The virtual-clock epoch is set on the
-  /// first start only, so a restarted node sees its downtime as a forward
-  /// clock jump rather than a rewind.
+  /// Stop() posts GroupNode::Recover() instead, the node's rejoin. The
+  /// virtual-clock epoch is set on the first start only, so a restarted
+  /// node sees its downtime as a forward clock jump rather than a rewind.
   [[nodiscard]] Status Start();
 
   /// Stops the transport (no further deliveries), then joins the loop

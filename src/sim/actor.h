@@ -47,14 +47,6 @@ class CpuAccount {
     return busy_until_;
   }
 
-  /// Charges and schedules `fn` at completion. Templated so the callable
-  /// reaches the event heap directly (one InlineFunction construction, no
-  /// intermediate std::function allocation).
-  template <typename F>
-  void ChargeThen(SimTime cost, F fn) {
-    sim_->ScheduleAt(Charge(cost), std::move(fn));
-  }
-
   SimTime ChargeVerify(int count = 1) {
     return Charge(model_.verify_cost * count);
   }
@@ -82,31 +74,31 @@ class CpuAccount {
 
 /// Base class for protocol node implementations. Owns the node's CPU
 /// account and wraps network access; subclasses implement HandleMessage.
+/// The node's liveness lives in the network's record (Network::Liveness).
 class Actor {
  public:
   Actor(Simulator* sim, Network* network, NodeId id, CpuModel cpu_model)
-      : sim_(sim), network_(network), id_(id), cpu_(sim, cpu_model) {}
+      : sim_(sim),
+        network_(network),
+        id_(id),
+        live_(network->LivenessOf(id)),
+        cpu_(sim, cpu_model) {}
   virtual ~Actor() = default;
 
   Actor(const Actor&) = delete;
   Actor& operator=(const Actor&) = delete;
 
   NodeId id() const { return id_; }
-  bool crashed() const { return crashed_; }
+  bool crashed() const { return live_->down; }
 
   /// Delivery entry point: messages whose network transit completed.
   /// `from` is the sending node.
   virtual void HandleMessage(NodeId from, MessagePtr message) = 0;
 
-  /// Crash/recover hooks (Fig 15 group-failure experiment).
-  virtual void Crash() {
-    crashed_ = true;
-    network_->CrashNode(id_);
-  }
-  virtual void Recover() {
-    crashed_ = false;
-    network_->RecoverNode(id_);
-  }
+  /// Crash/recover hooks (Fig 15 group-failure experiment). Each starts a
+  /// new incarnation, so no work deferred before it ever runs.
+  void Crash() { network_->CrashNode(id_); }
+  virtual void Recover() { network_->RecoverNode(id_); }
 
   /// Read-only CPU accounting (utilization probes in tests/benches).
   const CpuAccount& cpu_account() const { return cpu_; }
@@ -123,14 +115,22 @@ class Actor {
   void SendLan(NodeId dst, MessagePtr message) {
     network_->SendLan(id_, dst, std::move(message));
   }
-  /// Schedules a local timer; the callback is dropped if the node has
-  /// crashed by the time it fires. Templated so the crash-guard wrapper
-  /// captures the concrete callable: captures up to 40 bytes keep the
-  /// whole event inside the heap record (see InlineFunction).
-  template <typename F>
-  void After(SimTime delay, F fn) {
-    sim_->Schedule(delay, [this, fn = std::move(fn)]() mutable {
-      if (!crashed_) fn();
+  /// The one way a node defers work: `fn` runs at `when` only if the node
+  /// is then up and still in the incarnation that scheduled it. Templated
+  /// so the guard captures the concrete callable: captures up to 32 bytes
+  /// keep the whole event inside the heap record (see InlineFunction).
+  void At(SimTime when, auto fn) {
+    sim_->ScheduleAt(when, [this, incarnation = live_->incarnation,
+                            fn = std::move(fn)]() mutable {
+      if (!live_->down && live_->incarnation == incarnation) fn();
+    });
+  }
+  void After(SimTime delay, auto fn) { At(Now() + delay, std::move(fn)); }
+  /// Runs `fn` every `period` from now until the incarnation ends.
+  void Every(SimTime period, auto fn) {
+    After(period, [this, period, fn = std::move(fn)]() mutable {
+      fn();
+      Every(period, std::move(fn));
     });
   }
 
@@ -138,8 +138,8 @@ class Actor {
   Simulator* sim_;
   Network* network_;
   NodeId id_;
+  const Network::Liveness* live_;
   CpuAccount cpu_;
-  bool crashed_ = false;
 };
 
 }  // namespace massbft

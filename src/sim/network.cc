@@ -98,19 +98,22 @@ void Network::Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
   HeldLink& link = held_[key];
   link.release = std::max(sim_->Now() + delay, link.release);
   ++link.count;
-  sim_->ScheduleAt(link.release, [this, src, dst, m = std::move(message), wan,
-                                  corrupt,
-                                  epoch = State(src).crash_epoch]() mutable {
-    Release(src, dst, std::move(m), wan, corrupt, epoch);
-  });
+  sim_->ScheduleAt(link.release,
+                   [this, src, dst, m = std::move(message), wan, corrupt,
+                    incarnation = State(src).live.incarnation]() mutable {
+                     Release(src, dst, std::move(m), wan, corrupt,
+                             incarnation);
+                   });
 }
 
 void Network::Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
-                      bool corrupt, uint64_t crash_epoch) {
+                      bool corrupt, uint64_t incarnation) {
   auto link = held_.find(LinkKey(src, dst));
   if (--link->second.count == 0) held_.erase(link);
-  if (IsCrashed(src) || IsCrashed(dst) ||
-      State(src).crash_epoch != crash_epoch || CutByPartition(src, dst))
+  // The sender was up when it held the message, so any later crash moved
+  // its incarnation on.
+  if (State(src).live.incarnation != incarnation || IsCrashed(dst) ||
+      CutByPartition(src, dst))
     return;
   Transmit(src, dst, std::move(message), wan, corrupt);
 }
@@ -218,11 +221,16 @@ void Network::Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
 }
 
 void Network::CrashNode(NodeId node) {
-  crashed_[node.Packed()] = true;
-  ++State(node).crash_epoch;
+  Liveness& live = State(node).live;
+  live.down = true;
+  ++live.incarnation;
 }
 
-void Network::RecoverNode(NodeId node) { crashed_.erase(node.Packed()); }
+void Network::RecoverNode(NodeId node) {
+  Liveness& live = State(node).live;
+  live.down = false;
+  ++live.incarnation;
+}
 
 const TrafficStats& Network::StatsFor(NodeId node) const {
   auto it = states_.find(node.Packed());

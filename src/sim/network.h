@@ -153,12 +153,25 @@ class Network {
   /// way when a window opens is cut too.
   bool CutByPartition(NodeId node, NodeId peer);
 
+  /// A node's one liveness record: whether it is down, and its
+  /// incarnation, which every CrashNode and every RecoverNode advances.
+  /// Work a node defers belongs to the incarnation that scheduled it
+  /// (Actor::At), and a message it holds back for a delay to the
+  /// incarnation that sent it.
+  struct Liveness {
+    bool down = false;
+    uint64_t incarnation = 0;
+  };
+  /// Stable for the network's lifetime: an Actor reads it through this
+  /// pointer, with no lookup per message.
+  const Liveness* LivenessOf(NodeId node) { return &State(node).live; }
+
   /// Marks a node crashed: all of its queued/future traffic is dropped,
   /// including messages it holds back for a delay (they die even if the
   /// node recovers before their release).
   void CrashNode(NodeId node);
   void RecoverNode(NodeId node);
-  bool IsCrashed(NodeId node) const { return crashed_.contains(node.Packed()); }
+  bool IsCrashed(NodeId node) { return State(node).live.down; }
 
   const TrafficStats& StatsFor(NodeId node) const;
   TrafficStats TotalStats() const;
@@ -192,9 +205,7 @@ class Network {
     Port lan;
     TrafficStats stats;
     Rng fault_rng;
-    /// Bumped by every crash: a held message whose sender crashed since
-    /// it was held dies at release, even if the sender has recovered.
-    uint64_t crash_epoch = 0;
+    Liveness live;
   };
   /// Messages of one (src, dst) link held back by a delay, and the release
   /// time of the last of them: later messages release no earlier.
@@ -214,9 +225,10 @@ class Network {
   void Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
                bool corrupt, SimTime delay);
   /// A held message's release: the link moves on, and the message goes out
-  /// unless its sender crashed meanwhile or a partition window cuts it.
+  /// unless its sender's incarnation ended meanwhile, its receiver is down
+  /// or a partition window cuts it.
   void Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
-               bool corrupt, uint64_t crash_epoch);
+               bool corrupt, uint64_t incarnation);
   /// Counts one injected fault at `node` (peer: the other end).
   void RecordFault(uint64_t FaultStats::*kind, const char* name, NodeId node,
                    NodeId peer, double detail);
@@ -225,7 +237,6 @@ class Network {
   const Topology* topology_;
   DeliverFn deliver_;
   std::unordered_map<uint32_t, NodeState> states_;
-  std::unordered_map<uint32_t, bool> crashed_;
 
   FaultSpec faults_;
   FaultStats fault_stats_;

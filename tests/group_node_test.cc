@@ -316,6 +316,29 @@ TEST(GroupNodeTest, CatchUpHistoryPrecedesBufferedStamps) {
   }
 }
 
+TEST(GroupNodeTest, FailsafeOfAnEarlierRecoveryLeavesALaterSyncOpen) {
+  // Leader (1,0) recovers, and an empty history ends its sync at once. It
+  // crashes and recovers again at 1 s, and a live stamp then waits in the
+  // new sync window. The first recovery's failsafe (due at 4 s) belongs to
+  // an earlier incarnation: only the second's (at 5 s) releases the stamp.
+  NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
+  h.node->Crash();
+  h.node->Recover();
+  h.node->HandleMessage(
+      NodeId{0, 0},
+      NewMessage(MessageType::kGroupRelay, GroupRelay{.replay = true}));
+  h.sim.RunUntil(kSecond);
+  h.node->Crash();
+  h.node->Recover();
+  h.node->HandleMessage(
+      NodeId{2, 0}, NewMessage(MessageType::kGroupRelay,
+                               GroupRelay{.stamps = {{2, 0, 1, 5}}}));
+  h.sim.RunUntil(4 * kSecond + 100 * kMillisecond);
+  EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 0);
+  h.sim.RunUntil(5 * kSecond + 100 * kMillisecond);
+  EXPECT_EQ(h.CountSent(MessageType::kGroupRelay), 3);
+}
+
 TEST(GroupNodeTest, HeartbeatCountsOnlyForItsSendersGroup) {
   // Group 2 is silent while two nodes of group 1 send heartbeats. A
   // heartbeat speaks for its sender's group, so leader (0,0) must still
@@ -390,11 +413,8 @@ TEST(GroupNodeTest, EntryNeedsItsOwnGroupsCertificate) {
   EXPECT_EQ(h.CountSent(MessageType::kEntryTransfer), 3);
 }
 
-TEST(GroupNodeTest, FollowerPreparesOnlyItsOwnGroupsEntries) {
-  // Leader (1,0)'s genuinely signed pre-prepare of an entry labelled
-  // group 2: a group-1 certificate for it would certify another group's
-  // slot.
-  NodeHarness h(3, 4, NodeId{1, 1}, ProtocolConfig::MassBft());
+/// Leader (1,0)'s genuinely signed pre-prepare of `entry`.
+MessagePtr PrePrepareFromLeader(NodeHarness& h, EntryPtr entry) {
   std::vector<MessagePtr> proposals;
   PbftEngine::Callbacks cb;
   cb.broadcast = [&proposals](MessagePtr m) {
@@ -409,11 +429,37 @@ TEST(GroupNodeTest, FollowerPreparesOnlyItsOwnGroupsEntries) {
   };
   cb.on_committed = [](EntryPtr, Certificate) {};
   PbftEngine leader(1, NodeId{1, 0}, 4, /*leader=*/0, std::move(cb));
-  leader.Propose(MakeEntry(2, 0));
-  ASSERT_EQ(proposals.size(), 1u);
-  h.node->HandleMessage(NodeId{1, 0}, proposals[0]);
+  leader.Propose(std::move(entry));
+  MASSBFT_CHECK(proposals.size() == 1);
+  return proposals[0];
+}
+
+TEST(GroupNodeTest, FollowerPreparesOnlyItsOwnGroupsEntries) {
+  // Leader (1,0)'s genuinely signed pre-prepare of an entry labelled
+  // group 2: a group-1 certificate for it would certify another group's
+  // slot.
+  NodeHarness h(3, 4, NodeId{1, 1}, ProtocolConfig::MassBft());
+  h.node->HandleMessage(NodeId{1, 0}, PrePrepareFromLeader(h, MakeEntry(2, 0)));
   h.sim.RunAll();
   EXPECT_EQ(h.CountSent(MessageType::kPrepare), 0);
+}
+
+TEST(GroupNodeTest, ValidationFromBeforeACrashNeverPrepares) {
+  // Follower (1,1) takes a pre-prepare of (1,0), then crashes and
+  // recovers before validating the entry finishes: that validation
+  // belonged to the earlier incarnation, so no prepare goes out. Without
+  // the crash, the follower prepares to its three peers.
+  for (bool crash : {false, true}) {
+    NodeHarness h(3, 4, NodeId{1, 1}, ProtocolConfig::MassBft());
+    h.node->HandleMessage(NodeId{1, 0},
+                          PrePrepareFromLeader(h, MakeEntry(1, 0)));
+    if (crash) {
+      h.node->Crash();
+      h.node->Recover();
+    }
+    h.sim.RunAll();
+    EXPECT_EQ(h.CountSent(MessageType::kPrepare), crash ? 0 : 3);
+  }
 }
 
 TEST(GroupNodeTest, ChunkBatchCannotInflateTheRebuildCharge) {

@@ -42,6 +42,25 @@ TEST(NodeRuntimeTest, CallRunsInlineBeforeStartAndPostDropsWhenStopped) {
   EXPECT_EQ(rt.id(), (NodeId{0, 0}));
 }
 
+TEST(NodeRuntimeTest, RestartRejoinsTheNode) {
+  // The first start arms the node; a restart after a crash posts its
+  // rejoin, ahead of any other work.
+  RealCluster cluster(SmallConfig());
+  ASSERT_TRUE(cluster.Setup().ok());
+  NodeRuntime& rt = *cluster.runtimes()[1];
+  auto rejoined = [](GroupNode& n) { return n.rejoined() && !n.crashed(); };
+  ASSERT_TRUE(rt.Start().ok());
+  EXPECT_FALSE(rt.Call(rejoined));
+  rt.Call([](GroupNode& n) {
+    n.Crash();
+    return true;
+  });
+  rt.Stop();
+  ASSERT_TRUE(rt.Start().ok());
+  EXPECT_TRUE(rt.Call(rejoined));
+  rt.Stop();
+}
+
 TEST(TransportNetworkTest, CorruptionIsCaughtByReceiverCrc) {
   auto topology = Topology::Create(TopologyConfig::Nationwide(1, 2));
   ASSERT_TRUE(topology.ok());

@@ -508,6 +508,31 @@ TEST_F(NetworkFaultTest, SameSeedSameMessageSequenceSameFaults) {
   EXPECT_EQ(first_times, second_times);
 }
 
+// ---------------------------------------------------------------- Actor
+
+/// An actor that only defers work.
+class TimerActor : public Actor {
+ public:
+  using Actor::Actor;
+  using Actor::After;
+  void HandleMessage(NodeId, MessagePtr) override {}
+};
+
+TEST(ActorTest, TimerFromAnEarlierIncarnationNeverFires) {
+  auto topology = Topology::Create(TopologyConfig::Nationwide(1, 2));
+  ASSERT_TRUE(topology.ok());
+  Simulator sim;
+  Network network(&sim, &*topology, nullptr);
+  TimerActor actor(&sim, &network, NodeId{0, 0}, CpuModel{});
+  std::vector<int> fired;
+  actor.After(kMillisecond, [&fired] { fired.push_back(1); });
+  actor.Crash();
+  actor.Recover();
+  actor.After(kMillisecond, [&fired] { fired.push_back(2); });
+  sim.RunAll();
+  EXPECT_EQ(fired, std::vector<int>{2});
+}
+
 // ---------------------------------------------------------------- CPU
 
 TEST(CpuAccountTest, SerialChargesAccumulate) {
@@ -541,17 +566,6 @@ TEST(CpuAccountTest, IdleGapsDoNotAccumulate) {
   sim.RunAll();
   SimTime done = cpu.Charge(10 * kMicrosecond);
   EXPECT_EQ(done, kMillisecond + 10 * kMicrosecond);
-}
-
-TEST(CpuAccountTest, ChargeThenSchedulesAtCompletion) {
-  Simulator sim;
-  CpuModel model;
-  model.cores = 1;
-  CpuAccount cpu(&sim, model);
-  SimTime fired_at = -1;
-  cpu.ChargeThen(50 * kMicrosecond, [&] { fired_at = sim.Now(); });
-  sim.RunAll();
-  EXPECT_EQ(fired_at, 50 * kMicrosecond);
 }
 
 // ---------------------------------------------------------------- Metrics
