@@ -132,17 +132,6 @@ void ClusterTraceMerger::WriteChromeTrace(std::ostream& out) const {
           writer.Member("tid", static_cast<uint64_t>(event.track));
           WriteArgs(writer, event.args);
           break;
-        case TraceRecorder::EventKind::kCounter:
-          writer.Member("name", event.name);
-          writer.Member("ph", "C");
-          writer.Member("ts", ToMicros(start_ns));
-          writer.Member("pid", pid);
-          writer.Member("tid", static_cast<uint64_t>(event.track));
-          writer.Key("args");
-          writer.BeginObject();
-          writer.Member("value", event.value);
-          writer.EndObject();
-          break;
       }
       writer.EndObject();
     }

@@ -36,8 +36,8 @@ void TraceRecorder::RecordSpan(uint32_t track, const char* category,
   if (!enabled_) return;
   if (end < start) end = start;
   MutexLock lock(&mu_);
-  events_.push_back(Event{EventKind::kSpan, track, category, name, start, end,
-                          0, args});
+  events_.push_back(
+      Event{EventKind::kSpan, track, category, name, start, end, args});
 }
 
 void TraceRecorder::RecordInstant(uint32_t track, const char* category,
@@ -46,15 +46,7 @@ void TraceRecorder::RecordInstant(uint32_t track, const char* category,
   if (!enabled_) return;
   MutexLock lock(&mu_);
   events_.push_back(
-      Event{EventKind::kInstant, track, category, name, at, at, 0, args});
-}
-
-void TraceRecorder::RecordCounter(uint32_t track, const char* name, SimTime at,
-                                  double value) {
-  if (!enabled_) return;
-  MutexLock lock(&mu_);
-  events_.push_back(Event{EventKind::kCounter, track, nullptr, name, at, at,
-                          value, TraceArgs{}});
+      Event{EventKind::kInstant, track, category, name, at, at, args});
 }
 
 size_t TraceRecorder::event_count() const {
@@ -133,17 +125,6 @@ void TraceRecorder::WriteChromeTrace(std::ostream& out) const {
         writer.Member("pid", 0);
         writer.Member("tid", static_cast<uint64_t>(event.track));
         WriteArgs(writer, event.args);
-        break;
-      case EventKind::kCounter:
-        writer.Member("name", event.name);
-        writer.Member("ph", "C");
-        writer.Member("ts", ToMicros(event.start));
-        writer.Member("pid", 0);
-        writer.Member("tid", static_cast<uint64_t>(event.track));
-        writer.Key("args");
-        writer.BeginObject();
-        writer.Member("value", event.value);
-        writer.EndObject();
         break;
     }
     writer.EndObject();

@@ -46,7 +46,7 @@ using TraceArgs = std::array<TraceArg, kMaxTraceArgs>;
 /// read by the merger after the run.
 class TraceRecorder {
  public:
-  enum class EventKind : uint8_t { kSpan, kInstant, kCounter };
+  enum class EventKind : uint8_t { kSpan, kInstant };
 
   struct Event {
     EventKind kind;
@@ -54,9 +54,8 @@ class TraceRecorder {
     const char* category;
     const char* name;
     SimTime start;
-    SimTime end;     // kSpan only.
-    double value;    // kCounter only.
-    TraceArgs args;  // kSpan / kInstant.
+    SimTime end;  // kSpan only.
+    TraceArgs args;
   };
 
   TraceRecorder() = default;
@@ -80,10 +79,6 @@ class TraceRecorder {
   /// Zero-duration instant event.
   void RecordInstant(uint32_t track, const char* category, const char* name,
                      SimTime at, TraceArgs args = {});
-
-  /// Counter sample (rendered as a filled graph by the trace viewer).
-  void RecordCounter(uint32_t track, const char* name, SimTime at,
-                     double value);
 
   size_t event_count() const;
   void Clear();

@@ -12,15 +12,16 @@
 
 namespace massbft {
 
-/// Simulated CPU cost parameters (charged in SimTime). Defaults approximate
-/// the paper's ecs.c6.2xlarge nodes (8 cores): ED25519-class signature
-/// operations dominate; execution and hashing are comparatively cheap.
+/// Simulated signature costs (charged in SimTime). Defaults approximate
+/// the paper's ecs.c6.2xlarge nodes: ED25519-class signature operations
+/// dominate; execution and hashing are comparatively cheap.
 struct CpuModel {
-  int cores = 8;
   SimTime sign_cost = 50 * kMicrosecond;
   SimTime verify_cost = 100 * kMicrosecond;
 };
 
+/// Cores per node (the paper's ecs.c6.2xlarge has 8).
+constexpr int kCores = 8;
 /// Hash throughput charge per byte (SHA-256 ~1 GB/s per core).
 constexpr double kHashNsPerByte = 1.0;
 /// Reed-Solomon encode/decode charge per byte (vectorized RS ~1 GB/s).
@@ -29,7 +30,7 @@ constexpr double kEcNsPerByte = 1.0;
 constexpr SimTime kExecCost = 5 * kMicrosecond;
 
 /// Serial-resource approximation of a multi-core CPU: operations queue
-/// FIFO, each charged cost/cores (a saturated k-core machine processes k
+/// FIFO, each charged cost/kCores (a saturated k-core machine processes k
 /// times faster than one core; latency of an individual op is under-charged
 /// but throughput — the quantity the paper's bottleneck arguments rest on —
 /// is exact).
@@ -42,7 +43,7 @@ class CpuAccount {
   /// Charges `cost` of single-core work; returns the completion time.
   SimTime Charge(SimTime cost) {
     SimTime start = std::max(sim_->Now(), busy_until_);
-    busy_until_ = start + cost / model_.cores;
+    busy_until_ = start + cost / kCores;
     total_charged_ += cost;
     return busy_until_;
   }

@@ -27,17 +27,16 @@ double LatencyStats::PercentileMs(double p) const {
          static_cast<double>(kMillisecond);
 }
 
-void MetricsCollector::RecordCommit(SimTime submit_time, SimTime commit_time,
-                                    int txns) {
+void MetricsCollector::RecordCommit(SimTime submit_time, SimTime commit_time) {
   SimTime latency = commit_time - submit_time;
-  size_t bucket_index = static_cast<size_t>(commit_time / bucket_);
+  size_t bucket_index = static_cast<size_t>(commit_time / kSecond);
   if (bucket_index >= timeline_.size()) timeline_.resize(bucket_index + 1);
-  timeline_[bucket_index].txns += txns;
-  timeline_[bucket_index].latency_sum += latency * txns;
+  timeline_[bucket_index].txns += 1;
+  timeline_[bucket_index].latency_sum += latency;
 
   if (commit_time < warmup_ || commit_time > horizon_) return;
-  committed_ += txns;
-  for (int i = 0; i < txns; ++i) latency_.Record(latency);
+  committed_ += 1;
+  latency_.Record(latency);
 }
 
 double MetricsCollector::ThroughputTps() const {
@@ -50,12 +49,11 @@ std::vector<MetricsCollector::TimelinePoint> MetricsCollector::Timeline()
     const {
   std::vector<TimelinePoint> points;
   points.reserve(timeline_.size());
-  double bucket_s = SimToSeconds(bucket_);
   for (size_t i = 0; i < timeline_.size(); ++i) {
     const Bucket& b = timeline_[i];
     TimelinePoint p;
-    p.time_s = static_cast<double>(i) * bucket_s;
-    p.tps = static_cast<double>(b.txns) / bucket_s;
+    p.time_s = static_cast<double>(i);
+    p.tps = static_cast<double>(b.txns);
     p.mean_latency_ms =
         b.txns == 0 ? 0.0
                     : static_cast<double>(b.latency_sum) /

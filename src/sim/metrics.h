@@ -56,16 +56,15 @@ class LatencyStats {
 /// committed transaction with its submit time; the collector provides
 ///   * overall throughput over a measurement window (warmup excluded),
 ///   * mean/percentile commit latency,
-///   * a per-interval timeline for the fault-injection figure (Fig 15).
+///   * a per-second timeline for the fault-injection figure (Fig 15).
 class MetricsCollector {
  public:
   /// Transactions committed before `warmup` or after `horizon` are excluded
   /// from throughput/latency aggregates (they still land in the timeline).
-  MetricsCollector(SimTime warmup, SimTime horizon,
-                   SimTime timeline_bucket = kSecond)
-      : warmup_(warmup), horizon_(horizon), bucket_(timeline_bucket) {}
+  MetricsCollector(SimTime warmup, SimTime horizon)
+      : warmup_(warmup), horizon_(horizon) {}
 
-  void RecordCommit(SimTime submit_time, SimTime commit_time, int txns = 1);
+  void RecordCommit(SimTime submit_time, SimTime commit_time);
 
   uint64_t committed() const { return committed_; }
 
@@ -80,13 +79,12 @@ class MetricsCollector {
     double tps;
     double mean_latency_ms;
   };
-  /// Per-bucket throughput/latency over the whole run.
+  /// Per-second throughput/latency over the whole run.
   std::vector<TimelinePoint> Timeline() const;
 
  private:
   SimTime warmup_;
   SimTime horizon_;
-  SimTime bucket_;
   uint64_t committed_ = 0;
   LatencyStats latency_;
   struct Bucket {

@@ -294,7 +294,6 @@ TEST(TraceRecorderTest, DisabledByDefaultRecordsNothing) {
   EXPECT_FALSE(trace.enabled());
   trace.RecordSpan(1, "cat", "name", 0, kMillisecond);
   trace.RecordInstant(1, "cat", "tick", kMillisecond);
-  trace.RecordCounter(1, "depth", kMillisecond, 3.0);
   EXPECT_EQ(trace.event_count(), 0u);
 }
 
@@ -304,8 +303,7 @@ TEST(TraceRecorderTest, RecordsAndClears) {
   trace.RecordSpan(7, "entry", "batching", kMillisecond, 3 * kMillisecond,
                    obs::TraceArgs{{{"gid", 1.0}, {"seq", 9.0}}});
   trace.RecordInstant(7, "client", "submit", 2 * kMillisecond);
-  trace.RecordCounter(7, "queue", 2 * kMillisecond, 4.0);
-  EXPECT_EQ(trace.event_count(), 3u);
+  EXPECT_EQ(trace.event_count(), 2u);
   trace.Clear();
   EXPECT_EQ(trace.event_count(), 0u);
 }
@@ -319,7 +317,6 @@ TEST(TraceRecorderTest, ChromeTraceExportIsValidJson) {
                    5 * kMillisecond,
                    obs::TraceArgs{{{"gid", 0.0}, {"seq", 1.0}}});
   trace.RecordInstant(0x80000000u, "client", "submit", kMillisecond / 2);
-  trace.RecordCounter(7, "inflight", 2 * kMillisecond, 2.0);
 
   std::ostringstream out;
   trace.WriteChromeTrace(out);
@@ -334,7 +331,6 @@ TEST(TraceRecorderTest, ChromeTraceExportIsValidJson) {
   ASSERT_NE(span, std::string::npos);
   EXPECT_LT(meta, span);
   EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(doc.find("local_consensus"), std::string::npos);
   EXPECT_NE(doc.find("g0/n3"), std::string::npos);
 }

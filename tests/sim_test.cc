@@ -538,34 +538,29 @@ TEST(ActorTest, TimerFromAnEarlierIncarnationNeverFires) {
 TEST(CpuAccountTest, SerialChargesAccumulate) {
   Simulator sim;
   CpuModel model;
-  model.cores = 1;
-  model.verify_cost = 100 * kMicrosecond;
+  model.verify_cost = kCores * 100 * kMicrosecond;
   CpuAccount cpu(&sim, model);
   EXPECT_EQ(cpu.ChargeVerify(), 100 * kMicrosecond);
   EXPECT_EQ(cpu.ChargeVerify(), 200 * kMicrosecond);
-  EXPECT_EQ(cpu.total_charged(), 200 * kMicrosecond);
+  EXPECT_EQ(cpu.total_charged(), 2 * model.verify_cost);
 }
 
 TEST(CpuAccountTest, CoresDivideCost) {
   Simulator sim;
-  CpuModel model;
-  model.cores = 8;
-  CpuAccount cpu(&sim, model);
+  CpuAccount cpu(&sim, CpuModel{});
   SimTime done = cpu.Charge(800 * kMicrosecond);
-  EXPECT_EQ(done, 100 * kMicrosecond);
+  EXPECT_EQ(done, 800 * kMicrosecond / kCores);
 }
 
 TEST(CpuAccountTest, IdleGapsDoNotAccumulate) {
   Simulator sim;
-  CpuModel model;
-  model.cores = 1;
-  CpuAccount cpu(&sim, model);
-  cpu.Charge(10 * kMicrosecond);
+  CpuAccount cpu(&sim, CpuModel{});
+  cpu.Charge(80 * kMicrosecond);
   // Advance sim time past the busy period.
   sim.Schedule(kMillisecond, [] {});
   sim.RunAll();
-  SimTime done = cpu.Charge(10 * kMicrosecond);
-  EXPECT_EQ(done, kMillisecond + 10 * kMicrosecond);
+  SimTime done = cpu.Charge(80 * kMicrosecond);
+  EXPECT_EQ(done, kMillisecond + 80 * kMicrosecond / kCores);
 }
 
 // ---------------------------------------------------------------- Metrics
@@ -591,9 +586,9 @@ TEST(MetricsTest, PercentilesSorted) {
 }
 
 TEST(MetricsTest, TimelineBucketsByCommitTime) {
-  MetricsCollector metrics(0, 10 * kSecond, kSecond);
-  metrics.RecordCommit(0, kSecond / 2, 10);
-  metrics.RecordCommit(0, 2 * kSecond + 1, 20);
+  MetricsCollector metrics(0, 10 * kSecond);
+  for (int i = 0; i < 10; ++i) metrics.RecordCommit(0, kSecond / 2);
+  for (int i = 0; i < 20; ++i) metrics.RecordCommit(0, 2 * kSecond + 1);
   auto timeline = metrics.Timeline();
   ASSERT_GE(timeline.size(), 3u);
   EXPECT_DOUBLE_EQ(timeline[0].tps, 10.0);
@@ -630,13 +625,14 @@ TEST(MetricsTest, WindowBoundariesAreInclusive) {
 }
 
 TEST(MetricsTest, TimelineEmptyBucketsAndBatches) {
-  MetricsCollector metrics(0, 10 * kSecond, kSecond);
+  MetricsCollector metrics(0, 10 * kSecond);
   EXPECT_TRUE(metrics.Timeline().empty());
 
-  // A multi-txn batch counts each transaction at the batch latency.
-  metrics.RecordCommit(0, kSecond / 2, 4);
-  // A commit three buckets later leaves two empty buckets in between.
-  metrics.RecordCommit(3 * kSecond, 3 * kSecond + 500 * kMillisecond, 2);
+  // A batch of commits at one latency: the bucket counts each of them.
+  for (int i = 0; i < 4; ++i) metrics.RecordCommit(0, kSecond / 2);
+  // Commits three buckets later leave two empty buckets in between.
+  for (int i = 0; i < 2; ++i)
+    metrics.RecordCommit(3 * kSecond, 3 * kSecond + 500 * kMillisecond);
   auto timeline = metrics.Timeline();
   ASSERT_EQ(timeline.size(), 4u);
   EXPECT_DOUBLE_EQ(timeline[0].time_s, 0.0);
@@ -651,9 +647,9 @@ TEST(MetricsTest, TimelineEmptyBucketsAndBatches) {
 }
 
 TEST(MetricsTest, TimelineBucketBoundaryCommit) {
-  MetricsCollector metrics(0, 10 * kSecond, kSecond);
+  MetricsCollector metrics(0, 10 * kSecond);
   // A commit exactly on a bucket boundary lands in the later bucket.
-  metrics.RecordCommit(0, kSecond, 1);
+  metrics.RecordCommit(0, kSecond);
   auto timeline = metrics.Timeline();
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_DOUBLE_EQ(timeline[0].tps, 0.0);
