@@ -791,7 +791,6 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   encodings.erase(
       encodings.lower_bound({digest, std::numeric_limits<int>::min()}),
       encodings.upper_bound({digest, std::numeric_limits<int>::max()}));
-  if (!executed_digests_.insert(digest).second) return;
 
   int n = entry->num_txns();
   executed_txns_ += n;

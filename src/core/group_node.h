@@ -289,7 +289,6 @@ class GroupNode : public Actor {
   bool started_ = false;
 
   std::map<Key, EntryRecord> entries_;
-  std::set<Digest> executed_digests_;
 
   std::unique_ptr<OrderingEngine> ordering_;
   // Steward: the global-seq -> digest -> origin-key translation tables.
