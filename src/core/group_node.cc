@@ -20,12 +20,20 @@ Bytes TamperedBytes(const Bytes& encoded) {
   return tampered;
 }
 
+/// What a node charges for signatures: a real scheme pays its cost in wall
+/// time, so only the simulated one is charged to the CPU model.
+CpuModel ChargedCpu(CpuModel cpu, CryptoScheme scheme) {
+  if (scheme != CryptoScheme::kSimulatedHmac) cpu = CpuModel{0, 0};
+  return cpu;
+}
+
 }  // namespace
 
 GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
                      const ProtocolConfig& config, ClusterContext* ctx,
                      FaultConfig fault)
-    : Actor(sim, network, id, config.cpu),
+    : Actor(sim, network, id,
+            ChargedCpu(config.cpu, ctx->registry->scheme())),
       config_(config),
       shape_(ShapeOf(config.kind)),
       ctx_(ctx),

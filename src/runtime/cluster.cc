@@ -56,12 +56,6 @@ Status RealCluster::Setup() {
                            Topology::Create(config_.topology));
   topology_ = std::make_unique<Topology>(std::move(topo));
   registry_ = std::make_unique<KeyRegistry>(config_.crypto);
-  if (config_.crypto == CryptoScheme::kEd25519) {
-    // Real crypto pays its cost in wall time; zero the simulated per-op
-    // charges so the work is not double-counted.
-    config_.protocol.cpu.sign_cost = 0;
-    config_.protocol.cpu.verify_cost = 0;
-  }
 
   TcpPortMap ports;
   if (config_.use_tcp) {

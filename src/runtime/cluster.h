@@ -33,8 +33,8 @@ struct RealClusterConfig {
   uint64_t seed = 42;
   /// Signature backend. Real clusters default to real ed25519 (RFC 8032);
   /// kSimulatedHmac remains available for apples-to-apples comparison with
-  /// the simulated figures. With ed25519 the simulated per-op CPU charges
-  /// are zeroed — the curve arithmetic pays its cost in wall time.
+  /// the simulated figures. A node charges the simulated per-op CPU costs
+  /// only under kSimulatedHmac — ed25519's arithmetic pays in wall time.
   CryptoScheme crypto = CryptoScheme::kEd25519;
   /// false = in-process transport fabric; true = TCP over localhost.
   bool use_tcp = false;
