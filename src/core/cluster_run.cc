@@ -39,6 +39,9 @@ std::string ExperimentResult::ToJson() const {
   w.Member("net_recv_syscalls", net_recv_syscalls);
   w.Member("faults_injected", faults_injected);
   w.Member("nodes_killed", nodes_killed);
+  w.Member("late_stamps", late_stamps);
+  w.Member("stamps_below_inferred", stamps_below_inferred);
+  w.Member("takeovers_started", takeovers_started);
   w.Key("phases");
   w.BeginObject();
   w.Member("batching_ms", phases.batching_ms);
@@ -132,6 +135,12 @@ ExperimentResult BuildResult(const MetricsCollector& commits,
     phases.conflict_aborts +=
         registry.GetCounter("exec/conflict_aborts")->value();
     result.aborted_txns += registry.GetCounter("exec/logic_aborts")->value();
+    result.late_stamps +=
+        registry.GetCounter("membership/late_stamps")->value();
+    result.stamps_below_inferred +=
+        registry.GetCounter("vts/stamps_below_inferred")->value();
+    result.takeovers_started +=
+        registry.GetCounter("membership/takeovers_started")->value();
   }
   result.conflict_aborts = phases.conflict_aborts;
   result.entries_proposed = phases.entries;

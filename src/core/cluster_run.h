@@ -92,6 +92,13 @@ struct ExperimentResult {
   /// Nodes crash-stopped by the run's fault schedule.
   int nodes_killed = 0;
 
+  // ---- Breaches of Algorithm 2's input rules, summed over every node
+  // (DESIGN.md §7): stamps applied below their assigner's highest, stamps
+  // below a bound the VTS engine had already inferred, and takeovers.
+  uint64_t late_stamps = 0;
+  uint64_t stamps_below_inferred = 0;
+  uint64_t takeovers_started = 0;
+
   /// Machine-readable dump of every field above (one JSON object).
   std::string ToJson() const;
 };
@@ -130,7 +137,7 @@ class ClientPool {
 };
 
 /// The result both drivers report: throughput, latency and timeline from
-/// `commits`; phases, aborts, batch sizes and entry counts summed over
+/// `commits`; phases, aborts, batch sizes, entry and breach counts summed over
 /// `telemetry` (the one shared context in sim mode, every node's own in
 /// real mode); the crypto figures from `keys`.
 [[nodiscard]] ExperimentResult BuildResult(
