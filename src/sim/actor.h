@@ -105,8 +105,6 @@ class Actor {
   const CpuAccount& cpu_account() const { return cpu_; }
 
  protected:
-  Simulator* sim() { return sim_; }
-  Network* network() { return network_; }
   CpuAccount& cpu() { return cpu_; }
   SimTime Now() const { return sim_->Now(); }
 
