@@ -19,27 +19,17 @@ Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
 }
 
 void DigestCertifier::Start(const DecisionId& decision) {
-  Pending& p = pending_[decision];
-  if (p.votes.contains(self_.index)) return;  // Already started.
-  p.decision = decision;
+  auto [it, started] = pending_.try_emplace(decision);
+  if (!started) return;  // Already started.
 
   Digest digest = DecisionDigest(decision);
   Bytes payload(digest.begin(), digest.end());
   Signature own = cb_.sign(payload);
-  p.votes[self_.index] = own;
-  p.voted = true;
+  it->second.emplace(self_.index, own);
   cb_.broadcast(
       NewMessage(MessageType::kCertifyRequest, SignedDecision{decision, own}));
-
   // Degenerate single-node group: the leader's own share is the quorum.
-  if (!p.certified && static_cast<int>(p.votes.size()) >= quorum()) {
-    p.certified = true;
-    Certificate cert;
-    cert.gid = gid_;
-    cert.digest = digest;
-    cert.AddSignature(self_.index, own);
-    cb_.on_certified(p.decision, std::move(cert));
-  }
+  MaybeCertify(it, digest);
 }
 
 void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
@@ -51,32 +41,23 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
       Digest digest = DecisionDigest(req.decision);
       Bytes payload(digest.begin(), digest.end());
       if (!cb_.verify(from, payload, req.sig)) return;
-      Pending& p = pending_[req.decision];
-      p.decision = req.decision;
-      if (!TryVote(p)) deferred_.insert(req.decision);
+      if (TryVote(req.decision)) {
+        deferred_.erase(req.decision);
+      } else {
+        deferred_.insert(req.decision);
+      }
       break;
     }
     case MessageType::kCertifyVote: {
       const auto& vote = BodyOf<SignedDecision>(*message);
       auto it = pending_.find(vote.decision);
-      if (it == pending_.end()) return;  // We never started this decision.
-      Pending& p = it->second;
-      if (p.certified) return;
+      // Never started here, or certified already.
+      if (it == pending_.end()) return;
       Digest digest = DecisionDigest(vote.decision);
       Bytes payload(digest.begin(), digest.end());
       if (!cb_.verify(from, payload, vote.sig)) return;
-      p.votes.emplace(from.index, vote.sig);
-      if (static_cast<int>(p.votes.size()) >= quorum()) {
-        p.certified = true;
-        Certificate cert;
-        cert.gid = gid_;
-        cert.digest = digest;
-        for (const auto& [index, sig] : p.votes) {
-          cert.AddSignature(index, sig);
-          if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
-        }
-        cb_.on_certified(p.decision, std::move(cert));
-      }
+      it->second.emplace(from.index, vote.sig);
+      MaybeCertify(it, digest);
       break;
     }
     default:
@@ -85,22 +66,35 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   }
 }
 
-bool DigestCertifier::TryVote(Pending& p) {
-  if (p.voted) return true;
-  if (!cb_.can_sign(p.decision)) return false;  // Until state advances.
-  p.voted = true;
-  Digest digest = DecisionDigest(p.decision);
+void DigestCertifier::MaybeCertify(std::map<DecisionId, Shares>::iterator it,
+                                   const Digest& digest) {
+  if (static_cast<int>(it->second.size()) < quorum()) return;
+  Certificate cert;
+  cert.gid = gid_;
+  cert.digest = digest;
+  for (const auto& [index, sig] : it->second) {
+    cert.AddSignature(index, sig);
+    if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
+  }
+  const DecisionId decision = it->first;
+  pending_.erase(it);
+  cb_.on_certified(decision, std::move(cert));
+}
+
+bool DigestCertifier::TryVote(const DecisionId& decision) {
+  if (!cb_.can_sign(decision)) return false;  // Until state advances.
+  Digest digest = DecisionDigest(decision);
   Bytes payload(digest.begin(), digest.end());
   Signature sig = cb_.sign(payload);
   cb_.send_to(NodeId{gid_, leader_},
               NewMessage(MessageType::kCertifyVote,
-                         SignedDecision{p.decision, sig}));
+                         SignedDecision{decision, sig}));
   return true;
 }
 
 void DigestCertifier::RecheckPending() {
   for (auto it = deferred_.begin(); it != deferred_.end();)
-    it = TryVote(pending_.at(*it)) ? deferred_.erase(it) : std::next(it);
+    it = TryVote(*it) ? deferred_.erase(it) : std::next(it);
 }
 
 }  // namespace massbft

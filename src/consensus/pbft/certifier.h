@@ -69,24 +69,28 @@ class DigestCertifier {
   int quorum() const { return 2 * f_ + 1; }
 
  private:
-  struct Pending {
-    DecisionId decision;
-    bool voted = false;
-    bool certified = false;
-    std::map<uint16_t, Signature> votes;  // Leader-side shares.
-  };
+  /// Leader side: the shares of a started decision, keyed by signer index.
+  using Shares = std::map<uint16_t, Signature>;
 
-  /// Votes on `p` unless can_sign defers it; returns whether `p` has
+  /// Votes on `decision` unless can_sign defers it; returns whether it
   /// voted.
-  bool TryVote(Pending& p);
+  bool TryVote(const DecisionId& decision);
+  /// Leader: once `it` holds a quorum of shares, erases it and completes
+  /// the decision with their certificate over `digest`.
+  void MaybeCertify(std::map<DecisionId, Shares>::iterator it,
+                    const Digest& digest);
 
   uint16_t gid_;
   NodeId self_;
   int f_;
   uint16_t leader_;
   Callbacks cb_;
-  std::map<DecisionId, Pending> pending_;
-  /// The decisions whose vote can_sign deferred, in pending_'s order.
+  /// Decisions this leader started and has not certified yet. A decided
+  /// one keeps nothing: a late vote finds no entry and goes unchecked.
+  std::map<DecisionId, Shares> pending_;
+  /// Follower side: requests whose vote can_sign deferred. A follower
+  /// keeps nothing once it has voted, so a repeated request gets a fresh
+  /// vote.
   std::set<DecisionId> deferred_;
 };
 

@@ -141,6 +141,7 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepare& msg) {
 
 void PbftEngine::OnVote(NodeId from, MessageType phase, const PbftVote& vote) {
   Instance& inst = GetInstance(vote.seq);
+  if (inst.committed) return;  // Both phases had their quorum.
   if (!inst.digest_known) {
     // Which digest counts is unknown until the pre-prepare: hold the vote,
     // unchecked, until then (the first per signer and phase).
@@ -203,7 +204,9 @@ void PbftEngine::MaybeCommit(uint64_t seq) {
     cert.AddSignature(index, sig);
     if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
   }
-  cb_.on_committed(inst.entry, std::move(cert));
+  inst.prepares.clear();
+  inst.commits.clear();
+  cb_.on_committed(std::move(inst.entry), std::move(cert));
 }
 
 }  // namespace massbft

@@ -78,6 +78,8 @@ class PbftEngine {
   uint64_t committed_count() const { return committed_count_; }
 
  private:
+  /// One slot. Once committed, it keeps only its digest and flags: the
+  /// entry went to on_committed, and no later vote is checked.
   struct Instance {
     EntryPtr entry;
     Digest digest{};

@@ -446,11 +446,15 @@ void GroupNode::OnEntryTransfer(NodeId from, const CertifiedEntry& msg) {
   }
   // A WAN receiver forwards the entry to its whole group over LAN (paper
   // Section II-A "Global Replication"): the copy it holds and verified, not
-  // the sender's, which went unchecked if the payload was already here.
+  // the sender's, which went unchecked if the payload was already here. A
+  // follower that executed the entry holds none; it forwards the sender's
+  // copy only if that is the entry its certificate names.
   if (from.group != my_group() && !rec.lan_forwarded) {
+    const EntryPtr& copy = rec.entry != nullptr ? rec.entry : msg.entry;
+    if (copy->digest() != rec.cert.digest) return;
     rec.lan_forwarded = true;
     BroadcastLan(NewMessage(MessageType::kEntryTransfer,
-                            CertifiedEntry{rec.entry, rec.cert}));
+                            CertifiedEntry{copy, rec.cert}));
   }
 }
 
@@ -552,7 +556,7 @@ void GroupNode::MarkPayloadAvailable(const Key& key) {
 GroupNode::Retained GroupNode::retained() const {
   Retained retained;
   for (const auto& [key, rec] : entries_) {
-    if (!rec.payload_available) continue;
+    if (rec.entry == nullptr) continue;
     ++retained.entries;
     retained.payload_bytes += rec.entry->ByteSize();
   }
@@ -792,7 +796,11 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   unexecuted_committed_.erase(key);
   membership_.OnExecuted(gid, seq);
   execution_log_.emplace_back(gid, seq);
-  const EntryPtr& entry = rec.entry;
+  // Only a leader reads an executed entry again, to answer a catch-up
+  // request (OnCatchUpRequest); a follower keeps the record's flags and
+  // certificate and releases the payload.
+  const EntryPtr entry =
+      IsGroupLeader() ? rec.entry : std::exchange(rec.entry, nullptr);
   // Nothing reads an executed entry's chunks again (ClusterContext).
   const Digest& digest = entry->digest();
   auto& encodings = ctx_->encode_cache;

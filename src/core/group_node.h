@@ -125,7 +125,8 @@ class GroupNode : public Actor {
   uint64_t own_clock() const { return own_clock_; }
 
   /// The entry store's footprint: the entries whose payload this node
-  /// holds, and their canonical bytes. Nothing is truncated yet.
+  /// holds, and their canonical bytes. A follower releases each payload
+  /// when it executes the entry; a leader keeps every one, for catch-up.
   struct Retained {
     uint64_t entries = 0;
     uint64_t payload_bytes = 0;
@@ -139,6 +140,9 @@ class GroupNode : public Actor {
  private:
   using Key = std::pair<uint16_t, uint64_t>;
 
+  /// What this node knows of one slot. `entry` is null until the payload
+  /// is stored, and again once a follower has executed it; the flags and
+  /// the certificate stay for the run.
   struct EntryRecord {
     EntryPtr entry;
     Certificate cert;

@@ -43,8 +43,9 @@ struct Transaction {
 /// Immutable after construction; shared by pointer across the simulation.
 ///
 /// An entry holds only its canonical bytes, its transaction count and the
-/// memoized digest: every replica keeps each entry it replicates, so a
-/// parsed copy of the transactions would store every payload twice.
+/// memoized digest: every replica holds each entry it replicates until it
+/// executes it (a leader for good), so a parsed copy of the transactions
+/// would store every payload twice.
 /// Executors parse the batch when they execute it (DecodeTxns).
 class Entry {
  public:

@@ -142,6 +142,51 @@ TEST(GroupNodeTest, WanCopyOfHeldEntryForwardsTheVerifiedOne) {
   EXPECT_EQ(held_copies, 3);  // Once to each LAN peer.
 }
 
+/// Entries (0,0) and (1,0), each with its group's certificate, from LAN
+/// peer (1,3): a GeoBFT node of group 1 commits both on receipt and
+/// executes round 0.
+void ExecuteRoundZero(NodeHarness& h) {
+  for (EntryPtr entry : {MakeEntry(0, 0), MakeEntry(1, 0)}) {
+    h.node->HandleMessage(
+        NodeId{1, 3},
+        NewMessage(MessageType::kEntryTransfer,
+                   CertifiedEntry{entry,
+                                  h.Certify(entry->gid(), entry->digest())}));
+  }
+  h.sim.RunAll();
+  MASSBFT_CHECK(h.node->executed_entries() == 2);
+}
+
+TEST(GroupNodeTest, ReleasedFollowerForwardsOnlyTheCertifiedWanCopy) {
+  // Follower (1,1) executed (0,0) and released its payload. A later WAN
+  // copy of (0,0) is forwarded to the group only if it is the entry the
+  // held certificate names: a forgery with another digest goes nowhere,
+  // and the genuine copy still reaches each of the 3 LAN peers once.
+  NodeHarness h(2, 4, NodeId{1, 1}, ProtocolConfig::GeoBft());
+  ExecuteRoundZero(h);
+  ASSERT_EQ(h.node->retained().entries, 0u);
+
+  auto forged = std::make_shared<const Entry>(
+      0, 0,
+      std::vector<Transaction>{Transaction{2, 2, 0, Bytes(100, 0x66)}});
+  h.node->HandleMessage(
+      NodeId{0, 3},
+      NewMessage(MessageType::kEntryTransfer,
+                 CertifiedEntry{forged, h.Certify(0, forged->digest())}));
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kEntryTransfer), 0);
+
+  EntryPtr genuine = MakeEntry(0, 0);
+  h.node->HandleMessage(
+      NodeId{0, 1},
+      NewMessage(MessageType::kEntryTransfer,
+                 CertifiedEntry{genuine, h.Certify(0, genuine->digest())}));
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kEntryTransfer), 3);
+  for (const auto& [dst, m] : h.sent)
+    EXPECT_EQ(BodyOf<CertifiedEntry>(*m).entry->digest(), genuine->digest());
+}
+
 TEST(GroupNodeTest, LeaderTakesTimestampsOnlyFromPeerLeaders) {
   // Follower (2,3) claims group 0 stamped entry (2,0) with 999. A leader
   // that took it would relay it to its group, and the first stamp seen
@@ -627,6 +672,19 @@ TEST(GroupNodeTest, ExecutedEntryLeavesNoEncodingBehind) {
   settle();
   ASSERT_EQ(h.node->executed_entries(), 2u);
   EXPECT_EQ(encodings_of(digest), 0);
+}
+
+TEST(GroupNodeTest, OnlyTheLeaderKeepsExecutedPayloads) {
+  // GeoBFT nodes (1,0) and (1,1) store and execute the same two entries.
+  // Only a leader answers catch-up requests, so only it keeps them.
+  for (uint16_t index : {0, 1}) {
+    SCOPED_TRACE(index);
+    NodeHarness h(2, 4, NodeId{1, index}, ProtocolConfig::GeoBft());
+    ExecuteRoundZero(h);
+    const GroupNode::Retained retained = h.node->retained();
+    EXPECT_EQ(retained.entries, index == 0 ? 2u : 0u);
+    EXPECT_EQ(retained.payload_bytes == 0, index != 0);
+  }
 }
 
 }  // namespace

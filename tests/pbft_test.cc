@@ -229,6 +229,37 @@ TEST_F(PbftFixture, ChecksOnlyTheVotesAQuorumNeeds) {
   }
 }
 
+TEST_F(PbftFixture, VotesAfterCommitAreNotChecked) {
+  // A committed instance keeps no votes. Every prepare and commit that
+  // reaches a node again afterwards stops before its signature check, and
+  // none commits the entry a second time.
+  Init(4);
+  nodes_[0]->engine->Propose(MakeEntry(0));
+  bus_->Deliver();
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u);
+    const int verifies = nodes_[i]->verifies;
+    std::set<const SimMessage*> seen;  // A broadcast is one message.
+    int votes = 0;
+    for (const auto& [from, msg] : bus_->sent) {
+      const auto type = static_cast<MessageType>(msg->type());
+      if (from == i ||
+          (type != MessageType::kPrepare && type != MessageType::kCommit) ||
+          !seen.insert(msg.get()).second)
+        continue;
+      nodes_[i]->engine->OnMessage(NodeId{0, static_cast<uint16_t>(from)},
+                                   msg);
+      ++votes;
+    }
+    // Every other node's commit, and every other follower's prepare (the
+    // leader's prepare is its pre-prepare).
+    EXPECT_EQ(votes, i == 0 ? 6 : 5);
+    EXPECT_EQ(nodes_[i]->verifies, verifies);
+    EXPECT_EQ(nodes_[i]->committed.size(), 1u);
+  }
+}
+
 TEST_F(PbftFixture, VotesBeforeThePrePrepareCountOnlyForItsDigest) {
   // Nodes 2 and 3 prepare D' and their validly signed prepares reach
   // node 1 before any pre-prepare; then node 1 gets a pre-prepare for D
@@ -319,8 +350,9 @@ struct CertifierNode {
     cb.sign = [bus, self](const Bytes& payload) {
       return bus->registry.Sign(self, payload);
     };
-    cb.verify = [bus](NodeId node, const Bytes& payload,
-                      const Signature& sig) {
+    cb.verify = [this, bus](NodeId node, const Bytes& payload,
+                            const Signature& sig) {
+      ++verifies;
       return bus->registry.Verify(node, payload, sig);
     };
     cb.can_sign = [this](const DecisionId&) { return can_sign; };
@@ -334,6 +366,7 @@ struct CertifierNode {
   std::unique_ptr<DigestCertifier> certifier;
   bool can_sign = true;
   std::vector<std::pair<DecisionId, Certificate>> certified;
+  int verifies = 0;
 };
 
 class CertifierFixture : public ::testing::Test {
@@ -423,6 +456,41 @@ TEST_F(CertifierFixture, DuplicateStartIdempotent) {
   nodes_[0]->certifier->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
+}
+
+TEST_F(CertifierFixture, VoteAfterCertificationIsNotChecked) {
+  // The leader checks two follower votes and certifies with its own; the
+  // third vote, and every vote delivered again, finds nothing to count.
+  Init(4);
+  nodes_[0]->certifier->Start(Decision());
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[0]->certified.size(), 1u);
+  EXPECT_EQ(nodes_[0]->verifies, 2);
+  for (const auto& [from, msg] : bus_->sent)
+    if (msg->type() == static_cast<int>(MessageType::kCertifyVote))
+      nodes_[0]->certifier->OnMessage(
+          NodeId{0, static_cast<uint16_t>(from)}, msg);
+  EXPECT_EQ(nodes_[0]->verifies, 2);
+  EXPECT_EQ(nodes_[0]->certified.size(), 1u);
+}
+
+TEST_F(CertifierFixture, FollowerAskedTwiceVotesTwice) {
+  // A follower keeps nothing once it has voted, so the leader's repeated
+  // request gets a fresh vote rather than silence.
+  Init(4);
+  nodes_[0]->certifier->Start(Decision());
+  bus_->Deliver();
+  MessagePtr request;
+  for (const auto& [from, msg] : bus_->sent)
+    if (msg->type() == static_cast<int>(MessageType::kCertifyRequest))
+      request = msg;
+  ASSERT_NE(request, nullptr);
+  nodes_[1]->certifier->OnMessage(NodeId{0, 0}, request);
+  int votes = 0;
+  for (const auto& [from, msg] : bus_->sent)
+    votes += from == 1 &&
+             msg->type() == static_cast<int>(MessageType::kCertifyVote);
+  EXPECT_EQ(votes, 2);
 }
 
 TEST(CertifierTest, RecheckAsksOnlyDecisionsStillWaiting) {
