@@ -193,7 +193,6 @@ void PbftEngine::MaybeCommit(uint64_t seq) {
       static_cast<int>(inst.commits.size()) < quorum())
     return;
   inst.committed = true;
-  ++committed_count_;
   if (cb_.now)
     ObservePhase("commit", commit_hist_, inst.prepared_at, cb_.now(), seq);
 

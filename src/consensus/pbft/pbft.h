@@ -74,9 +74,6 @@ class PbftEngine {
   /// Delivery entry point for kPrePrepare/kPrepare/kCommit messages.
   void OnMessage(NodeId from, const MessagePtr& message);
 
-  /// Number of instances that have committed on this node.
-  uint64_t committed_count() const { return committed_count_; }
-
  private:
   /// One slot. Once committed, it keeps only its digest and flags: the
   /// entry went to on_committed, and no later vote is checked.
@@ -87,7 +84,6 @@ class PbftEngine {
     bool validated = false;
     bool prepared = false;
     bool committed = false;
-    bool commit_broadcast = false;
     // Verified votes for `digest`, keyed by node index.
     std::map<uint16_t, Signature> prepares;
     std::map<uint16_t, Signature> commits;
@@ -123,7 +119,6 @@ class PbftEngine {
   uint16_t leader_;
   Callbacks cb_;
 
-  uint64_t committed_count_ = 0;
   std::map<uint64_t, Instance> instances_;
 
   // Pre-resolved observability handles (null when not wired).
