@@ -871,10 +871,15 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       OnChunkBatch(from, BodyOf<ChunkBatch>(msg));
       break;
     case MessageType::kRaftPropose: {
+      // A propose counts only from its instance's leader; Steward's
+      // translation takes the first certified digest for a global sequence.
       const auto& propose = BodyOf<RaftPropose>(msg);
-      if (single_master() && propose.gid == 0)
-        global_seq_digest_[propose.seq] = propose.cert.digest;
-      if (raft_ != nullptr) raft_->OnProposeControl(propose);
+      if (raft_ == nullptr || from != LeaderOf(propose.gid)) break;
+      if (single_master() && propose.gid == 0) {
+        if (!VerifyGroupCert(propose.cert, propose.cert.digest)) break;
+        global_seq_digest_.try_emplace(propose.seq, propose.cert.digest);
+      }
+      raft_->OnProposeControl(propose);
       break;
     }
     case MessageType::kRaftAccept:

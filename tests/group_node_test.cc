@@ -437,6 +437,29 @@ TEST(GroupNodeTest, RebuiltEntryCountsOnlyForItsOwnSlot) {
   EXPECT_EQ(h.CountSent(MessageType::kChunkBatch), 3);  // (0,3)'s LAN share.
 }
 
+TEST(GroupNodeTest, RaftProposeCountsOnlyFromItsInstancesLeader) {
+  // MassBFT leader (1,0) holds (0,0)'s payload. A propose for (0,0) from
+  // group 2's leader carries group 0's genuine certificate, yet only
+  // group 0's leader proposes in group 0's instance: no accept starts.
+  // The same propose from (0,0) starts one, a certify request to each of
+  // the 3 group members.
+  NodeHarness h(3, 4, NodeId{1, 0}, ProtocolConfig::MassBft());
+  EntryPtr entry = MakeEntry(0, 0);
+  const Certificate cert = h.Certify(0, entry->digest());
+  h.node->HandleMessage(NodeId{1, 1},
+                        NewMessage(MessageType::kEntryTransfer,
+                                   CertifiedEntry{entry, cert}));
+  auto propose =
+      NewMessage(MessageType::kRaftPropose, RaftPropose{0, 0, cert});
+  h.node->HandleMessage(NodeId{2, 0}, propose);
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kCertifyRequest), 0);
+
+  h.node->HandleMessage(NodeId{0, 0}, propose);
+  h.sim.RunAll();
+  EXPECT_EQ(h.CountSent(MessageType::kCertifyRequest), 3);
+}
+
 TEST(GroupNodeTest, EntryNeedsItsOwnGroupsCertificate) {
   // Group 0's genuine certificate over the bytes of entry (2,0) is not
   // group 2's: GeoBFT (1,0) must neither store (2,0) on it nor forward it.
