@@ -57,6 +57,15 @@ TEST_P(ProtocolLivenessTest, CommitsTransactionsAndAgrees) {
   EXPECT_GE(out.agreement, 1) << "execution logs diverged";
   EXPECT_GT(out.result.throughput_tps, 100.0);
   EXPECT_GT(out.result.mean_latency_ms, 1.0);
+  // A leader keeps every payload it executed, to answer catch-up; a
+  // follower releases each one, so it holds only entries still in flight.
+  for (const auto& n : out.experiment->nodes()) {
+    if (n->IsGroupLeader()) {
+      EXPECT_GE(n->retained().entries, n->executed_entries());
+    } else {
+      EXPECT_LT(n->retained().entries, n->executed_entries());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
