@@ -1,15 +1,12 @@
 #include "bench/bench_util.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.h"
-#include "core/bench_baseline.h"
 #include "obs/json_writer.h"
 
 namespace massbft {
@@ -26,12 +23,6 @@ const BenchOptions& GlobalOptions() { return g_options; }
 
 BenchOptions BenchOptions::Parse(int argc, char** argv) {
   BenchOptions opts;
-  if (argc > 0 && argv[0] != nullptr) {
-    std::string program = argv[0];
-    size_t slash = program.find_last_of('/');
-    opts.bench_name =
-        slash == std::string::npos ? program : program.substr(slash + 1);
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) opts.csv = true;
     if (std::strcmp(argv[i], "--fast") == 0) opts.fast = true;
@@ -39,10 +30,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) opts.trace_file = argv[i] + 8;
     if (std::strcmp(argv[i], "--json") == 0) opts.json_file = "bench_results.json";
     if (std::strncmp(argv[i], "--json=", 7) == 0) opts.json_file = argv[i] + 7;
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-      opts.baseline_file = argv[i] + 11;
-    if (std::strncmp(argv[i], "--repeat=", 9) == 0)
-      opts.repeat = std::max(1, std::atoi(argv[i] + 9));
   }
   g_options = opts;
   g_json_runs.clear();
@@ -56,82 +43,17 @@ SimTime WarmupDuration(const BenchOptions& opts) {
   return opts.fast ? 1 * kSecond : 2 * kSecond;
 }
 
-namespace {
-
-/// Mean and (sample) standard deviation of one wall-clock field.
-struct RepeatStat {
-  double mean = 0;
-  double stdev = 0;
-};
-
-RepeatStat StatOf(const std::vector<double>& samples) {
-  RepeatStat stat;
-  if (samples.empty()) return stat;
-  double sum = 0;
-  for (double s : samples) sum += s;
-  stat.mean = sum / static_cast<double>(samples.size());
-  if (samples.size() > 1) {
-    double sq = 0;
-    for (double s : samples) sq += (s - stat.mean) * (s - stat.mean);
-    stat.stdev = std::sqrt(sq / static_cast<double>(samples.size() - 1));
-  }
-  return stat;
-}
-
-}  // namespace
-
 ExperimentResult RunOnce(ExperimentConfig config) {
   if (!g_options.trace_file.empty()) config.enable_tracing = true;
-  ExperimentConfig repeat_config = config;  // For --repeat re-runs.
   Experiment experiment(std::move(config));
   Status status = experiment.Setup();
   MASSBFT_CHECK(status.ok());
   ExperimentResult result = experiment.Run();
 
-  // --repeat=N: re-run the identical (seed-deterministic) experiment and
-  // fold the host-timing samples into mean +- stdev. The protocol-level
-  // fields of every repeat match the first run, so only the wall-clock
-  // fields are aggregated.
-  if (g_options.repeat > 1) {
-    std::vector<double> wall_ms{result.wall_ms};
-    std::vector<double> eps{result.events_per_sec};
-    std::vector<double> ratio{result.sim_time_ratio};
-    for (int r = 1; r < g_options.repeat; ++r) {
-      Experiment again(repeat_config);
-      MASSBFT_CHECK(again.Setup().ok());
-      ExperimentResult repeat_result = again.Run();
-      wall_ms.push_back(repeat_result.wall_ms);
-      eps.push_back(repeat_result.events_per_sec);
-      ratio.push_back(repeat_result.sim_time_ratio);
-    }
-    RepeatStat wall_stat = StatOf(wall_ms);
-    RepeatStat eps_stat = StatOf(eps);
-    RepeatStat ratio_stat = StatOf(ratio);
-    result.wall_ms = wall_stat.mean;
-    result.events_per_sec = eps_stat.mean;
-    result.sim_time_ratio = ratio_stat.mean;
-    std::fprintf(stderr,
-                 "[repeat x%d] wall_ms %.1f +- %.1f | events/sec %.0f +- "
-                 "%.0f | sim_time_ratio %.2f +- %.2f\n",
-                 g_options.repeat, wall_stat.mean, wall_stat.stdev,
-                 eps_stat.mean, eps_stat.stdev, ratio_stat.mean,
-                 ratio_stat.stdev);
-  }
-
   if (!g_options.trace_file.empty()) {
     Status written = experiment.WriteTrace(g_options.trace_file);
     if (!written.ok()) {
       MASSBFT_LOG(kWarn) << "trace export failed: " << written.ToString();
-    }
-  }
-  if (!g_options.baseline_file.empty()) {
-    // Rewritten per run: the file always holds the latest completed run's
-    // baseline even if the bench is interrupted mid-sweep.
-    Status written = WriteBenchBaselineFile(
-        g_options.baseline_file,
-        g_options.bench_name.empty() ? "bench" : g_options.bench_name, result);
-    if (!written.ok()) {
-      MASSBFT_LOG(kWarn) << "baseline export failed: " << written.ToString();
     }
   }
   if (!g_options.json_file.empty()) {

@@ -25,17 +25,6 @@ struct BenchOptions {
   /// --json[=FILE]: append each run's result + metrics registry to a JSON
   /// array file (default bench_results.json), rewritten after every run.
   std::string json_file;
-  /// --repeat=N: run each experiment N times and report the wall-clock
-  /// fields (wall_ms, events_per_sec, sim_time_ratio) as mean +- stdev
-  /// across repeats. Simulated results are seed-deterministic, so only the
-  /// host-timing fields vary; the returned result carries the means.
-  int repeat = 1;
-  /// --baseline=FILE: after every run, rewrite FILE as a schema-versioned
-  /// perf-baseline document (core/bench_baseline.h) for the last result —
-  /// the same format as the checked-in BENCH_*.json trajectory files.
-  std::string baseline_file;
-  /// Bench name stamped into baseline documents (basename of argv[0]).
-  std::string bench_name;
 
   static BenchOptions Parse(int argc, char** argv);
 };

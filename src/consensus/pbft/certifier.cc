@@ -18,14 +18,16 @@ Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
   return Sha256::Hash(field::ToBytes(decision));
 }
 
-void DigestCertifier::Start(const DecisionId& decision) {
+void DigestCertifier::Start(const DecisionId& decision,
+                            std::function<void(Certificate)> done) {
   auto [it, started] = pending_.try_emplace(decision);
   if (!started) return;  // Already started.
+  it->second.done = std::move(done);
 
   Digest digest = DecisionDigest(decision);
   Bytes payload(digest.begin(), digest.end());
   Signature own = cb_.sign(payload);
-  it->second.emplace(self_.index, own);
+  it->second.shares.emplace(self_.index, own);
   cb_.broadcast(
       NewMessage(MessageType::kCertifyRequest, SignedDecision{decision, own}));
   // Degenerate single-node group: the leader's own share is the quorum.
@@ -56,7 +58,7 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
       Digest digest = DecisionDigest(vote.decision);
       Bytes payload(digest.begin(), digest.end());
       if (!cb_.verify(from, payload, vote.sig)) return;
-      it->second.emplace(from.index, vote.sig);
+      it->second.shares.emplace(from.index, vote.sig);
       MaybeCertify(it, digest);
       break;
     }
@@ -66,19 +68,19 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   }
 }
 
-void DigestCertifier::MaybeCertify(std::map<DecisionId, Shares>::iterator it,
+void DigestCertifier::MaybeCertify(std::map<DecisionId, Pending>::iterator it,
                                    const Digest& digest) {
-  if (static_cast<int>(it->second.size()) < quorum()) return;
+  if (static_cast<int>(it->second.shares.size()) < quorum()) return;
   Certificate cert;
   cert.gid = gid_;
   cert.digest = digest;
-  for (const auto& [index, sig] : it->second) {
+  for (const auto& [index, sig] : it->second.shares) {
     cert.AddSignature(index, sig);
     if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
   }
-  const DecisionId decision = it->first;
+  auto done = std::move(it->second.done);
   pending_.erase(it);
-  cb_.on_certified(decision, std::move(cert));
+  done(std::move(cert));
 }
 
 bool DigestCertifier::TryVote(const DecisionId& decision) {

@@ -42,8 +42,6 @@ class DigestCertifier {
     /// owner must call RecheckPending() when its state advances (e.g. an
     /// entry finishes rebuilding).
     std::function<bool(const DecisionId&)> can_sign;
-    /// Leader-side completion with the aggregated certificate.
-    std::function<void(const DecisionId&, Certificate)> on_certified;
   };
 
   /// `leader` is the index of the group member whose requests followers
@@ -56,8 +54,11 @@ class DigestCertifier {
   /// against).
   static Digest DecisionDigest(const DecisionId& decision);
 
-  /// Leader: starts certification of `decision`.
-  void Start(const DecisionId& decision);
+  /// Leader: starts certification of `decision`; `done` gets the
+  /// aggregated certificate once 2f+1 shares are in. Starting a decision
+  /// already in progress changes nothing.
+  void Start(const DecisionId& decision,
+             std::function<void(Certificate)> done);
 
   /// Dispatch for kCertifyRequest / kCertifyVote.
   void OnMessage(NodeId from, const MessagePtr& message);
@@ -69,15 +70,19 @@ class DigestCertifier {
   int quorum() const { return 2 * f_ + 1; }
 
  private:
-  /// Leader side: the shares of a started decision, keyed by signer index.
-  using Shares = std::map<uint16_t, Signature>;
+  /// Leader side: a started decision's shares, keyed by signer index,
+  /// and its continuation.
+  struct Pending {
+    std::map<uint16_t, Signature> shares;
+    std::function<void(Certificate)> done;
+  };
 
   /// Votes on `decision` unless can_sign defers it; returns whether it
   /// voted.
   bool TryVote(const DecisionId& decision);
   /// Leader: once `it` holds a quorum of shares, erases it and completes
   /// the decision with their certificate over `digest`.
-  void MaybeCertify(std::map<DecisionId, Shares>::iterator it,
+  void MaybeCertify(std::map<DecisionId, Pending>::iterator it,
                     const Digest& digest);
 
   uint16_t gid_;
@@ -87,7 +92,7 @@ class DigestCertifier {
   Callbacks cb_;
   /// Decisions this leader started and has not certified yet. A decided
   /// one keeps nothing: a late vote finds no entry and goes unchecked.
-  std::map<DecisionId, Shares> pending_;
+  std::map<DecisionId, Pending> pending_;
   /// Follower side: requests whose vote can_sign deferred. A follower
   /// keeps nothing once it has voted, so a repeated request gets a fresh
   /// vote.

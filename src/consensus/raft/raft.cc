@@ -76,8 +76,7 @@ void RaftCoordinator::MaybeStartAccept(uint16_t gid, uint64_t seq) {
   cb_.certify(decision, [this, gid, seq, ts](Certificate cert) {
     Instance& inst = instances_[gid];
     InstanceEntry& e = inst.log[seq];
-    if (e.accept_sent) return;
-    e.accept_sent = true;
+    if (e.cached_accept != nullptr) return;
     // Track our own accept so a later takeover of this instance can count
     // quorums without replaying history.
     e.accept_groups.insert(static_cast<uint16_t>(my_group_));
@@ -177,11 +176,10 @@ void RaftCoordinator::MaybeDeliverCommits(uint16_t gid) {
     uint64_t next = static_cast<uint64_t>(inst.committed_through + 1);
     auto it = inst.log.find(next);
     if (it == inst.log.end() || !it->second.committed) break;
-    if (!it->second.commit_delivered) {
-      it->second.commit_delivered = true;
-      cb_.on_committed(gid, next);
-    }
+    // The cursor moves first: the callback may commit the next entry and
+    // deliver it through a nested call.
     inst.committed_through = static_cast<int64_t>(next);
+    cb_.on_committed(gid, next);
   }
 }
 

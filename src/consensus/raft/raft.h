@@ -110,13 +110,11 @@ class RaftCoordinator {
   struct InstanceEntry {
     bool proposed = false;            // Propose control seen.
     bool accept_started = false;      // Accept certification launched.
-    bool accept_sent = false;
     bool committed = false;
-    bool commit_delivered = false;
     std::set<uint16_t> accept_groups;  // Proposer side: who accepted.
     bool commit_started = false;       // Proposer side.
-    /// Our accept receipt, cached so a re-propose after the proposer
-    /// recovers from a crash can be answered again.
+    /// Our accept receipt, set once it is sent and cached so a re-propose
+    /// after the proposer recovers from a crash can be answered again.
     MessagePtr cached_accept;
     SimTime proposed_at = -1;  // Proposer side, for observability.
   };

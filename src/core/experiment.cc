@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "obs/trace_merge.h"
 
 namespace massbft {
 
@@ -49,21 +50,20 @@ Status Experiment::Setup() {
   ctx_->on_txn_committed = [this](const Transaction& txn, SimTime t) {
     OnTxnCommitted(txn, t);
   };
-  ctx_->telemetry->set_tracing(config_.enable_tracing);
+  ctx_->telemetry.set_tracing(config_.enable_tracing);
   for (NodeId id : topology_->AllNodes()) {
     char name[32];
     std::snprintf(name, sizeof(name), "g%u/n%u",
                   static_cast<unsigned>(id.group),
                   static_cast<unsigned>(id.index));
-    ctx_->telemetry->trace().RegisterTrack(obs::Telemetry::NodeTrack(
-                                               id.Packed()),
-                                           name);
+    ctx_->telemetry.trace().RegisterTrack(
+        obs::Telemetry::NodeTrack(id.Packed()), name);
   }
   for (int g = 0; g < topology_->num_groups(); ++g) {
     char name[32];
     std::snprintf(name, sizeof(name), "clients/g%d", g);
-    ctx_->telemetry->trace().RegisterTrack(obs::Telemetry::ClientTrack(g),
-                                           name);
+    ctx_->telemetry.trace().RegisterTrack(obs::Telemetry::ClientTrack(g),
+                                          name);
   }
 
   network_ = std::make_unique<Network>(
@@ -72,7 +72,7 @@ Status Experiment::Setup() {
         GroupNode* target = node(dst);
         if (target != nullptr) target->HandleMessage(src, std::move(m));
       });
-  network_->set_telemetry(ctx_->telemetry);
+  network_->set_telemetry(&ctx_->telemetry);
 
   // Build nodes; the highest-indexed nodes of each group are the Byzantine
   // ones when fault injection is configured (leaders stay correct, as in
@@ -129,8 +129,8 @@ void Experiment::SubmitNext(size_t client) {
   if (leader == nullptr || leader->crashed()) return;  // Group down.
 
   SimTime submit_time = sim_->Now();
-  if (ctx_->telemetry->tracing()) {
-    ctx_->telemetry->trace().RecordInstant(
+  if (ctx_->telemetry.tracing()) {
+    ctx_->telemetry.trace().RecordInstant(
         obs::Telemetry::ClientTrack(leader_id.group), "client", "submit",
         submit_time,
         obs::TraceArgs{{{"client", static_cast<double>(clients_.id(client))}}});
@@ -170,7 +170,7 @@ ExperimentResult Experiment::Run() {
 
   // End-of-run per-link WAN uplink utilization (fraction of the link's
   // capacity the node's sends consumed over the whole run).
-  obs::Telemetry& telemetry = *ctx_->telemetry;
+  obs::Telemetry& telemetry = ctx_->telemetry;
   double run_seconds = SimToSeconds(config_.duration);
   for (NodeId id : topology_->AllNodes()) {
     double bps = topology_->wan_bps(id);
@@ -186,8 +186,8 @@ ExperimentResult Experiment::Run() {
   }
 
   ExperimentResult result =
-      BuildResult(*metrics_, {ctx_->telemetry}, *registry_,
-                  network_->TotalWanBytesSent(), network_->TotalLanBytesSent());
+      BuildResult(*metrics_, {&ctx_->telemetry}, *registry_,
+                  network_->wan_bytes_sent(), network_->lan_bytes_sent());
   result.faults_injected = network_->fault_stats().total();
   result.sim_events = sim_->events_processed();
   result.wall_ms = wall_ms;
@@ -198,6 +198,13 @@ ExperimentResult Experiment::Run() {
     result.sim_time_ratio = SimToSeconds(config_.duration) * 1000.0 / wall_ms;
   }
   return result;
+}
+
+Status Experiment::WriteTrace(const std::string& path) const {
+  obs::ClusterTraceMerger merger;
+  merger.AddNode(/*packed_node_id=*/0, "simulator", /*epoch_offset_ns=*/0,
+                 ctx_->telemetry.trace());
+  return merger.WriteChromeTraceFile(path);
 }
 
 int64_t Experiment::CheckAgreement() const {

@@ -72,12 +72,11 @@ class Experiment {
 
   // ---- Observability.
   /// Cluster-wide telemetry (valid after Setup()).
-  obs::Telemetry& telemetry() { return *ctx_->telemetry; }
+  obs::Telemetry& telemetry() { return ctx_->telemetry; }
   /// Writes the recorded protocol trace as Chrome trace-event JSON
-  /// (requires ExperimentConfig::enable_tracing).
-  Status WriteTrace(const std::string& path) const {
-    return ctx_->telemetry->trace().WriteChromeTraceFile(path);
-  }
+  /// (requires ExperimentConfig::enable_tracing): the simulator's one
+  /// recorder as a single process of ClusterTraceMerger's output.
+  Status WriteTrace(const std::string& path) const;
 
   // ---- Test hooks.
   Simulator& sim() { return *sim_; }

@@ -38,10 +38,10 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
       shape_(ShapeOf(config.kind)),
       ctx_(ctx),
       fault_(fault),
-      tel_(ctx->telemetry),
+      tel_(&ctx->telemetry),
       trace_track_(obs::Telemetry::NodeTrack(id.Packed())),
       membership_(ctx->topology->num_groups(), id.group,
-                  config.group_crash_timeout, ctx->telemetry->registry()) {
+                  config.group_crash_timeout, ctx->telemetry.registry()) {
   ctx_->registry->RegisterNode(id);
 
   // ---- Observability handles (counters are cheap; the registry is
@@ -94,13 +94,6 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     // enforced at the leader that initiates certification.)
     if (single_master()) return true;
     return HasPayload(Key{decision.target_gid, decision.target_seq});
-  };
-  cert_cb.on_certified = [this](const DecisionId& decision, Certificate cert) {
-    auto it = pending_certs_.find(decision);
-    if (it == pending_certs_.end()) return;
-    auto done = std::move(it->second);
-    pending_certs_.erase(it);
-    done(std::move(cert));
   };
   certifier_ = std::make_unique<DigestCertifier>(
       id.group, id, group_size(id.group), LeaderOf(id.group).index,
@@ -577,8 +570,7 @@ void GroupNode::SetupRaft() {
   };
   cb.certify = [this](const DecisionId& decision,
                       std::function<void(Certificate)> done) {
-    pending_certs_[decision] = std::move(done);
-    certifier_->Start(decision);
+    certifier_->Start(decision, std::move(done));
   };
   cb.verify_group_cert = [this](const Certificate& cert,
                                 const Digest& digest) {
@@ -770,8 +762,8 @@ void GroupNode::OnHeartbeatTimer() {
 
 void GroupNode::RecordMembership(const char* name, uint16_t gid,
                                  double detail) {
-  tel_->flight().Record(static_cast<uint64_t>(Now()), "membership", name, gid,
-                        detail);
+  tel_->RecordEvent(trace_track_, "membership", name, Now(),
+                    {"gid", static_cast<double>(gid)}, {"detail", detail});
 }
 
 void GroupNode::RecordFreezeClosed(uint16_t gid) {

@@ -36,11 +36,10 @@ struct ClusterContext {
   KeyRegistry* registry = nullptr;
   const Topology* topology = nullptr;
   Workload* workload = nullptr;
-  /// Cluster-wide observability: metrics registry + trace recorder. The
-  /// default storage keeps directly-constructed nodes (tests) working;
-  /// Experiment points every layer at the same instance.
-  obs::Telemetry telemetry_storage;
-  obs::Telemetry* telemetry = &telemetry_storage;
+  /// Observability: metrics registry, trace and flight recorders. The
+  /// simulator's nodes share one context, so this is cluster-wide there;
+  /// a real-mode node has its own.
+  obs::Telemetry telemetry;
 
   /// Client commit notification: fired once per transaction by the
   /// executing leader of the transaction's origin group.
@@ -244,8 +243,8 @@ class GroupNode : public Actor {
 
   // ---- MassBFT fault handling (the decisions are membership_'s).
   void OnHeartbeatTimer();
-  /// Records a membership transition for group `gid` in the flight
-  /// recorder: suspect, takeover (this leader takes the instance),
+  /// Records a membership transition for group `gid` as an event on this
+  /// node's track: suspect, takeover (this leader takes the instance),
   /// freeze_closed (detail: the frozen value) and rejoin (heard again).
   void RecordMembership(const char* name, uint16_t gid, double detail = 0);
   /// Records freeze_closed if this leader's freeze round for `gid` closed.
@@ -285,7 +284,6 @@ class GroupNode : public Actor {
   std::unique_ptr<PbftEngine> pbft_;
   std::unique_ptr<DigestCertifier> certifier_;
   std::unique_ptr<RaftCoordinator> raft_;
-  std::map<DecisionId, std::function<void(Certificate)>> pending_certs_;
 
   std::deque<Transaction> pending_txns_;
   uint64_t next_local_seq_ = 0;

@@ -234,14 +234,9 @@ TcpTransport::Peer& TcpTransport::PeerLocked(uint32_t dst_packed) {
 void TcpTransport::RecordNetEvent(const char* name, double peer,
                                   double detail) {
   if (telemetry_ == nullptr) return;
-  const SimTime now = telemetry_->TraceNowNs();
-  telemetry_->flight().Record(static_cast<uint64_t>(now), "net", name, peer,
-                              detail);
-  if (telemetry_->tracing()) {
-    telemetry_->trace().RecordInstant(
-        obs::Telemetry::NodeTrack(self_.Packed()), "net", name, now,
-        obs::TraceArgs{{{"peer", peer}, {"detail", detail}}});
-  }
+  telemetry_->RecordEvent(obs::Telemetry::NodeTrack(self_.Packed()), "net",
+                          name, telemetry_->TraceNowNs(), {"peer", peer},
+                          {"detail", detail});
 }
 
 void TcpTransport::WakeWriter() {

@@ -10,10 +10,11 @@ FlightRecorder::FlightRecorder(size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void FlightRecorder::Record(uint64_t t_ns, const char* category,
-                            const char* name, double a, double b) {
+void FlightRecorder::Record(uint64_t t_ns, uint32_t track,
+                            const char* category, const char* name, double a,
+                            double b) {
   MutexLock lock(&mu_);
-  FlightEvent event{t_ns, category, name, a, b};
+  FlightEvent event{t_ns, track, category, name, a, b};
   if (ring_.size() < capacity_) {
     ring_.push_back(event);
   } else {
@@ -53,9 +54,11 @@ void FlightRecorder::Dump(std::ostream& out, const std::string& owner) const {
       << " of " << total << " events ---\n";
   char line[160];
   for (const FlightEvent& event : events) {
-    std::snprintf(line, sizeof(line), "  [%10.3f ms] %s/%s a=%g b=%g\n",
-                  static_cast<double>(event.t_ns) / 1e6, event.category,
-                  event.name, event.a, event.b);
+    std::snprintf(line, sizeof(line),
+                  "  [%10.3f ms] g%u/n%u %s/%s a=%g b=%g\n",
+                  static_cast<double>(event.t_ns) / 1e6, event.track >> 16,
+                  event.track & 0xFFFFu, event.category, event.name, event.a,
+                  event.b);
     out << line;
   }
 }

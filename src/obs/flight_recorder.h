@@ -18,6 +18,9 @@ namespace obs {
 /// byte count, sequence number, ...).
 struct FlightEvent {
   uint64_t t_ns = 0;  // Node trace timebase (ns since the node's epoch).
+  /// The node's track (Telemetry::NodeTrack): the simulator's nodes share
+  /// one recorder, so each event names its node.
+  uint32_t track = 0;
   const char* category = "";
   const char* name = "";
   double a = 0;
@@ -41,8 +44,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void Record(uint64_t t_ns, const char* category, const char* name,
-              double a = 0, double b = 0);
+  void Record(uint64_t t_ns, uint32_t track, const char* category,
+              const char* name, double a = 0, double b = 0);
 
   size_t capacity() const { return capacity_; }
   /// Total events ever recorded (>= capacity() means the ring wrapped and
@@ -53,9 +56,10 @@ class FlightRecorder {
   std::vector<FlightEvent> Snapshot() const;
 
   /// Human-readable dump: a header naming the owner plus one line per
-  /// retained event, oldest first. Format:
+  /// retained event, oldest first, naming the event's node by its track
+  /// (a packed NodeId). Format:
   ///   --- flight recorder <owner>: kept K of N events ---
-  ///     [   12.345 ms] category/name a=1 b=2
+  ///     [   12.345 ms] g0/n1 category/name a=1 b=2
   void Dump(std::ostream& out, const std::string& owner) const;
 
   void Clear();

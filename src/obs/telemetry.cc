@@ -47,5 +47,16 @@ void Telemetry::RecordPhaseSpan(Phase phase, uint32_t track, SimTime start,
   }
 }
 
+void Telemetry::RecordEvent(uint32_t track, const char* category,
+                            const char* name, SimTime at, TraceArg a,
+                            TraceArg b) {
+  // The two recorders' locks are taken one after the other, never nested:
+  // both rank kObsRecorder.
+  flight_.Record(static_cast<uint64_t>(at), track, category, name, a.value,
+                 b.value);
+  if (trace_.enabled())
+    trace_.RecordInstant(track, category, name, at, TraceArgs{{a, b}});
+}
+
 }  // namespace obs
 }  // namespace massbft

@@ -81,6 +81,14 @@ class Telemetry {
   void RecordPhaseSpan(Phase phase, uint32_t track, SimTime start,
                        SimTime end, uint16_t gid, uint64_t seq);
 
+  /// Records one event of the node on `track` at `at` (this telemetry's
+  /// timebase), in the flight ring and, when tracing, as an instant on that
+  /// track: node lifecycle, membership transitions, faults and connection
+  /// events. `a` and `b` are the flight event's payload slots and the
+  /// instant's args.
+  void RecordEvent(uint32_t track, const char* category, const char* name,
+                   SimTime at, TraceArg a = {}, TraceArg b = {});
+
   /// Direct histogram access for callers with non-span samples (e.g. the
   /// per-transaction batching wait).
   Histogram* phase_histogram(Phase phase) {

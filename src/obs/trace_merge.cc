@@ -68,7 +68,7 @@ void ClusterTraceMerger::WriteChromeTrace(std::ostream& out) const {
 
   // Metadata pass: one Chrome process per node (pid = packed id + 1 so
   // pid 0 never appears), named and sorted; each node's tracks become the
-  // process's threads.
+  // process's threads, named and sorted by track id.
   for (const auto& [packed, node] : nodes_) {
     const uint64_t pid = static_cast<uint64_t>(packed) + 1;
     writer.BeginObject();
@@ -98,6 +98,16 @@ void ClusterTraceMerger::WriteChromeTrace(std::ostream& out) const {
       writer.Key("args");
       writer.BeginObject();
       writer.Member("name", name);
+      writer.EndObject();
+      writer.EndObject();
+      writer.BeginObject();
+      writer.Member("name", "thread_sort_index");
+      writer.Member("ph", "M");
+      writer.Member("pid", pid);
+      writer.Member("tid", static_cast<uint64_t>(track));
+      writer.Key("args");
+      writer.BeginObject();
+      writer.Member("sort_index", static_cast<uint64_t>(track));
       writer.EndObject();
       writer.EndObject();
     }

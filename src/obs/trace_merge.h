@@ -13,11 +13,13 @@
 namespace massbft {
 namespace obs {
 
-/// Merges the per-node TraceRecorder outputs of a real-mode cluster into
-/// one Chrome/Perfetto trace (DESIGN.md §14): one Chrome *process* per
-/// node (named, sorted by node id), each node's tracks as that process's
-/// threads, and every event shifted from the node's private timebase onto
-/// the shared process axis by the node's TraceClock epoch offset.
+/// The one Chrome/Perfetto trace writer (DESIGN.md §14). It merges the
+/// per-node TraceRecorder outputs of a real-mode cluster into one trace:
+/// one Chrome *process* per node (named, sorted by node id), each node's
+/// tracks as that process's threads (sorted by track id), and every event
+/// shifted from the node's private timebase onto the shared process axis
+/// by the node's TraceClock epoch offset. The simulator's one recorder,
+/// whose tracks are every node's, is written as a single process.
 ///
 /// Cross-node flow arrows are synthesized from receiver-side `wire/recv`
 /// instants: the wire trace context carries the send timestamp already on

@@ -4,15 +4,12 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/lock_rank.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
-#include "obs/json_writer.h"
 #include "sim/time.h"
 
 namespace massbft {
@@ -30,8 +27,8 @@ struct TraceArg {
 
 using TraceArgs = std::array<TraceArg, kMaxTraceArgs>;
 
-/// Records sim-time spans, instants and counter samples and exports them
-/// as Chrome trace-event JSON (loadable in chrome://tracing or Perfetto).
+/// Records sim-time spans and instants. ClusterTraceMerger writes them as
+/// Chrome trace-event JSON (loadable in chrome://tracing or Perfetto).
 ///
 /// Tracks are uint32 ids mapped to Chrome "threads" (one per simulated
 /// node, by convention NodeId::Packed(); see RegisterTrack). Categories
@@ -83,17 +80,10 @@ class TraceRecorder {
   size_t event_count() const;
   void Clear();
 
-  /// Copies of the recorded events / track names, for cross-recorder
-  /// merging (ClusterTraceMerger). Events are in recording order.
+  /// Copies of the recorded events / track names, for the trace writer
+  /// (ClusterTraceMerger). Events are in recording order.
   std::vector<Event> snapshot() const;
   std::map<uint32_t, std::string> track_names() const;
-
-  /// Writes the full Chrome trace-event JSON document. Timestamps are
-  /// microseconds with nanosecond fractions; output is deterministic for
-  /// a fixed event sequence.
-  void WriteChromeTrace(std::ostream& out) const;
-  /// Same, to a file. Fails with kIoError if the file cannot be written.
-  Status WriteChromeTraceFile(const std::string& path) const;
 
  private:
   /// Flipped only while no other thread records (set_enabled contract);

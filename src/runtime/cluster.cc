@@ -156,13 +156,8 @@ Status RealCluster::KillNode(NodeId id) {
     return Status::FailedPrecondition("node " + NodeName(id) +
                                       " already stopped");
   obs::Telemetry& telemetry = rt->telemetry();
-  telemetry.flight().Record(static_cast<uint64_t>(telemetry.TraceNowNs()),
-                            "node", "kill", static_cast<double>(id.Packed()),
-                            0);
-  if (telemetry.tracing()) {
-    telemetry.trace().RecordInstant(obs::Telemetry::NodeTrack(id.Packed()),
-                                    "node", "kill", telemetry.TraceNowNs());
-  }
+  telemetry.RecordEvent(obs::Telemetry::NodeTrack(id.Packed()), "node", "kill",
+                        telemetry.TraceNowNs());
   // Crash on the event loop first (its incarnation ends, and with it every
   // protocol timer) so a later restart resumes a node that knows it
   // crashed, then tear the runtime — and its transport — down.
@@ -183,14 +178,8 @@ Status RealCluster::RestartNode(NodeId id) {
   if (rt->running())
     return Status::FailedPrecondition("node " + NodeName(id) +
                                       " is running");
-  MASSBFT_RETURN_IF_ERROR(rt->Start());
-  obs::Telemetry& telemetry = rt->telemetry();
-  if (telemetry.tracing()) {
-    telemetry.trace().RecordInstant(obs::Telemetry::NodeTrack(id.Packed()),
-                                    "node", "restart",
-                                    telemetry.TraceNowNs());
-  }
-  return Status::OK();
+  // Start() records the restart.
+  return rt->Start();
 }
 
 bool RealCluster::EligibleForAgreement(NodeRuntime& rt) {

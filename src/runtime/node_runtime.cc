@@ -11,17 +11,17 @@ TransportNetwork::TransportNetwork(Simulator* sim, const Topology* topology,
     : Network(sim, topology, /*deliver=*/nullptr), transport_(transport) {}
 
 void TransportNetwork::Transmit(NodeId src, NodeId dst, MessagePtr message,
-                                bool wan, bool corrupt) {
+                                bool /*wan*/, bool corrupt) {
   // Every message in the protocol stack is a ProtocolMessage; SimMessage is
   // only the byte-accounting face the simulated network sees.
   const auto& msg = static_cast<const ProtocolMessage&>(*message);
-  (wan ? wan_bytes_sent_ : lan_bytes_sent_) += msg.ByteSize();
   if (telemetry_ != nullptr && telemetry_->tracing()) {
     uint16_t gid = 0;
     uint64_t seq = 0;
     if (msg.TraceKey(&gid, &seq)) {
       telemetry_->trace().RecordInstant(
-          track_, "wire", "send", telemetry_->TraceNowNs(),
+          obs::Telemetry::NodeTrack(src.Packed()), "wire", "send",
+          telemetry_->TraceNowNs(),
           obs::TraceArgs{{{"gid", static_cast<double>(gid)},
                           {"seq", static_cast<double>(seq)},
                           {"dst", static_cast<double>(dst.Packed())}}});
@@ -53,10 +53,11 @@ NodeRuntime::NodeRuntime(NodeId id, const ProtocolConfig& protocol,
   ctx_.registry = registry;
   ctx_.topology = topology;
   ctx_.workload = workload_.get();
-  // Wire the transport's net/* series into this node's registry before any
-  // thread exists (instrument handles must be resolved single-threaded).
-  transport_->BindTelemetry(ctx_.telemetry);
-  network_.BindTelemetry(ctx_.telemetry, obs::Telemetry::NodeTrack(id.Packed()));
+  // Wire the transport's and the network's net/* series into this node's
+  // registry before any thread exists (instrument handles must be resolved
+  // single-threaded).
+  transport_->BindTelemetry(&ctx_.telemetry);
+  network_.set_telemetry(&ctx_.telemetry);
   node_ = std::make_unique<GroupNode>(&sim_, &network_, id, protocol, &ctx_);
 }
 
@@ -80,7 +81,7 @@ Status NodeRuntime::Start() {
       // clock, read at the same moment the epoch is taken: the cluster
       // merger shifts every node's events by this offset onto one axis,
       // and transport threads stamp events via Telemetry::TraceNowNs().
-      ctx_.telemetry->set_trace_anchor_ns(obs::TraceClock::NowNs());
+      ctx_.telemetry.set_trace_anchor_ns(obs::TraceClock::NowNs());
     }
   }
   Status s = transport_->Start([this](Frame frame) { Deliver(std::move(frame)); });
@@ -90,9 +91,9 @@ Status NodeRuntime::Start() {
     return s;
   }
   thread_ = std::thread([this] { Loop(); });
-  ctx_.telemetry->flight().Record(
-      static_cast<uint64_t>(ctx_.telemetry->TraceNowNs()), "node",
-      first_start ? "start" : "restart", static_cast<double>(id_.Packed()), 0);
+  ctx_.telemetry.RecordEvent(obs::Telemetry::NodeTrack(id_.Packed()), "node",
+                             first_start ? "start" : "restart",
+                             ctx_.telemetry.TraceNowNs());
   // First boot arms the node's timers; a restart rejoins (paper Section
   // V-C), which starts a new incarnation and arms them again.
   if (first_start) {
@@ -114,9 +115,8 @@ void NodeRuntime::Stop() {
   }
   cv_.notify_one();
   if (thread_.joinable()) thread_.join();
-  ctx_.telemetry->flight().Record(
-      static_cast<uint64_t>(ctx_.telemetry->TraceNowNs()), "node", "stop",
-      static_cast<double>(id_.Packed()), 0);
+  ctx_.telemetry.RecordEvent(obs::Telemetry::NodeTrack(id_.Packed()), "node",
+                             "stop", ctx_.telemetry.TraceNowNs());
   // Work posted but never run dies here; a restart must not replay a
   // stale batch from before the crash.
   MutexLock lock(&mu_);
@@ -145,10 +145,10 @@ void NodeRuntime::Deliver(Frame frame) {
   // with the sender-stamped trace context. The merger synthesizes flow
   // arrows purely from these instants (origin_ts is already on the shared
   // process axis), so no send/recv pairing search is needed.
-  if (frame.has_trace && ctx_.telemetry->tracing()) {
-    ctx_.telemetry->trace().RecordInstant(
+  if (frame.has_trace && ctx_.telemetry.tracing()) {
+    ctx_.telemetry.trace().RecordInstant(
         obs::Telemetry::NodeTrack(id_.Packed()), "wire", "recv",
-        ctx_.telemetry->TraceNowNs(),
+        ctx_.telemetry.TraceNowNs(),
         obs::TraceArgs{
             {{"gid", static_cast<double>(frame.trace.gid)},
              {"seq", static_cast<double>(frame.trace.seq)},

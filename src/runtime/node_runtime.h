@@ -26,8 +26,9 @@ namespace massbft {
 /// Network implementation that puts messages on a real Transport instead of
 /// simulated links. Protocol code (GroupNode and the engines beneath it) is
 /// unchanged: it still calls SendWan/SendLan, and the base class still
-/// drops a crashed node's traffic and injects faults; each message that
-/// survives is encoded into a wire frame and handed to the transport.
+/// drops a crashed node's traffic, injects faults and counts what it sends;
+/// each message that survives is encoded into a wire frame and handed to
+/// the transport.
 /// Timing comes from the operating system, not the flow model, so the
 /// latency/bandwidth parameters of the topology are ignored here.
 ///
@@ -38,29 +39,16 @@ class TransportNetwork : public Network {
   TransportNetwork(Simulator* sim, const Topology* topology,
                    Transport* transport);
 
-  /// Wires the owning node's telemetry so entry-carrying sends leave a
-  /// "wire/send" instant on `track` (the owner's node track) when tracing,
-  /// and injected faults are recorded there.
-  void BindTelemetry(obs::Telemetry* telemetry, uint32_t track) {
-    telemetry_ = telemetry;
-    track_ = track;
-  }
-
-  /// Encoded bytes actually handed to the transport, by link class.
-  uint64_t wan_bytes_sent() const { return wan_bytes_sent_; }
-  uint64_t lan_bytes_sent() const { return lan_bytes_sent_; }
-
  protected:
   /// Encodes and sends; a corrupted message goes out through
-  /// Transport::SendEncoded with one byte flipped.
+  /// Transport::SendEncoded with one byte flipped. With tracing on, an
+  /// entry-carrying send leaves a "wire/send" instant on the sender's
+  /// track.
   void Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
                 bool corrupt) override;
 
  private:
   Transport* transport_;
-  uint32_t track_ = 0;
-  uint64_t wan_bytes_sent_ = 0;
-  uint64_t lan_bytes_sent_ = 0;
 };
 
 /// Hosts one GroupNode on a dedicated thread, with real messaging.
@@ -153,8 +141,8 @@ class NodeRuntime {
 
   /// This node's private observability context (registry + trace recorder
   /// + flight recorder). Valid for the runtime's whole lifetime.
-  obs::Telemetry& telemetry() { return *ctx_.telemetry; }
-  const obs::Telemetry& telemetry() const { return *ctx_.telemetry; }
+  obs::Telemetry& telemetry() { return ctx_.telemetry; }
+  const obs::Telemetry& telemetry() const { return ctx_.telemetry; }
 
   /// Work items queued for the event loop but not yet run (introspection;
   /// a sustained backlog means the loop cannot keep up with delivery).

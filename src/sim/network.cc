@@ -35,7 +35,7 @@ void Network::set_telemetry(obs::Telemetry* telemetry) {
   wan_msgs_counter_ = registry.GetCounter("net/wan_messages_sent");
   lan_bytes_counter_ = registry.GetCounter("net/lan_bytes_sent");
   lan_msgs_counter_ = registry.GetCounter("net/lan_messages_sent");
-  wan_queue_hist_ = registry.GetHistogram("net/wan_uplink_queue_ms");
+  wan_queue_hist_ = nullptr;
 }
 
 void Network::set_faults(FaultSpec spec) {
@@ -58,7 +58,7 @@ void Network::SendLan(NodeId src, NodeId dst, MessagePtr message) {
 void Network::Send(NodeId src, NodeId dst, MessagePtr message, bool wan) {
   if (IsCrashed(src) || IsCrashed(dst)) return;
   if (!faults_.any()) {
-    Transmit(src, dst, std::move(message), wan, /*corrupt=*/false);
+    Emit(src, dst, std::move(message), wan, /*corrupt=*/false);
     return;
   }
   if (CutByPartition(src, dst)) return;
@@ -91,7 +91,7 @@ void Network::Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
                       bool corrupt, SimTime delay) {
   const uint64_t key = LinkKey(src, dst);
   if (delay == 0 && !held_.contains(key)) {
-    Transmit(src, dst, std::move(message), wan, corrupt);
+    Emit(src, dst, std::move(message), wan, corrupt);
     return;
   }
   // Equal release times fire in scheduling order (Simulator FIFO ties).
@@ -115,6 +115,18 @@ void Network::Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
   if (State(src).live.incarnation != incarnation || IsCrashed(dst) ||
       CutByPartition(src, dst))
     return;
+  Emit(src, dst, std::move(message), wan, corrupt);
+}
+
+void Network::Emit(NodeId src, NodeId dst, MessagePtr message, bool wan,
+                   bool corrupt) {
+  const size_t bytes = message->ByteSize();
+  TrafficStats& stats = State(src).stats;
+  (wan ? stats.wan_bytes_sent : stats.lan_bytes_sent) += bytes;
+  if (telemetry_ != nullptr) {
+    (wan ? wan_bytes_counter_ : lan_bytes_counter_)->Add(bytes);
+    (wan ? wan_msgs_counter_ : lan_msgs_counter_)->Add();
+  }
   Transmit(src, dst, std::move(message), wan, corrupt);
 }
 
@@ -140,16 +152,11 @@ void Network::RecordFault(uint64_t FaultStats::*kind, const char* name,
                           NodeId node, NodeId peer, double detail) {
   ++(fault_stats_.*kind);
   if (telemetry_ == nullptr) return;
-  const SimTime now = sim_->Now();
-  const auto peer_id = static_cast<double>(peer.Packed());
   telemetry_->registry().GetCounter(std::string("faults/") + name)->Add();
-  telemetry_->flight().Record(static_cast<uint64_t>(now), "fault", name,
-                              peer_id, detail);
-  if (telemetry_->tracing()) {
-    telemetry_->trace().RecordInstant(
-        obs::Telemetry::NodeTrack(node.Packed()), "fault", name, now,
-        obs::TraceArgs{{{"peer", peer_id}, {"detail", detail}}});
-  }
+  telemetry_->RecordEvent(obs::Telemetry::NodeTrack(node.Packed()), "fault",
+                          name, sim_->Now(),
+                          {"peer", static_cast<double>(peer.Packed())},
+                          {"detail", detail});
 }
 
 void Network::Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
@@ -178,23 +185,13 @@ void Network::Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
       std::max(arrival, down.down_busy + SerializationDelay(bytes, down_bps));
   down.down_busy = completion;
 
-  if (wan) {
-    s_src.stats.wan_bytes_sent += bytes;
-    s_src.stats.wan_messages_sent += 1;
-    s_dst.stats.wan_bytes_received += bytes;
-  } else {
-    s_src.stats.lan_bytes_sent += bytes;
-    s_src.stats.lan_messages_sent += 1;
-  }
-
   if (telemetry_ != nullptr) {
     if (wan) {
-      wan_bytes_counter_->Add(bytes);
-      wan_msgs_counter_->Add();
+      if (wan_queue_hist_ == nullptr) {
+        wan_queue_hist_ =
+            telemetry_->registry().GetHistogram("net/wan_uplink_queue_ms");
+      }
       wan_queue_hist_->Record(SimToSeconds(departure - now) * 1e3);
-    } else {
-      lan_bytes_counter_->Add(bytes);
-      lan_msgs_counter_->Add();
     }
     obs::TraceRecorder& trace = telemetry_->trace();
     if (trace.enabled()) {
@@ -238,38 +235,18 @@ const TrafficStats& Network::StatsFor(NodeId node) const {
   return it->second.stats;
 }
 
-TrafficStats Network::TotalStats() const {
-  // Walk nodes in topology order, not states_ order: the aggregate is a
-  // commutative sum today, but iterating the hash map here would make any
-  // future non-commutative use (per-node dumps, first-k reporting) silently
-  // hash-seed-dependent. Topology order is fixed at construction.
-  TrafficStats total;
-  for (NodeId node : topology_->AllNodes()) {
-    auto it = states_.find(node.Packed());
-    if (it == states_.end()) continue;
-    const TrafficStats& s = it->second.stats;
-    total.wan_bytes_sent += s.wan_bytes_sent;
-    total.wan_bytes_received += s.wan_bytes_received;
-    total.lan_bytes_sent += s.lan_bytes_sent;
-    total.wan_messages_sent += s.wan_messages_sent;
-    total.lan_messages_sent += s.lan_messages_sent;
-  }
+uint64_t Network::wan_bytes_sent() const {
+  uint64_t total = 0;
+  for (NodeId node : topology_->AllNodes())
+    total += StatsFor(node).wan_bytes_sent;
   return total;
 }
 
-uint64_t Network::TotalWanBytesSent() const {
-  return TotalStats().wan_bytes_sent;
-}
-
-uint64_t Network::TotalLanBytesSent() const {
-  return TotalStats().lan_bytes_sent;
-}
-
-void Network::ResetStats() {
-  for (NodeId node : topology_->AllNodes()) {
-    auto it = states_.find(node.Packed());
-    if (it != states_.end()) it->second.stats = TrafficStats{};
-  }
+uint64_t Network::lan_bytes_sent() const {
+  uint64_t total = 0;
+  for (NodeId node : topology_->AllNodes())
+    total += StatsFor(node).lan_bytes_sent;
+  return total;
 }
 
 }  // namespace massbft

@@ -31,13 +31,10 @@ class SimMessage {
 
 using MessagePtr = std::shared_ptr<const SimMessage>;
 
-/// Per-direction traffic counters, by node.
+/// The bytes one node has sent, by link class.
 struct TrafficStats {
   uint64_t wan_bytes_sent = 0;
-  uint64_t wan_bytes_received = 0;
   uint64_t lan_bytes_sent = 0;
-  uint64_t wan_messages_sent = 0;
-  uint64_t lan_messages_sent = 0;
 };
 
 /// Fault schedule for every node sending through a Network (paper Section
@@ -97,9 +94,11 @@ struct FaultStats {
 
 /// The one seam every message of the protocol stack goes through, in the
 /// simulator and in the threaded runtime alike. SendWan/SendLan drop a
-/// crashed node's traffic, inject the configured faults (set_faults), and
-/// hand each surviving message to Transmit: the flow model below, or a real
-/// transport in runtime/TransportNetwork.
+/// crashed node's traffic, inject the configured faults (set_faults), count
+/// each surviving message once against its sender (the traffic ledger:
+/// StatsFor, wan_bytes_sent and the registry's net/* counters), and hand it
+/// to Transmit: the flow model below, or a real transport in
+/// runtime/TransportNetwork.
 ///
 /// Flow-level network model. Every node has
 ///   * a WAN uplink and downlink of its configured bandwidth,
@@ -125,11 +124,13 @@ class Network {
   Network(Simulator* sim, const Topology* topology, DeliverFn deliver);
   virtual ~Network() = default;
 
-  /// Attaches an observability context: aggregate traffic counters land in
-  /// its registry, and — when tracing is enabled — every message yields a
+  /// Attaches an observability context: the traffic ledger's
+  /// net/{wan,lan}_{bytes,messages}_sent counters land in its registry,
+  /// and faults are recorded as events. The flow model adds the
+  /// net/wan_uplink_queue_ms histogram and — when tracing is enabled — a
   /// queue span (sender uplink contention) plus a transfer span
-  /// (serialization + propagation) on the sender's track, annotated with
-  /// byte size and message type. Pass nullptr to detach.
+  /// (serialization + propagation) per message on the sender's track,
+  /// annotated with byte size and message type. Pass nullptr to detach.
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Injects `spec`'s faults into every later send. Each sending node draws
@@ -174,12 +175,11 @@ class Network {
   bool IsCrashed(NodeId node) { return State(node).live.down; }
 
   const TrafficStats& StatsFor(NodeId node) const;
-  TrafficStats TotalStats() const;
-  /// Sum of WAN bytes sent by all nodes (the paper's Fig 10 metric).
-  uint64_t TotalWanBytesSent() const;
-  /// Sum of LAN bytes sent by all nodes.
-  uint64_t TotalLanBytesSent() const;
-  void ResetStats();
+  /// Sum of WAN bytes sent by every node (the paper's Fig 10 metric). A
+  /// real-mode node's network sends only that node's messages.
+  uint64_t wan_bytes_sent() const;
+  /// Sum of LAN bytes sent by every node.
+  uint64_t lan_bytes_sent() const;
 
  protected:
   /// Puts one message that survived fault injection on its link. The
@@ -220,13 +220,17 @@ class Network {
   }
 
   void Send(NodeId src, NodeId dst, MessagePtr message, bool wan);
-  /// Transmits now, or holds the message `delay` (and behind any message
+  /// Counts a message that survived fault injection against its sender,
+  /// then transmits it. Every message reaches Transmit through here.
+  void Emit(NodeId src, NodeId dst, MessagePtr message, bool wan,
+            bool corrupt);
+  /// Emits now, or holds the message `delay` (and behind any message
   /// already held on its link) so the link stalls but never reorders.
   void Forward(NodeId src, NodeId dst, MessagePtr message, bool wan,
                bool corrupt, SimTime delay);
-  /// A held message's release: the link moves on, and the message goes out
-  /// unless its sender's incarnation ended meanwhile, its receiver is down
-  /// or a partition window cuts it.
+  /// A held message's release: the link moves on, and the message is
+  /// emitted unless its sender's incarnation ended meanwhile, its receiver
+  /// is down or a partition window cuts it.
   void Release(NodeId src, NodeId dst, MessagePtr message, bool wan,
                bool corrupt, uint64_t incarnation);
   /// Counts one injected fault at `node` (peer: the other end).
@@ -246,6 +250,8 @@ class Network {
   obs::Counter* wan_msgs_counter_ = nullptr;
   obs::Counter* lan_bytes_counter_ = nullptr;
   obs::Counter* lan_msgs_counter_ = nullptr;
+  /// Resolved by the flow model's first WAN transmission, so a real-mode
+  /// registry holds no series its runtime cannot fill.
   obs::Histogram* wan_queue_hist_ = nullptr;
 };
 

@@ -289,16 +289,23 @@ TEST(IntegrationTest, AgreesAcrossSimulatedPartitionShorterThanCrashTimeout) {
 
 TEST(IntegrationTest, TakeoverIsInTheFlightRecorder) {
   // Group 2 crashes at 1 s and is back at 3 s; the surviving leaders
-  // suspect it after the 1 s timeout. Their membership transitions land in
-  // the (cluster-wide, in the simulator) flight recorder.
+  // suspect it after the 1 s timeout. Each membership transition is one
+  // event on the recording leader's track: in the (cluster-wide, in the
+  // simulator) flight recorder and, with tracing on, in the trace.
   ExperimentConfig config = SmallCluster(ProtocolConfig::MassBft(), 3, 4);
   config.duration = 4 * kSecond;
   config.protocol.group_crash_timeout = 1 * kSecond;
   config.faults.crash_group = 2;
   config.faults.crash_at = 1 * kSecond;
   config.faults.recover_at = 3 * kSecond;
+  config.enable_tracing = true;
   RunOutcome out = RunCluster(std::move(config));
-  std::vector<std::string> names;
+  const uint32_t g0 =
+      obs::Telemetry::NodeTrack(GroupNode::LeaderOf(0).Packed());
+  const uint32_t g1 =
+      obs::Telemetry::NodeTrack(GroupNode::LeaderOf(1).Packed());
+  using Event = std::pair<uint32_t, std::string>;
+  std::vector<Event> flight;
   for (const obs::FlightEvent& event :
        out.experiment->telemetry().flight().Snapshot()) {
     if (std::string(event.category) != "membership") continue;
@@ -306,14 +313,26 @@ TEST(IntegrationTest, TakeoverIsInTheFlightRecorder) {
     if (std::string(event.name) == "freeze_closed") {
       EXPECT_GT(event.b, 0.0);  // The frozen value.
     }
-    names.emplace_back(event.name);
+    flight.emplace_back(event.track, event.name);
   }
   // Both surviving leaders suspect group 2; group 0, the lowest live one,
   // takes its instance over and closes the freeze round once group 1 has
   // reported; both hear group 2 again after it recovers.
-  EXPECT_EQ(names, (std::vector<std::string>{"suspect", "takeover", "suspect",
-                                             "freeze_closed", "rejoin",
-                                             "rejoin"}));
+  const std::vector<Event> expected{{g0, "suspect"}, {g0, "takeover"},
+                                    {g1, "suspect"}, {g0, "freeze_closed"},
+                                    {g0, "rejoin"},  {g1, "rejoin"}};
+  EXPECT_EQ(flight, expected);
+  // The trace holds the same transitions as instants on the same tracks.
+  std::vector<Event> traced;
+  for (const obs::TraceRecorder::Event& event :
+       out.experiment->telemetry().trace().snapshot()) {
+    if (event.kind != obs::TraceRecorder::EventKind::kInstant ||
+        std::string(event.category) != "membership")
+      continue;
+    EXPECT_EQ(event.args[0].value, 2.0) << event.name;  // The gid.
+    traced.emplace_back(event.track, event.name);
+  }
+  EXPECT_EQ(traced, expected);
 }
 
 TEST(IntegrationTest, HeterogeneousGroupSizes) {

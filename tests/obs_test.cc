@@ -146,6 +146,15 @@ class JsonValidator {
   size_t pos_ = 0;
 };
 
+/// Counts non-overlapping occurrences of `needle` in `text`.
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size()))
+    ++count;
+  return count;
+}
+
 bool IsValidJson(const std::string& text) {
   return JsonValidator(text).Valid();
 }
@@ -308,49 +317,6 @@ TEST(TraceRecorderTest, RecordsAndClears) {
   EXPECT_EQ(trace.event_count(), 0u);
 }
 
-TEST(TraceRecorderTest, ChromeTraceExportIsValidJson) {
-  obs::TraceRecorder trace;
-  trace.set_enabled(true);
-  trace.RegisterTrack(7, "g0/n3");
-  trace.RegisterTrack(0x80000000u, "clients/g0");
-  trace.RecordSpan(7, "entry", "local_consensus", kMillisecond,
-                   5 * kMillisecond,
-                   obs::TraceArgs{{{"gid", 0.0}, {"seq", 1.0}}});
-  trace.RecordInstant(0x80000000u, "client", "submit", kMillisecond / 2);
-
-  std::ostringstream out;
-  trace.WriteChromeTrace(out);
-  std::string doc = out.str();
-  EXPECT_TRUE(IsValidJson(doc));
-  EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-  // Track metadata precedes the span events.
-  size_t meta = doc.find("thread_name");
-  size_t span = doc.find("\"ph\":\"X\"");
-  ASSERT_NE(meta, std::string::npos);
-  ASSERT_NE(span, std::string::npos);
-  EXPECT_LT(meta, span);
-  EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(doc.find("local_consensus"), std::string::npos);
-  EXPECT_NE(doc.find("g0/n3"), std::string::npos);
-}
-
-TEST(TraceRecorderTest, WriteChromeTraceFileRoundTrips) {
-  obs::TraceRecorder trace;
-  trace.set_enabled(true);
-  trace.RecordSpan(1, "cat", "span", 0, kMillisecond);
-
-  std::string path = testing::TempDir() + "/obs_test_trace.json";
-  ASSERT_TRUE(trace.WriteChromeTraceFile(path).ok());
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_TRUE(IsValidJson(buf.str()));
-
-  EXPECT_FALSE(
-      trace.WriteChromeTraceFile("/no/such/dir/obs_test_trace.json").ok());
-}
-
 // ---------------------------------------------------------------- Telemetry
 
 TEST(TelemetryTest, PhaseSpansFeedHistogramAndTrace) {
@@ -369,6 +335,34 @@ TEST(TelemetryTest, PhaseSpansFeedHistogramAndTrace) {
   EXPECT_EQ(local.count(), 2u);
   EXPECT_DOUBLE_EQ(local.sum(), 6.0);
   EXPECT_EQ(tel.trace().event_count(), 1u);
+}
+
+TEST(TelemetryTest, EventsGoToTheFlightRingAndWhenTracingTheTrace) {
+  obs::Telemetry tel;
+  tel.RecordEvent(65536, "membership", "suspect", kMillisecond, {"gid", 2.0});
+  EXPECT_EQ(tel.trace().event_count(), 0u);  // Tracing off: flight only.
+
+  tel.set_tracing(true);
+  tel.RecordEvent(65536, "membership", "takeover", 2 * kMillisecond,
+                  {"gid", 2.0}, {"detail", 5.0});
+  const std::vector<obs::FlightEvent> flight = tel.flight().Snapshot();
+  ASSERT_EQ(flight.size(), 2u);
+  EXPECT_EQ(flight[1].t_ns, static_cast<uint64_t>(2 * kMillisecond));
+  EXPECT_EQ(flight[1].track, 65536u);
+  EXPECT_STREQ(flight[1].name, "takeover");
+  EXPECT_DOUBLE_EQ(flight[1].a, 2.0);
+  EXPECT_DOUBLE_EQ(flight[1].b, 5.0);
+  // The same event, as an instant on the same track with named args.
+  const std::vector<obs::TraceRecorder::Event> trace = tel.trace().snapshot();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].kind, obs::TraceRecorder::EventKind::kInstant);
+  EXPECT_EQ(trace[0].track, 65536u);
+  EXPECT_STREQ(trace[0].category, "membership");
+  EXPECT_STREQ(trace[0].name, "takeover");
+  EXPECT_EQ(trace[0].start, 2 * kMillisecond);
+  EXPECT_STREQ(trace[0].args[0].key, "gid");
+  EXPECT_STREQ(trace[0].args[1].key, "detail");
+  EXPECT_DOUBLE_EQ(trace[0].args[1].value, 5.0);
 }
 
 TEST(TelemetryTest, PhaseNamesAndTracks) {
@@ -417,9 +411,14 @@ TracedRun RunTraced(uint64_t seed) {
   result.events_per_sec = 0;
   result.sim_time_ratio = 0;
   TracedRun run;
-  std::ostringstream trace_out;
-  experiment.telemetry().trace().WriteChromeTrace(trace_out);
-  run.trace_json = trace_out.str();
+  const std::string path =
+      testing::TempDir() + "/obs_test_sim_trace_" + std::to_string(seed) +
+      ".json";
+  EXPECT_TRUE(experiment.WriteTrace(path).ok());
+  std::ifstream in(path);
+  std::stringstream trace;
+  trace << in.rdbuf();
+  run.trace_json = trace.str();
   std::ostringstream metrics_out;
   obs::JsonWriter w(metrics_out);
   experiment.telemetry().registry().WriteJson(w);
@@ -450,10 +449,18 @@ TEST(ObsEndToEndTest, ExportsParseAndCoverCommitPath) {
   EXPECT_NE(run.trace_json.find("\"execution\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("\"submit\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("wan_transfer"), std::string::npos);
+  // ...written as one process, with no flow arrows...
+  EXPECT_EQ(CountOccurrences(run.trace_json, "\"name\":\"process_name\""),
+            1u);
+  EXPECT_NE(run.trace_json.find("\"name\":\"simulator\""),
+            std::string::npos);
+  EXPECT_EQ(run.trace_json.find("\"ph\":\"s\""), std::string::npos);
   // ...and the registry holds the matching series.
   EXPECT_NE(run.metrics_json.find("\"phase/local_consensus_ms\""),
             std::string::npos);
   EXPECT_NE(run.metrics_json.find("\"net/wan_bytes_sent\""),
+            std::string::npos);
+  EXPECT_NE(run.metrics_json.find("\"net/wan_uplink_queue_ms\""),
             std::string::npos);
   EXPECT_NE(run.metrics_json.find("\"pbft/prepare_ms\""), std::string::npos);
   // The result dump carries the Fig 11 phase sums and abort accounting.
@@ -484,9 +491,9 @@ TEST(TraceClockTest, MonotoneSinceStableAnchor) {
 
 TEST(FlightRecorderTest, KeepsEverythingBelowCapacity) {
   obs::FlightRecorder flight(4);
-  flight.Record(10, "node", "start");
-  flight.Record(20, "wire", "send", 3, 9);
-  flight.Record(30, "fault", "delayed", 1);
+  flight.Record(10, 0, "node", "start");
+  flight.Record(20, 65537, "wire", "send", 3, 9);
+  flight.Record(30, 0, "fault", "delayed", 1);
   EXPECT_EQ(flight.capacity(), 4u);
   EXPECT_EQ(flight.recorded(), 3u);
 
@@ -495,6 +502,7 @@ TEST(FlightRecorderTest, KeepsEverythingBelowCapacity) {
   EXPECT_EQ(events[0].t_ns, 10u);
   EXPECT_STREQ(events[0].name, "start");
   EXPECT_EQ(events[1].t_ns, 20u);
+  EXPECT_EQ(events[1].track, 65537u);
   EXPECT_DOUBLE_EQ(events[1].a, 3.0);
   EXPECT_DOUBLE_EQ(events[1].b, 9.0);
   EXPECT_EQ(events[2].t_ns, 30u);
@@ -502,7 +510,8 @@ TEST(FlightRecorderTest, KeepsEverythingBelowCapacity) {
 
 TEST(FlightRecorderTest, WrapsKeepingTheNewestOldestFirst) {
   obs::FlightRecorder flight(4);
-  for (uint64_t i = 0; i < 10; ++i) flight.Record(i, "cat", "tick", double(i));
+  for (uint64_t i = 0; i < 10; ++i)
+    flight.Record(i, 0, "cat", "tick", double(i));
   EXPECT_EQ(flight.recorded(), 10u);
 
   std::vector<obs::FlightEvent> events = flight.Snapshot();
@@ -515,9 +524,9 @@ TEST(FlightRecorderTest, WrapsKeepingTheNewestOldestFirst) {
 
 TEST(FlightRecorderTest, DumpNamesOwnerAndKeptCounts) {
   obs::FlightRecorder flight(2);
-  flight.Record(1500000, "node", "start");
-  flight.Record(2500000, "fault", "dropped", 7);
-  flight.Record(3500000, "node", "stop");
+  flight.Record(1500000, 1, "node", "start");
+  flight.Record(2500000, 65536, "fault", "dropped", 7);
+  flight.Record(3500000, 1, "node", "stop");
 
   std::ostringstream out;
   flight.Dump(out, "node g0/n1");
@@ -525,10 +534,11 @@ TEST(FlightRecorderTest, DumpNamesOwnerAndKeptCounts) {
   EXPECT_NE(text.find("--- flight recorder node g0/n1: kept 2 of 3 events"),
             std::string::npos);
   // The wrapped-away "start" event must be gone; the survivors print
-  // oldest-first with millisecond timestamps and both payload slots.
+  // oldest-first with millisecond timestamps, their node and both payload
+  // slots.
   EXPECT_EQ(text.find("node/start"), std::string::npos);
-  const size_t dropped = text.find("fault/dropped a=7 b=0");
-  const size_t stop = text.find("node/stop");
+  const size_t dropped = text.find("g1/n0 fault/dropped a=7 b=0");
+  const size_t stop = text.find("g0/n1 node/stop");
   ASSERT_NE(dropped, std::string::npos);
   ASSERT_NE(stop, std::string::npos);
   EXPECT_LT(dropped, stop);
@@ -537,12 +547,12 @@ TEST(FlightRecorderTest, DumpNamesOwnerAndKeptCounts) {
 
 TEST(FlightRecorderTest, ClearForgetsHistory) {
   obs::FlightRecorder flight(4);
-  for (uint64_t i = 0; i < 6; ++i) flight.Record(i, "cat", "tick");
+  for (uint64_t i = 0; i < 6; ++i) flight.Record(i, 0, "cat", "tick");
   flight.Clear();
   EXPECT_EQ(flight.recorded(), 0u);
   EXPECT_TRUE(flight.Snapshot().empty());
   // The ring is reusable after Clear.
-  flight.Record(99, "cat", "tick");
+  flight.Record(99, 0, "cat", "tick");
   ASSERT_EQ(flight.Snapshot().size(), 1u);
   EXPECT_EQ(flight.Snapshot()[0].t_ns, 99u);
 }
@@ -555,15 +565,6 @@ TEST(PrometheusTest, NameMapsSlashesAndBadCharsToUnderscores) {
   EXPECT_EQ(obs::PrometheusName("phase/local_consensus_ms"),
             "massbft_phase_local_consensus_ms");
   EXPECT_EQ(obs::PrometheusName("a-b.c/d"), "massbft_a_b_c_d");
-}
-
-/// Counts non-overlapping occurrences of `needle` in `text`.
-size_t CountOccurrences(const std::string& text, const std::string& needle) {
-  size_t count = 0;
-  for (size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size()))
-    ++count;
-  return count;
 }
 
 std::vector<obs::LabeledSnapshot> TwoNodeSnapshots() {
@@ -719,6 +720,61 @@ TEST(ClusterTraceMergerTest, OutputIsByteStableAcrossRenders) {
   merger.WriteChromeTrace(again);
   EXPECT_EQ(first.str(), again.str());
   EXPECT_FALSE(first.str().empty());
+}
+
+TEST(ClusterTraceMergerTest, ChromeTraceExportIsValidJson) {
+  // One recorder holding node and client tracks, as the simulator's.
+  obs::TraceRecorder trace;
+  trace.set_enabled(true);
+  trace.RegisterTrack(7, "g0/n3");
+  trace.RegisterTrack(0x80000000u, "clients/g0");
+  trace.RecordSpan(7, "entry", "local_consensus", kMillisecond,
+                   5 * kMillisecond,
+                   obs::TraceArgs{{{"gid", 0.0}, {"seq", 1.0}}});
+  trace.RecordInstant(0x80000000u, "client", "submit", kMillisecond / 2);
+  obs::ClusterTraceMerger merger;
+  merger.AddNode(0, "simulator", 0, trace);
+
+  std::ostringstream out;
+  merger.WriteChromeTrace(out);
+  std::string doc = out.str();
+  EXPECT_TRUE(IsValidJson(doc));
+  EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
+  EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
+  // Track metadata precedes the span events, and tracks sort by id.
+  size_t meta = doc.find("thread_name");
+  size_t span = doc.find("\"ph\":\"X\"");
+  ASSERT_NE(meta, std::string::npos);
+  ASSERT_NE(span, std::string::npos);
+  EXPECT_LT(meta, span);
+  EXPECT_NE(doc.find("\"name\":\"thread_sort_index\",\"ph\":\"M\","
+                     "\"pid\":1,\"tid\":2147483648,"
+                     "\"args\":{\"sort_index\":2147483648}"),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(doc.find("local_consensus"), std::string::npos);
+  EXPECT_NE(doc.find("g0/n3"), std::string::npos);
+}
+
+TEST(ClusterTraceMergerTest, WriteChromeTraceFileRoundTrips) {
+  obs::TraceRecorder trace;
+  trace.set_enabled(true);
+  trace.RecordSpan(1, "cat", "span", 0, kMillisecond);
+  obs::ClusterTraceMerger merger;
+  merger.AddNode(0, "simulator", 0, trace);
+
+  std::string path = testing::TempDir() + "/obs_test_trace.json";
+  ASSERT_TRUE(merger.WriteChromeTraceFile(path).ok());
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_TRUE(IsValidJson(buf.str()));
+
+  // An unwritable path is an error, not a silently missing trace.
+  const Status bad =
+      merger.WriteChromeTraceFile("/no/such/dir/obs_test_trace.json");
+  EXPECT_FALSE(bad.ok());
+  EXPECT_NE(bad.ToString().find("cannot open trace file"), std::string::npos);
 }
 
 TEST(ClusterTraceMergerTest, SkipsFlowsWhoseOriginTraceIsMissing) {

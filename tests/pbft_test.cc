@@ -355,11 +355,15 @@ struct CertifierNode {
       return bus->registry.Verify(node, payload, sig);
     };
     cb.can_sign = [this](const DecisionId&) { return can_sign; };
-    cb.on_certified = [this](const DecisionId& decision, Certificate cert) {
-      certified.push_back({decision, std::move(cert)});
-    };
     certifier = std::make_unique<DigestCertifier>(0, self, n, /*leader=*/0,
                                                   std::move(cb));
+  }
+
+  /// Starts certifying `decision`; its certificate lands in `certified`.
+  void Start(const DecisionId& decision) {
+    certifier->Start(decision, [this, decision](Certificate cert) {
+      certified.push_back({decision, std::move(cert)});
+    });
   }
 
   std::unique_ptr<DigestCertifier> certifier;
@@ -391,7 +395,7 @@ class CertifierFixture : public ::testing::Test {
 
 TEST_F(CertifierFixture, CertifiesWithQuorum) {
   Init(4);
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   ASSERT_EQ(nodes_[0]->certified.size(), 1u);
   const Certificate& cert = nodes_[0]->certified[0].second;
@@ -405,7 +409,7 @@ TEST_F(CertifierFixture, DeferredVotesFlowAfterRecheck) {
   Init(4);
   // Followers refuse (entry payload missing, Lemma V.1 gate).
   for (int i = 1; i < 4; ++i) nodes_[i]->can_sign = false;
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   EXPECT_TRUE(nodes_[0]->certified.empty());
   // Payload arrives on followers.
@@ -431,7 +435,7 @@ TEST_F(CertifierFixture, ToleratesFSilentNodes) {
   Init(7);  // f=2, quorum 5.
   bus_->Drop(5);
   bus_->Drop(6);
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
 }
@@ -441,7 +445,7 @@ TEST_F(CertifierFixture, FollowerInitiatedRequestGathersNoVotes) {
   // for any (gid, seq)) must not collect a certificate: followers answer
   // only their leader.
   Init(4);
-  nodes_[2]->certifier->Start(Decision());
+  nodes_[2]->Start(Decision());
   bus_->Deliver();
   EXPECT_TRUE(nodes_[2]->certified.empty());
   for (const auto& [from, msg] : bus_->sent)
@@ -451,8 +455,8 @@ TEST_F(CertifierFixture, FollowerInitiatedRequestGathersNoVotes) {
 
 TEST_F(CertifierFixture, DuplicateStartIdempotent) {
   Init(4);
-  nodes_[0]->certifier->Start(Decision());
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
 }
@@ -461,7 +465,7 @@ TEST_F(CertifierFixture, VoteAfterCertificationIsNotChecked) {
   // The leader checks two follower votes and certifies with its own; the
   // third vote, and every vote delivered again, finds nothing to count.
   Init(4);
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   ASSERT_EQ(nodes_[0]->certified.size(), 1u);
   EXPECT_EQ(nodes_[0]->verifies, 2);
@@ -477,7 +481,7 @@ TEST_F(CertifierFixture, FollowerAskedTwiceVotesTwice) {
   // A follower keeps nothing once it has voted, so the leader's repeated
   // request gets a fresh vote rather than silence.
   Init(4);
-  nodes_[0]->certifier->Start(Decision());
+  nodes_[0]->Start(Decision());
   bus_->Deliver();
   MessagePtr request;
   for (const auto& [from, msg] : bus_->sent)
@@ -513,7 +517,6 @@ TEST(CertifierTest, RecheckAsksOnlyDecisionsStillWaiting) {
     ++asked;
     return held.contains(decision.target_seq);
   };
-  cb.on_certified = [](const DecisionId&, Certificate) {};
   DigestCertifier follower(0, NodeId{0, 1}, 4, /*leader=*/0, std::move(cb));
   // The leader's request for the accept of (1, seq).
   auto request = [&bus](uint64_t seq) {

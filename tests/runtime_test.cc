@@ -322,6 +322,17 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(metrics.find("# TYPE massbft_"), std::string::npos);
   EXPECT_NE(metrics.find("{node=\"0/0\"}"), std::string::npos);
   EXPECT_NE(metrics.find("{node=\"1/3\"}"), std::string::npos);
+  // Every node reports the traffic ledger a simulated run reports, and no
+  // series of the simulator's flow model.
+  for (const auto& rt : cluster.runtimes()) {
+    const std::string label = "{node=\"" + NodeName(rt->id()) + "\"}";
+    for (const char* series :
+         {"massbft_net_wan_bytes_sent", "massbft_net_lan_bytes_sent",
+          "massbft_net_wan_messages_sent", "massbft_net_lan_messages_sent"})
+      EXPECT_NE(metrics.find(series + label), std::string::npos)
+          << series << label;
+  }
+  EXPECT_EQ(metrics.find("massbft_net_wan_uplink_queue_ms"), std::string::npos);
 
   // Health view: JSON with per-node liveness and transport counters.
   EXPECT_NE(health.find("application/json"), std::string::npos);
@@ -359,8 +370,29 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"f\""), std::string::npos);
-  // Chaos-injector fault instants ride the owning node's track.
+  // Chaos-injector fault instants ride the owning node's track, and so do
+  // the node's own start and stop.
   EXPECT_NE(trace.find("\"cat\":\"fault\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"start\",\"cat\":\"node\""),
+            std::string::npos);
+
+  // One traffic ledger: each node's registry counts what its network
+  // counted, and the nodes' sums are the result's totals.
+  uint64_t wan_bytes = 0;
+  uint64_t lan_bytes = 0;
+  for (const auto& rt : cluster.runtimes()) {
+    obs::MetricsRegistry& metrics = rt->telemetry().registry();
+    const uint64_t wan = rt->network().wan_bytes_sent();
+    const uint64_t lan = rt->network().lan_bytes_sent();
+    EXPECT_EQ(metrics.GetCounter("net/wan_bytes_sent")->value(), wan);
+    EXPECT_EQ(metrics.GetCounter("net/lan_bytes_sent")->value(), lan);
+    EXPECT_GT(lan, 0u) << NodeName(rt->id());
+    wan_bytes += wan;
+    lan_bytes += lan;
+  }
+  EXPECT_GT(wan_bytes, 0u);
+  EXPECT_EQ(result->total_wan_bytes, wan_bytes);
+  EXPECT_EQ(result->total_lan_bytes, lan_bytes);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.h"
 #include "sim/actor.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -182,9 +183,15 @@ class NetworkFixture : public ::testing::Test {
         [this](NodeId dst, NodeId src, MessagePtr m) {
           deliveries_.push_back({dst, src, sim_.Now(), m->type()});
         });
+    network_->set_telemetry(&telemetry_);
+  }
+  /// A traffic-ledger counter of the registry, e.g. "net/wan_messages_sent".
+  uint64_t Sent(const char* name) {
+    return telemetry_.registry().GetCounter(name)->value();
   }
 
   Simulator sim_;
+  obs::Telemetry telemetry_;
   std::unique_ptr<Topology> topology_;
   std::unique_ptr<Network> network_;
   std::vector<Delivery> deliveries_;
@@ -296,11 +303,15 @@ TEST_F(NetworkFixture, TrafficStatsAccumulate) {
   const TrafficStats& s = network_->StatsFor(NodeId{0, 0});
   EXPECT_EQ(s.wan_bytes_sent, 1000u);
   EXPECT_EQ(s.lan_bytes_sent, 500u);
-  EXPECT_EQ(s.wan_messages_sent, 1u);
-  EXPECT_EQ(network_->TotalWanBytesSent(), 1000u);
-  EXPECT_EQ(network_->StatsFor(NodeId{1, 0}).wan_bytes_received, 1000u);
-  network_->ResetStats();
-  EXPECT_EQ(network_->TotalWanBytesSent(), 0u);
+  // Bytes count against the sender only.
+  EXPECT_EQ(network_->StatsFor(NodeId{1, 0}).wan_bytes_sent, 0u);
+  EXPECT_EQ(network_->wan_bytes_sent(), 1000u);
+  EXPECT_EQ(network_->lan_bytes_sent(), 500u);
+  // The registry's counters hold the same ledger.
+  EXPECT_EQ(Sent("net/wan_messages_sent"), 1u);
+  EXPECT_EQ(Sent("net/lan_messages_sent"), 1u);
+  EXPECT_EQ(Sent("net/wan_bytes_sent"), 1000u);
+  EXPECT_EQ(Sent("net/lan_bytes_sent"), 500u);
 }
 
 TEST_F(NetworkFixture, LoopbackDeliversImmediately) {
@@ -344,7 +355,8 @@ TEST_F(NetworkFaultTest, DropRateOneDropsEverything) {
   EXPECT_EQ(network_->fault_stats().dropped, 10u);
   EXPECT_TRUE(deliveries_.empty());
   // Dropped before the link: nothing was serialized.
-  EXPECT_EQ(network_->StatsFor(kNodeA).wan_messages_sent, 0u);
+  EXPECT_EQ(Sent("net/wan_messages_sent"), 0u);
+  EXPECT_EQ(network_->StatsFor(kNodeA).wan_bytes_sent, 0u);
 }
 
 TEST_F(NetworkFaultTest, DuplicateRateOneDeliversTwice) {
@@ -355,7 +367,7 @@ TEST_F(NetworkFaultTest, DuplicateRateOneDeliversTwice) {
   sim_.RunAll();
   EXPECT_EQ(network_->fault_stats().duplicated, 5u);
   ASSERT_EQ(deliveries_.size(), 10u);
-  EXPECT_EQ(network_->StatsFor(kNodeA).wan_messages_sent, 10u);
+  EXPECT_EQ(Sent("net/wan_messages_sent"), 10u);
   for (size_t i = 0; i < deliveries_.size(); ++i)
     EXPECT_EQ(deliveries_[i].tag, static_cast<int>(i / 2));
 }
