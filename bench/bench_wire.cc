@@ -11,14 +11,17 @@
 //
 // Reported per scenario: frames/sec end-to-end (first send to last
 // delivery), MB/sec, and syscalls/frame on both sides from the transport's
-// own counters. --baseline=FILE writes the schema-versioned perf-trajectory
-// document (core/bench_baseline.h) that BENCH_wire.json tracks;
+// own counters. Each scenario runs kRepeats times and each figure is
+// reported as the median with its quartiles, since single runs on a shared
+// host spread widely. --baseline=FILE writes the schema-versioned
+// perf-trajectory document (core/bench_baseline.h) that BENCH_wire.json
+// tracks, with the medians under the metric names;
 // tools/obs/compare_bench.py diffs two such documents.
 //
 // The sender retries on backpressure (closed-loop flood): the measured
 // number is the pipeline's drain rate, not the drop rate.
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -32,11 +35,11 @@
 
 #include "common/rng.h"
 #include "core/bench_baseline.h"
-#include "net/buffer_pool.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 #include "obs/json_writer.h"
 #include "proto/messages.h"
+#include "sim/metrics.h"
 
 namespace massbft {
 namespace {
@@ -48,6 +51,9 @@ struct WireBenchOptions {
   uint16_t port_base = 21100;
   std::string baseline_file;
 };
+
+/// Timed floods per scenario: enough for a median and quartiles.
+constexpr uint64_t kRepeats = 5;
 
 WireBenchOptions ParseArgs(int argc, char** argv) {
   WireBenchOptions opts;
@@ -158,8 +164,8 @@ std::vector<std::unique_ptr<ProtocolMessage>> MakeCycle(bool mixed) {
   return cycle;
 }
 
-struct ScenarioResult {
-  uint64_t frames = 0;
+/// One timed flood.
+struct FloodRun {
   uint64_t bytes = 0;
   double wall_ms = 0;
   double frames_per_sec = 0;
@@ -167,20 +173,46 @@ struct ScenarioResult {
   double send_syscalls_per_frame = 0;
   double recv_syscalls_per_frame = 0;
   uint64_t backpressure_retries = 0;
-  uint64_t pool_allocations = 0;
-  uint64_t pool_reuses = 0;
+};
+
+/// Median and quartiles of one figure over the kRepeats floods.
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+Spread SpreadOf(const std::vector<FloodRun>& runs, double FloodRun::*field) {
+  std::vector<double> values;
+  for (const FloodRun& run : runs) values.push_back(run.*field);
+  std::sort(values.begin(), values.end());
+  return Spread{InterpolatedPercentile(values, 0.25),
+                InterpolatedPercentile(values, 0.5),
+                InterpolatedPercentile(values, 0.75)};
+}
+
+struct ScenarioResult {
+  uint64_t frames = 0;  // Per flood.
+  uint64_t bytes = 0;   // Per flood.
+  Spread wall_ms;
+  Spread frames_per_sec;
+  Spread mb_per_sec;
+  Spread send_syscalls_per_frame;
+  Spread recv_syscalls_per_frame;
+  uint64_t backpressure_retries = 0;  // Summed over the floods.
 };
 
 /// Floods `frames` messages (cycling through `cycle`) from tx to rx and
-/// waits for full delivery. The first `warmup` frames establish the
-/// connection and warm buffer pools outside the timed window.
+/// waits for full delivery, kRepeats times. The first `warmup` frames
+/// establish the connection outside the timed windows.
 ScenarioResult RunScenario(Transport& tx, Transport& rx, CountingSink& sink,
                            const std::vector<std::unique_ptr<ProtocolMessage>>&
                                cycle,
                            uint64_t frames, uint64_t warmup) {
   const NodeId dst = rx.self();
-  auto send_one = [&](uint64_t i) {
-    const ProtocolMessage& msg = *cycle[i % cycle.size()];
+  uint64_t sent = 0;
+  auto send_next = [&] {
+    const ProtocolMessage& msg = *cycle[sent++ % cycle.size()];
     uint64_t retries = 0;
     while (!tx.Send(dst, msg).ok()) {
       ++retries;
@@ -190,82 +222,106 @@ ScenarioResult RunScenario(Transport& tx, Transport& rx, CountingSink& sink,
   };
 
   sink.Reset();
-  for (uint64_t i = 0; i < warmup; ++i) (void)send_one(i);
+  for (uint64_t i = 0; i < warmup; ++i) (void)send_next();
   if (!sink.WaitFor(warmup, std::chrono::seconds(30))) {
     std::fprintf(stderr, "bench_wire: warmup frames never arrived\n");
     std::exit(1);
   }
 
-  const Transport::Stats tx_before = tx.stats();
-  const Transport::Stats rx_before = rx.stats();
-  const BufferPool::Stats pool_before = WireBufferPool().stats();
+  std::vector<FloodRun> runs;
+  for (uint64_t rep = 0; rep < kRepeats; ++rep) {
+    const Transport::Stats tx_before = tx.stats();
+    const Transport::Stats rx_before = rx.stats();
 
-  ScenarioResult r;
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < frames; ++i)
-    r.backpressure_retries += send_one(warmup + i);
-  if (!sink.WaitFor(warmup + frames, std::chrono::seconds(120))) {
-    std::fprintf(stderr, "bench_wire: flood frames never arrived\n");
-    std::exit(1);
+    FloodRun r;
+    auto start = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < frames; ++i) r.backpressure_retries += send_next();
+    if (!sink.WaitFor(sent, std::chrono::seconds(120))) {
+      std::fprintf(stderr, "bench_wire: flood frames never arrived\n");
+      std::exit(1);
+    }
+    auto end = std::chrono::steady_clock::now();
+
+    const Transport::Stats tx_after = tx.stats();
+    const Transport::Stats rx_after = rx.stats();
+    r.bytes = tx_after.bytes_sent - tx_before.bytes_sent;
+    r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+    r.frames_per_sec = 1000.0 * static_cast<double>(frames) / r.wall_ms;
+    r.mb_per_sec =
+        1000.0 * static_cast<double>(r.bytes) / r.wall_ms / (1024.0 * 1024.0);
+    r.send_syscalls_per_frame =
+        static_cast<double>(tx_after.send_syscalls - tx_before.send_syscalls) /
+        static_cast<double>(frames);
+    r.recv_syscalls_per_frame =
+        static_cast<double>(rx_after.recv_syscalls - rx_before.recv_syscalls) /
+        static_cast<double>(frames);
+    runs.push_back(r);
   }
-  auto end = std::chrono::steady_clock::now();
 
-  const Transport::Stats tx_after = tx.stats();
-  const Transport::Stats rx_after = rx.stats();
-  const BufferPool::Stats pool_after = WireBufferPool().stats();
-
-  r.frames = frames;
-  r.bytes = tx_after.bytes_sent - tx_before.bytes_sent;
-  r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-  r.frames_per_sec = 1000.0 * static_cast<double>(frames) / r.wall_ms;
-  r.mb_per_sec =
-      1000.0 * static_cast<double>(r.bytes) / r.wall_ms / (1024.0 * 1024.0);
-  r.send_syscalls_per_frame =
-      static_cast<double>(tx_after.send_syscalls - tx_before.send_syscalls) /
-      static_cast<double>(frames);
-  r.recv_syscalls_per_frame =
-      static_cast<double>(rx_after.recv_syscalls - rx_before.recv_syscalls) /
-      static_cast<double>(frames);
-  r.pool_allocations = pool_after.allocations - pool_before.allocations;
-  r.pool_reuses = pool_after.reuses - pool_before.reuses;
-  return r;
+  ScenarioResult result;
+  result.frames = frames;
+  result.bytes = runs.front().bytes;
+  result.wall_ms = SpreadOf(runs, &FloodRun::wall_ms);
+  result.frames_per_sec = SpreadOf(runs, &FloodRun::frames_per_sec);
+  result.mb_per_sec = SpreadOf(runs, &FloodRun::mb_per_sec);
+  result.send_syscalls_per_frame =
+      SpreadOf(runs, &FloodRun::send_syscalls_per_frame);
+  result.recv_syscalls_per_frame =
+      SpreadOf(runs, &FloodRun::recv_syscalls_per_frame);
+  for (const FloodRun& run : runs)
+    result.backpressure_retries += run.backpressure_retries;
+  return result;
 }
 
 void Report(const char* name, const ScenarioResult& r) {
   std::printf(
       "%-12s %10.0f frames/s  %8.1f MB/s  %6.3f send-syscalls/frame  "
-      "%6.3f recv-syscalls/frame  %8llu pool-allocs  %llu retries\n",
-      name, r.frames_per_sec, r.mb_per_sec, r.send_syscalls_per_frame,
-      r.recv_syscalls_per_frame,
-      static_cast<unsigned long long>(r.pool_allocations),
+      "%6.3f recv-syscalls/frame  %llu retries\n",
+      name, r.frames_per_sec.median, r.mb_per_sec.median,
+      r.send_syscalls_per_frame.median, r.recv_syscalls_per_frame.median,
       static_cast<unsigned long long>(r.backpressure_retries));
+  std::printf(
+      "%-12s medians of %llu runs; quartiles: frames/s [%.0f, %.0f]  MB/s "
+      "[%.1f, %.1f]  send-syscalls/frame [%.3f, %.3f]  recv-syscalls/frame "
+      "[%.3f, %.3f]\n",
+      "", static_cast<unsigned long long>(kRepeats), r.frames_per_sec.q1,
+      r.frames_per_sec.q3, r.mb_per_sec.q1, r.mb_per_sec.q3,
+      r.send_syscalls_per_frame.q1, r.send_syscalls_per_frame.q3,
+      r.recv_syscalls_per_frame.q1, r.recv_syscalls_per_frame.q3);
+}
+
+/// Writes `name` as the median and `name`_q1 / `name`_q3 as its quartiles.
+void WriteSpread(obs::JsonWriter& w, const std::string& name,
+                 const Spread& spread) {
+  w.Member(name, spread.median);
+  w.Member(name + "_q1", spread.q1);
+  w.Member(name + "_q3", spread.q3);
 }
 
 void WriteScenarioJson(obs::JsonWriter& w, const ScenarioResult& r) {
   w.BeginObject();
+  w.Member("runs", kRepeats);
   w.Member("frames", r.frames);
   w.Member("bytes", r.bytes);
-  w.Member("wall_ms", r.wall_ms);
-  w.Member("frames_per_sec", r.frames_per_sec);
-  w.Member("mb_per_sec", r.mb_per_sec);
-  w.Member("send_syscalls_per_frame", r.send_syscalls_per_frame);
-  w.Member("recv_syscalls_per_frame", r.recv_syscalls_per_frame);
+  w.Member("wall_ms", r.wall_ms.median);
+  WriteSpread(w, "frames_per_sec", r.frames_per_sec);
+  WriteSpread(w, "mb_per_sec", r.mb_per_sec);
+  WriteSpread(w, "send_syscalls_per_frame", r.send_syscalls_per_frame);
+  WriteSpread(w, "recv_syscalls_per_frame", r.recv_syscalls_per_frame);
   w.Member("backpressure_retries", r.backpressure_retries);
-  w.Member("pool_allocations", r.pool_allocations);
-  w.Member("pool_reuses", r.pool_reuses);
   w.EndObject();
 }
 
 /// Renders the result object of the baseline document: the mandatory
 /// ExperimentResult surface (check_bench_schema.py) with the small-flood
-/// figures in the headline fields, plus both scenarios in full.
+/// medians in the headline fields, plus both scenarios in full.
 std::string ResultJson(const ScenarioResult& small,
                        const ScenarioResult& mixed) {
   std::ostringstream out;
   obs::JsonWriter w(out);
   w.BeginObject();
   w.Member("mode", std::string("wire"));
-  w.Member("throughput_tps", small.frames_per_sec);
+  w.Member("throughput_tps", small.frames_per_sec.median);
   w.Member("mean_latency_ms", 0.0);
   w.Member("p50_latency_ms", 0.0);
   w.Member("p99_latency_ms", 0.0);
@@ -274,7 +330,7 @@ std::string ResultJson(const ScenarioResult& small,
   w.Member("total_wan_bytes", 0.0);
   w.Member("total_lan_bytes", small.bytes);
   w.Member("wan_bytes_per_entry", 0.0);
-  w.Member("wall_ms", small.wall_ms);
+  w.Member("wall_ms", small.wall_ms.median);
   w.Key("phases");
   w.BeginObject();
   w.EndObject();

@@ -27,13 +27,6 @@ class BinaryWriter {
  public:
   BinaryWriter() = default;
   explicit BinaryWriter(size_t reserve) { buf_.reserve(reserve); }
-  /// Adopts an existing buffer, clearing its contents but keeping its
-  /// capacity — the allocation-free encode path: a pooled buffer goes in,
-  /// Release() hands it back grown at most once, and after a few frames of
-  /// warm-up the capacity fits every recurring message size.
-  explicit BinaryWriter(Bytes&& adopt) : buf_(std::move(adopt)) {
-    buf_.clear();
-  }
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutLE(v, 2); }

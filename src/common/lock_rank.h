@@ -48,7 +48,6 @@ enum class LockRank : int {
   kClusterIntrospection = 10,  // RealCluster: kill/restart/stats vs lifecycle
   kRuntimeQueue = 20,          // NodeRuntime: post queue + running flag
   kTransport = 40,             // TcpTransport / InProc hub + endpoints
-  kBufferPool = 50,            // WireBufferPool free list (under kTransport)
   kObsRecorder = 60,           // Trace/Flight recorders (under kTransport)
   kCryptoKeys = 65,            // KeyRegistry key material; leaf-like
   kLeafCache = 70,             // process-wide memo caches (RS factory); leaf

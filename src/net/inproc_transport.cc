@@ -4,7 +4,6 @@
 
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
-#include "net/buffer_pool.h"
 
 namespace massbft {
 
@@ -23,19 +22,20 @@ class InProcHub::Endpoint : public Transport {
     return Status::OK();
   }
 
-  Status Send(NodeId dst, const ProtocolMessage& msg) override {
-    // Routing is synchronous (Receive decodes and delivers before Route
-    // returns), so a pooled buffer can be borrowed for the whole hop and
-    // recycled immediately — zero allocations per frame in steady state.
-    Bytes wire = WireBufferPool().Acquire();
-    EncodeFrameInto(msg, self_, &wire);
-    Status status = RouteBorrowed(dst, wire);
-    WireBufferPool().Release(std::move(wire));
-    return status;
-  }
-
+  /// Routing is synchronous (Receive decodes and delivers before Route
+  /// returns), so the frame is freed on return. Like TCP, which counts a
+  /// frame once the kernel takes it, a frame counts as sent only once the
+  /// receiving endpoint took it.
   Status SendEncoded(NodeId dst, Bytes wire) override {
-    return RouteBorrowed(dst, wire);
+    const bool taken = hub_->Route(dst, wire);
+    MutexLock lock(&mu_);
+    if (!taken) {
+      stats_.send_errors++;
+      return Status::NotFound("destination transport not started");
+    }
+    stats_.frames_sent++;
+    stats_.bytes_sent += wire.size();
+    return Status::OK();
   }
 
   void Stop() override {
@@ -48,21 +48,6 @@ class InProcHub::Endpoint : public Transport {
   Stats stats() const override {
     MutexLock lock(&mu_);
     return stats_;
-  }
-
-  /// Shared send path over a borrowed frame; the caller keeps ownership.
-  Status RouteBorrowed(NodeId dst, const Bytes& wire) {
-    {
-      MutexLock lock(&mu_);
-      stats_.frames_sent++;
-      stats_.bytes_sent += wire.size();
-    }
-    if (!hub_->Route(dst, wire)) {
-      MutexLock lock(&mu_);
-      stats_.send_errors++;
-      return Status::NotFound("destination transport not started");
-    }
-    return Status::OK();
   }
 
   /// Called by the hub on the sender's thread. False when this endpoint

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "net/buffer_pool.h"
 #include "obs/telemetry.h"
 
 namespace massbft {
@@ -159,10 +158,7 @@ void TcpTransport::Stop() {
   writer_wake_pipe_[0] = writer_wake_pipe_[1] = -1;
 
   MutexLock lock(&mu_);
-  for (auto& [packed, peer] : peers_) {
-    CloseFd(peer->fd);
-    for (QueuedFrame& frame : peer->queue) RecycleFrame(frame);
-  }
+  for (auto& [packed, peer] : peers_) CloseFd(peer->fd);
   // Drop connection state and queued frames; a restarted transport dials
   // fresh. Counters survive restarts.
   peers_.clear();
@@ -170,48 +166,27 @@ void TcpTransport::Stop() {
   UpdateQueueGaugeLocked();
 }
 
-Status TcpTransport::Send(NodeId dst, const ProtocolMessage& msg) {
-  // Encode outside mu_ into a pooled buffer: the hot path's only
-  // allocation is the pool warming up, and encode cost never serializes
-  // concurrent senders.
-  Bytes wire = WireBufferPool().Acquire();
-  EncodeFrameInto(msg, self_, &wire);
-  return EnqueueFrame(dst, std::move(wire), /*pooled=*/true);
-}
-
 Status TcpTransport::SendEncoded(NodeId dst, Bytes wire) {
-  return EnqueueFrame(dst, std::move(wire), /*pooled=*/false);
-}
-
-void TcpTransport::RecycleFrame(QueuedFrame& frame) {
-  if (frame.pooled) WireBufferPool().Release(std::move(frame.wire));
-}
-
-Status TcpTransport::EnqueueFrame(NodeId dst, Bytes wire, bool pooled) {
-  QueuedFrame frame{std::move(wire), pooled};
+  // The frame was encoded outside mu_ (Transport::Send), so encode cost
+  // never serializes concurrent senders; only the enqueue takes the lock.
   MutexLock lock(&mu_);
-  if (!running_) {
-    RecycleFrame(frame);
-    return Status::FailedPrecondition("transport stopped");
-  }
+  if (!running_) return Status::FailedPrecondition("transport stopped");
   if (ports_.find(dst.Packed()) == ports_.end()) {
     stats_.send_errors++;
-    RecycleFrame(frame);
     return Status::NotFound("destination has no port assignment");
   }
   Peer& peer = PeerLocked(dst.Packed());
   if (peer.queue.size() >= options_.max_queue_frames ||
-      peer.queued_bytes + frame.wire.size() > options_.max_queue_bytes) {
+      peer.queued_bytes + wire.size() > options_.max_queue_bytes) {
     stats_.dropped_backpressure++;
     if (backpressure_counter_ != nullptr) backpressure_counter_->Add();
     RecordNetEvent("backpressure_drop", static_cast<double>(dst.Packed()),
-                   static_cast<double>(frame.wire.size()));
-    RecycleFrame(frame);
+                   static_cast<double>(wire.size()));
     return Status::Unavailable("send queue full (backpressure drop)");
   }
   const bool was_empty = peer.queue.empty();
-  peer.queued_bytes += frame.wire.size();
-  peer.queue.push_back(std::move(frame));
+  peer.queued_bytes += wire.size();
+  peer.queue.push_back(std::move(wire));
   total_queued_frames_++;
   UpdateQueueGaugeLocked();
   // Only the empty->nonempty transition needs a wake (a pipe write is a
@@ -307,8 +282,7 @@ void TcpTransport::DisconnectLocked(Peer& peer) {
   // A frame already partially on the wire cannot be resumed on a fresh
   // connection; drop it whole (the BFT layer owns retries).
   if (peer.write_off > 0 && !peer.queue.empty()) {
-    peer.queued_bytes -= peer.queue.front().wire.size();
-    RecycleFrame(peer.queue.front());
+    peer.queued_bytes -= peer.queue.front().size();
     peer.queue.pop_front();
     total_queued_frames_--;
     stats_.send_errors++;
@@ -330,9 +304,6 @@ void TcpTransport::DisconnectLocked(Peer& peer) {
 
 void TcpTransport::FlushLocked(Peer& peer) {
   size_t popped = 0;
-  // Pooled buffers from sent frames collect here and recycle under one
-  // pool lock per flush instead of one per frame.
-  recycle_scratch_.clear();
   while (!peer.queue.empty()) {
     // Gather up to kMaxBatchIov queued frames into one scatter-gather
     // write. The first entry starts at write_off when a previous call left
@@ -341,10 +312,10 @@ void TcpTransport::FlushLocked(Peer& peer) {
     size_t niov = 0;
     size_t batch_bytes = 0;
     size_t skip = peer.write_off;
-    for (const QueuedFrame& frame : peer.queue) {
+    for (const Bytes& frame : peer.queue) {
       if (niov == kMaxBatchIov || batch_bytes >= kMaxBatchBytes) break;
-      iov[niov].iov_base = const_cast<uint8_t*>(frame.wire.data() + skip);
-      iov[niov].iov_len = frame.wire.size() - skip;
+      iov[niov].iov_base = const_cast<uint8_t*>(frame.data() + skip);
+      iov[niov].iov_len = frame.size() - skip;
       batch_bytes += iov[niov].iov_len;
       ++niov;
       skip = 0;
@@ -358,29 +329,26 @@ void TcpTransport::FlushLocked(Peer& peer) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // Socket full.
       if (popped > 0) UpdateQueueGaugeLocked();
-      if (!recycle_scratch_.empty())
-        WireBufferPool().ReleaseAll(&recycle_scratch_);
       DisconnectLocked(peer);  // Peer died mid-write; reconnect with backoff.
       return;
     }
     stats_.send_syscalls++;
 
     // Walk the accepted byte count over the queue: whole frames pop (and
-    // their pooled buffers recycle), a trailing partial frame records its
-    // resume offset in write_off.
+    // free their buffers), a trailing partial frame records its resume
+    // offset in write_off.
     size_t accepted = static_cast<size_t>(n);
     while (accepted > 0) {
-      QueuedFrame& front = peer.queue.front();
-      const size_t remaining = front.wire.size() - peer.write_off;
+      const Bytes& front = peer.queue.front();
+      const size_t remaining = front.size() - peer.write_off;
       if (accepted < remaining) {
         peer.write_off += accepted;
         break;
       }
       accepted -= remaining;
       stats_.frames_sent++;
-      stats_.bytes_sent += front.wire.size();
-      peer.queued_bytes -= front.wire.size();
-      if (front.pooled) recycle_scratch_.push_back(std::move(front.wire));
+      stats_.bytes_sent += front.size();
+      peer.queued_bytes -= front.size();
       peer.queue.pop_front();
       peer.write_off = 0;
       total_queued_frames_--;
@@ -391,7 +359,6 @@ void TcpTransport::FlushLocked(Peer& peer) {
   // One gauge update per flush, not per frame: the gauge is for humans and
   // the per-pop Set() was measurable at millions of frames/sec.
   if (popped > 0) UpdateQueueGaugeLocked();
-  if (!recycle_scratch_.empty()) WireBufferPool().ReleaseAll(&recycle_scratch_);
 }
 
 void TcpTransport::WriterLoop() {

@@ -42,7 +42,7 @@ using TcpPortMap = std::unordered_map<uint32_t, uint16_t>;  // Packed -> port
 ///    into a per-connection FrameReassembler, then decodes and delivers
 ///    every complete frame in one batch on that thread.
 ///  * One writer thread owns every outbound connection. Send() only
-///    encodes (into a pooled buffer — see WireBufferPool) and enqueues onto
+///    encodes (into the frame's own exactly-sized buffer) and enqueues onto
 ///    a bounded per-peer queue (drop-with-counter on overflow — BFT
 ///    protocols tolerate loss, unbounded memory does not), so a send to a
 ///    dead peer returns in microseconds. The writer coalesces all queued
@@ -84,7 +84,7 @@ class TcpTransport : public Transport {
   ~TcpTransport() override;
 
   [[nodiscard]] Status Start(DeliverFn deliver) override;
-  [[nodiscard]] Status Send(NodeId dst, const ProtocolMessage& msg) override;
+  /// Enqueues the frame for the writer thread; never blocks.
   [[nodiscard]] Status SendEncoded(NodeId dst, Bytes wire) override;
   void Stop() override;
   void BindTelemetry(obs::Telemetry* telemetry) override;
@@ -100,15 +100,6 @@ class TcpTransport : public Transport {
     FrameReassembler rx;  // Unconsumed inbound bytes + frame boundaries.
   };
 
-  /// One queued outbound frame. `pooled` frames were encoded into a
-  /// WireBufferPool buffer and are Release()d back once the kernel accepts
-  /// the last byte (or the frame is dropped); SendEncoded frames arrive
-  /// from outside the pool and are simply freed.
-  struct QueuedFrame {
-    Bytes wire;
-    bool pooled = false;
-  };
-
   /// Outbound state machine for one destination. Owned by the writer
   /// thread; all fields are guarded by mu_ (socket syscalls are
   /// non-blocking, so holding mu_ across them is bounded).
@@ -117,7 +108,7 @@ class TcpTransport : public Transport {
     State state = State::kIdle;
     uint32_t packed = 0;  // Destination NodeId::Packed (for diagnostics).
     int fd = -1;
-    std::deque<QueuedFrame> queue;
+    std::deque<Bytes> queue;  // Encoded frames; freed once sent or dropped.
     size_t queued_bytes = 0;
     size_t write_off = 0;  // Bytes of queue.front() already on the wire.
     Clock::time_point next_dial{};  // Earliest next connect attempt.
@@ -133,10 +124,6 @@ class TcpTransport : public Transport {
   bool ReadAndDeliver(Conn& conn);
 
   Peer& PeerLocked(uint32_t dst_packed) MASSBFT_REQUIRES(mu_);
-  /// Enqueues one encoded frame for `dst` (shared Send/SendEncoded path).
-  Status EnqueueFrame(NodeId dst, Bytes wire, bool pooled);
-  /// Returns a pooled frame's buffer to WireBufferPool; frees the rest.
-  static void RecycleFrame(QueuedFrame& frame);
   void BeginConnectLocked(Peer& peer, uint16_t port) MASSBFT_REQUIRES(mu_);
   void FinishConnectLocked(Peer& peer) MASSBFT_REQUIRES(mu_);
   void OnConnectedLocked(Peer& peer) MASSBFT_REQUIRES(mu_);
@@ -156,7 +143,7 @@ class TcpTransport : public Transport {
   Options options_;
 
   // kTransport ranks above the runtime/fault layers that call into Send,
-  // and below the buffer pool and obs recorders it calls while held.
+  // and below the obs recorders it calls while held.
   mutable RankedMutex mu_{"tcp.mu", LockRank::kTransport};
   DeliverFn deliver_ MASSBFT_GUARDED_BY(mu_);
   Stats stats_ MASSBFT_GUARDED_BY(mu_);
@@ -164,9 +151,6 @@ class TcpTransport : public Transport {
   std::unordered_map<uint32_t, std::unique_ptr<Peer>> peers_
       MASSBFT_GUARDED_BY(mu_);
   size_t total_queued_frames_ MASSBFT_GUARDED_BY(mu_) = 0;
-  /// FlushLocked's reusable batch of sent pooled buffers awaiting release
-  /// (writer thread only, under mu_).
-  std::vector<Bytes> recycle_scratch_ MASSBFT_GUARDED_BY(mu_);
   Rng jitter_rng_ MASSBFT_GUARDED_BY(mu_);
 
   // Pre-resolved observability handles (null when unwired).

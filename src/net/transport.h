@@ -14,9 +14,10 @@ namespace obs {
 class Telemetry;
 }  // namespace obs
 
-/// Point-to-point frame transport for one node. Implementations encode
-/// outgoing messages with EncodeFrame and hand decoded frames to the
-/// deliver callback.
+/// Point-to-point frame transport for one node. Every send takes one path:
+/// Send() encodes the message with EncodeFrame, and the implementation's
+/// one SendEncoded() takes ownership of the frame's buffer. Inbound frames
+/// are decoded and handed to the deliver callback.
 ///
 /// Threading contract: Send() may be called from any thread after Start().
 /// The deliver callback may be invoked from a transport-internal thread (or
@@ -62,20 +63,19 @@ class Transport {
   /// operation (fresh connections, retained counters).
   [[nodiscard]] virtual Status Start(DeliverFn deliver) = 0;
 
-  /// Encodes and sends `msg` to `dst`. Delivery is best-effort (the BFT
-  /// layer owns retries/timeouts); an error Status reports only local
-  /// failures such as an unknown destination or a full send queue.
-  [[nodiscard]] virtual Status Send(NodeId dst, const ProtocolMessage& msg) = 0;
-
-  /// Sends pre-encoded wire bytes verbatim. The bytes need not decode
-  /// cleanly — TransportNetwork sends a corrupted message (Network's
-  /// corrupt fault, sim/network.h) through it, so receiver-side CRC
-  /// rejection is exercised for real. Default: not supported.
-  [[nodiscard]] virtual Status SendEncoded(NodeId dst, Bytes wire) {
-    (void)dst;
-    (void)wire;
-    return Status::Unavailable("SendEncoded not supported by this transport");
+  /// Encodes `msg` as a frame from self() and sends it to `dst`. Delivery
+  /// is best-effort (the BFT layer owns retries/timeouts); an error Status
+  /// reports only local failures such as an unknown destination or a full
+  /// send queue.
+  [[nodiscard]] Status Send(NodeId dst, const ProtocolMessage& msg) {
+    return SendEncoded(dst, EncodeFrame(msg, self()));
   }
+
+  /// Sends one encoded frame verbatim; the transport owns `wire` from here
+  /// on. The bytes need not decode cleanly: TransportNetwork sends a
+  /// corrupted message (Network's corrupt fault, sim/network.h) through
+  /// it, so receiver-side CRC rejection is exercised for real.
+  [[nodiscard]] virtual Status SendEncoded(NodeId dst, Bytes wire) = 0;
 
   /// Stops delivery and releases transport resources. Idempotent. After
   /// Stop() returns, the deliver callback will not be invoked again.

@@ -23,18 +23,6 @@ Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src) {
 
 Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src,
                   uint64_t origin_ts_ns) {
-  Bytes out;
-  EncodeFrameInto(msg, src, origin_ts_ns, &out);
-  return out;
-}
-
-void EncodeFrameInto(const ProtocolMessage& msg, NodeId src, Bytes* out) {
-  EncodeFrameInto(
-      msg, src, msg.info().carries_trace ? obs::TraceClock::NowNs() : 0, out);
-}
-
-void EncodeFrameInto(const ProtocolMessage& msg, NodeId src,
-                     uint64_t origin_ts_ns, Bytes* out) {
   // Offsets of the two fields patched after the payload is appended.
   constexpr size_t kBodyLenOffset = kFrameHeaderBytes - 8;
   constexpr size_t kCrcOffset = kFrameHeaderBytes - 4;
@@ -44,7 +32,7 @@ void EncodeFrameInto(const ProtocolMessage& msg, NodeId src,
   ctx.origin = src.Packed();
   ctx.origin_ts_ns = origin_ts_ns;
 
-  BinaryWriter w(std::move(*out));
+  BinaryWriter w(msg.ByteSize());
   w.PutU32(kWireMagic);
   w.PutU8(kWireVersion);
   w.PutU8(static_cast<uint8_t>(msg.message_type()));
@@ -66,14 +54,11 @@ void EncodeFrameInto(const ProtocolMessage& msg, NodeId src,
 
   // The CRC spans version..body_len plus everything after the CRC field
   // itself; computing it over the assembled bytes needs no scratch buffers.
-  *out = w.Release();
   Crc32 crc;
-  crc.Update(out->data() + 4, kCrcHeaderSpan);
-  crc.Update(out->data() + kFrameHeaderBytes, trace_len + body_len);
-  const uint32_t digest = crc.Finish();
-  for (int i = 0; i < 4; ++i)
-    (*out)[kCrcOffset + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(digest >> (8 * i));
+  crc.Update(w.buffer().data() + 4, kCrcHeaderSpan);
+  crc.Update(w.buffer().data() + kFrameHeaderBytes, trace_len + body_len);
+  w.PatchU32(kCrcOffset, crc.Finish());
+  return w.Release();
 }
 
 Result<size_t> PeekFrameLength(const uint8_t* data, size_t len) {

@@ -76,20 +76,15 @@ struct Frame {
 /// Serializes `msg` into a self-contained frame from `src`. For
 /// entry-carrying types, stamps a trace context with the entry key from
 /// msg.TraceKey() and origin_ts_ns = obs::TraceClock::NowNs().
+///
+/// The frame owns one buffer, reserved to msg.ByteSize() (the exact frame
+/// size) and written in a single pass: body length and CRC are patched in
+/// place once the payload is written, so no intermediate body or trace
+/// buffer exists and the buffer never regrows (DESIGN.md §15).
 [[nodiscard]] Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src);
 /// Same, with an explicit origin timestamp (deterministic tests).
 [[nodiscard]] Bytes EncodeFrame(const ProtocolMessage& msg, NodeId src,
                                 uint64_t origin_ts_ns);
-
-/// Single-pass encode into a caller-supplied buffer (typically from
-/// WireBufferPool): the frame is appended to `*out` after clearing it, with
-/// no intermediate body/trace buffers — body length and CRC are patched in
-/// place once the payload is written. Byte-identical to EncodeFrame; the
-/// hot transports use this so steady-state sends reuse pooled capacity
-/// instead of allocating per frame (DESIGN.md §15).
-void EncodeFrameInto(const ProtocolMessage& msg, NodeId src, Bytes* out);
-void EncodeFrameInto(const ProtocolMessage& msg, NodeId src,
-                     uint64_t origin_ts_ns, Bytes* out);
 
 /// Parses one complete frame. The buffer must contain exactly the frame
 /// (PeekFrameLength gives the boundary when streaming). Returns Corruption

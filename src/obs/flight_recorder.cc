@@ -63,11 +63,5 @@ void FlightRecorder::Dump(std::ostream& out, const std::string& owner) const {
   }
 }
 
-void FlightRecorder::Clear() {
-  MutexLock lock(&mu_);
-  ring_.clear();
-  count_ = 0;
-}
-
 }  // namespace obs
 }  // namespace massbft

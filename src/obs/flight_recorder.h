@@ -62,8 +62,6 @@ class FlightRecorder {
   ///     [   12.345 ms] g0/n1 category/name a=1 b=2
   void Dump(std::ostream& out, const std::string& owner) const;
 
-  void Clear();
-
  private:
   const size_t capacity_;
   // kObsRecorder: Record() runs under transport/runtime locks (connection

@@ -47,14 +47,6 @@ double Histogram::Percentile(double p) const {
   return max_;
 }
 
-void Histogram::Reset() {
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-  buckets_.fill(0);
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
@@ -71,12 +63,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
-}
-
-void MetricsRegistry::ResetAll() {
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 void MetricsRegistry::WriteJson(JsonWriter& writer) const {

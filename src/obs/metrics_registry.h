@@ -20,7 +20,6 @@ class Counter {
  public:
   void Add(uint64_t delta = 1) { value_ += delta; }
   uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
 
  private:
   uint64_t value_ = 0;
@@ -31,7 +30,6 @@ class Gauge {
  public:
   void Set(double v) { value_ = v; }
   double value() const { return value_; }
-  void Reset() { value_ = 0; }
 
  private:
   double value_ = 0;
@@ -52,8 +50,6 @@ class Histogram {
   /// Approximate percentile (p in [0,1]) from the geometric buckets:
   /// exact to within one bucket width (a factor of 2).
   double Percentile(double p) const;
-
-  void Reset();
 
  private:
   // Bucket i counts values in [2^(i-kBucketBias), 2^(i-kBucketBias+1)),
@@ -107,9 +103,6 @@ class MetricsRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-
-  /// Zeroes all series (handles stay valid).
-  void ResetAll();
 
   size_t counter_count() const { return counters_.size(); }
   size_t gauge_count() const { return gauges_.size(); }

@@ -32,11 +32,6 @@ size_t TraceRecorder::event_count() const {
   return events_.size();
 }
 
-void TraceRecorder::Clear() {
-  MutexLock lock(&mu_);
-  events_.clear();
-}
-
 std::vector<TraceRecorder::Event> TraceRecorder::snapshot() const {
   MutexLock lock(&mu_);
   return events_;

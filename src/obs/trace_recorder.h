@@ -78,7 +78,6 @@ class TraceRecorder {
                      SimTime at, TraceArgs args = {});
 
   size_t event_count() const;
-  void Clear();
 
   /// Copies of the recorded events / track names, for the trace writer
   /// (ClusterTraceMerger). Events are in recording order.

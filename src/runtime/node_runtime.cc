@@ -27,17 +27,15 @@ void TransportNetwork::Transmit(NodeId src, NodeId dst, MessagePtr message,
                           {"dst", static_cast<double>(dst.Packed())}}});
     }
   }
+  Bytes wire = EncodeFrame(msg, src);
+  if (corrupt) {
+    // Real mangled bytes go on the wire, so the receiver's CRC rejects them.
+    Rng& rng = FaultRng(src);
+    const size_t index = rng.NextBelow(wire.size());
+    wire[index] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
+  }
   // Best-effort, like a datagram over an unreliable link: the BFT layer
   // owns retries. The transport counts the failure in its stats.
-  if (!corrupt) {
-    (void)transport_->Send(dst, msg);
-    return;
-  }
-  // Real mangled bytes go on the wire, so the receiver's CRC rejects them.
-  Bytes wire = EncodeFrame(msg, src);
-  Rng& rng = FaultRng(src);
-  const size_t index = rng.NextBelow(wire.size());
-  wire[index] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
   (void)transport_->SendEncoded(dst, std::move(wire));
 }
 

@@ -40,10 +40,10 @@ class TransportNetwork : public Network {
                    Transport* transport);
 
  protected:
-  /// Encodes and sends; a corrupted message goes out through
-  /// Transport::SendEncoded with one byte flipped. With tracing on, an
-  /// entry-carrying send leaves a "wire/send" instant on the sender's
-  /// track.
+  /// Encodes the message once and hands the frame to
+  /// Transport::SendEncoded; a corrupted message has one byte of it
+  /// flipped first. With tracing on, an entry-carrying send leaves a
+  /// "wire/send" instant on the sender's track.
   void Transmit(NodeId src, NodeId dst, MessagePtr message, bool wan,
                 bool corrupt) override;
 

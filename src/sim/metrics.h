@@ -41,11 +41,6 @@ class LatencyStats {
   /// p in [0, 1], e.g. 0.5 / 0.99. Returns 0 when empty.
   double PercentileMs(double p) const;
 
-  void Clear() {
-    samples_.clear();
-    sorted_ = false;
-  }
-
  private:
   mutable std::vector<SimTime> samples_;
   mutable bool sorted_ = false;

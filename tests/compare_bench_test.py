@@ -24,8 +24,16 @@ compare_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_bench)
 
 
-def doc(result, bench="wire"):
-    return {"schema": 1, "bench": bench, "result": result}
+def doc(result, bench="wire", host=None):
+    d = {"schema": 1, "bench": bench, "result": result}
+    if host is not None:
+        d["host"] = host
+    return d
+
+
+def host(machine="x86_64", cpus=4):
+    return {"sysname": "Linux", "release": "6.1", "machine": machine,
+            "hardware_concurrency": cpus}
 
 
 class CompareBenchTest(unittest.TestCase):
@@ -129,6 +137,45 @@ class CompareBenchTest(unittest.TestCase):
         rc, out = self.run_tool(base, cur, "--strict")
         self.assertEqual(rc, 1)
         self.assertIn("batch.frames_per_sec", out)
+
+    # ---------------------------------------------------------- host kind
+
+    def test_unlike_cpu_count_flags_no_regression(self):
+        # A 1-CPU baseline against a 4-CPU run: the drift prints, but even
+        # --strict flags nothing, and the output says why.
+        base = self.write("b.json", doc({"frames_per_sec": 2400000.0},
+                                        host=host(cpus=1)))
+        cur = self.write("c.json", doc({"frames_per_sec": 900000.0},
+                                       host=host(cpus=4)))
+        rc, out = self.run_tool(base, cur, "--strict")
+        self.assertEqual(rc, 0)
+        self.assertNotIn("REGRESSION", out)
+        self.assertIn("unlike hosts (hardware_concurrency 1 -> 4)", out)
+        self.assertIn("frames_per_sec", out)
+        self.assertIn("another kind of host", out)
+
+    def test_unlike_machine_flags_no_regression(self):
+        base = self.write("b.json", doc({"send_syscalls_per_frame": 0.01},
+                                        host=host(machine="x86_64")))
+        cur = self.write("c.json", doc({"send_syscalls_per_frame": 0.5},
+                                       host=host(machine="aarch64")))
+        rc, out = self.run_tool(base, cur, "--strict")
+        self.assertEqual(rc, 0)
+        self.assertNotIn("REGRESSION", out)
+        self.assertIn("machine x86_64 -> aarch64", out)
+
+    def test_like_hosts_still_flag(self):
+        # Only machine and CPU count decide comparability; a kernel
+        # release bump does not.
+        other_release = dict(host(), release="6.18")
+        base = self.write("b.json", doc({"frames_per_sec": 1000.0},
+                                        host=host()))
+        cur = self.write("c.json", doc({"frames_per_sec": 500.0},
+                                       host=other_release))
+        rc, out = self.run_tool(base, cur, "--strict")
+        self.assertEqual(rc, 1)
+        self.assertIn("REGRESSION", out)
+        self.assertNotIn("unlike hosts", out)
 
     # ------------------------------------------------------- input errors
 

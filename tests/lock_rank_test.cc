@@ -98,12 +98,12 @@ TEST(RankedMutexDeathTest, AbortsOnRankedMutexInversion) {
   // the real RankedMutex/MutexLock path must abort, naming both locks.
   EXPECT_DEATH(
       {
-        RankedMutex inner("test.pool", LockRank::kBufferPool);
+        RankedMutex inner("test.recorder", LockRank::kObsRecorder);
         RankedMutex outer("test.cluster", LockRank::kClusterIntrospection);
         MutexLock hold_inner(&inner);
         MutexLock hold_outer(&outer);
       },
-      "acquiring 'test.cluster' \\(rank 10\\).*'test.pool' \\(rank 50\\)");
+      "acquiring 'test.cluster' \\(rank 10\\).*'test.recorder' \\(rank 60\\)");
 }
 #endif
 

@@ -235,20 +235,6 @@ TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
   EXPECT_EQ(registry.histogram_count(), 1u);
 }
 
-TEST(MetricsRegistryTest, ResetAllKeepsHandlesValid) {
-  obs::MetricsRegistry registry;
-  obs::Counter* c = registry.GetCounter("c");
-  obs::Histogram* h = registry.GetHistogram("h");
-  c->Add(3);
-  h->Record(2.0);
-  registry.ResetAll();
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  c->Add(1);
-  EXPECT_EQ(c->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("c"), c);
-}
-
 TEST(HistogramTest, ExactStatsAndApproxPercentiles) {
   obs::MetricsRegistry registry;
   obs::Histogram* h = registry.GetHistogram("h");
@@ -313,8 +299,6 @@ TEST(TraceRecorderTest, RecordsAndClears) {
                    obs::TraceArgs{{{"gid", 1.0}, {"seq", 9.0}}});
   trace.RecordInstant(7, "client", "submit", 2 * kMillisecond);
   EXPECT_EQ(trace.event_count(), 2u);
-  trace.Clear();
-  EXPECT_EQ(trace.event_count(), 0u);
 }
 
 // ---------------------------------------------------------------- Telemetry
@@ -543,18 +527,6 @@ TEST(FlightRecorderTest, DumpNamesOwnerAndKeptCounts) {
   ASSERT_NE(stop, std::string::npos);
   EXPECT_LT(dropped, stop);
   EXPECT_NE(text.find("2.500 ms"), std::string::npos);
-}
-
-TEST(FlightRecorderTest, ClearForgetsHistory) {
-  obs::FlightRecorder flight(4);
-  for (uint64_t i = 0; i < 6; ++i) flight.Record(i, 0, "cat", "tick");
-  flight.Clear();
-  EXPECT_EQ(flight.recorded(), 0u);
-  EXPECT_TRUE(flight.Snapshot().empty());
-  // The ring is reusable after Clear.
-  flight.Record(99, 0, "cat", "tick");
-  ASSERT_EQ(flight.Snapshot().size(), 1u);
-  EXPECT_EQ(flight.Snapshot()[0].t_ns, 99u);
 }
 
 // --------------------------------------------------------------- Prometheus

@@ -11,24 +11,31 @@ move the needle" in one line per metric:
 
 Walks every numeric leaf under "result" present in both documents.
 Direction matters: throughput-like metrics (frames_per_sec, *_tps,
-mb_per_sec, reuses) regress when they DROP; cost-like metrics (latency,
-syscalls-per-frame, allocations, backpressure) regress when they RISE.
-Metrics matching neither family are reported but never flagged.
+mb_per_sec) regress when they DROP; cost-like metrics (latency,
+syscalls-per-frame, backpressure) regress when they RISE. Metrics matching
+neither family are reported but never flagged.
+
+Only like hosts are compared: when the two documents' host.machine or
+host.hardware_concurrency differ, the drift is printed but no regression
+is flagged, because a wire or crypto rate from a 1-CPU host says nothing
+about a 4-CPU one.
 
 Exit code: always 0 unless --strict, then 1 when any regression exceeds
-the tolerance (default 0.20 = 20% relative).
+the tolerance (default 0.20 = 20% relative) between like hosts.
 """
 
 import json
 import sys
 
 HIGHER_IS_BETTER = (
-    "per_sec", "throughput_tps", "committed_txns", "reuses",
+    "per_sec", "throughput_tps", "committed_txns",
 )
 LOWER_IS_BETTER = (
-    "latency_ms", "syscalls_per_frame", "allocations", "aborted",
+    "latency_ms", "syscalls_per_frame", "aborted",
     "backpressure", "wan_bytes_per_entry",
 )
+# The host fields that make two documents comparable.
+HOST_KEYS = ("machine", "hardware_concurrency")
 
 
 def numeric_leaves(node, prefix=""):
@@ -49,14 +56,21 @@ def direction(path):
     return 0
 
 
-def load_result(path):
+def load_doc(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     result = doc.get("result")
     if not isinstance(result, dict):
         raise ValueError("%s: no result object (run check_bench_schema.py)"
                          % path)
-    return doc.get("bench", "?"), result
+    return doc.get("bench", "?"), doc.get("host") or {}, result
+
+
+def host_drift(base_host, cur_host):
+    """Returns one "key old -> new" string per HOST_KEYS field that
+    differs between the two documents' hosts."""
+    return ["%s %s -> %s" % (key, base_host.get(key), cur_host.get(key))
+            for key in HOST_KEYS if base_host.get(key) != cur_host.get(key)]
 
 
 def main(argv):
@@ -76,14 +90,17 @@ def main(argv):
         return 2
 
     try:
-        base_name, base = load_result(paths[0])
-        cur_name, cur = load_result(paths[1])
+        base_name, base_host, base = load_doc(paths[0])
+        cur_name, cur_host, cur = load_doc(paths[1])
     except (OSError, ValueError) as e:
         print("compare_bench: FAIL: %s" % e)
         return 2
     if base_name != cur_name:
         print("compare_bench: WARN: comparing bench %r against %r"
               % (cur_name, base_name))
+    drift = host_drift(base_host, cur_host)
+    if drift:
+        print("compare_bench: WARN: unlike hosts (%s)" % ", ".join(drift))
 
     base_leaves = dict(numeric_leaves(base))
     cur_leaves = dict(numeric_leaves(cur))
@@ -96,8 +113,9 @@ def main(argv):
         # as +/-inf, which only matters if the metric is directional.
         delta = (new - old) / abs(old) if old else float("inf")
         sign = direction(path)
-        regressed = sign != 0 and sign * delta < -tolerance
-        marker = "REGRESSION" if regressed else "ok"
+        beyond = sign != 0 and sign * delta < -tolerance
+        regressed = beyond and not drift
+        marker = "REGRESSION" if regressed else "drift" if beyond else "ok"
         if regressed or sign != 0:
             print("compare_bench: %-10s %-45s %14.3f -> %14.3f  (%+.1f%%)"
                   % (marker, path, old, new, 100.0 * delta))
@@ -105,6 +123,11 @@ def main(argv):
     for path in sorted(base_leaves.keys() - cur_leaves.keys()):
         print("compare_bench: WARN: metric gone: %s" % path)
 
+    if drift:
+        print("compare_bench: no regression flagged: %s was measured on "
+              "another kind of host, so it is no baseline for this one"
+              % paths[0])
+        return 0
     if regressions:
         print("compare_bench: %d metric(s) regressed beyond %.0f%% vs %s"
               % (regressions, 100.0 * tolerance, paths[0]))
