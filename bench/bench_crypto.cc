@@ -170,14 +170,13 @@ OpResult MedianOf(const std::vector<SchemeResults>& runs,
     rates.push_back((run.*op).per_sec);
     walls.push_back((run.*op).wall_ms);
   }
-  std::sort(rates.begin(), rates.end());
-  std::sort(walls.begin(), walls.end());
+  const Quartiles rate = QuartilesOf(std::move(rates));
   OpResult m;
   m.ops = (runs.front().*op).ops;
-  m.wall_ms = InterpolatedPercentile(walls, 0.5);
-  m.per_sec = InterpolatedPercentile(rates, 0.5);
-  m.per_sec_q1 = InterpolatedPercentile(rates, 0.25);
-  m.per_sec_q3 = InterpolatedPercentile(rates, 0.75);
+  m.wall_ms = QuartilesOf(std::move(walls)).median;
+  m.per_sec = rate.median;
+  m.per_sec_q1 = rate.q1;
+  m.per_sec_q3 = rate.q3;
   return m;
 }
 

@@ -176,29 +176,21 @@ struct FloodRun {
 };
 
 /// Median and quartiles of one figure over the kRepeats floods.
-struct Spread {
-  double q1 = 0;
-  double median = 0;
-  double q3 = 0;
-};
-
-Spread SpreadOf(const std::vector<FloodRun>& runs, double FloodRun::*field) {
+Quartiles SpreadOf(const std::vector<FloodRun>& runs,
+                   double FloodRun::*field) {
   std::vector<double> values;
   for (const FloodRun& run : runs) values.push_back(run.*field);
-  std::sort(values.begin(), values.end());
-  return Spread{InterpolatedPercentile(values, 0.25),
-                InterpolatedPercentile(values, 0.5),
-                InterpolatedPercentile(values, 0.75)};
+  return QuartilesOf(std::move(values));
 }
 
 struct ScenarioResult {
   uint64_t frames = 0;  // Per flood.
   uint64_t bytes = 0;   // Per flood.
-  Spread wall_ms;
-  Spread frames_per_sec;
-  Spread mb_per_sec;
-  Spread send_syscalls_per_frame;
-  Spread recv_syscalls_per_frame;
+  Quartiles wall_ms;
+  Quartiles frames_per_sec;
+  Quartiles mb_per_sec;
+  Quartiles send_syscalls_per_frame;
+  Quartiles recv_syscalls_per_frame;
   uint64_t backpressure_retries = 0;  // Summed over the floods.
 };
 
@@ -292,7 +284,7 @@ void Report(const char* name, const ScenarioResult& r) {
 
 /// Writes `name` as the median and `name`_q1 / `name`_q3 as its quartiles.
 void WriteSpread(obs::JsonWriter& w, const std::string& name,
-                 const Spread& spread) {
+                 const Quartiles& spread) {
   w.Member(name, spread.median);
   w.Member(name + "_q1", spread.q1);
   w.Member(name + "_q3", spread.q3);

@@ -8,8 +8,8 @@ namespace lock_rank_internal {
 namespace {
 
 // Per-thread stack of held ranked locks. Fixed depth: the deepest legal
-// chain today is introspection -> runtime -> fault -> transport -> pool,
-// so 16 leaves generous headroom; overflow is itself a bug worth a crash.
+// chain today is introspection -> runtime -> transport -> recorder, so 16
+// leaves generous headroom; overflow is itself a bug worth a crash.
 constexpr int kMaxHeldLocks = 16;
 
 struct HeldLock {

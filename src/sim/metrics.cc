@@ -5,6 +5,13 @@
 
 namespace massbft {
 
+Quartiles QuartilesOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return Quartiles{InterpolatedPercentile(values, 0.25),
+                   InterpolatedPercentile(values, 0.5),
+                   InterpolatedPercentile(values, 0.75)};
+}
+
 void LatencyStats::EnsureSorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

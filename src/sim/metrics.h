@@ -10,9 +10,8 @@
 namespace massbft {
 
 /// Linear-interpolated percentile over an ascending-sorted sample vector
-/// (p in [0, 1]); the single implementation shared by the sim-side
-/// LatencyStats and the threaded runtime's wall-clock samples. A
-/// floor-truncated nearest-rank underreports upper percentiles on small
+/// (p in [0, 1]); the single implementation shared by LatencyStats and
+/// QuartilesOf. A floor-truncated nearest-rank underreports upper percentiles on small
 /// samples (p99 of 100 samples would return sorted[98]); interpolating
 /// between the neighboring ranks does not. Returns 0 when empty.
 template <typename T>
@@ -25,6 +24,17 @@ double InterpolatedPercentile(const std::vector<T>& sorted, double p) {
   return static_cast<double>(sorted[lo]) * (1.0 - frac) +
          static_cast<double>(sorted[hi]) * frac;
 }
+
+/// Lower quartile, median and upper quartile of a sample.
+struct Quartiles {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+/// Quartiles of `values` in any order, interpolated as above; the
+/// microbenchmarks report their repeated runs this way. All 0 when empty.
+Quartiles QuartilesOf(std::vector<double> values);
 
 /// Latency sample accumulator with average/percentile reporting.
 class LatencyStats {

@@ -611,6 +611,8 @@ TEST(MetricsTest, TimelineBucketsByCommitTime) {
 // Regression: Record() after a percentile read must invalidate the sorted
 // cache, or later percentiles are computed over a stale ordering.
 TEST(MetricsTest, PercentilesCorrectAfterInterleavedRecords) {
+  EXPECT_DOUBLE_EQ(LatencyStats().PercentileMs(0.5), 0.0);  // Empty.
+  EXPECT_DOUBLE_EQ(InterpolatedPercentile(std::vector<SimTime>{}, 0.5), 0.0);
   LatencyStats stats;
   stats.Record(30 * kMillisecond);
   stats.Record(10 * kMillisecond);
@@ -622,6 +624,18 @@ TEST(MetricsTest, PercentilesCorrectAfterInterleavedRecords) {
   EXPECT_DOUBLE_EQ(stats.PercentileMs(0.5), 15.0);  // (10+20)/2.
   stats.Record(40 * kMillisecond);
   EXPECT_DOUBLE_EQ(stats.PercentileMs(1.0), 40.0);
+}
+
+TEST(MetricsTest, QuartilesOfUnsortedValues) {
+  const Quartiles q = QuartilesOf({5.0, 1.0, 4.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(q.q1, 2.0);
+  EXPECT_DOUBLE_EQ(q.median, 3.0);
+  EXPECT_DOUBLE_EQ(q.q3, 4.0);
+  const Quartiles pair = QuartilesOf({10.0, 20.0});  // Interpolated.
+  EXPECT_DOUBLE_EQ(pair.q1, 12.5);
+  EXPECT_DOUBLE_EQ(pair.median, 15.0);
+  EXPECT_DOUBLE_EQ(pair.q3, 17.5);
+  EXPECT_DOUBLE_EQ(QuartilesOf({}).median, 0.0);
 }
 
 TEST(MetricsTest, WindowBoundariesAreInclusive) {
