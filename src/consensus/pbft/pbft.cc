@@ -154,9 +154,14 @@ void PbftEngine::OnVote(NodeId from, MessageType phase, const PbftVote& vote) {
   auto& votes =
       phase == MessageType::kPrepare ? inst.prepares : inst.commits;
   // A check that cannot change the outcome is skipped: the signer has
-  // already voted, or the phase already has its quorum.
+  // already voted, or the phase has its quorum once this node's own vote,
+  // if still pending, is in. A node adds its prepare when its validation
+  // completes and its commit when it prepares; one that never validates
+  // never prepares, and so needs neither phase.
+  const bool own_pending =
+      phase == MessageType::kPrepare ? !inst.validated : !inst.prepared;
   if (votes.contains(from.index) ||
-      static_cast<int>(votes.size()) >= quorum())
+      static_cast<int>(votes.size()) + (own_pending ? 1 : 0) >= quorum())
     return;
   if (!cb_.verify(from, VotePayload(vote.seq, vote.digest, phase), vote.sig))
     return;

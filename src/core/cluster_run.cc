@@ -41,6 +41,7 @@ std::string ExperimentResult::ToJson() const {
   w.Member("nodes_killed", nodes_killed);
   w.Member("late_stamps", late_stamps);
   w.Member("stamps_below_inferred", stamps_below_inferred);
+  w.Member("conflicting_stamps", conflicting_stamps);
   w.Member("takeovers_started", takeovers_started);
   w.Key("phases");
   w.BeginObject();
@@ -139,6 +140,8 @@ ExperimentResult BuildResult(const MetricsCollector& commits,
         registry.GetCounter("membership/late_stamps")->value();
     result.stamps_below_inferred +=
         registry.GetCounter("vts/stamps_below_inferred")->value();
+    result.conflicting_stamps +=
+        registry.GetCounter("membership/conflicting_stamps")->value();
     result.takeovers_started +=
         registry.GetCounter("membership/takeovers_started")->value();
   }

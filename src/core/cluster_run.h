@@ -27,9 +27,9 @@ struct PhaseStats {
   double batching_ms = 0;     // Txn submit -> batch formed.
   double local_ms = 0;        // Batch formed -> local PBFT committed.
   double encode_ms = 0;       // RS encode + Merkle build CPU span.
-  double global_ms = 0;       // Local commit -> global commit (+ VTS).
+  double global_ms = 0;       // Local commit -> global commit.
   double rebuild_ms = 0;      // Chunk arrival -> entry rebuilt (receivers).
-  double exec_ms = 0;         // Global commit -> executed.
+  double exec_ms = 0;         // Global commit -> executed (+ VTS wait).
   uint64_t entries = 0;
   uint64_t rebuilds = 0;
   uint64_t txns = 0;
@@ -94,9 +94,11 @@ struct ExperimentResult {
 
   // ---- Breaches of Algorithm 2's input rules, summed over every node
   // (DESIGN.md §7): stamps applied below their assigner's highest, stamps
-  // below a bound the VTS engine had already inferred, and takeovers.
+  // below a bound the VTS engine had already inferred, stamps that give an
+  // element a second value, and takeovers.
   uint64_t late_stamps = 0;
   uint64_t stamps_below_inferred = 0;
+  uint64_t conflicting_stamps = 0;
   uint64_t takeovers_started = 0;
 
   /// Machine-readable dump of every field above (one JSON object).

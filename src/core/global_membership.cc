@@ -11,6 +11,8 @@ GlobalMembership::GlobalMembership(int num_groups, uint16_t my_group,
       my_group_(my_group),
       crash_timeout_(crash_timeout),
       late_stamps_(metrics.GetCounter("membership/late_stamps")),
+      conflicting_stamps_(
+          metrics.GetCounter("membership/conflicting_stamps")),
       takeovers_started_(metrics.GetCounter("membership/takeovers_started")) {}
 
 void GlobalMembership::Start(SimTime now) {
@@ -117,8 +119,11 @@ void GlobalMembership::OnStampApplied(const TimestampElement& stamp) {
   uint64_t& highest = max_ts_seen_[stamp.assigner_gid];
   if (stamp.ts < highest) late_stamps_->Add();
   highest = std::max(highest, stamp.ts);
-  recorded_vts_[Key{stamp.target_gid, stamp.target_seq}][stamp.assigner_gid] =
-      stamp.ts;
+  auto [recorded, inserted] =
+      recorded_vts_[Key{stamp.target_gid, stamp.target_seq}].try_emplace(
+          stamp.assigner_gid, stamp.ts);
+  if (!inserted && recorded->second != stamp.ts) conflicting_stamps_->Add();
+  recorded->second = stamp.ts;
 }
 
 uint64_t GlobalMembership::HighestStamp(uint16_t assigner) const {

@@ -38,8 +38,10 @@ class GlobalMembership {
 
   /// Counts in `metrics` a breach of Algorithm 2's input rules and what
   /// causes it: stamps applied below their assigner's highest
-  /// ("membership/late_stamps") and takeovers started, one per suspected
-  /// group ("membership/takeovers_started").
+  /// ("membership/late_stamps"), stamps whose value differs from the one
+  /// this node recorded from the same assigner for the same element
+  /// ("membership/conflicting_stamps") and takeovers started, one per
+  /// suspected group ("membership/takeovers_started").
   GlobalMembership(int num_groups, uint16_t my_group, SimTime crash_timeout,
                    obs::MetricsRegistry& metrics);
 
@@ -92,7 +94,8 @@ class GlobalMembership {
   // ---- Facts every node records.
 
   /// This node applied `stamp` (late when below the highest stamp applied
-  /// from its assigner so far).
+  /// from its assigner so far, conflicting when it gives an element this
+  /// node already recorded another value).
   void OnStampApplied(const TimestampElement& stamp);
   /// This node's answer to a freeze query for `dead_gid`: the highest stamp
   /// it applied from that group.
@@ -150,6 +153,7 @@ class GlobalMembership {
   const uint16_t my_group_;
   const SimTime crash_timeout_;
   obs::Counter* const late_stamps_;
+  obs::Counter* const conflicting_stamps_;
   obs::Counter* const takeovers_started_;
 
   std::set<uint16_t> dead_groups_;

@@ -23,9 +23,9 @@ enum class Phase : int {
   kBatching = 0,      // Txn submit -> batch formed.
   kLocalConsensus,    // Batch formed -> local PBFT committed.
   kEncode,            // RS encode + Merkle build CPU span.
-  kGlobalReplication, // Local commit -> global commit (+ VTS).
+  kGlobalReplication, // Local commit -> global commit.
   kRebuild,           // First chunk arrival -> entry rebuilt (receivers).
-  kExecution,         // Global commit -> executed.
+  kExecution,         // Global commit -> executed (includes the VTS wait).
 };
 constexpr int kNumPhases = 6;
 

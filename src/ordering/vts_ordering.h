@@ -18,13 +18,17 @@ namespace massbft {
 /// Each group G_j assigns its local clock value to every entry it accepts;
 /// elements arrive asynchronously (OnTimestamp). Entries proposed by G_i
 /// deterministically carry vts[i] = seq (the overlapped assignment of
-/// Fig 7b). Unset elements of the per-group *head* entries are inferred as
-/// lower bounds (group clocks stamp in non-decreasing order), letting fast
-/// groups execute without waiting for full VTSs.
+/// Fig 7b). An unset element is at least its assigner's highest stamp
+/// received so far (rule 1: each assigner's stamps arrive in non-decreasing
+/// order), a lower bound that lets fast groups execute without waiting for
+/// full VTSs. One group's entries never decrease in any element as the
+/// sequence number grows (rule 2), so each group's head stands for all of
+/// its later entries.
 ///
-/// The engine is a pure, deterministic state machine: feed it the same
-/// events in any order consistent with per-group monotonicity and every
-/// node executes the identical sequence (Theorem V.6, agreement).
+/// The engine is a pure, deterministic state machine: for any fixed set of
+/// stamps that obeys both rules, delivered in any order that keeps each
+/// assigner's stamps in order, every node executes a prefix of the same
+/// sequence, the sort by final VTS (Theorem V.6, agreement; DESIGN.md §19).
 class VtsOrderingEngine : public OrderingEngine {
  public:
   VtsOrderingEngine(int num_groups, Callbacks callbacks);
@@ -40,7 +44,10 @@ class VtsOrderingEngine : public OrderingEngine {
   using Key = std::pair<uint16_t, uint64_t>;
 
   EntryState& GetEntry(uint16_t gid, uint64_t seq);
-  /// True iff e1 (head of g1) must precede e2 (head of g2) — Prec().
+  /// e's element j if set, else the lower bound rule 1 gives it.
+  uint64_t Bound(const EntryState& e, int j) const;
+  /// True iff e1 (head of g1) precedes e2 (head of g2) whatever values
+  /// their unset elements take — Prec().
   bool Prec(const EntryState& e1, uint16_t g1, const EntryState& e2,
             uint16_t g2) const;
   /// Index of the global-minimum head, or -1 if undecidable.
@@ -51,6 +58,8 @@ class VtsOrderingEngine : public OrderingEngine {
   std::vector<uint64_t> heads_;
   /// States of heads and of future entries with early timestamps.
   std::map<Key, EntryState> entries_;
+  /// highest_[j] = group j's highest stamp received so far.
+  std::vector<uint64_t> highest_;
 
   // Pre-resolved observability handles (null when not wired).
   obs::Counter* ts_counter_ = nullptr;

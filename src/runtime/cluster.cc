@@ -343,6 +343,7 @@ std::string RealCluster::HealthJson() {
         // Breaches of Algorithm 2's input rules, and what causes them.
         uint64_t late_stamps;
         uint64_t stamps_below_inferred;
+        uint64_t conflicting_stamps;
         uint64_t takeovers_started;
       };
       // One inspection hop per node; a stopped runtime answers inline.
@@ -358,6 +359,7 @@ std::string RealCluster::HealthJson() {
                         n.store().bytes(),
                         count("membership/late_stamps"),
                         count("vts/stamps_below_inferred"),
+                        count("membership/conflicting_stamps"),
                         count("membership/takeovers_started")};
       });
       w.Member("executed_entries", progress.executed);
@@ -368,6 +370,7 @@ std::string RealCluster::HealthJson() {
       w.Member("store_bytes", progress.store_bytes);
       w.Member("late_stamps", progress.late_stamps);
       w.Member("stamps_below_inferred", progress.stamps_below_inferred);
+      w.Member("conflicting_stamps", progress.conflicting_stamps);
       w.Member("takeovers_started", progress.takeovers_started);
       const Transport::Stats stats = raw->transport().stats();
       w.Member("reconnects", stats.reconnects);
@@ -394,18 +397,21 @@ void RealCluster::DumpFlightRecorders(const char* why) {
 std::string RealCluster::BreachSummary() {
   uint64_t late = 0;
   uint64_t below_inferred = 0;
+  uint64_t conflicting = 0;
   uint64_t takeovers = 0;
   uint64_t faults = 0;
   for (auto& rt : runtimes_) {
     obs::MetricsRegistry& metrics = rt->telemetry().registry();
     late += metrics.GetCounter("membership/late_stamps")->value();
     below_inferred += metrics.GetCounter("vts/stamps_below_inferred")->value();
+    conflicting += metrics.GetCounter("membership/conflicting_stamps")->value();
     takeovers += metrics.GetCounter("membership/takeovers_started")->value();
     faults += rt->network().fault_stats().total();
   }
   std::ostringstream out;
   out << "late stamps " << late << ", stamps below an inferred bound "
-      << below_inferred << ", takeovers started " << takeovers
+      << below_inferred << ", conflicting stamps " << conflicting
+      << ", takeovers started " << takeovers
       << ", faults injected " << faults;
   return out.str();
 }

@@ -216,6 +216,19 @@ TEST_F(GlobalMembershipTest, CountsStampsBelowTheirAssignersHighest) {
   EXPECT_EQ(Count("membership/late_stamps"), 2u);
 }
 
+TEST_F(GlobalMembershipTest, CountsStampsThatConflictWithARecordedOne) {
+  // Item 1's breach: two values for one element from one assigner, such as
+  // a takeover's frozen stamp and the group's own.
+  GlobalMembership m = Make(3, 0);
+  m.OnStampApplied(TimestampElement{1, 0, 0, 5});
+  m.OnStampApplied(TimestampElement{1, 0, 0, 5});  // A resent copy.
+  m.OnStampApplied(TimestampElement{2, 0, 0, 3});  // Another assigner.
+  EXPECT_EQ(Count("membership/conflicting_stamps"), 0u);
+  m.OnStampApplied(TimestampElement{1, 0, 0, 7});
+  EXPECT_EQ(Count("membership/conflicting_stamps"), 1u);
+  EXPECT_EQ(Count("membership/late_stamps"), 0u);
+}
+
 TEST_F(GlobalMembershipTest, CountsEveryTakeoverStarted) {
   // One per suspected group, whichever group then takes it over.
   GlobalMembership group1 = Make(4, 1);

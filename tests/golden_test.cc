@@ -1,6 +1,7 @@
 // Pins each protocol's simulated behaviour: eight fixed-seed runs must
 // reproduce the ExperimentResult JSON checked in under tests/golden/ byte
-// for byte. SmallBank draws its keys uniformly, so no libm call whose last
+// for byte, and over ten seeds of the same configuration MassBFT must agree
+// and keep its median latency at or below Baseline's. SmallBank draws its keys uniformly, so no libm call whose last
 // bit may differ between hosts feeds the run (YCSB's Zipf generator calls
 // std::pow). A deliberate behaviour change replaces the files in the same
 // commit; on a mismatch the actual JSON is written next to this binary for
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -27,16 +29,23 @@ struct GoldenRun {
 
 void PrintTo(const GoldenRun& run, std::ostream* os) { *os << run.name; }
 
-std::string RunJson(const GoldenRun& run) {
+/// The golden configuration: 3x4 nationwide, SmallBank at scale 0.01, 40
+/// clients per group, 6 s with a 1 s warm-up.
+ExperimentConfig GoldenConfig(ProtocolKind kind, uint64_t seed) {
   ExperimentConfig config;
   config.topology = TopologyConfig::Nationwide(3, 4);
-  config.protocol = ProtocolConfig::ForKind(run.kind);
+  config.protocol = ProtocolConfig::ForKind(kind);
   config.workload = WorkloadKind::kSmallBank;
   config.workload_scale = 0.01;
   config.clients_per_group = 40;
   config.duration = 6 * kSecond;
   config.warmup = kSecond;
-  config.seed = 11;
+  config.seed = seed;
+  return config;
+}
+
+std::string RunJson(const GoldenRun& run) {
+  ExperimentConfig config = GoldenConfig(run.kind, /*seed=*/11);
   if (run.group_crash) {
     config.faults.crash_group = 2;
     config.faults.crash_at = 2 * kSecond;
@@ -89,6 +98,39 @@ INSTANTIATE_TEST_SUITE_P(
                                 true}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return std::string(info.param.name);
+    });
+
+// ROADMAP item 14: the golden run is one seed, so MassBFT's latency is
+// also judged over ten. Its median commit latency must not exceed
+// Baseline's in any of them; an entry that waits a batch round on a tied
+// VTS bound (DESIGN.md §19) puts a seed a batch interval above it.
+class GoldenSeedTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GoldenSeedTest, MassBftMedianAtMostBaselines) {
+  double p50_ms[2] = {0, 0};
+  const ProtocolKind kinds[2] = {ProtocolKind::kMassBft,
+                                 ProtocolKind::kBaseline};
+  const char* names[2] = {"MassBFT", "Baseline"};
+  for (int i = 0; i < 2; ++i) {
+    Experiment experiment(GoldenConfig(kinds[i], GetParam()));
+    Status s = experiment.Setup();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ExperimentResult result = experiment.Run();
+    EXPECT_GT(experiment.CheckAgreement(), 0) << names[i];
+    EXPECT_GT(result.committed_txns, 0u) << names[i];
+    p50_ms[i] = result.p50_latency_ms;
+    std::cout << names[i] << " seed " << GetParam() << ": p50 "
+              << result.p50_latency_ms << " ms, p99 "
+              << result.p99_latency_ms << " ms, " << result.throughput_tps
+              << " txn/s\n";
+  }
+  EXPECT_LE(p50_ms[0], p50_ms[1]) << "MassBFT p50 above Baseline's";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, GoldenSeedTest, ::testing::Values(1, 2, 3, 4, 5, 6, 11, 12, 13, 14),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
     });
 
 }  // namespace

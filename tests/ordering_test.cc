@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -75,26 +78,39 @@ TEST(VtsOrderingTest, SingleGroupExecutesInSequence) {
 TEST(VtsOrderingTest, WaitsForTimestampsBeforeExecuting) {
   VtsHarness h(2);
   h.MakeAvailable(0, 0);
-  // Entry (0,0) has vts[0]=0 set; vts[1] unknown. Head (1,0) has vts[1]=0.
-  // Prec((0,0),(1,0)) needs vts[0]... head(1,0).vts[0] inferred 0 == own 0,
-  // undecidable until group 1 stamps.
+  h.MakeAvailable(1, 0);
+  // (0,0) = <0, ?> and (1,0) = <?, 0>: neither knows the element that
+  // would put it first.
   EXPECT_TRUE(h.executed.empty());
-  // Group 1 stamps (0,0) with its clock value 0: now (0,0).vts = <0,0> all
-  // set; head (1,0) virtual has vts <inf0, 0>: tie broken... (0,0) vs
-  // virtual (1,0): equal VTS requires both set; (1,0).vts[0] inferred, so
-  // comparison gives false both ways until group 0's clock advances —
-  // except the identical-vts tie-break needs set bits. Stamp and check the
-  // engine does NOT prematurely execute.
-  h.Stamp(1, 0, 0, 0);
-  // (0,0): vts = <0(set), 0(set)>. Virtual (1,0): vts = <0(inferred),
-  // 0(set)>. Prec((0,0),(1,0)): j=0: e1 set, 0 == 0 but e2.set[0] false ->
-  // return false. Correctly blocked.
+  // Group 1 stamps (0,0) at 1: (0,0) = <0, 1>, while (1,0) = <≥0, 0>.
+  // Still undecidable: (1,0) precedes if group 0 stamps it 0, and follows
+  // if group 0 stamps it higher.
+  h.Stamp(1, 0, 0, 1);
   EXPECT_TRUE(h.executed.empty());
-  // Group 0 stamps an entry of group 1 with ts=1 (its clock advanced past
-  // 0): all heads' unset element-0 lower bounds rise to 1, so now
-  // (0,0).vts[0]=0 < (1,0).vts[0]>=1 -> (0,0) precedes everything.
-  h.Stamp(0, 1, 0, 1);
-  EXPECT_EQ(h.executed, (Executed{{0, 0}}));
+  // Group 0 stamps (1,0) at 0: <0, 0> precedes <0, 1>. The next head,
+  // (1,1) = <≥0, 1>, meets (0,0) = <0, 1> at a bound equal to (0,0)'s set
+  // element 0 (case 1): a higher final value puts (0,0) first, an equal
+  // one leaves element 1 (a tie) and then seq 0 < 1, also (0,0) first.
+  h.Stamp(0, 1, 0, 0);
+  EXPECT_EQ(h.executed, (Executed{{1, 0}, {0, 0}}));
+}
+
+TEST(VtsOrderingTest, PromotedHeadStartsAtTheAssignersHighestStamp) {
+  // Case 2: group 1 stamps (2,1) at 3 while (0,0) is head. Once (0,0)
+  // executes, its successor (0,1), which group 1 has not stamped, starts
+  // its element 1 at 3, not at (0,0)'s 1, so (2,0) = <1, 2, 0> precedes
+  // (0,1) = <1, ≥3, ≥0> at once.
+  VtsHarness h(3);
+  h.Stamp(2, 0, 0, 0);
+  h.Stamp(1, 0, 0, 1);
+  h.Stamp(0, 2, 0, 1);
+  h.Stamp(0, 1, 0, 2);
+  h.Stamp(1, 2, 0, 2);
+  h.Stamp(1, 2, 1, 3);
+  h.MakeAvailable(2, 0);
+  EXPECT_TRUE(h.executed.empty());  // (0,0) = <0, 1, 0> comes first.
+  h.MakeAvailable(0, 0);
+  EXPECT_EQ(h.executed, (Executed{{0, 0}, {2, 0}}));
 }
 
 TEST(VtsOrderingTest, FastGroupNotBlockedBySlowGroup) {
@@ -268,6 +284,183 @@ TEST_P(VtsAgreementTest, PermutedDeliveryYieldsSameOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VtsAgreementTest,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 99, 12345));
+
+// ------------------------------------------ Exhaustive small-scope check
+
+// Theorem V.6 at small scope (ROADMAP item 2.3): for every ground truth of
+// 3 groups x 2 entries, every delivery order that keeps each assigner's
+// stamps in order must make a fresh engine execute a prefix of the sort by
+// final VTS with the (seq, gid) tie-break.
+
+constexpr int kSmallGroups = 3;
+constexpr uint64_t kSmallEntries = 2;
+constexpr size_t kSmallEntryCount = kSmallGroups * kSmallEntries;
+
+struct StampEvent {
+  uint16_t assigner, target;
+  uint64_t seq, ts;
+  auto operator<=>(const StampEvent&) const = default;
+};
+/// A ground truth: each assigner's stamps in the order it issues them.
+using Truth = std::vector<std::vector<StampEvent>>;
+
+/// The stamps of one proposal interleaving: each other group stamps an
+/// entry with its clock when the entry is proposed. A group's clock moves
+/// past its own entry s at once, or, with `lazy_clocks`, only at its next
+/// proposal, so that it stamps others' entries with s itself and ties
+/// occur.
+Truth MakeTruth(const std::vector<uint16_t>& proposers, bool lazy_clocks) {
+  Truth truth(kSmallGroups);
+  std::vector<uint64_t> clock(kSmallGroups, 0), next(kSmallGroups, 0);
+  for (uint16_t g : proposers) {
+    const uint64_t s = next[g]++;
+    if (lazy_clocks) clock[g] = s;
+    for (uint16_t j = 0; j < kSmallGroups; ++j)
+      if (j != g) truth[j].push_back({j, g, s, clock[j]});
+    if (!lazy_clocks) clock[g] = s + 1;
+  }
+  return truth;
+}
+
+/// Every distinct truth: all 90 interleavings, each with eager and with
+/// lazy clocks.
+std::vector<Truth> SmallTruths() {
+  std::vector<uint16_t> proposers;
+  for (uint16_t g = 0; g < kSmallGroups; ++g)
+    proposers.insert(proposers.end(), kSmallEntries, g);
+  std::set<Truth> truths;
+  do {
+    truths.insert(MakeTruth(proposers, /*lazy_clocks=*/false));
+    truths.insert(MakeTruth(proposers, /*lazy_clocks=*/true));
+  } while (std::next_permutation(proposers.begin(), proposers.end()));
+  return {truths.begin(), truths.end()};
+}
+
+/// The oracle: the entries sorted by final VTS, then (seq, gid).
+Executed FinalOrder(const Truth& truth) {
+  std::map<std::pair<uint16_t, uint64_t>, std::vector<uint64_t>> vts;
+  for (uint16_t g = 0; g < kSmallGroups; ++g)
+    for (uint64_t s = 0; s < kSmallEntries; ++s) {
+      vts[{g, s}].assign(kSmallGroups, 0);
+      vts[{g, s}][g] = s;
+    }
+  for (const auto& stamps : truth)
+    for (const StampEvent& e : stamps)
+      vts[{e.target, e.seq}][e.assigner] = e.ts;
+  Executed order;
+  for (const auto& [key, v] : vts) order.push_back(key);
+  std::sort(order.begin(), order.end(), [&vts](const auto& a, const auto& b) {
+    return std::tie(vts[a], a.second, a.first) <
+           std::tie(vts[b], b.second, b.first);
+  });
+  return order;
+}
+
+struct SweepResult {
+  uint64_t engines = 0;
+  uint64_t deviations = 0;
+  uint64_t executed_all = 0;
+};
+
+/// Feeds `truth` to one fresh engine per delivery order and compares each
+/// executed sequence with the oracle. Visits every `stride`-th order, and
+/// stops at the first deviation when `stop_at_deviation`.
+void Sweep(const Truth& truth, size_t stride, bool stop_at_deviation,
+           SweepResult* result) {
+  const Executed oracle = FinalOrder(truth);
+  std::vector<uint16_t> order;  // Which assigner's next stamp arrives.
+  for (uint16_t j = 0; j < kSmallGroups; ++j)
+    order.insert(order.end(), truth[j].size(), j);
+  Executed executed;
+  executed.reserve(kSmallEntryCount);
+  size_t index = 0;
+  do {
+    if (index++ % stride != 0) continue;
+    executed.clear();
+    OrderingEngine::Callbacks cb;
+    cb.can_execute = [](uint16_t, uint64_t s) { return s < kSmallEntries; };
+    cb.execute = [&executed](uint16_t g, uint64_t s) {
+      executed.push_back({g, s});
+    };
+    VtsOrderingEngine engine(kSmallGroups, std::move(cb));
+    std::vector<size_t> delivered(kSmallGroups, 0);
+    for (uint16_t j : order) {
+      const StampEvent& e = truth[j][delivered[j]++];
+      engine.OnTimestamp(e.assigner, e.target, e.seq, e.ts);
+      engine.Poke();
+    }
+    ++result->engines;
+    if (executed.size() == kSmallEntryCount) ++result->executed_all;
+    if (!std::equal(executed.begin(), executed.end(), oracle.begin())) {
+      ++result->deviations;
+      if (stop_at_deviation) return;
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+// An optimized build visits all 34,650 delivery orders of each truth, 6.2
+// million engines in all (about 14 s on one x86-64 core); an unoptimized
+// one (the sanitizer leg's Debug build, about 50 times slower per engine)
+// every 29th. Each shard takes every kShards-th truth, so that ctest runs
+// the shards in parallel.
+#ifdef NDEBUG
+constexpr size_t kOrderStride = 1;
+#else
+constexpr size_t kOrderStride = 29;
+#endif
+constexpr int kShards = 6;
+
+class VtsExhaustiveTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(VtsExhaustiveTest, EveryFifoDeliveryExecutesAPrefixOfTheFinalOrder) {
+  const std::vector<Truth> truths = SmallTruths();
+  ASSERT_EQ(truths.size(), 180u);
+  SweepResult result;
+  size_t shard_truths = 0;
+  for (size_t i = GetParam(); i < truths.size(); i += kShards, ++shard_truths)
+    Sweep(truths[i], kOrderStride, /*stop_at_deviation=*/false, &result);
+  EXPECT_EQ(result.deviations, 0u);
+  EXPECT_EQ(result.engines,
+            shard_truths * ((34650 + kOrderStride - 1) / kOrderStride));
+  // Once every stamp is in, some runs execute all six entries; an engine
+  // that waits on bounds equal to a set element executes none that way.
+  EXPECT_GT(result.executed_all, 0u);
+  std::cout << shard_truths << " truths, " << result.engines
+            << " engines, " << result.executed_all << " executed all "
+            << kSmallEntryCount << " entries\n";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, VtsExhaustiveTest,
+                         ::testing::Range(0, kShards));
+
+/// True when some truth, with `mutate` applied, makes some delivery order
+/// execute off the oracle's order.
+bool SomeDeliveryDeviates(const std::function<void(Truth*)>& mutate) {
+  for (Truth truth : SmallTruths()) {
+    mutate(&truth);
+    SweepResult result;
+    Sweep(truth, kOrderStride, /*stop_at_deviation=*/true, &result);
+    if (result.deviations > 0) return true;
+  }
+  return false;
+}
+
+TEST(VtsExhaustiveMutantTest, OutOfOrderStampsBreakTheCheck) {
+  // Rule 1 broken: group 0's stamps arrive in reverse.
+  EXPECT_TRUE(SomeDeliveryDeviates([](Truth* truth) {
+    std::reverse((*truth)[0].begin(), (*truth)[0].end());
+  }));
+}
+
+TEST(VtsExhaustiveMutantTest, DecreasingStampsAlongALogBreakTheCheck) {
+  // Rule 2 broken: group 0 stamps (2,1) first, so below (2,0), as a group
+  // that accepts an instance's entries out of order would. Its stamps
+  // still arrive in non-decreasing order.
+  EXPECT_TRUE(SomeDeliveryDeviates([](Truth* truth) {
+    for (StampEvent& e : (*truth)[0])
+      if (e.target == 2) e.seq = kSmallEntries - 1 - e.seq;
+  }));
+}
 
 // --------------------------------------------------------- Round ordering
 

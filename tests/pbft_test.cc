@@ -334,6 +334,65 @@ TEST_F(PbftFixture, ValidationGateBlocksPrepare) {
   for (auto& node : nodes_) EXPECT_EQ(node->committed.size(), 1u);
 }
 
+/// Group of four in which only `slow` waits for its validations.
+void InitWithSlowValidator(std::unique_ptr<GroupBus>* bus,
+                           std::vector<std::unique_ptr<PbftNode>>* nodes,
+                           int slow) {
+  *bus = std::make_unique<GroupBus>(4);
+  for (int i = 0; i < 4; ++i) {
+    nodes->push_back(std::make_unique<PbftNode>(
+        bus->get(), i, 4, /*instant_validation=*/i != slow));
+    PbftNode* node = nodes->back().get();
+    (*bus)->Register(i, [node](NodeId from, const MessagePtr& m) {
+      node->engine->OnMessage(from, m);
+    });
+  }
+}
+
+TEST_F(PbftFixture, PendingOwnPrepareCountsTowardTheQuorum) {
+  // Follower 1 is still validating when both peer prepares reach it. With
+  // the leader's pre-prepare and its own prepare to come, one of them
+  // completes the quorum, so it checks one signature, not two.
+  InitWithSlowValidator(&bus_, &nodes_, /*slow=*/1);
+  for (int from : {0, 2, 3}) bus_->DropLink(from, 1);
+  nodes_[0]->engine->Propose(MakeEntry(0));
+  bus_->Deliver();
+  PbftNode& follower = *nodes_[1];
+  auto replay = [&](MessageType type, std::vector<int> senders) {
+    for (const auto& [from, msg] : bus_->sent)
+      if (static_cast<MessageType>(msg->type()) == type &&
+          std::erase(senders, from) > 0)
+        follower.engine->OnMessage(NodeId{0, static_cast<uint16_t>(from)},
+                                   msg);
+  };
+  replay(MessageType::kPrePrepare, {0});
+  replay(MessageType::kPrepare, {2, 3});
+  EXPECT_EQ(follower.verifies, 1 + 1);  // The pre-prepare, one prepare.
+  // Its commit is pending too until it prepares: of three peer commits it
+  // checks two.
+  replay(MessageType::kCommit, {0, 2, 3});
+  EXPECT_EQ(follower.verifies, 1 + 1 + 2);
+  ASSERT_EQ(follower.pending_validations.size(), 1u);
+  follower.pending_validations[0](true);
+  ASSERT_EQ(follower.committed.size(), 1u);
+  EXPECT_EQ(follower.verifies, 1 + 1 + 2);
+}
+
+TEST_F(PbftFixture, SlowValidatorStillCompletesAQuorumOfThree) {
+  // Follower 3 is silent, so every vote of the other three is needed;
+  // follower 1 validates last.
+  InitWithSlowValidator(&bus_, &nodes_, /*slow=*/1);
+  bus_->Drop(3);
+  nodes_[0]->engine->Propose(MakeEntry(0));
+  bus_->Deliver();
+  for (auto& node : nodes_) EXPECT_TRUE(node->committed.empty());
+  ASSERT_EQ(nodes_[1]->pending_validations.size(), 1u);
+  nodes_[1]->pending_validations[0](true);
+  bus_->Deliver();
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(nodes_[i]->committed.size(), 1u) << "node " << i;
+}
+
 // -------------------------------------------------------- DigestCertifier
 
 struct CertifierNode {

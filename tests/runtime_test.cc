@@ -394,6 +394,9 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
           << series << label;
   }
   EXPECT_EQ(metrics.find("massbft_net_wan_uplink_queue_ms"), std::string::npos);
+  // Algorithm 2's breach counters are series too.
+  EXPECT_NE(metrics.find("massbft_membership_conflicting_stamps{node=\"0/0\"}"),
+            std::string::npos);
 
   // Health view: JSON with per-node liveness and transport counters.
   EXPECT_NE(health.find("application/json"), std::string::npos);
@@ -408,6 +411,7 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"store_bytes\""), std::string::npos);
   EXPECT_NE(health.find("\"late_stamps\""), std::string::npos);
   EXPECT_NE(health.find("\"stamps_below_inferred\""), std::string::npos);
+  EXPECT_NE(health.find("\"conflicting_stamps\""), std::string::npos);
   EXPECT_NE(health.find("\"takeovers_started\""), std::string::npos);
 
   // The commit samples filled the real-mode timeline, and some bucket saw
